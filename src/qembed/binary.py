@@ -104,7 +104,11 @@ def load_binary_matrix(path: str | Path) -> BinaryMatrix:
     if len(blob) < end:
         raise BinaryMatrixError(f"binary matrix file shorter than header claims: {path}")
     packed = np.frombuffer(blob[16:end], dtype=np.uint8).reshape(n, width).copy()
-    row_ids = blob[end:].decode("utf-8").splitlines()
-    if len(row_ids) != n:
-        raise BinaryMatrixError(f"expected {n} row ids, found {len(row_ids)}: {path}")
+    try:
+        *row_ids, torn = blob[end:].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise BinaryMatrixError(f"row ids are not utf-8: {path}") from exc
+    if torn or len(row_ids) != n:  # save writes each id followed by a newline
+        raise BinaryMatrixError(f"expected {n} newline-terminated row ids, "
+                                f"found {len(row_ids)}: {path}")
     return BinaryMatrix(packed=packed, m=int(m), row_ids=row_ids)

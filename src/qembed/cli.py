@@ -10,10 +10,12 @@ import logging
 import sys
 from pathlib import Path
 
+from .binary import BinaryMatrixError
 from .config import ConfigError, load_config, with_seed
 from .cost import CostError
 from .corpus import CorpusError
 from .evaluation import BankMismatchError, TaskError
+from .heads import TrainingError
 from .pipeline import STAGE_ORDER, run_all, run_stage, write_demo_workspace
 from .prompts import QuestionParseError
 from .providers import ProviderError
@@ -29,7 +31,7 @@ EXIT_PROVIDER = 4
 _CONFIG_ERRORS = (ConfigError, CostError, TaskError, SamplingError, CorpusError,
                   QuestionParseError)
 _DEPENDENCY_ERRORS = (DependencyError, FingerprintError, WorkspaceLockedError,
-                      BankMismatchError)
+                      BankMismatchError, TrainingError, BinaryMatrixError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -82,6 +82,23 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
+def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                  d2: np.ndarray) -> bool:
+    """Move each empty cluster onto the farthest point from its centroid not yet
+    taken, updating centroids and labels in place; True if any cluster was empty."""
+    empties = np.flatnonzero(np.bincount(labels, minlength=len(centroids)) == 0)
+    taken: set[int] = set()
+    point_d2 = d2[np.arange(len(x)), labels]
+    for empty in empties:
+        order = np.argsort(-point_d2, kind="stable")
+        far = next(int(i) for i in order if int(i) not in taken)
+        taken.add(far)
+        centroids[empty] = x[far]
+        labels[far] = empty
+        point_d2[far] = 0.0
+    return bool(empties.size)
+
+
 def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
                max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
                doc_ids: list[str] | None = None,
@@ -123,21 +140,10 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
     for iterations in range(1, max_iters + 1):
         d2 = _squared_distances(x, centroids)
         labels = np.argmin(d2, axis=1)  # ties resolve to the lowest index
-        reseeded = False
-        counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            reseeded = True
-            taken: set[int] = set()
-            point_d2 = d2[np.arange(n), labels]
-            for empty in np.flatnonzero(counts == 0):
-                order = np.argsort(-point_d2, kind="stable")
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                centroids[empty] = x[far]
-                labels[far] = empty
-                point_d2[far] = 0.0
-            counts = np.bincount(labels, minlength=k)
+        reseeded = _reseed_empty(x, centroids, labels, d2)
+        if reseeded:
             d2 = _squared_distances(x, centroids)
+        counts = np.bincount(labels, minlength=k)
 
         inertia = float(d2[np.arange(n), labels].sum())
         assert inertia <= prev_inertia * (1 + 1e-9) + 1e-12, \
@@ -155,17 +161,7 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
     # settle assignments against the final centroids so labels are exact argmins
     d2 = _squared_distances(x, centroids)
     labels = np.argmin(d2, axis=1)
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        point_d2 = d2[np.arange(n), labels]
-        taken = set()
-        for empty in np.flatnonzero(counts == 0):
-            order = np.argsort(-point_d2, kind="stable")
-            far = next(int(i) for i in order if int(i) not in taken)
-            taken.add(far)
-            centroids[empty] = x[far]
-            labels[far] = empty
-            point_d2[far] = 0.0
+    if _reseed_empty(x, centroids, labels, d2):
         d2 = _squared_distances(x, centroids)
         labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), labels].sum())

@@ -4,12 +4,16 @@ One tiny MLP (d -> h -> 1) per bank question, trained jointly on cached LLM
 answers with class-weighted binary cross-entropy and per-parameter Adam.
 Everything is numpy float64 with explicit gradients so training is
 bit-reproducible and finite-difference checkable.
+
+All m heads live in one C-contiguous (m, P) float64 matrix, P = h*d + 2h + 1.
+Row i is head i's block [W1 (h*d, row-major) | b1 (h) | w2 (h) | b2 (1)], the
+block order heads.bin stores in float32. Init, Adam, the forward pass, save
+and load all work on that matrix.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,15 +23,15 @@ from .binary import BinaryMatrix
 from .providers import Encoder
 from .question_gen import QuestionBank
 
-logger = logging.getLogger(__name__)
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# rows per forward GEMM; bounds the (m, h, rows) hidden-layer temporary
+FORWARD_CHUNK = 32
 
 
 class TrainingError(RuntimeError):
-    """Raised on invalid training data or a diverging loss."""
+    """Raised on invalid training data, a diverging loss or a corrupt heads file."""
 
 
 @dataclass(frozen=True)
@@ -56,28 +60,33 @@ class TrainingConfig:
             raise TrainingError(f"tau must be in (0, 1), got {self.tau}")
 
 
+def _split(block: np.ndarray, h: int, d: int):
+    """Views W1 (n,h,d), b1 (n,h), w2 (n,h), b2 (n,) into an (n, P) parameter block."""
+    hd = h * d
+    return (block[:, :hd].reshape(len(block), h, d), block[:, hd:hd + h],
+            block[:, hd + h:hd + 2 * h], block[:, -1])
+
+
 @dataclass
 class QuestionHeads:
-    """Stacked parameters: W1 (m,h,d), b1 (m,h), w2 (m,h), b2 (m,)."""
-    W1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    """m heads stored in params (m, P), one [W1 | b1 | w2 | b2] block per row.
+
+    The attributes W1 (m,h,d), b1 (m,h), w2 (m,h) and b2 (m,) are views into
+    params, so writing through them writes the parameters.
+    """
+    params: np.ndarray
+    h: int
+    d: int
     seed: int
     tau_default: float
     bank_fingerprint: str
 
+    def __post_init__(self):
+        self.W1, self.b1, self.w2, self.b2 = _split(self.params, self.h, self.d)
+
     @property
     def m(self) -> int:
-        return int(self.W1.shape[0])
-
-    @property
-    def h(self) -> int:
-        return int(self.W1.shape[1])
-
-    @property
-    def d(self) -> int:
-        return int(self.W1.shape[2])
+        return int(self.params.shape[0])
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -89,12 +98,14 @@ def init_heads(m: int, d: int, h: int, seed: int, tau: float = 0.5,
     rng = np.random.Generator(np.random.PCG64(seed))
     lim1 = 1.0 / np.sqrt(d)
     lim2 = 1.0 / np.sqrt(h)
-    return QuestionHeads(
-        W1=rng.uniform(-lim1, lim1, size=(m, h, d)),
-        b1=rng.uniform(-lim1, lim1, size=(m, h)),
-        w2=rng.uniform(-lim2, lim2, size=(m, h)),
-        b2=rng.uniform(-lim2, lim2, size=(m,)),
-        seed=seed, tau_default=tau, bank_fingerprint=bank_fingerprint)
+    heads = QuestionHeads(params=np.empty((m, h * d + 2 * h + 1)), h=h, d=d, seed=seed,
+                          tau_default=tau, bank_fingerprint=bank_fingerprint)
+    for block in heads.W1:  # same stream as one (m, h, d) draw, without its temporary
+        block[:] = rng.uniform(-lim1, lim1, size=(h, d))
+    heads.b1[:] = rng.uniform(-lim1, lim1, size=(m, h))
+    heads.w2[:] = rng.uniform(-lim2, lim2, size=(m, h))
+    heads.b2[:] = rng.uniform(-lim2, lim2, size=(m,))
+    return heads
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -120,17 +131,24 @@ def head_forward(heads: QuestionHeads, e: np.ndarray, i: int) -> float:
     return float(heads.w2[i] @ hidden + heads.b2[i])
 
 
-def forward_logits(heads: QuestionHeads, e: np.ndarray,
+def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
                    question_ids: np.ndarray | None = None) -> np.ndarray:
-    """Logits for all heads (or a subset) on one embedding."""
-    e = np.asarray(e, dtype=np.float64)
-    if question_ids is None:
-        W1, b1, w2, b2 = heads.W1, heads.b1, heads.w2, heads.b2
-    else:
-        W1, b1 = heads.W1[question_ids], heads.b1[question_ids]
-        w2, b2 = heads.w2[question_ids], heads.b2[question_ids]
-    hidden = np.maximum(W1 @ e + b1, 0.0)
-    return np.einsum("qh,qh->q", w2, hidden) + b2
+    """Logits (n, q) of all heads, or the question_ids subset, on an (n, d) batch.
+
+    A single 1-d embedding gives shape (q,).
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    block = heads.params if question_ids is None else heads.params[question_ids]
+    W1, b1, w2, b2 = _split(block, heads.h, heads.d)
+    rows = np.atleast_2d(e)
+    out = np.empty((len(rows), len(b2)))
+    for lo in range(0, len(rows), FORWARD_CHUNK):
+        chunk = rows[lo:lo + FORWARD_CHUNK]
+        hidden = np.matmul(W1, chunk.T)  # (q, h, rows)
+        hidden += b1[:, :, None]
+        np.maximum(hidden, 0.0, out=hidden)
+        out[lo:lo + len(chunk)] = np.einsum("qh,qhn->nq", w2, hidden) + b2
+    return out if e.ndim > 1 else out[0]
 
 
 def document_loss(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
@@ -142,37 +160,42 @@ def document_loss(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
     return float(terms.mean())
 
 
-def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
-                            labels: np.ndarray, pos_weight: float):
-    """Loss plus analytic gradients for the touched heads only.
-
-    Returns (loss, grads) with grads = {W1: (q,h,d), b1: (q,h), w2: (q,h), b2: (q,)}
-    indexed parallel to question_ids.
-    """
+def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, labels: np.ndarray,
+                   pos_weight: float) -> tuple[float, np.ndarray]:
+    """Loss plus its (q, P) gradient for the gathered parameter rows block (q, P)."""
     e = np.asarray(e, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    W1 = heads.W1[question_ids]
-    b1 = heads.b1[question_ids]
-    w2 = heads.w2[question_ids]
-    b2 = heads.b2[question_ids]
+    W1, b1, w2, b2 = _split(block, h, d)
 
-    a1 = W1 @ e + b1           # (q, h)
+    a1 = W1 @ e + b1           # (q, h), one gemv per head
     hidden = np.maximum(a1, 0.0)
     z = np.einsum("qh,qh->q", w2, hidden) + b2
-    q = len(question_ids)
+    q = len(block)
 
     terms = pos_weight * y * _softplus(-z) + (1.0 - y) * _softplus(z)
     loss = float(terms.mean())
 
     sig = sigmoid(z)
     dz = (pos_weight * y * (sig - 1.0) + (1.0 - y) * sig) / q  # (q,)
-    d_w2 = dz[:, None] * hidden
-    d_b2 = dz
-    d_hidden = dz[:, None] * w2
-    d_a1 = d_hidden * (a1 > 0.0)
-    d_W1 = d_a1[:, :, None] * e[None, None, :]
-    d_b1 = d_a1
-    return loss, {"W1": d_W1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+    grad = np.empty_like(block)
+    d_W1, d_b1, d_w2, d_b2 = _split(grad, h, d)
+    d_b1[:] = dz[:, None] * w2 * (a1 > 0.0)
+    np.multiply(d_b1[:, :, None], e, out=d_W1)
+    np.multiply(dz[:, None], hidden, out=d_w2)
+    d_b2[:] = dz
+    return loss, grad
+
+
+def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
+                            labels: np.ndarray, pos_weight: float):
+    """Loss plus analytic gradients for the touched heads only.
+
+    Returns (loss, grads) with grads = {W1: (q,h,d), b1: (q,h), w2: (q,h), b2: (q,)}
+    indexed parallel to question_ids: views into one (q, P) gradient block.
+    """
+    loss, grad = _loss_and_grad(heads.params[question_ids], heads.h, heads.d, e, labels,
+                                pos_weight)
+    return loss, dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
 
 
 def compute_pos_weight(examples: list[TrainingExample]) -> float:
@@ -183,20 +206,6 @@ def compute_pos_weight(examples: list[TrainingExample]) -> float:
     if yes == 0 or no == 0:
         raise TrainingError(f"need both classes present, got {yes} yes / {no} no")
     return no / yes
-
-
-@dataclass
-class _AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    steps: np.ndarray  # per-head update counts, drives bias correction
-
-    @classmethod
-    def for_heads(cls, heads: QuestionHeads) -> "_AdamState":
-        params = heads.parameter_arrays()
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()},
-                   steps=np.zeros(heads.m, dtype=np.int64))
 
 
 def train_heads(examples: list[TrainingExample], texts: dict[str, str], encoder: Encoder,
@@ -223,8 +232,10 @@ def train_heads(examples: list[TrainingExample], texts: dict[str, str], encoder:
 
     heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, cfg.seed,
                        tau=cfg.tau, bank_fingerprint=bank.fingerprint())
-    state = _AdamState.for_heads(heads)
-    params = heads.parameter_arrays()
+    params = heads.params
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    head_steps = np.zeros(heads.m, dtype=np.int64)  # per-head counts drive bias correction
 
     qids_per_doc = [np.asarray(sorted(ex.answers), dtype=np.int64) for ex in examples]
     labels_per_doc = [np.asarray([ex.answers[q] for q in sorted(ex.answers)],
@@ -240,25 +251,22 @@ def train_heads(examples: list[TrainingExample], texts: dict[str, str], encoder:
             order = rng.permutation(n)
         doc = int(order[pos])
         qids = qids_per_doc[doc]
-        loss, grads = document_loss_and_grads(heads, embeddings[doc], qids,
-                                              labels_per_doc[doc], pos_weight)
+        block = params[qids]
+        loss, grad = _loss_and_grad(block, heads.h, heads.d, embeddings[doc],
+                                    labels_per_doc[doc], pos_weight)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at step {step}, "
                                 f"question ids {qids.tolist()}")
 
-        state.steps[qids] += 1
-        t = state.steps[qids].astype(np.float64)
-        for name, grad in grads.items():
-            extra = (slice(None),) + (None,) * (grad.ndim - 1)
-            m = state.m[name][qids]
-            v = state.v[name][qids]
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            state.m[name][qids] = m
-            state.v[name][qids] = v
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)[extra]
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)[extra]
-            params[name][qids] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        head_steps[qids] += 1
+        t = head_steps[qids].astype(np.float64)[:, None]
+        m = ADAM_BETA1 * adam_m[qids] + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * adam_v[qids] + (1.0 - ADAM_BETA2) * grad * grad
+        adam_m[qids] = m
+        adam_v[qids] = v
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        params[qids] = block - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return heads
 
 
@@ -279,12 +287,8 @@ def embed_documents(doc_texts: list[str], encoder: Encoder, heads: QuestionHeads
     if not doc_texts:
         return BinaryMatrix.from_dense(np.zeros((0, heads.m), dtype=np.uint8),
                                        row_ids or [])
-    embeddings = encoder.encode(doc_texts)
-    dense = np.zeros((len(doc_texts), heads.m), dtype=np.uint8)
-    for i in range(len(doc_texts)):
-        probs = sigmoid(forward_logits(heads, embeddings[i]))
-        dense[i] = binarize(probs, tau)
-    return BinaryMatrix.from_dense(dense, row_ids)
+    logits = forward_logits(heads, encoder.encode(doc_texts))
+    return BinaryMatrix.from_dense(binarize(sigmoid(logits), tau), row_ids)
 
 
 @dataclass(frozen=True)
@@ -361,43 +365,35 @@ def evaluate_heldout(heads: QuestionHeads, encoder: Encoder,
     if not examples:
         raise TrainingError("held-out set is empty")
     embeddings = encoder.encode([texts[ex.document_id] for ex in examples])
-    trues, preds = [], []
-    for i, ex in enumerate(examples):
-        qids = np.asarray(sorted(ex.answers), dtype=np.int64)
-        probs = sigmoid(forward_logits(heads, embeddings[i], qids))
-        bits = binarize(probs, tau)
-        trues.extend(ex.answers[int(q)] for q in qids)
-        preds.extend(int(b) for b in bits)
-    return classification_report(np.asarray(trues), np.asarray(preds))
+    bits = binarize(sigmoid(forward_logits(heads, embeddings)), tau)
+    pairs = np.asarray([(row, qid, answer) for row, ex in enumerate(examples)
+                        for qid, answer in sorted(ex.answers.items())], dtype=np.int64)
+    rows, qids, trues = pairs.T
+    return classification_report(trues, bits[rows, qids])
 
 
 def save_heads(heads: QuestionHeads, path: str | Path) -> None:
-    """Header json line + per-head contiguous float32 blocks [W1, b1, w2, b2]."""
+    """Header json line + params as float32: one [W1, b1, w2, b2] block per head."""
     header = {"m": heads.m, "d": heads.d, "h": heads.h, "seed": heads.seed,
               "tau_default": heads.tau_default, "bank_fingerprint": heads.bank_fingerprint}
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for i in range(heads.m):
-            block = np.concatenate([heads.W1[i].ravel(), heads.b1[i],
-                                    heads.w2[i], heads.b2[i:i + 1]])
-            fh.write(block.astype(np.float32).tobytes())
+        fh.write(heads.params.astype(np.float32, order="C"))  # row i = head i's block
 
 
 def load_heads(path: str | Path) -> QuestionHeads:
+    """Inverse of save_heads; a torn or malformed file raises TrainingError naming it."""
     blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    m, d, h = header["m"], header["d"], header["h"]
-    per_head = h * d + h + h + 1
-    data = np.frombuffer(blob[nl + 1:], dtype=np.float32)
-    if data.size != m * per_head:
-        raise TrainingError(f"heads file {path} has {data.size} floats, "
-                            f"expected {m * per_head}")
-    data = data.reshape(m, per_head).astype(np.float64)
-    W1 = data[:, :h * d].reshape(m, h, d)
-    b1 = data[:, h * d:h * d + h]
-    w2 = data[:, h * d + h:h * d + 2 * h]
-    b2 = data[:, -1]
-    return QuestionHeads(W1=W1, b1=b1, w2=w2, b2=b2, seed=header["seed"],
-                         tau_default=header["tau_default"],
-                         bank_fingerprint=header["bank_fingerprint"])
+    try:
+        nl = blob.index(b"\n")
+        header = json.loads(blob[:nl])
+        m, d, h = (int(header[key]) for key in ("m", "d", "h"))
+        if min(m, d, h) < 0:  # reshape would infer a -1 dimension
+            raise ValueError(f"negative shape m={m} d={d} h={h}")
+        params = np.frombuffer(blob, dtype=np.float32, offset=nl + 1)
+        return QuestionHeads(params=params.reshape(m, h * d + 2 * h + 1).astype(np.float64),
+                             h=h, d=d, seed=header["seed"],
+                             tau_default=header["tau_default"],
+                             bank_fingerprint=header["bank_fingerprint"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TrainingError(f"corrupt heads file {path}: {type(exc).__name__}: {exc}") from exc

@@ -132,6 +132,10 @@ class TestPersistence:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x01\x02\x03")
-        with pytest.raises(BinaryMatrixError):
-            load_binary_matrix(path)
+        save_binary_matrix(BinaryMatrix.from_dense(np.eye(3, 11, dtype=np.uint8),
+                                                   ["a", "b\u00e9", "c"]), path)
+        blob = path.read_bytes()
+        for corrupt in [b"\x01\x02\x03"] + [blob[:cut] for cut in range(len(blob))]:
+            path.write_bytes(corrupt)
+            with pytest.raises(BinaryMatrixError):
+                load_binary_matrix(path)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exercised through main(argv)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -84,6 +85,20 @@ def test_locked_workspace_refused(mini_ws, capsys):
         code = main(["run", "--config", str(cfg_path), "--workspace", str(root)])
     assert code == EXIT_DEPENDENCY
     assert "lock" in capsys.readouterr().err.lower()
+
+
+def test_corrupt_heads_file_is_dependency_error(mini_ws, tmp_path, capsys):
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)  # never damage the shared fixture
+    heads = copy / "heads.bin"
+    heads.write_bytes(heads.read_bytes()[:-1])
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "embed", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and "heads.bin" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_missing_api_key_is_provider_error(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qembed.heads import (
+    FORWARD_CHUNK,
     ClassificationReport,
     TrainingConfig,
     TrainingError,
@@ -261,13 +264,32 @@ class TestEmbedDocuments:
 
     def test_matrix_matches_per_document_loop_oracle(self):
         encoder, texts, heads = self.trained()
-        docs = sorted(texts.values())
+        # more rows than one forward chunk, and not a multiple of it
+        docs = sorted(texts.values()) + [f"extra document {i} about topic {i % 7}"
+                                         for i in range(FORWARD_CHUNK + 7 - len(texts))]
+        assert len(docs) > FORWARD_CHUNK and len(docs) % FORWARD_CHUNK
         matrix = embed_documents(docs, encoder, heads, tau=0.5)
-        for i, doc in enumerate(docs):
-            e = encoder.encode([doc])[0]
-            expected = (sigmoid(np.array([head_forward(heads, e, q)
-                                          for q in range(heads.m)])) > 0.5).astype(np.uint8)
+        oracle = np.array([[head_forward(heads, e, q) for q in range(heads.m)]
+                           for e in encoder.encode(docs)])
+        for i in range(len(docs)):
+            expected = (sigmoid(oracle[i]) > 0.5).astype(np.uint8)
             np.testing.assert_array_equal(matrix.row(i), expected)
+
+        subset = np.array([4, 1, 3])
+        np.testing.assert_allclose(forward_logits(heads, encoder.encode(docs), subset),
+                                   oracle[:, subset], rtol=0, atol=1e-12)
+
+        # held-out answers set to the oracle's bits (then their negation) on a
+        # varying question subset: accuracy 1 (then 0) means every pair agrees
+        ids = [f"doc{i}" for i in range(len(docs))]
+        bits = (sigmoid(oracle) > 0.5).astype(int)
+        for flip, accuracy in ((0, 1.0), (1, 0.0)):
+            examples = [TrainingExample(doc_id, {q: bits[i, q] ^ flip
+                                                 for q in range(i % heads.m, heads.m)})
+                        for i, doc_id in enumerate(ids)]
+            report = evaluate_heldout(heads, encoder, examples, dict(zip(ids, docs)), tau=0.5)
+            assert report.accuracy == accuracy
+            assert report.total == sum(len(ex.answers) for ex in examples)
 
     def test_rows_follow_input_order(self):
         encoder, texts, heads = self.trained()
@@ -320,3 +342,29 @@ def test_save_load_roundtrip(tmp_path):
     for name in ("W1", "b1", "w2", "b2"):
         np.testing.assert_allclose(loaded.parameter_arrays()[name],
                                    heads.parameter_arrays()[name], atol=1e-6)
+
+
+def test_heads_file_format_is_pinned(tmp_path):
+    path = tmp_path / "heads.bin"
+    save_heads(init_heads(m=3, d=6, h=4, seed=42, tau=0.4, bank_fingerprint="abc123"), path)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "29323e3790a59fd70e574f20f8140ebea10fb452fa9dff08d665bdeff3a4f0c3"
+    again = tmp_path / "again.bin"
+    save_heads(load_heads(path), again)
+    assert again.read_bytes() == blob
+
+
+def test_corrupt_heads_file_names_the_file(tmp_path):
+    path = tmp_path / "heads.bin"
+    save_heads(init_heads(m=3, d=6, h=4, seed=42), path)
+    blob = path.read_bytes()
+    header, body = blob.split(b"\n", 1)
+    bad_header = [b"{not json" + b"\n" + body,
+                  header.replace(b'"d": 6, ', b"") + b"\n" + body,
+                  header.replace(b'"h": 4', b'"h": null') + b"\n" + body,
+                  header.replace(b'"m": 3', b'"m": -1') + b"\n" + body]
+    for corrupt in [blob[:cut] for cut in range(len(blob))] + bad_header:
+        path.write_bytes(corrupt)
+        with pytest.raises(TrainingError, match="heads.bin"):
+            load_heads(path)
