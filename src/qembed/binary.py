@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonl import replacing
+
 # popcount per byte value; avoids relying on newer numpy bit_count ufuncs
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
@@ -88,7 +90,7 @@ def packed_cognitive_load(pu: np.ndarray, pv: np.ndarray) -> int:
 
 def save_binary_matrix(matrix: BinaryMatrix, path: str | Path) -> None:
     """Header: n and m as little-endian uint64; then packed rows; then row-id lines."""
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(struct.pack("<QQ", matrix.n, matrix.m))
         fh.write(np.ascontiguousarray(matrix.packed).tobytes())
         fh.write("".join(rid + "\n" for rid in matrix.row_ids).encode("utf-8"))

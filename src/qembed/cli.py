@@ -5,7 +5,6 @@ workspace artifacts, 4 provider failure.
 """
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -16,6 +15,7 @@ from .cost import CostError
 from .corpus import CorpusError
 from .evaluation import BankMismatchError, TaskError
 from .heads import TrainingError
+from .jsonl import CorruptFileError, parse
 from .pipeline import STAGE_ORDER, run_all, run_stage, write_demo_workspace
 from .prompts import QuestionParseError
 from .providers import ProviderError
@@ -31,7 +31,7 @@ EXIT_PROVIDER = 4
 _CONFIG_ERRORS = (ConfigError, CostError, TaskError, SamplingError, CorpusError,
                   QuestionParseError)
 _DEPENDENCY_ERRORS = (DependencyError, FingerprintError, WorkspaceLockedError,
-                      BankMismatchError, TrainingError, BinaryMatrixError)
+                      BankMismatchError, TrainingError, BinaryMatrixError, CorruptFileError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,9 +97,7 @@ def _cmd_demo(args) -> int:
 def _print_demo_summary(ws: Workspace) -> None:
     def read(artifact):
         path = ws.path(artifact)
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))
-        return None
+        return parse(path.read_bytes(), path) if path.exists() else None
 
     heldout = read("heldout_report")
     sts = read("sts_report")

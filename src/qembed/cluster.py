@@ -6,12 +6,15 @@ asserted non-increasing every iteration.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .jsonl import CorruptFileError, dumps, records, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -200,33 +203,31 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
     header = {"k": model.k, "d": model.d, "seed": model.seed,
               "inertia": model.inertia, "n": len(model.doc_ids),
               "iterations": model.iterations}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+    with replacing(path, "wb") as fh:
+        fh.write(dumps(header).encode("utf-8"))
         fh.write(np.ascontiguousarray(model.centroids, dtype=np.float32).tobytes())
-        lines = "".join(
-            json.dumps({"id": doc, "cluster": int(lab)}) + "\n"
-            for doc, lab in zip(model.doc_ids, model.labels))
+        lines = "".join(dumps({"id": doc, "cluster": int(lab)})
+                        for doc, lab in zip(model.doc_ids, model.labels))
         fh.write(lines.encode("utf-8"))
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
+    """Inverse of save_cluster_model; a torn or malformed file raises CorruptFileError."""
     blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    k, d, n = header["k"], header["d"], header["n"]
-    start = nl + 1
-    block = blob[start:start + k * d * 4]
-    centroids = np.frombuffer(block, dtype=np.float32).reshape(k, d).astype(np.float64)
-    doc_ids, labels = [], []
-    for line in blob[start + k * d * 4:].decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        doc_ids.append(record["id"])
-        labels.append(record["cluster"])
-    if len(doc_ids) != n:
-        raise ClusterError(f"corrupt model file: expected {n} assignments, got {len(doc_ids)}")
-    return ClusterModel(centroids=centroids, doc_ids=doc_ids,
-                        labels=np.asarray(labels, dtype=np.int64),
+    try:
+        nl = blob.index(b"\n")
+        header = json.loads(blob[:nl].decode("utf-8"))
+        k, d, n = (int(header[key]) for key in ("k", "d", "n"))
+        centroids = np.frombuffer(blob, dtype=np.float32, count=k * d, offset=nl + 1)
+        centroids = centroids.reshape(k, d).astype(np.float64)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptFileError(f"corrupt file {path}: {type(exc).__name__}: {exc}") from exc
+    assignments = list(records(io.BytesIO(blob[nl + 1 + k * d * 4:]), f"{path} assignment",
+                               lambda r: (r["id"], int(r["cluster"]))))
+    if len(assignments) != n:
+        raise CorruptFileError(f"corrupt file {path}: expected {n} assignments, "
+                               f"got {len(assignments)}")
+    return ClusterModel(centroids=centroids, doc_ids=[doc for doc, _ in assignments],
+                        labels=np.asarray([lab for _, lab in assignments], dtype=np.int64),
                         seed=header["seed"], inertia=header["inertia"],
                         iterations=header.get("iterations", 0))

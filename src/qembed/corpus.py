@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+
+from .jsonl import CorruptFileError, parse, read, write
 
 logger = logging.getLogger(__name__)
 
@@ -84,32 +85,27 @@ def ingest(path: str | Path, format: str = "plain-lines") -> Corpus:
     if format not in ("plain-lines", "json-lines"):
         raise CorpusError(f"unknown corpus format: {format!r}")
     try:
-        raw = path.read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read().decode("utf-8").splitlines() if format == "plain-lines" else list(fh)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     documents: list[Document] = []
     taken: set[str] = set()
     skipped = 0
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw, start=1):
         if not line.strip():
             continue
         if format == "plain-lines":
             text, explicit_id, source = line, None, None
         else:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                logger.warning("%s:%d: skipping malformed json record (%s)", path, lineno, exc.msg)
+                text, explicit_id, source = parse(line, path, lineno, lambda r: (
+                    str(r["text"]), r.get("id"), r.get("source")))
+            except CorruptFileError as exc:
+                logger.warning("%s; skipping the record", exc)
                 skipped += 1
                 continue
-            if not isinstance(record, dict) or "text" not in record:
-                logger.warning("%s:%d: skipping record without a text field", path, lineno)
-                skipped += 1
-                continue
-            text = str(record["text"])
-            explicit_id = record.get("id")
-            source = record.get("source")
         if not text.strip():
             continue
         if explicit_id is not None:
@@ -154,28 +150,17 @@ def medi2_preprocess(directory: str | Path, delimiter: str = "|") -> Corpus:
     for file in sorted(directory.iterdir()):
         if not file.name.endswith(".jsonl") or file.name.startswith("task"):
             continue
-        for lineno, line in enumerate(file.read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                logger.warning("%s:%d: skipping malformed record", file, lineno)
-                skipped += 1
-                continue
-            instances = list(record.get("pos", [])) + list(record.get("neg", []))
-            stripped = []
-            ok = True
-            for instance in instances:
-                instance = str(instance)
-                if delimiter not in instance:
-                    logger.warning("%s:%d: instance without delimiter %r, record skipped",
-                                   file, lineno, delimiter)
+        with open(file, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    stripped = parse(line, file, lineno,
+                                     lambda r: _strip_instructions(r, delimiter))
+                except CorruptFileError as exc:
+                    logger.warning("%s; record skipped", exc)
                     skipped += 1
-                    ok = False
-                    break
-                stripped.append(instance.split(delimiter, 1)[1].strip())
-            if ok:
+                    continue
                 texts.extend(t for t in stripped if t)
 
     taken: set[str] = set()
@@ -185,6 +170,16 @@ def medi2_preprocess(directory: str | Path, delimiter: str = "|") -> Corpus:
         taken.add(doc_id)
         documents.append(Document(id=doc_id, text=text))
     return exact_dedup(Corpus(documents=documents, skipped_records=skipped))
+
+
+def _strip_instructions(record: dict, delimiter: str) -> list[str]:
+    texts = []
+    for instance in list(record.get("pos", [])) + list(record.get("neg", [])):
+        instance = str(instance)
+        if delimiter not in instance:
+            raise ValueError(f"instance without delimiter {delimiter!r}")
+        texts.append(instance.split(delimiter, 1)[1].strip())
+    return texts
 
 
 def split_heldout(corpus: Corpus, fraction: float, seed: int) -> Split:
@@ -210,16 +205,10 @@ def split_heldout(corpus: Corpus, fraction: float, seed: int) -> Split:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as json-lines {id, text, source} records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            record: dict = {"id": doc.id, "text": doc.text}
-            if doc.source is not None:
-                record["source"] = doc.source
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write(path, ({k: v for k, v in asdict(doc).items() if v is not None}
+                 for doc in corpus.documents), ensure_ascii=False)
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    corpus = ingest(path, format="json-lines")
-    if corpus.skipped_records:
-        raise CorpusError(f"stored corpus {path} has malformed records")
-    return corpus
+    """Inverse of save_corpus; a torn or malformed file raises CorruptFileError."""
+    return Corpus(documents=list(read(path, lambda rec: Document(**rec))))

@@ -7,9 +7,10 @@ consumes 1.5e12 tokens across 4.4e9 prompts, and the per-pair answer rate
 chosen so that ten million training pairs cost 31 USD.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
+
+from .jsonl import dumps
 
 
 DEFAULT_INFER_HOURS = {2000: 48.0, 4000: 63.0, 6000: 73.0, 8000: 79.0, 10000: 90.0}
@@ -136,9 +137,4 @@ def render_cost_table(rows: list[CostRow], num_docs: int) -> str:
 
 
 def cost_rows_jsonl(rows: list[CostRow], num_docs: int) -> str:
-    out = []
-    for r in rows:
-        rec = {"num_docs": num_docs}
-        rec.update(r.as_dict())
-        out.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(out) + "\n"
+    return "".join(dumps({"num_docs": num_docs, **r.as_dict()}, sort_keys=True) for r in rows)

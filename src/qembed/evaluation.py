@@ -5,7 +5,6 @@ matrices are keyed by ``corpus.content_id(text)``.  Retrieval tasks carry
 explicit ids, so query/corpus matrices are keyed by those ids directly.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +14,7 @@ import numpy as np
 from .binary import BinaryMatrix
 from .cluster import kmeans_fit
 from .corpus import content_id
+from .jsonl import CorruptFileError, read
 from .metrics import cosine_similarity, ndcg_at_k, spearman, v_measure
 from .question_gen import QuestionBank
 
@@ -80,61 +80,43 @@ class LoadResult:
     rounded: int
 
 
-def _records(path: str | Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TaskError(f"{path}:{lineno}: invalid json: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise TaskError(f"{path}:{lineno}: expected an object")
-            records.append(rec)
-    return records
+def _records(path: str | Path, convert) -> list:
+    try:
+        return list(read(path, convert))
+    except (CorruptFileError, OSError) as exc:
+        raise TaskError(str(exc)) from exc
 
 
-def _field(rec: dict, key: str, path, lineno: int):
-    if key not in rec:
-        raise TaskError(f"{path}: record {lineno} missing field {key!r}")
-    return rec[key]
+def _sts_pair(rec: dict) -> StsPair:
+    score = float(rec["score"])
+    if not math.isfinite(score):
+        raise ValueError("non-finite score")
+    return StsPair(text_a=str(rec["text_a"]), text_b=str(rec["text_b"]), score=score)
 
 
 def load_sts_task(path: str | Path) -> StsTask:
-    pairs = []
-    for i, rec in enumerate(_records(path), start=1):
-        score = float(_field(rec, "score", path, i))
-        if not math.isfinite(score):
-            raise TaskError(f"{path}: record {i} has non-finite score")
-        pairs.append(StsPair(text_a=str(_field(rec, "text_a", path, i)),
-                             text_b=str(_field(rec, "text_b", path, i)),
-                             score=score))
+    pairs = _records(path, _sts_pair)
     if len(pairs) < 2:
         raise TaskError(f"{path}: need at least 2 pairs, found {len(pairs)}")
     return StsTask(pairs=tuple(pairs))
 
 
+def _texts_by_id(path: str | Path, kind: str) -> dict[str, str]:
+    texts = {}
+    for rid, text in _records(path, lambda rec: (str(rec["id"]), str(rec["text"]))):
+        if rid in texts:
+            raise TaskError(f"{path}: duplicate {kind} id {rid!r}")
+        texts[rid] = text
+    return texts
+
+
 def load_retrieval_task(queries_path: str | Path, corpus_path: str | Path,
                         qrels_path: str | Path) -> RetrievalTask:
-    queries = {}
-    for i, rec in enumerate(_records(queries_path), start=1):
-        qid = str(_field(rec, "id", queries_path, i))
-        if qid in queries:
-            raise TaskError(f"{queries_path}: duplicate query id {qid!r}")
-        queries[qid] = str(_field(rec, "text", queries_path, i))
-    corpus = {}
-    for i, rec in enumerate(_records(corpus_path), start=1):
-        did = str(_field(rec, "id", corpus_path, i))
-        if did in corpus:
-            raise TaskError(f"{corpus_path}: duplicate doc id {did!r}")
-        corpus[did] = str(_field(rec, "text", corpus_path, i))
+    queries = _texts_by_id(queries_path, "query")
+    corpus = _texts_by_id(corpus_path, "doc")
     qrels: dict[str, dict[str, float]] = {}
-    for i, rec in enumerate(_records(qrels_path), start=1):
-        qid = str(_field(rec, "query_id", qrels_path, i))
-        did = str(_field(rec, "doc_id", qrels_path, i))
-        rel = float(_field(rec, "rel", qrels_path, i))
+    for i, (qid, did, rel) in enumerate(_records(qrels_path, lambda rec: (
+            str(rec["query_id"]), str(rec["doc_id"]), float(rec["rel"]))), start=1):
         if did not in corpus:
             raise TaskError(f"{qrels_path}: record {i} references unknown doc {did!r}")
         if qid not in queries:
@@ -146,13 +128,10 @@ def load_retrieval_task(queries_path: str | Path, corpus_path: str | Path,
 
 
 def load_clustering_task(path: str | Path) -> ClusteringTask:
-    texts, labels = [], []
-    for i, rec in enumerate(_records(path), start=1):
-        texts.append(str(_field(rec, "text", path, i)))
-        labels.append(str(_field(rec, "label", path, i)))
-    if not texts:
+    rows = _records(path, lambda rec: (str(rec["text"]), str(rec["label"])))
+    if not rows:
         raise TaskError(f"{path}: empty clustering task")
-    return ClusteringTask(texts=tuple(texts), labels=tuple(labels))
+    return ClusteringTask(texts=tuple(t for t, _ in rows), labels=tuple(lab for _, lab in rows))
 
 
 def _text_row(matrix: BinaryMatrix, text: str) -> np.ndarray:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary import BinaryMatrix
+from .jsonl import dumps, replacing
 from .providers import Encoder
 from .question_gen import QuestionBank
 
@@ -376,8 +377,8 @@ def save_heads(heads: QuestionHeads, path: str | Path) -> None:
     """Header json line + params as float32: one [W1, b1, w2, b2] block per head."""
     header = {"m": heads.m, "d": heads.d, "h": heads.h, "seed": heads.seed,
               "tau_default": heads.tau_default, "bank_fingerprint": heads.bank_fingerprint}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+    with replacing(path, "wb") as fh:
+        fh.write(dumps(header).encode("utf-8"))
         fh.write(heads.params.astype(np.float32, order="C"))  # row i = head i's block
 
 

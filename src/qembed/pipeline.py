@@ -6,10 +6,9 @@ single seed reproduces the whole run.
 """
 
 import hashlib
-import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .evaluation import (clustering_evaluate, explain_pair, load_clustering_task
                          retrieval_evaluate, sts_evaluate)
 from .heads import (TrainingConfig, TrainingExample, embed_documents,
                     evaluate_heldout, load_heads, save_heads, train_heads)
+from . import jsonl
 from .metrics import MetricError
 from .providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore, RemoteLLM, ScriptedLLM
 from .question_gen import (CandidateQuestion, ProbeOutcome, ScoredQuestion,
@@ -89,7 +89,10 @@ class StageContext:
         if kind == "scripted":
             if not self.cfg.llm.transcript:
                 raise ConfigError("[llm] transcript is required when kind = scripted")
-            return ScriptedLLM.from_file(self.resolve(self.cfg.llm.transcript))
+            try:
+                return ScriptedLLM.from_file(self.resolve(self.cfg.llm.transcript))
+            except (jsonl.CorruptFileError, OSError) as exc:
+                raise ConfigError(f"[llm] transcript: {exc}") from exc
         if not self.cfg.llm.endpoint:
             raise ConfigError("[llm] endpoint is required when kind = remote")
         remote = RemoteLLM(endpoint=self.cfg.llm.endpoint, model=self.cfg.llm.model,
@@ -100,17 +103,6 @@ class StageContext:
 
     def provenance(self) -> dict:
         return {"config_hash": config_hash(self.cfg), "inputs": dict(self.input_fps)}
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +118,7 @@ def _stage_ingest(ctx: StageContext) -> dict:
     save_corpus(corpus, ctx.ws.path("corpus"))
     split = split_heldout(corpus, ctx.cfg.corpus.heldout_fraction,
                           seed=stage_seed(ctx.seed, "split"))
-    _write_json(ctx.ws.path("split"), {
+    jsonl.write_json(ctx.ws.path("split"), {
         "seed": split.seed,
         "train_ids": sorted(split.train_ids),
         "heldout_ids": sorted(split.heldout_ids),
@@ -138,7 +130,8 @@ def _stage_ingest(ctx: StageContext) -> dict:
 def _stage_encode(ctx: StageContext) -> dict:
     corpus = load_corpus(ctx.ws.path("corpus"))
     embeddings = ctx.encoder.encode(corpus.texts())
-    np.save(ctx.ws.path("doc_embeddings"), embeddings)
+    with jsonl.replacing(ctx.ws.path("doc_embeddings"), "wb") as fh:
+        np.save(fh, embeddings)
     return {"documents": len(corpus), "dim": int(embeddings.shape[1])}
 
 
@@ -166,10 +159,7 @@ def _stage_generate(ctx: StageContext) -> dict:
                                     n_h=gen.hard_negatives, n_e=gen.easy_negatives,
                                     rng=rng, hard_from=gen.hard_neighbor_clusters)
         candidates.extend(generate_cluster_questions(sample, texts, ctx.llm))
-    with open(ctx.ws.path("candidates"), "w", encoding="utf-8") as fh:
-        for cand in candidates:
-            fh.write(json.dumps({"text": cand.text, "origin_cluster": cand.origin_cluster,
-                                 "ordinal": cand.ordinal}, sort_keys=True) + "\n")
+    jsonl.write(ctx.ws.path("candidates"), map(asdict, candidates), sort_keys=True)
     return {"clusters": model.k, "candidates": len(candidates)}
 
 
@@ -179,41 +169,27 @@ def _stage_probe(ctx: StageContext) -> dict:
     texts = corpus.text_by_id()
     rng = _rng(ctx.seed, "probe")
     cfg = ctx.cfg.probe
-    kept = dropped = 0
-    with open(ctx.ws.path("candidates"), encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    with open(ctx.ws.path("probes"), "w", encoding="utf-8") as out:
-        for row in rows:
-            cand = CandidateQuestion(text=row["text"],
-                                     origin_cluster=row["origin_cluster"],
-                                     ordinal=row["ordinal"])
-            outcome = probe_question(cand, model, texts, ctx.llm,
-                                     p_p=cfg.positives, p_h=cfg.hard_negatives,
-                                     p_e=cfg.easy_negatives, rng=rng,
-                                     neighbor_from=cfg.neighbor_clusters)
-            if outcome is None:
-                dropped += 1
-                continue
-            kept += 1
-            record = dict(row)
-            record.update({"pos_yes": outcome.pos_yes, "neg_yes": outcome.neg_yes,
-                           "p_p": outcome.p_p, "p_neg": outcome.p_neg,
-                           "quality": outcome.quality})
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-    return {"probed": kept, "dropped": dropped}
+    candidates = list(jsonl.read(ctx.ws.path("candidates"),
+                                 lambda rec: CandidateQuestion(**rec)))
+    probes = []
+    for cand in candidates:
+        outcome = probe_question(cand, model, texts, ctx.llm,
+                                 p_p=cfg.positives, p_h=cfg.hard_negatives,
+                                 p_e=cfg.easy_negatives, rng=rng,
+                                 neighbor_from=cfg.neighbor_clusters)
+        if outcome is not None:
+            probes.append({**asdict(cand), **asdict(outcome)})
+    jsonl.write(ctx.ws.path("probes"), probes, sort_keys=True)
+    return {"probed": len(probes), "dropped": len(candidates) - len(probes)}
+
+
+def _scored(rec: dict) -> ScoredQuestion:
+    question = CandidateQuestion(**{f: rec.pop(f) for f in ("text", "origin_cluster", "ordinal")})
+    return ScoredQuestion(question=question, probe=ProbeOutcome(**rec))
 
 
 def _stage_select(ctx: StageContext) -> dict:
-    with open(ctx.ws.path("probes"), encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    scored = []
-    for row in rows:
-        cand = CandidateQuestion(text=row["text"], origin_cluster=row["origin_cluster"],
-                                 ordinal=row["ordinal"])
-        outcome = ProbeOutcome(pos_yes=row["pos_yes"], neg_yes=row["neg_yes"],
-                               p_p=row["p_p"], p_neg=row["p_neg"],
-                               quality=row["quality"])
-        scored.append(ScoredQuestion(question=cand, probe=outcome))
+    scored = list(jsonl.read(ctx.ws.path("probes"), _scored))
     bank = select_question_bank(scored, ctx.encoder,
                                 theta=ctx.cfg.selection.dedup_threshold,
                                 t=ctx.cfg.selection.per_cluster_cap)
@@ -223,31 +199,23 @@ def _stage_select(ctx: StageContext) -> dict:
 
 
 def _write_examples(path: Path, examples: list[TrainingExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            answers = {str(q): int(a) for q, a in sorted(ex.answers.items())}
-            fh.write(json.dumps({"document_id": ex.document_id,
-                                 "answers": answers}, sort_keys=True) + "\n")
+    jsonl.write(path, ({"document_id": ex.document_id,
+                        "answers": {str(q): int(a) for q, a in sorted(ex.answers.items())}}
+                       for ex in examples), sort_keys=True)
 
 
 def _read_examples(path: Path) -> list[TrainingExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(TrainingExample(document_id=rec["document_id"],
-                                       answers={int(q): int(a) for q, a
-                                                in rec["answers"].items()}))
-    return out
+    return list(jsonl.read(path, lambda rec: TrainingExample(
+        document_id=rec["document_id"],
+        answers={int(q): int(a) for q, a in rec["answers"].items()})))
 
 
 def _stage_collect(ctx: StageContext) -> dict:
     corpus = load_corpus(ctx.ws.path("corpus"))
     model = load_cluster_model(ctx.ws.path("cluster_model"))
     bank = load_question_bank(ctx.ws.path("bank"))
-    split = json.loads(ctx.ws.path("split").read_text(encoding="utf-8"))
+    split_path = ctx.ws.path("split")
+    split = jsonl.parse(split_path.read_bytes(), split_path)
     cache = AnswerCache(ctx.ws.path("answers"))
     col = ctx.cfg.collection
     result = collect_answers(bank, model, corpus.text_by_id(), ctx.llm, cache,
@@ -291,7 +259,7 @@ def _stage_train(ctx: StageContext) -> dict:
         report = evaluate_heldout(heads, ctx.encoder, heldout, texts, tau=tcfg.tau)
         payload["accuracy"] = report.accuracy
         payload["report"] = report.as_dict()
-    _write_json(ctx.ws.path("heldout_report"), payload)
+    jsonl.write_json(ctx.ws.path("heldout_report"), payload)
     return {"heads": bank.m, "steps": tcfg.steps,
             "heldout_accuracy": payload["accuracy"]}
 
@@ -306,7 +274,7 @@ def _stage_embed(ctx: StageContext) -> dict:
     meta = {"provenance": ctx.provenance(), "bank_fingerprint": heads.bank_fingerprint,
             "tau": ctx.cfg.training.tau, "documents": matrix.n, "questions": matrix.m,
             "mean_bits_per_document": float(dense.sum(axis=1).mean()) if matrix.n else 0.0}
-    _write_json(ctx.ws.path("embed_meta"), meta)
+    jsonl.write_json(ctx.ws.path("embed_meta"), meta)
     return {"documents": matrix.n, "questions": matrix.m,
             "mean_bits": meta["mean_bits_per_document"]}
 
@@ -335,8 +303,8 @@ def _stage_eval_sts(ctx: StageContext) -> dict:
                "mean_cognitive_load": load.exact,
                "mean_cognitive_load_rounded": load.rounded,
                "tau": ctx.cfg.training.tau}
-    _write_json(ctx.ws.path("sts_report"), payload)
-    _write_text(ctx.ws.root / "reports" / "sts.txt",
+    jsonl.write_json(ctx.ws.path("sts_report"), payload)
+    jsonl.write_text(ctx.ws.root / "reports" / "sts.txt",
                 f"semantic similarity over {result.pairs} pairs\n"
                 f"spearman        {result.spearman:.4f}  (x100: {result.spearman_x100:.2f})\n"
                 f"cognitive load  {load.exact:.2f}  (rounded: {load.rounded})")
@@ -360,8 +328,8 @@ def _stage_eval_retrieval(ctx: StageContext) -> dict:
     payload = {"provenance": ctx.provenance(), "k": result.k,
                "mean_ndcg": result.mean_ndcg, "per_query": result.per_query,
                "queries": len(qids), "documents": len(dids)}
-    _write_json(ctx.ws.path("retrieval_report"), payload)
-    _write_text(ctx.ws.root / "reports" / "retrieval.txt",
+    jsonl.write_json(ctx.ws.path("retrieval_report"), payload)
+    jsonl.write_text(ctx.ws.root / "reports" / "retrieval.txt",
                 f"retrieval over {len(qids)} queries, {len(dids)} documents\n"
                 f"mean nDCG@{result.k}  {result.mean_ndcg:.4f}")
     return {"mean_ndcg": result.mean_ndcg}
@@ -379,8 +347,8 @@ def _stage_eval_clustering(ctx: StageContext) -> dict:
                                 seed=stage_seed(ctx.seed, "eval-clustering"))
     payload = {"provenance": ctx.provenance(), "v_measure": score,
                "texts": len(task.texts), "k": len(set(task.labels))}
-    _write_json(ctx.ws.path("clustering_report"), payload)
-    _write_text(ctx.ws.root / "reports" / "clustering.txt",
+    jsonl.write_json(ctx.ws.path("clustering_report"), payload)
+    jsonl.write_text(ctx.ws.root / "reports" / "clustering.txt",
                 f"clustering over {len(task.texts)} texts into "
                 f"{len(set(task.labels))} groups\nv-measure  {score:.4f}")
     return {"v_measure": score}
@@ -400,13 +368,12 @@ def _stage_explain(ctx: StageContext) -> dict:
         reports.append(explain_pair(a, b, bank, text_a=pair.text_a,
                                     text_b=pair.text_b,
                                     bank_fingerprint=heads.bank_fingerprint))
-    with open(ctx.ws.path("explanations"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": ctx.provenance()}, sort_keys=True) + "\n")
-        for rep in reports:
-            fh.write(json.dumps(rep.as_dict(), sort_keys=True) + "\n")
-    _write_text(ctx.ws.root / "reports" / "explanations.txt",
+    jsonl.write(ctx.ws.path("explanations"),
+                [{"provenance": ctx.provenance()}, *(r.as_dict() for r in reports)],
+                sort_keys=True)
+    jsonl.write_text(ctx.ws.root / "reports" / "explanations.txt",
                 "\n\n".join(r.render_text() for r in reports) or "(no pairs)")
-    _write_text(ctx.ws.root / "reports" / "explanations.md",
+    jsonl.write_text(ctx.ws.root / "reports" / "explanations.md",
                 "\n\n".join(r.render_markdown() for r in reports) or "_no pairs_")
     return {"pairs_explained": len(reports)}
 
@@ -447,16 +414,14 @@ def _stage_ablate(ctx: StageContext) -> dict:
                                         matrix=base.truncate(m_prime))
             rows.append({"parameter": "dims", "value": m_prime, "spearman": rho,
                          "mean_load": load})
-    with open(ctx.ws.path("ablation_report"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": ctx.provenance()}, sort_keys=True) + "\n")
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    jsonl.write(ctx.ws.path("ablation_report"), [{"provenance": ctx.provenance()}, *rows],
+                sort_keys=True)
     lines = [f"{'parameter':>10}  {'value':>8}  {'spearman':>9}  {'mean load':>10}"]
     for r in rows:
         rho = "n/a" if r["spearman"] is None else f"{r['spearman']:.4f}"
         lines.append(f"{r['parameter']:>10}  {r['value']:>8}  {rho:>9}  "
                      f"{r['mean_load']:>10.2f}")
-    _write_text(ctx.ws.root / "reports" / "ablate.txt", "\n".join(lines))
+    jsonl.write_text(ctx.ws.root / "reports" / "ablate.txt", "\n".join(lines))
     return {"settings": len(rows)}
 
 
@@ -474,11 +439,9 @@ def _stage_cost(ctx: StageContext) -> dict:
         api_cost_per_pair=cc.api_cost_per_pair, gpu_rate=cc.gpu_rate,
         train_hours=cc.train_hours, infer_hours=parse_hours_map(cc.infer_hours))
     rows = comparison_rows(cc.num_docs, counts, **overrides)
-    header = json.dumps({"provenance": ctx.provenance()}, sort_keys=True) + "\n"
-    (ctx.ws.path("cost_report")).parent.mkdir(parents=True, exist_ok=True)
-    ctx.ws.path("cost_report").write_text(
-        header + cost_rows_jsonl(rows, cc.num_docs), encoding="utf-8")
-    _write_text(ctx.ws.root / "reports" / "cost.txt",
+    jsonl.write_text(ctx.ws.path("cost_report"), jsonl.dumps(
+        {"provenance": ctx.provenance()}, sort_keys=True) + cost_rows_jsonl(rows, cc.num_docs))
+    jsonl.write_text(ctx.ws.root / "reports" / "cost.txt",
                 render_cost_table(rows, cc.num_docs))
     return {"rows": len(rows)}
 
@@ -666,37 +629,24 @@ def write_demo_workspace(root: Path, seed: int = 0, *, n_per_topic: int = 50,
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     corpus = synthetic_corpus(n_per_topic=n_per_topic, seed=seed)
-    with open(root / "demo_corpus.jsonl", "w", encoding="utf-8") as fh:
-        for doc in corpus:
-            fh.write(json.dumps({"id": doc.id, "text": doc.text,
-                                 "source": doc.source}, sort_keys=True) + "\n")
     sts = synthetic_sts_task(corpus, n_pairs=sts_pairs,
                              seed=stage_seed(seed, "demo-sts"))
-    with open(root / "sts.jsonl", "w", encoding="utf-8") as fh:
-        for p in sts.pairs:
-            fh.write(json.dumps({"text_a": p.text_a, "text_b": p.text_b,
-                                 "score": p.score}, sort_keys=True) + "\n")
     retrieval = synthetic_retrieval_task(corpus, queries_per_topic=2,
                                          seed=stage_seed(seed, "demo-retrieval"))
-    with open(root / "queries.jsonl", "w", encoding="utf-8") as fh:
-        for qid in sorted(retrieval.queries):
-            fh.write(json.dumps({"id": qid, "text": retrieval.queries[qid]},
-                                sort_keys=True) + "\n")
-    with open(root / "retrieval_corpus.jsonl", "w", encoding="utf-8") as fh:
-        for did in sorted(retrieval.corpus):
-            fh.write(json.dumps({"id": did, "text": retrieval.corpus[did]},
-                                sort_keys=True) + "\n")
-    with open(root / "qrels.jsonl", "w", encoding="utf-8") as fh:
-        for qid in sorted(retrieval.qrels):
-            for did in sorted(retrieval.qrels[qid]):
-                fh.write(json.dumps({"query_id": qid, "doc_id": did,
-                                     "rel": retrieval.qrels[qid][did]},
-                                    sort_keys=True) + "\n")
     clustering = synthetic_clustering_task(corpus)
-    with open(root / "clustering.jsonl", "w", encoding="utf-8") as fh:
-        for text, label in zip(clustering.texts, clustering.labels):
-            fh.write(json.dumps({"text": text, "label": label},
-                                sort_keys=True) + "\n")
+    for name, records in [
+        ("demo_corpus.jsonl", map(asdict, corpus)),
+        ("sts.jsonl", map(asdict, sts.pairs)),
+        ("queries.jsonl", ({"id": q, "text": retrieval.queries[q]}
+                           for q in sorted(retrieval.queries))),
+        ("retrieval_corpus.jsonl", ({"id": d, "text": retrieval.corpus[d]}
+                                    for d in sorted(retrieval.corpus))),
+        ("qrels.jsonl", ({"query_id": q, "doc_id": d, "rel": retrieval.qrels[q][d]}
+                         for q in sorted(retrieval.qrels) for d in sorted(retrieval.qrels[q]))),
+        ("clustering.jsonl", ({"text": t, "label": label}
+                              for t, label in zip(clustering.texts, clustering.labels))),
+    ]:
+        jsonl.write(root / name, records, sort_keys=True)
     config_path = root / "demo.ini"
     config_path.write_text(
         _DEMO_CONFIG.format(seed=seed, dim=dim, steps=steps, hidden=hidden,

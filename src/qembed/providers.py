@@ -20,6 +20,8 @@ from typing import Protocol
 
 import numpy as np
 
+from .jsonl import AppendStore, dumps, read
+
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "QEMBED_API_KEY"
@@ -125,13 +127,7 @@ class ScriptedLLM:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedLLM":
-        transcript = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            transcript[record["prompt_fingerprint"]] = record["response"]
-        return cls(transcript)
+        return cls(dict(read(path, lambda r: (r["prompt_fingerprint"], r["response"]))))
 
     def complete(self, prompt: str) -> str:
         self.calls += 1
@@ -141,7 +137,7 @@ class ScriptedLLM:
         return self.transcript[fp]
 
 
-class PromptCacheStore:
+class PromptCacheStore(AppendStore):
     """Append-only json-lines store of {prompt_fingerprint, response} records.
 
     Later records win on fingerprint collision (a re-run with a corrected
@@ -150,29 +146,14 @@ class PromptCacheStore:
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[str, str] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                self._entries[record["prompt_fingerprint"]] = record["response"]
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(path, lambda r: (r["prompt_fingerprint"], r["response"]))
 
     def get(self, fingerprint: str) -> str | None:
-        return self._entries.get(fingerprint)
+        return self.entries.get(fingerprint)
 
     def put(self, fingerprint: str, response: str) -> None:
-        line = json.dumps({"prompt_fingerprint": fingerprint, "response": response},
-                          ensure_ascii=False)
-        with self._lock:
-            self._entries[fingerprint] = response
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        self.append(fingerprint, response, dumps(
+            {"prompt_fingerprint": fingerprint, "response": response}, ensure_ascii=False))
 
 
 class CachedLLM:
@@ -204,7 +185,7 @@ class AnswerRecord:
     prompt_fingerprint: str
 
 
-class AnswerCache:
+class AnswerCache(AppendStore):
     """Persistent (question_id, document_id) -> yes/no answer store.
 
     Json-lines on disk, last write wins, append is locked for thread safety.
@@ -213,37 +194,15 @@ class AnswerCache:
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[tuple[int, str], int] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                self._entries[(int(record["question_id"]), record["document_id"])] = \
-                    int(record["answer"])
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(path, lambda r: ((int(r["question_id"]), r["document_id"]),
+                                          int(r["answer"])))
 
     def get(self, question_id: int, document_id: str) -> int | None:
-        return self._entries.get((question_id, document_id))
+        return self.entries.get((question_id, document_id))
 
     def put(self, record: AnswerRecord) -> None:
-        line = json.dumps({
-            "question_id": record.question_id,
-            "document_id": record.document_id,
-            "answer": record.answer,
-            "prompt_fingerprint": record.prompt_fingerprint,
-        })
-        with self._lock:
-            self._entries[(record.question_id, record.document_id)] = record.answer
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-    def items(self) -> list[tuple[int, str, int]]:
-        return [(q, d, a) for (q, d), a in sorted(self._entries.items())]
+        self.append((record.question_id, record.document_id), record.answer,
+                    dumps(vars(record)))
 
 
 class RemoteLLM:

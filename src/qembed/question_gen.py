@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import ClusterModel, nearest_clusters
+from .jsonl import CorruptFileError, dumps, parse, records, replacing
 from .prompts import (
     QUESTIONS_PER_GENERATION,
     CandidateQuestion,
@@ -310,34 +311,31 @@ def generate_example_bank(corpus_texts: list[str], example_questions: list[str],
 
 def save_question_bank(bank: QuestionBank, path: str | Path) -> None:
     """Header record {theta, t, m, encoder_fingerprint} then one record per question."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"theta": bank.theta, "t": bank.t, "m": bank.m,
-                             "encoder_fingerprint": bank.encoder_fingerprint}) + "\n")
+    with replacing(path) as fh:
+        fh.write(dumps({"theta": bank.theta, "t": bank.t, "m": bank.m,
+                        "encoder_fingerprint": bank.encoder_fingerprint}))
         for q in bank.questions:
-            fh.write(json.dumps({"id": q.id, "text": q.text,
-                                 "origin_cluster": q.origin_cluster,
-                                 "quality": q.quality,
-                                 "embedding": [float(x) for x in q.embedding]},
-                                ensure_ascii=False) + "\n")
+            fh.write(dumps({"id": q.id, "text": q.text,
+                            "origin_cluster": q.origin_cluster,
+                            "quality": q.quality,
+                            "embedding": [float(x) for x in q.embedding]},
+                           ensure_ascii=False))
 
 
 def load_question_bank(path: str | Path) -> QuestionBank:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"empty question bank file: {path}")
-    header = json.loads(lines[0])
-    questions = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        questions.append(BankQuestion(
-            id=int(rec["id"]), text=rec["text"],
-            origin_cluster=int(rec["origin_cluster"]),
-            quality=None if rec["quality"] is None else float(rec["quality"]),
-            embedding=np.asarray(rec["embedding"], dtype=np.float64)))
-    if len(questions) != header["m"]:
-        raise ValueError(f"bank file {path} claims m={header['m']}, has {len(questions)}")
-    return QuestionBank(questions=questions, theta=float(header["theta"]),
-                        t=int(header["t"]),
-                        encoder_fingerprint=header["encoder_fingerprint"])
+    """Inverse of save_question_bank; a torn or malformed file raises CorruptFileError."""
+    with open(path, "rb") as fh:
+        m, theta, t, fingerprint = parse(fh.readline(), path, 1, lambda h: (
+            int(h["m"]), float(h["theta"]), int(h["t"]), h["encoder_fingerprint"]))
+        questions = list(records(fh, path, _bank_question, first_line=2))
+    if len(questions) != m:
+        raise CorruptFileError(f"corrupt file {path}: claims m={m}, has {len(questions)}")
+    return QuestionBank(questions=questions, theta=theta, t=t, encoder_fingerprint=fingerprint)
+
+
+def _bank_question(rec: dict) -> BankQuestion:
+    return BankQuestion(
+        id=int(rec["id"]), text=rec["text"],
+        origin_cluster=int(rec["origin_cluster"]),
+        quality=None if rec["quality"] is None else float(rec["quality"]),
+        embedding=np.asarray(rec["embedding"], dtype=np.float64))

@@ -7,11 +7,12 @@ what its producer recorded stops the run unless forced.
 """
 
 import hashlib
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+from .jsonl import dumps, parse, write_json
 
 
 class DependencyError(RuntimeError):
@@ -88,11 +89,10 @@ class Workspace:
         state_path = self.root / _STATE_FILE
         if not state_path.exists():
             return {"stages": {}}
-        return json.loads(state_path.read_text(encoding="utf-8"))
+        return parse(state_path.read_bytes(), state_path)
 
     def _save_state(self, state: dict) -> None:
-        text = json.dumps(state, indent=2, sort_keys=True)
-        (self.root / _STATE_FILE).write_text(text + "\n", encoding="utf-8")
+        write_json(self.root / _STATE_FILE, state)
 
     def stage_record(self, stage: str) -> StageRecord | None:
         rec = self._load_state()["stages"].get(stage)
@@ -164,7 +164,7 @@ class Workspace:
 
     def log(self, record: dict) -> None:
         with open(self.root / _RUN_LOG, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(dumps(record, sort_keys=True))
 
     @contextmanager
     def locked(self):

@@ -7,6 +7,7 @@ import pytest
 
 from qembed.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, main
 from qembed.pipeline import write_demo_workspace
+from qembed.providers import AnswerCache
 from qembed.workspace import Workspace
 
 MINI = dict(n_per_topic=16, steps=2500, hidden=8, dim=64, sts_pairs=60)
@@ -69,6 +70,21 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "learning_rae" in err
 
 
+@pytest.mark.parametrize("bad_line", ['{"prompt_fingerprint": "ab", "resp',
+                                      '{"prompt_fingerprint": "ab"}'])
+def test_malformed_transcript_is_config_error(tmp_path, capsys, bad_line):
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    good = json.dumps({"prompt_fingerprint": "00", "response": "1. Is it?"})
+    (tmp_path / "transcript.jsonl").write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+    raw = cfg_path.read_text().replace("kind = oracle",
+                                       "kind = scripted\ntranscript = transcript.jsonl")
+    cfg_path.write_text(raw, encoding="utf-8")
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "transcript.jsonl:2" in err and "Traceback" not in err
+
+
 def test_stage_before_dependency(tmp_path, capsys):
     cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
     code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path),
@@ -99,6 +115,70 @@ def test_corrupt_heads_file_is_dependency_error(mini_ws, tmp_path, capsys):
     assert code == EXIT_DEPENDENCY
     assert err.startswith("error:") and "heads.bin" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _cut_last_20_bytes(path):
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+def _drop_last_line(path):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+
+
+def _tear_first_line(path):
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first[:-20] + b"\n" + rest)
+
+
+@pytest.mark.parametrize("name, damage, stage", [
+    ("candidates.jsonl", _cut_last_20_bytes, "probe"),
+    ("probes.jsonl", _cut_last_20_bytes, "select"),
+    ("bank.jsonl", _cut_last_20_bytes, "collect"),
+    ("bank.jsonl", _drop_last_line, "collect"),  # header's m no longer matches
+    ("train_examples.jsonl", _cut_last_20_bytes, "train"),
+    ("heldout_examples.jsonl", _cut_last_20_bytes, "train"),
+    ("answers.jsonl", _tear_first_line, "collect"),  # only a torn final line is dropped
+    ("cluster.model", _cut_last_20_bytes, "generate"),
+    ("state.json", _cut_last_20_bytes, "cost"),
+])
+def test_corrupt_workspace_file_is_dependency_error(mini_ws, tmp_path, capsys, name,
+                                                    damage, stage):
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)  # never damage the shared fixture
+    damage(copy / name)
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", stage, "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and name in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _lose_final_record_and_newline(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1])[:-1])
+
+
+@pytest.mark.parametrize("damage", [_cut_last_20_bytes, _lose_final_record_and_newline])
+def test_resume_after_torn_answer_cache(mini_ws, tmp_path, capsys, damage):
+    """A kill mid-collect leaves answers.jsonl cut inside its last line and no
+    record of the stage; a plain rerun resumes to the same examples."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    damage(copy / "answers.jsonl")
+    Workspace(copy).clear_stage("collect")
+    examples = ["train_examples.jsonl", "heldout_examples.jsonl"]
+    for name in examples:
+        (copy / name).unlink()
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    for name in examples:
+        assert (copy / name).read_bytes() == (root / name).read_bytes()
+    resumed, uninterrupted = (AnswerCache(ws / "answers.jsonl") for ws in (copy, root))
+    assert resumed.entries == uninterrupted.entries
 
 
 def test_missing_api_key_is_provider_error(tmp_path, capsys, monkeypatch):

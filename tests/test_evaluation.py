@@ -73,6 +73,10 @@ class TestLoaders:
         with pytest.raises(TaskError, match=":2"):
             load_sts_task(path)
 
+    def test_missing_task_file_names_it(self, tmp_path):
+        with pytest.raises(TaskError, match="nope.jsonl"):
+            load_sts_task(tmp_path / "nope.jsonl")
+
     def test_retrieval_roundtrip(self, tmp_path):
         (tmp_path / "q.jsonl").write_text('{"id": "q1", "text": "query one"}\n')
         (tmp_path / "c.jsonl").write_text(
