@@ -89,6 +89,8 @@ def ingest(path: str | Path, format: str = "plain-lines") -> Corpus:
             raw = fh.read().decode("utf-8").splitlines() if format == "plain-lines" else list(fh)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"corpus file {path} is not valid UTF-8: {exc}") from exc
 
     documents: list[Document] = []
     taken: set[str] = set()

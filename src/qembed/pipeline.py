@@ -135,9 +135,21 @@ def _stage_encode(ctx: StageContext) -> dict:
     return {"documents": len(corpus), "dim": int(embeddings.shape[1])}
 
 
+def _load_doc_embeddings(path: Path, rows: int) -> np.ndarray:
+    """The encode stage's (documents, dim) matrix; a torn file raises CorruptFileError."""
+    try:
+        embeddings = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise jsonl.CorruptFileError(f"corrupt file {path}: {exc}") from exc
+    if embeddings.ndim != 2 or len(embeddings) != rows:
+        raise jsonl.CorruptFileError(f"corrupt file {path}: shape {embeddings.shape}, "
+                                     f"expected {rows} rows, one per document")
+    return embeddings
+
+
 def _stage_cluster(ctx: StageContext) -> dict:
     corpus = load_corpus(ctx.ws.path("corpus"))
-    embeddings = np.load(ctx.ws.path("doc_embeddings"))
+    embeddings = _load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus))
     k = effective_k(ctx.cfg.cluster.k, len(corpus))
     model = kmeans_fit(embeddings, k=k, seed=stage_seed(ctx.seed, "cluster"),
                        max_iters=ctx.cfg.cluster.max_iters, tol=ctx.cfg.cluster.tol,

@@ -94,18 +94,26 @@ class MockEncoder:
         return rng.standard_normal(self.dim)
 
     def encode(self, texts: list[str]) -> np.ndarray:
+        drawn: dict[str, np.ndarray] = {}  # each token is drawn once per call
+
+        def token_vector(token: str) -> np.ndarray:
+            vec = drawn.get(token)
+            if vec is None:
+                vec = drawn[token] = self._token_vector(token)
+            return vec
+
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
         for i, text in enumerate(texts):
             tokens = text.lower().split()
             if tokens:
                 vec = np.zeros(self.dim)
                 for tok in tokens:
-                    vec += self._token_vector(tok)
+                    vec += token_vector(tok)
             else:
-                vec = self._token_vector(f"<empty:{text!r}>")
+                vec = token_vector(f"<empty:{text!r}>")
             norm = float(np.linalg.norm(vec))
             if norm == 0.0:
-                vec = self._token_vector("<zero>")
+                vec = token_vector("<zero>")
                 norm = float(np.linalg.norm(vec))
             out[i] = vec / norm
         return out
@@ -246,6 +254,7 @@ class RemoteLLM:
                     with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                         payload = json.loads(resp.read().decode("utf-8"))
                 except urllib.error.HTTPError as exc:
+                    exc.close()  # the error carries the open response
                     if exc.code in (401, 403):
                         raise ProviderError(f"authentication rejected ({exc.code})") from exc
                     if exc.code == 429 or exc.code >= 500:

@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 HARD_NEGATIVE_CLUSTERS = 3   # nearest clusters feeding generation hard negatives
 PROBE_NEIGHBOR_CLUSTERS = 3  # nearest clusters feeding hard probes
+COSINE_SLACK = 1e-9          # dedup similarities this close to theta are re-checked exactly
 
 
 class SamplingError(ValueError):
@@ -216,14 +217,35 @@ def probe_question(q: CandidateQuestion, model: ClusterModel, texts: dict[str, s
                         quality=quality_score(pos_yes, len(pos_probes), neg_yes, p_neg))
 
 
-def _is_duplicate(candidate_vec: np.ndarray, admitted: list[np.ndarray], theta: float) -> bool:
-    # duplicate iff similarity strictly exceeds theta; equality admits
-    for vec in admitted:
-        denom = float(np.linalg.norm(candidate_vec) * np.linalg.norm(vec))
-        sim = float(candidate_vec @ vec) / denom if denom else 0.0
-        if sim > theta:
-            return True
-    return False
+class _AdmittedSet:
+    """Greedy dedup at theta: a candidate is a duplicate iff its cosine to some
+    admitted vector strictly exceeds theta (equality admits).
+
+    Admitted unit vectors sit in a preallocated matrix, so one matvec screens a
+    candidate. Similarities within COSINE_SLACK of theta are re-decided by the
+    exact pairwise cosine, so every decision equals the pairwise rule.
+    """
+
+    def __init__(self, capacity: int, dim: int, theta: float):
+        self._rows = np.empty((capacity, dim), dtype=np.float64)
+        self._units: list[np.ndarray] = []
+        self._theta = theta
+
+    def admit(self, vec: np.ndarray) -> np.ndarray | None:
+        """vec's unit vector, now admitted, or None if it duplicates an admitted one."""
+        norm = float(np.linalg.norm(vec))
+        unit = vec / norm if norm else vec
+        sims = self._rows[:len(self._units)] @ unit
+        if np.any(sims > self._theta + COSINE_SLACK):
+            return None
+        for j in np.flatnonzero(sims >= self._theta - COSINE_SLACK):
+            other = self._units[j]
+            denom = float(np.linalg.norm(unit) * np.linalg.norm(other))
+            if (float(unit @ other) / denom if denom else 0.0) > self._theta:
+                return None
+        self._rows[len(self._units)] = unit
+        self._units.append(unit)
+        return unit
 
 
 def select_question_bank(candidates: list[ScoredQuestion], encoder: Encoder,
@@ -245,20 +267,18 @@ def select_question_bank(candidates: list[ScoredQuestion], encoder: Encoder,
     embeddings = encoder.encode([s.question.text for s in ordered]) if ordered else \
         np.zeros((0, encoder.dim))
     admitted: list[BankQuestion] = []
-    admitted_vecs: list[np.ndarray] = []
+    dedup = _AdmittedSet(*embeddings.shape, theta)
     per_cluster: dict[int, int] = {}
     for cand, vec in zip(ordered, embeddings):
         cluster = cand.question.origin_cluster
         if per_cluster.get(cluster, 0) >= t:
             continue
-        norm = float(np.linalg.norm(vec))
-        unit = vec / norm if norm else vec
-        if _is_duplicate(unit, admitted_vecs, theta):
+        unit = dedup.admit(vec)
+        if unit is None:
             continue
         admitted.append(BankQuestion(id=len(admitted), text=cand.question.text,
                                      origin_cluster=cluster, quality=cand.quality,
                                      embedding=unit))
-        admitted_vecs.append(unit)
         per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
 
     if not admitted:
@@ -292,17 +312,14 @@ def generate_example_bank(corpus_texts: list[str], example_questions: list[str],
             logger.warning("example-based generation prompt failed: %s", exc)
 
     admitted: list[BankQuestion] = []
-    admitted_vecs: list[np.ndarray] = []
     if parsed:
         embeddings = encoder.encode(parsed)
+        dedup = _AdmittedSet(*embeddings.shape, theta)
         for text, vec in zip(parsed, embeddings):
-            norm = float(np.linalg.norm(vec))
-            unit = vec / norm if norm else vec
-            if _is_duplicate(unit, admitted_vecs, theta):
-                continue
-            admitted.append(BankQuestion(id=len(admitted), text=text, origin_cluster=-1,
-                                         quality=None, embedding=unit))
-            admitted_vecs.append(unit)
+            unit = dedup.admit(vec)
+            if unit is not None:
+                admitted.append(BankQuestion(id=len(admitted), text=text, origin_cluster=-1,
+                                             quality=None, embedding=unit))
     if not admitted:
         logger.warning("example-based generation produced an empty bank")
     return QuestionBank(questions=admitted, theta=theta, t=0,

@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from qembed.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, main
@@ -152,6 +153,54 @@ def test_corrupt_workspace_file_is_dependency_error(mini_ws, tmp_path, capsys, n
     err = capsys.readouterr().err
     assert code == EXIT_DEPENDENCY
     assert err.startswith("error:") and name in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("keep", [0, 5, 60, "header", -20, -1])
+def test_torn_doc_embeddings_is_dependency_error(mini_ws, tmp_path, capsys, keep):
+    """doc_embeddings.npy cut inside the magic, the header, at the header's end
+    or inside the data fails the cluster stage naming the file."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    path = copy / "doc_embeddings.npy"
+    raw = path.read_bytes()
+    if keep == "header":
+        keep = raw.index(b"\n") + 1  # the header's newline ends it
+    path.write_bytes(raw[:keep])
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "cluster", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and "doc_embeddings.npy" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_doc_embeddings_row_count_must_match_corpus(mini_ws, tmp_path, capsys):
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    path = copy / "doc_embeddings.npy"
+    np.save(path, np.load(path)[:-1])
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "cluster", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and "doc_embeddings.npy" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_invalid_utf8_plain_lines_corpus_is_config_error(tmp_path, capsys):
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    (tmp_path / "docs.txt").write_bytes(b"a fine first line\nbad \xff\xfe bytes\n")
+    raw = cfg_path.read_text().replace("input = demo_corpus.jsonl\nformat = json-lines",
+                                       "input = docs.txt\nformat = plain-lines")
+    cfg_path.write_text(raw, encoding="utf-8")
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path),
+                 "--stage", "ingest"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "docs.txt" in err and "UTF-8" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -66,6 +66,13 @@ def test_ingest_skips_malformed_json_with_count(tmp_path):
     assert corpus.skipped_records == 2
 
 
+def test_ingest_plain_lines_invalid_utf8_names_the_file(tmp_path):
+    f = tmp_path / "docs.txt"
+    f.write_bytes(b"alpha\n\xff\xfe beta\n")
+    with pytest.raises(CorpusError, match="docs.txt.*not valid UTF-8"):
+        ingest(f)
+
+
 def test_exact_dedup_matches_brute_force_set_oracle(tmp_path):
     # 100 documents over a 95-text vocabulary: 5 planted duplicates.
     rng = random.Random(13)

@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -22,6 +23,29 @@ from qembed.providers import (
 
 def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def token_draw(seed, dim, token):
+    digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+    return np.random.Generator(
+        np.random.PCG64(int.from_bytes(digest, "little"))).standard_normal(dim)
+
+
+def per_occurrence_oracle(texts, dim, draw):
+    """MockEncoder's rule with a fresh draw for every token occurrence."""
+    rows = []
+    for text in texts:
+        tokens = text.lower().split()
+        if tokens:
+            vec = np.zeros(dim)
+            for tok in tokens:
+                vec += draw(tok)
+        else:
+            vec = draw(f"<empty:{text!r}>")
+        if float(np.linalg.norm(vec)) == 0.0:
+            vec = draw("<zero>")
+        rows.append(vec / float(np.linalg.norm(vec)))
+    return np.stack(rows)
 
 
 class TestMockEncoder:
@@ -50,6 +74,36 @@ class TestMockEncoder:
 
     def test_fingerprint_mentions_dim_and_seed(self):
         assert MockEncoder(dim=8, seed=3).fingerprint() == "mock-encoder:dim=8:seed=3"
+
+    def test_matches_per_occurrence_draws_bit_for_bit(self):
+        enc = MockEncoder(dim=24, seed=5)
+        texts = [
+            "the cat and the hat and the bat",    # repeats within one text
+            "The CAT sat",                        # case folds onto earlier tokens
+            "",                                   # empty text
+            "   ",                                # whitespace only
+            "hat bat the the the",                # repeats across texts
+            "<zero> <empty:''>",                  # tokens spelling the fallback names
+            "gamma",
+        ]
+        expected = per_occurrence_oracle(texts, 24, lambda tok: token_draw(5, 24, tok))
+        assert np.array_equal(enc.encode(texts), expected)
+
+    def test_rows_summing_to_zero_match_the_oracle(self, monkeypatch):
+        def opposed(token):  # "down" is exactly minus "up", so "up down" sums to 0
+            return -token_draw(0, 6, "up") if token == "down" else token_draw(0, 6, token)
+
+        enc = MockEncoder(dim=6, seed=0)
+        monkeypatch.setattr(enc, "_token_vector", opposed)
+        texts = ["up down", "up", "down up up", "down down up up"]
+        rows = enc.encode(texts)
+        assert np.array_equal(rows, per_occurrence_oracle(texts, 6, opposed))
+        assert np.array_equal(rows[0], rows[3])  # both fell back to the "<zero>" draw
+
+    def test_batch_equals_stacked_single_calls(self):
+        enc = MockEncoder(dim=32, seed=2)
+        a, b = "red fish blue fish", "one fish two fish red"
+        assert np.array_equal(enc.encode([a, b]), np.vstack([enc.encode([a]), enc.encode([b])]))
 
 
 class TestScriptedLLM:
@@ -168,6 +222,7 @@ def fake_server():
     thread.start()
     yield server, handlers
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

@@ -307,6 +307,99 @@ class TestSelectQuestionBank:
         assert bank.m == 0
 
 
+def pairwise_is_duplicate(candidate_vec, admitted, theta):
+    """The pairwise dedup rule: duplicate iff some cosine strictly exceeds theta."""
+    for vec in admitted:
+        denom = float(np.linalg.norm(candidate_vec) * np.linalg.norm(vec))
+        sim = float(candidate_vec @ vec) / denom if denom else 0.0
+        if sim > theta:
+            return True
+    return False
+
+
+def pairwise_greedy(texts, embeddings, theta, clusters=None, t=None):
+    """Greedy admission in the given order with the pairwise rule and an optional cap."""
+    kept, admitted_vecs, per_cluster = [], [], {}
+    for i, (text, vec) in enumerate(zip(texts, embeddings)):
+        cluster = clusters[i] if clusters else None
+        if t is not None and per_cluster.get(cluster, 0) >= t:
+            continue
+        norm = float(np.linalg.norm(vec))
+        unit = vec / norm if norm else vec
+        if pairwise_is_duplicate(unit, admitted_vecs, theta):
+            continue
+        kept.append(text)
+        admitted_vecs.append(unit)
+        per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
+    return kept
+
+
+def ulp_steps(x, toward, count):
+    steps = []
+    for _ in range(count):
+        x = np.nextafter(x, toward)
+        steps.append(float(x))
+    return steps
+
+
+NEAR_THETA = 0.8
+
+
+def near_theta_pairs(theta=NEAR_THETA, dim=40):
+    """(anchor, partner) texts and vectors; each partner sits at cosine theta,
+    theta +- 1..4 ulp or theta +- 1e-10 to its anchor, in a rotated plane of its own."""
+    basis, _ = np.linalg.qr(rng(11).standard_normal((dim, dim)))
+    cosines = ([theta] + ulp_steps(theta, 2.0, 4) + ulp_steps(theta, -2.0, 4)
+               + [theta + 1e-10, theta - 1e-10])
+    pairs = []
+    for i, c in enumerate(cosines):
+        a, b = basis[:, 2 * i], basis[:, 2 * i + 1]
+        pairs.append(((f"Is it anchor {i}?", a),
+                      (f"Is it partner {i}?", c * a + np.sqrt(1.0 - c * c) * b)))
+    spare = [(f"Is it spare {j}?", basis[:, 2 * len(cosines) + j]) for j in range(5)]
+    zeros = [(f"Is it void {j}?", np.zeros(dim)) for j in range(2)]
+    return pairs, spare, zeros
+
+
+class TestDedupMatchesPairwiseRule:
+    def test_select_question_bank(self, fixed_encoder_factory):
+        pairs, spare, zeros = near_theta_pairs()
+        candidates, table = [], {}
+        for i, ((anchor, a), (partner, p)) in enumerate(pairs):
+            candidates += [scored(anchor, i, 0.9, ordinal=0), scored(partner, i, 0.5, ordinal=1)]
+            table.update({anchor: a, partner: p})
+        spare_cluster, zero_cluster = len(pairs), len(pairs) + 1
+        candidates += [scored(text, spare_cluster, 0.9 - j / 10, ordinal=j)
+                       for j, (text, _) in enumerate(spare)]  # 5 candidates, cap 2
+        candidates += [scored(text, zero_cluster, 0.5, ordinal=j)
+                       for j, (text, _) in enumerate(zeros)]
+        table.update(spare + zeros)
+        encoder = fixed_encoder_factory(table)
+        bank = select_question_bank(candidates[::-1], encoder, theta=NEAR_THETA, t=2)
+
+        texts = [s.question.text for s in candidates]  # already in greedy order
+        expected = pairwise_greedy(texts, encoder.encode(texts), NEAR_THETA,
+                                   clusters=[s.question.origin_cluster for s in candidates],
+                                   t=2)
+        assert bank.texts() == expected
+        assert "Is it partner 9?" not in expected  # theta + 1e-10
+        assert "Is it partner 10?" in expected     # theta - 1e-10
+        assert sum(text.startswith("Is it spare") for text in expected) == 2
+        assert all(text in expected for text, _ in zeros)
+
+    def test_generate_example_bank(self, fixed_encoder_factory):
+        pairs, spare, zeros = near_theta_pairs()
+        arrivals = [item for pair in pairs for item in pair] + spare + zeros
+        encoder = fixed_encoder_factory(dict(arrivals))
+        texts = [text for text, _ in arrivals]
+        response = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(texts))
+        bank = generate_example_bank(["article"], ["Is it an example?"], QueueLLM([response]),
+                                     encoder, rng(0), theta=NEAR_THETA, num_prompts=1)
+        expected = pairwise_greedy(texts, encoder.encode(texts), NEAR_THETA)
+        assert bank.texts() == expected
+        assert "Is it partner 9?" not in expected and "Is it partner 10?" in expected
+
+
 class TestGenerateExampleBank:
     def test_scripted_ten_questions_make_a_bank_of_ten(self):
         response = "\n".join(f"{i}. Is it topic {chr(96 + i)} number {i}?"
