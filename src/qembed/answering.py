@@ -36,7 +36,7 @@ class CollectionResult:
     unparsed: int
 
 
-def _question_documents(bank_question_cluster: int, model: ClusterModel | None,
+def _question_documents(bank_question_cluster: int, model: ClusterModel,
                         all_docs: list[str], rng: np.random.Generator,
                         in_cluster: int, neighbor: int, neighbor_from: int,
                         random_count: int) -> list[str]:
@@ -54,22 +54,18 @@ def _question_documents(bank_question_cluster: int, model: ClusterModel | None,
             picked.append(pool[int(i)])
             picked_set.add(pool[int(i)])
 
-    if bank_question_cluster >= 0 and model is not None:
-        take(model.members(bank_question_cluster), in_cluster)
-        j = min(neighbor_from, model.k - 1)
-        neighbor_pool: list[str] = []
-        if j >= 1:
-            for nc in nearest_clusters(model, bank_question_cluster, j):
-                neighbor_pool.extend(model.members(nc))
-        take(neighbor_pool, neighbor)
-        take(all_docs, random_count)
-    else:
-        # baseline banks carry no cluster of origin; draw everything corpus-wide
-        take(all_docs, in_cluster + neighbor + random_count)
+    take(model.members(bank_question_cluster), in_cluster)
+    j = min(neighbor_from, model.k - 1)
+    neighbor_pool: list[str] = []
+    if j >= 1:
+        for nc in nearest_clusters(model, bank_question_cluster, j):
+            neighbor_pool.extend(model.members(nc))
+    take(neighbor_pool, neighbor)
+    take(all_docs, random_count)
     return picked
 
 
-def collect_answers(bank: QuestionBank, model: ClusterModel | None,
+def collect_answers(bank: QuestionBank, model: ClusterModel,
                     texts: dict[str, str], llm: LLMProvider, cache: AnswerCache,
                     rng: np.random.Generator,
                     in_cluster: int = IN_CLUSTER_POOL, neighbor: int = NEIGHBOR_POOL,

@@ -107,7 +107,8 @@ def _print_demo_summary(ws: Workspace) -> None:
     if heldout and heldout.get("accuracy") is not None:
         print(f"  held-out answer accuracy  {heldout['accuracy']:.4f}")
     if sts:
-        print(f"  semantic similarity rho   {sts['spearman']:.4f}")
+        rho = "n/a" if sts["spearman"] is None else f"{sts['spearman']:.4f}"
+        print(f"  semantic similarity rho   {rho}")
         print(f"  mean cognitive load       {sts['mean_cognitive_load']:.2f}")
     if retrieval:
         print(f"  retrieval mean nDCG@10    {retrieval['mean_ndcg']:.4f}")

@@ -44,10 +44,6 @@ class ClusterModel:
     def d(self) -> int:
         return int(self.centroids.shape[1])
 
-    @property
-    def assignments(self) -> dict[str, int]:
-        return {doc: int(c) for doc, c in zip(self.doc_ids, self.labels)}
-
     def members(self, c: int) -> list[str]:
         """Document ids assigned to cluster c, in corpus order. Empty clusters yield []."""
         if not 0 <= c < self.k:

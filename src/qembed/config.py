@@ -278,10 +278,6 @@ def config_from_parser(parser: configparser.ConfigParser,
     return cfg
 
 
-def default_config() -> PipelineConfig:
-    return PipelineConfig()
-
-
 def dump_config(cfg: PipelineConfig) -> str:
     """Canonical INI rendering: every section, every key, sorted, resolved."""
     lines = []

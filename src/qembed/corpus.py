@@ -1,4 +1,4 @@
-"""Corpus ingestion, exact deduplication, instruction-pair preprocessing and held-out splits."""
+"""Corpus ingestion, exact deduplication and held-out splits."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ class Document:
 @dataclass
 class Corpus:
     documents: list[Document]
-    dedup_applied: bool = False
     skipped_records: int = 0  # malformed input lines dropped during ingestion
 
     def __len__(self) -> int:
@@ -43,12 +42,6 @@ class Corpus:
 
     def text_by_id(self) -> dict[str, str]:
         return {d.id: d.text for d in self.documents}
-
-    def get(self, doc_id: str) -> Document:
-        for d in self.documents:
-            if d.id == doc_id:
-                return d
-        raise KeyError(doc_id)
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def ingest(path: str | Path, format: str = "plain-lines") -> Corpus:
             doc_id = _assign_id(text, taken)
         taken.add(doc_id)
         documents.append(Document(id=doc_id, text=text, source=source))
-    return Corpus(documents=documents, dedup_applied=False, skipped_records=skipped)
+    return Corpus(documents=documents, skipped_records=skipped)
 
 
 def exact_dedup(corpus: Corpus) -> Corpus:
@@ -131,57 +124,7 @@ def exact_dedup(corpus: Corpus) -> Corpus:
             continue
         seen.add(doc.text)
         kept.append(doc)
-    return replace(corpus, documents=kept, dedup_applied=True)
-
-
-def medi2_preprocess(directory: str | Path, delimiter: str = "|") -> Corpus:
-    """Build a training corpus from a directory of instruction-pair json-lines files.
-
-    Files whose name starts with ``task`` are skipped. From every remaining record
-    the positive and negative instance texts are collected, each instance being
-    ``<instruction><delimiter><content>``; the instruction prefix is stripped.
-    Records with a delimiter-less instance are skipped with a warning. The merged
-    texts are exactly deduplicated.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise CorpusError(f"not a directory: {directory}")
-
-    texts: list[str] = []
-    skipped = 0
-    for file in sorted(directory.iterdir()):
-        if not file.name.endswith(".jsonl") or file.name.startswith("task"):
-            continue
-        with open(file, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    stripped = parse(line, file, lineno,
-                                     lambda r: _strip_instructions(r, delimiter))
-                except CorruptFileError as exc:
-                    logger.warning("%s; record skipped", exc)
-                    skipped += 1
-                    continue
-                texts.extend(t for t in stripped if t)
-
-    taken: set[str] = set()
-    documents = []
-    for text in texts:
-        doc_id = _assign_id(text, taken)
-        taken.add(doc_id)
-        documents.append(Document(id=doc_id, text=text))
-    return exact_dedup(Corpus(documents=documents, skipped_records=skipped))
-
-
-def _strip_instructions(record: dict, delimiter: str) -> list[str]:
-    texts = []
-    for instance in list(record.get("pos", [])) + list(record.get("neg", [])):
-        instance = str(instance)
-        if delimiter not in instance:
-            raise ValueError(f"instance without delimiter {delimiter!r}")
-        texts.append(instance.split(delimiter, 1)[1].strip())
-    return texts
+    return replace(corpus, documents=kept)
 
 
 def split_heldout(corpus: Corpus, fraction: float, seed: int) -> Split:

@@ -77,11 +77,6 @@ def training_pair_count(p: CostParams) -> int:
     return p.num_questions * p.training_texts_per_question
 
 
-def training_prompt_count(p: CostParams) -> int:
-    """Prompts for answer collection when pairs are grouped per prompt."""
-    return math.ceil(training_pair_count(p) / p.questions_per_prompt)
-
-
 def mbqa_cost(p: CostParams) -> MbqaCost:
     """One-off API spend for training answers plus GPU time to train and embed."""
     if p.num_questions not in p.infer_hours:

@@ -211,11 +211,6 @@ def mean_cognitive_load(task: StsTask, matrix: BinaryMatrix) -> LoadResult:
     return LoadResult(exact=exact, rounded=int(math.floor(exact + 0.5)))
 
 
-def truncate_dimensions(matrix: BinaryMatrix, m_prime: int) -> BinaryMatrix:
-    """Keep the first m' columns in bank order."""
-    return matrix.truncate(m_prime)
-
-
 @dataclass(frozen=True)
 class QuestionHit:
     id: int

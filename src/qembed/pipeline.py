@@ -307,20 +307,20 @@ def _require_sts(ctx: StageContext):
 def _stage_eval_sts(ctx: StageContext) -> dict:
     task = _require_sts(ctx)
     heads = load_heads(ctx.ws.path("heads"))
-    matrix = _embed_texts(ctx, heads, task.texts(), tau=ctx.cfg.training.tau)
-    result = sts_evaluate(task, matrix)
-    load = mean_cognitive_load(task, matrix)
-    payload = {"provenance": ctx.provenance(), "pairs": result.pairs,
-               "spearman": result.spearman, "spearman_x100": result.spearman_x100,
+    rho, load, _ = _sts_numbers(ctx, task, heads, ctx.cfg.training.tau)
+    rho_x100 = None if rho is None else 100.0 * rho
+    payload = {"provenance": ctx.provenance(), "pairs": len(task.pairs),
+               "spearman": rho, "spearman_x100": rho_x100,
                "mean_cognitive_load": load.exact,
                "mean_cognitive_load_rounded": load.rounded,
                "tau": ctx.cfg.training.tau}
     jsonl.write_json(ctx.ws.path("sts_report"), payload)
+    rho_text = "n/a" if rho is None else f"{rho:.4f}  (x100: {rho_x100:.2f})"
     jsonl.write_text(ctx.ws.root / "reports" / "sts.txt",
-                f"semantic similarity over {result.pairs} pairs\n"
-                f"spearman        {result.spearman:.4f}  (x100: {result.spearman_x100:.2f})\n"
+                f"semantic similarity over {len(task.pairs)} pairs\n"
+                f"spearman        {rho_text}\n"
                 f"cognitive load  {load.exact:.2f}  (rounded: {load.rounded})")
-    return {"spearman": result.spearman, "mean_load": load.exact}
+    return {"spearman": rho, "mean_load": load.exact}
 
 
 def _stage_eval_retrieval(ctx: StageContext) -> dict:
@@ -398,7 +398,7 @@ def _sts_numbers(ctx: StageContext, task, heads, tau: float | None,
         rho = sts_evaluate(task, matrix).spearman
     except MetricError:
         rho = None  # constant similarities (e.g. all-zero rows at extreme tau)
-    return rho, mean_cognitive_load(task, matrix).exact, matrix
+    return rho, mean_cognitive_load(task, matrix), matrix
 
 
 def _stage_ablate(ctx: StageContext) -> dict:
@@ -414,7 +414,7 @@ def _stage_ablate(ctx: StageContext) -> dict:
             raise ConfigError(f"[eval] ablate_taus entries must be in (0, 1), got {tau}")
         rho, load, _ = _sts_numbers(ctx, task, heads, tau)
         rows.append({"parameter": "tau", "value": tau, "spearman": rho,
-                     "mean_load": load})
+                     "mean_load": load.exact})
     if dims:
         _, _, base = _sts_numbers(ctx, task, heads, ctx.cfg.training.tau)
         for m_prime in dims:
@@ -425,7 +425,7 @@ def _stage_ablate(ctx: StageContext) -> dict:
             rho, load, _ = _sts_numbers(ctx, task, heads, None,
                                         matrix=base.truncate(m_prime))
             rows.append({"parameter": "dims", "value": m_prime, "spearman": rho,
-                         "mean_load": load})
+                         "mean_load": load.exact})
     jsonl.write(ctx.ws.path("ablation_report"), [{"provenance": ctx.provenance()}, *rows],
                 sort_keys=True)
     lines = [f"{'parameter':>10}  {'value':>8}  {'spearman':>9}  {'mean load':>10}"]

@@ -25,7 +25,6 @@ from .prompts import (
     parse_questions,
     render_answer_prompt,
     render_contrastive_prompt,
-    render_example_based_prompt,
 )
 from .providers import Encoder, LLMProvider, ProviderError
 
@@ -72,7 +71,7 @@ class BankQuestion:
     id: int
     text: str
     origin_cluster: int
-    quality: float | None  # absent for the example-guided baseline
+    quality: float | None  # probe score; load_question_bank also accepts a null
     embedding: np.ndarray
 
 
@@ -284,45 +283,6 @@ def select_question_bank(candidates: list[ScoredQuestion], encoder: Encoder,
     if not admitted:
         logger.warning("selection produced an empty question bank")
     return QuestionBank(questions=admitted, theta=theta, t=t,
-                        encoder_fingerprint=encoder.fingerprint())
-
-
-def generate_example_bank(corpus_texts: list[str], example_questions: list[str],
-                          llm: LLMProvider, encoder: Encoder, rng: np.random.Generator,
-                          theta: float = 0.925, num_prompts: int = 5,
-                          refs_per_prompt: int = 2) -> QuestionBank:
-    """Example-guided baseline generator: no contrast, no probing, dedup only.
-
-    Each prompt shows randomly drawn reference articles plus the example
-    questions; parsed questions are deduplicated at theta in arrival order.
-    Quality is recorded as absent and origin_cluster as -1 throughout.
-    """
-    if not example_questions:
-        raise ValueError("example questions must be non-empty")
-    if not corpus_texts:
-        raise ValueError("corpus is empty")
-    parsed: list[str] = []
-    for _ in range(num_prompts):
-        refs = _draw(corpus_texts, refs_per_prompt, rng, "reference articles",
-                     allow_short=True)
-        try:
-            raw = llm.complete(render_example_based_prompt(refs, example_questions))
-            parsed.extend(q.text for q in parse_questions(raw))
-        except (ProviderError, QuestionParseError) as exc:
-            logger.warning("example-based generation prompt failed: %s", exc)
-
-    admitted: list[BankQuestion] = []
-    if parsed:
-        embeddings = encoder.encode(parsed)
-        dedup = _AdmittedSet(*embeddings.shape, theta)
-        for text, vec in zip(parsed, embeddings):
-            unit = dedup.admit(vec)
-            if unit is not None:
-                admitted.append(BankQuestion(id=len(admitted), text=text, origin_cluster=-1,
-                                             quality=None, embedding=unit))
-    if not admitted:
-        logger.warning("example-based generation produced an empty bank")
-    return QuestionBank(questions=admitted, theta=theta, t=0,
                         encoder_fingerprint=encoder.fingerprint())
 
 

@@ -96,11 +96,6 @@ TOPIC_QUESTIONS = {
     ],
 }
 
-EXAMPLE_QUESTIONS = [
-    "Is this text about science?",
-    "Does the text describe a physical activity?",
-]
-
 _QUESTION_TOPIC = {q: topic for topic, qs in TOPIC_QUESTIONS.items() for q in qs}
 
 _WORD_TOPIC = {w: topic for topic, words in TOPIC_VOCAB.items() for w in words}
@@ -191,8 +186,9 @@ def synthetic_clustering_task(corpus: Corpus) -> ClusteringTask:
 
 @dataclass
 class TopicOracleLLM:
-    """Deterministic provider: recognizes the three prompt shapes and responds
-    by topic keyword rules. Yes iff the question's topic matches the chunk's."""
+    """Deterministic provider: recognizes the answer and contrastive generation
+    prompts and responds by topic keyword rules. Yes iff the question's topic
+    matches the chunk's."""
 
     calls: int = 0
 
@@ -202,8 +198,6 @@ class TopicOracleLLM:
             return self._answer(prompt)
         if prompt.startswith("Generate 10 simple yet insightful"):
             return self._generate_contrastive(prompt)
-        if prompt.startswith("Generate 10 diverse insightful"):
-            return self._generate_example_based(prompt)
         raise ValueError(f"oracle got an unrecognized prompt: {prompt[:80]!r}")
 
     def _answer(self, prompt: str) -> str:
@@ -236,24 +230,3 @@ class TopicOracleLLM:
             topic = max(TOPICS, key=votes.count)
         return "\n".join(f"{i}. {q}"
                          for i, q in enumerate(TOPIC_QUESTIONS[topic], start=1))
-
-    def _generate_example_based(self, prompt: str) -> str:
-        ref_start = prompt.index("Reference Articles:\n") + len("Reference Articles:\n")
-        ref_end = prompt.index("\n\nExample Questions:")
-        block = prompt[ref_start:ref_end]
-        refs = [m.group(1) for m in re.finditer(r"^\d+\.\s*(.+)$", block, re.M)]
-        topics = []
-        for r in refs:
-            t = text_topic(r)
-            if t is not None and t not in topics:
-                topics.append(t)
-        if not topics:
-            topics = [TOPICS[0]]
-        questions = []
-        i = 0
-        while len(questions) < 10:
-            topic = topics[i % len(topics)]
-            qs = TOPIC_QUESTIONS[topic]
-            questions.append(qs[(i // len(topics)) % len(qs)])
-            i += 1
-        return "\n".join(f"{n}. {q}" for n, q in enumerate(questions, start=1))

@@ -116,14 +116,6 @@ class TestCollectAnswers:
         assert result.unparsed == 2
         assert result.examples[0].answers == {0: 1, 1: 0, 2: 0}
 
-    def test_baseline_bank_without_clusters_draws_corpus_wide(self, tmp_path):
-        bank = make_bank([-1, -1])
-        texts = {f"d{i}": f"text {i}" for i in range(8)}
-        result = collect_answers(bank, None, texts, YesLLM(),
-                                 AnswerCache(tmp_path / "a.jsonl"), rng(2),
-                                 in_cluster=3, neighbor=2, neighbor_from=5, random_count=1)
-        assert result.requested_pairs == 12  # 6 docs per question, 2 questions
-
     def test_same_seed_same_requests(self, tmp_path):
         model = make_model(sizes=[5, 5, 5], positions=[0.0, 1.0, 2.0])
         bank = make_bank([0, 1, 2])

@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from qembed.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, main
+from qembed.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, _print_demo_summary,
+                        main)
 from qembed.pipeline import write_demo_workspace
 from qembed.providers import AnswerCache
 from qembed.workspace import Workspace
@@ -261,3 +262,18 @@ def test_demo_command_end_to_end(tmp_path, capsys):
     assert sts["spearman"] >= 0.8
     heldout = json.loads((root / "reports" / "heldout.json").read_text())
     assert heldout["accuracy"] >= 0.95
+
+
+def test_constant_sts_similarities_report_no_spearman(tmp_path, capsys):
+    # at this tau every head answers "no", so every pair has the same similarity
+    cfg_path = write_demo_workspace(tmp_path, seed=0, n_per_topic=12, steps=2000)
+    raw = cfg_path.read_text().replace("[training]\n", "[training]\ntau = 0.9999999\n")
+    cfg_path.write_text(raw, encoding="utf-8")
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)])
+    assert code == EXIT_OK
+    sts = json.loads((tmp_path / "reports" / "sts.json").read_text())
+    assert sts["spearman"] is None and sts["spearman_x100"] is None
+    assert "spearman        n/a\n" in (tmp_path / "reports" / "sts.txt").read_text()
+    capsys.readouterr()
+    _print_demo_summary(Workspace(tmp_path))
+    assert "semantic similarity rho   n/a\n" in capsys.readouterr().out

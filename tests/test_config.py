@@ -4,7 +4,6 @@ from qembed.config import (
     ConfigError,
     PipelineConfig,
     config_hash,
-    default_config,
     dump_config,
     load_config,
     parse_float_list,
@@ -22,7 +21,7 @@ def write(tmp_path, text):
 
 class TestDefaults:
     def test_full_scale_defaults(self):
-        cfg = default_config()
+        cfg = PipelineConfig()
         assert cfg.cluster.k == 5000
         assert cfg.generation.positives == 6
         assert cfg.generation.hard_negatives == 18
@@ -36,7 +35,7 @@ class TestDefaults:
         assert cfg.training.tau == 0.5
 
     def test_sampling_neighborhood_defaults(self):
-        cfg = default_config()
+        cfg = PipelineConfig()
         assert cfg.generation.hard_neighbor_clusters == 3
         assert cfg.probe.neighbor_clusters == 3
         assert cfg.collection.neighbor_clusters == 5
@@ -46,7 +45,7 @@ class TestDefaults:
         assert cfg.collection.group == 20
 
     def test_heldout_default(self):
-        assert default_config().corpus.heldout_fraction == 0.1
+        assert PipelineConfig().corpus.heldout_fraction == 0.1
 
 
 class TestParsing:
@@ -119,10 +118,10 @@ class TestSerialization:
         assert config_hash(again) == config_hash(cfg)
 
     def test_hash_sensitive_to_values(self):
-        a = default_config()
+        a = PipelineConfig()
         b = with_seed(a, 1)
         assert config_hash(a) != config_hash(b)
         assert b.pipeline.seed == 1
 
     def test_hash_stable(self):
-        assert config_hash(default_config()) == config_hash(PipelineConfig())
+        assert config_hash(PipelineConfig()) == config_hash(PipelineConfig())

@@ -11,7 +11,6 @@ from qembed.corpus import (
     exact_dedup,
     ingest,
     load_corpus,
-    medi2_preprocess,
     save_corpus,
     split_heldout,
 )
@@ -90,34 +89,6 @@ def test_exact_dedup_matches_brute_force_set_oracle(tmp_path):
         first_index.setdefault(t, i)
     expected_order = [t for _, t in sorted((first_index[t], t) for t in set(docs))]
     assert corpus.texts() == expected_order
-    assert corpus.dedup_applied
-
-
-def test_medi2_preprocess_strips_instructions_and_skips_task_files(tmp_path):
-    d = tmp_path / "medi2"
-    d.mkdir()
-    (d / "pairs.jsonl").write_text("\n".join([
-        json.dumps({"query": "Q | find it", "pos": ["inst A | the cat sat"],
-                    "neg": ["inst B | dogs bark", "inst B | the cat sat"]}),
-        json.dumps({"query": "Q | other", "pos": ["inst | unique text"], "neg": []}),
-    ]) + "\n", encoding="utf-8")
-    (d / "task042.jsonl").write_text(
-        json.dumps({"pos": ["x | should never appear"], "neg": []}) + "\n", encoding="utf-8")
-    corpus = medi2_preprocess(d)
-    assert sorted(corpus.texts()) == ["dogs bark", "the cat sat", "unique text"]
-    assert corpus.dedup_applied
-
-
-def test_medi2_record_without_delimiter_is_skipped_whole(tmp_path):
-    d = tmp_path / "medi2"
-    d.mkdir()
-    (d / "pairs.jsonl").write_text("\n".join([
-        json.dumps({"pos": ["inst | kept text"], "neg": ["no delimiter here"]}),
-        json.dumps({"pos": ["inst | second text"], "neg": []}),
-    ]) + "\n", encoding="utf-8")
-    corpus = medi2_preprocess(d)
-    assert corpus.texts() == ["second text"]
-    assert corpus.skipped_records == 1
 
 
 def test_split_heldout_is_deterministic_and_sized(tmp_path):

@@ -12,7 +12,6 @@ from qembed.cost import (
     mbqa_cost,
     render_cost_table,
     training_pair_count,
-    training_prompt_count,
 )
 
 
@@ -67,10 +66,6 @@ class TestTrainingCounts:
     def test_ten_million_pairs(self):
         p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
         assert training_pair_count(p) == 10_000_000
-
-    def test_training_prompts_group_by_twenty(self):
-        p = CostParams(num_docs=1, num_questions=10_000)
-        assert training_prompt_count(p) == 500_000
 
 
 class TestMbqaCost:

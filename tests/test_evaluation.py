@@ -21,7 +21,6 @@ from qembed.evaluation import (
     mean_cognitive_load,
     retrieval_evaluate,
     sts_evaluate,
-    truncate_dimensions,
 )
 from qembed.metrics import cosine_similarity
 from qembed.question_gen import BankQuestion, QuestionBank
@@ -270,7 +269,7 @@ class TestTruncateDimensions:
         g = rng(1)
         dense = (g.random((6, 20)) > 0.5).astype(np.uint8)
         matrix = BinaryMatrix.from_dense(dense)
-        out = truncate_dimensions(matrix, 20)
+        out = matrix.truncate(20)
         assert np.array_equal(out.to_dense(), dense)
 
     def test_load_monotone_under_truncation(self):
@@ -278,7 +277,7 @@ class TestTruncateDimensions:
         dense = (g.random((10, 48)) > 0.4).astype(np.uint8)
         matrix = BinaryMatrix.from_dense(dense)
         full = [matrix.pair_load(i, j) for i in range(10) for j in range(i)]
-        cut = truncate_dimensions(matrix, 17)
+        cut = matrix.truncate(17)
         small = [cut.pair_load(i, j) for i in range(10) for j in range(i)]
         assert all(s <= f for s, f in zip(small, full))
 

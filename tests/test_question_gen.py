@@ -14,7 +14,6 @@ from qembed.question_gen import (
     SamplingError,
     ScoredQuestion,
     generate_cluster_questions,
-    generate_example_bank,
     load_question_bank,
     probe_question,
     quality_score,
@@ -105,7 +104,7 @@ class TestSampleContrastive:
         groups = [set(sample.positives), set(sample.hard_negatives),
                   set(sample.easy_negatives)]
         assert not (groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2])
-        assignments = model.assignments
+        assignments = dict(zip(model.doc_ids, model.labels))
         assert all(assignments[d] == 0 for d in sample.positives)
         assert all(assignments[d] in (1, 2, 3) for d in sample.hard_negatives)
         assert all(assignments[d] in (4, 5) for d in sample.easy_negatives)
@@ -317,12 +316,11 @@ def pairwise_is_duplicate(candidate_vec, admitted, theta):
     return False
 
 
-def pairwise_greedy(texts, embeddings, theta, clusters=None, t=None):
-    """Greedy admission in the given order with the pairwise rule and an optional cap."""
+def pairwise_greedy(texts, embeddings, theta, clusters, t):
+    """Greedy admission in the given order with the pairwise rule and a per-cluster cap."""
     kept, admitted_vecs, per_cluster = [], [], {}
-    for i, (text, vec) in enumerate(zip(texts, embeddings)):
-        cluster = clusters[i] if clusters else None
-        if t is not None and per_cluster.get(cluster, 0) >= t:
+    for text, vec, cluster in zip(texts, embeddings, clusters):
+        if per_cluster.get(cluster, 0) >= t:
             continue
         norm = float(np.linalg.norm(vec))
         unit = vec / norm if norm else vec
@@ -386,52 +384,6 @@ class TestDedupMatchesPairwiseRule:
         assert "Is it partner 10?" in expected     # theta - 1e-10
         assert sum(text.startswith("Is it spare") for text in expected) == 2
         assert all(text in expected for text, _ in zeros)
-
-    def test_generate_example_bank(self, fixed_encoder_factory):
-        pairs, spare, zeros = near_theta_pairs()
-        arrivals = [item for pair in pairs for item in pair] + spare + zeros
-        encoder = fixed_encoder_factory(dict(arrivals))
-        texts = [text for text, _ in arrivals]
-        response = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(texts))
-        bank = generate_example_bank(["article"], ["Is it an example?"], QueueLLM([response]),
-                                     encoder, rng(0), theta=NEAR_THETA, num_prompts=1)
-        expected = pairwise_greedy(texts, encoder.encode(texts), NEAR_THETA)
-        assert bank.texts() == expected
-        assert "Is it partner 9?" not in expected and "Is it partner 10?" in expected
-
-
-class TestGenerateExampleBank:
-    def test_scripted_ten_questions_make_a_bank_of_ten(self):
-        response = "\n".join(f"{i}. Is it topic {chr(96 + i)} number {i}?"
-                             for i in range(1, 11))
-        bank = generate_example_bank(["some article text"], ["Is it an example?"],
-                                     QueueLLM([response]), MockEncoder(dim=32, seed=0),
-                                     rng(0), num_prompts=1)
-        assert bank.m == 10
-        assert all(q.quality is None and q.origin_cluster == -1 for q in bank.questions)
-
-    def test_near_identical_questions_dedup_at_0925(self):
-        # same token multiset -> identical mock embedding -> cosine 1 > 0.925
-        response = "1. Is it about space?\n2. about it Is space?"
-        bank = generate_example_bank(["article"], ["Is it an example?"],
-                                     QueueLLM([response]), MockEncoder(dim=32, seed=0),
-                                     rng(0), num_prompts=1)
-        assert bank.m == 1
-
-    def test_five_prompts_with_twelve_dupes_survive_38(self):
-        uniques = [f"Does term t{i} u{i} appear?" for i in range(38)]
-        dupes = [uniques[j] for j in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
-        all_questions = uniques + dupes  # 50 = 5 prompts x 10
-        responses = []
-        for p in range(5):
-            chunk = all_questions[p * 10:(p + 1) * 10]
-            responses.append("\n".join(f"{i + 1}. {q}" for i, q in enumerate(chunk)))
-        encoder = MockEncoder(dim=64, seed=1)
-        bank = generate_example_bank(["ref one", "ref two"], ["Is it an example?"],
-                                     QueueLLM(responses), encoder, rng(0), num_prompts=5)
-        assert bank.m == 38
-        # brute-force oracle: greedy first-occurrence dedup over exact duplicates
-        assert bank.texts() == uniques
 
 
 def test_bank_save_load_roundtrip(tmp_path):

@@ -8,7 +8,6 @@ from qembed.prompts import (
     render_example_based_prompt,
 )
 from qembed.synthetic import (
-    EXAMPLE_QUESTIONS,
     TOPIC_QUESTIONS,
     TOPIC_VOCAB,
     TOPICS,
@@ -73,11 +72,12 @@ class TestTasks:
         corpus = synthetic_corpus(n_per_topic=5, seed=0)
         task = synthetic_retrieval_task(corpus, queries_per_topic=2, seed=2)
         assert len(task.queries) == 8
+        by_id = {d.id: d for d in corpus}
         for qid, rels in task.qrels.items():
             topic = qid.split("-")[1]
             assert len(rels) == 5
             for did in rels:
-                assert corpus.get(did).source == topic
+                assert by_id[did].source == topic
 
     def test_clustering_task_aligned(self):
         corpus = synthetic_corpus(n_per_topic=5, seed=0)
@@ -107,24 +107,15 @@ class TestOracle:
         parsed = parse_questions(raw)
         assert [c.text for c in parsed] == TOPIC_QUESTIONS["cooking"]
 
-    def test_example_based_generation_cycles_reference_topics(self):
-        corpus = synthetic_corpus(n_per_topic=3, seed=0)
-        refs = [corpus.documents[0].text, corpus.documents[1].text]
-        topics = [text_topic(t) for t in refs]
-        prompt = render_example_based_prompt(refs, EXAMPLE_QUESTIONS)
-        raw = TopicOracleLLM().complete(prompt)
-        parsed = parse_questions(raw)
-        assert len(parsed) == 10
-        assert parsed[0].text == TOPIC_QUESTIONS[topics[0]][0]
-        assert parsed[1].text == TOPIC_QUESTIONS[topics[1]][0]
-
     def test_unknown_prompt_rejected(self):
-        try:
-            TopicOracleLLM().complete("What is the weather?")
-        except ValueError as exc:
-            assert "unrecognized" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
+        example_based = render_example_based_prompt(["A text."], ["Is it a text?"])
+        for prompt in ("What is the weather?", example_based):
+            try:
+                TopicOracleLLM().complete(prompt)
+            except ValueError as exc:
+                assert "unrecognized" in str(exc)
+            else:
+                raise AssertionError("expected ValueError")
 
     def test_call_counter(self):
         oracle = TopicOracleLLM()
