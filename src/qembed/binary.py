@@ -67,9 +67,12 @@ class BinaryMatrix:
         return np.unpackbits(self.packed[i], bitorder="little")[:self.m]
 
     def row_index(self, row_id: str) -> int:
-        if row_id not in self._index:
-            raise KeyError(row_id)
         return self._index[row_id]
+
+    def row_indices(self, row_ids: list[str]) -> np.ndarray:
+        """Row index of each id, in one pass; KeyError names the first id absent."""
+        return np.fromiter(map(self._index.__getitem__, row_ids), dtype=np.intp,
+                           count=len(row_ids))
 
     def pair_load(self, i: int, j: int) -> int:
         """Shared-yes count of rows i and j via packed popcount."""
@@ -82,10 +85,15 @@ class BinaryMatrix:
         return BinaryMatrix.from_dense(self.to_dense()[:, :m_prime], self.row_ids)
 
 
+def popcounts(packed: np.ndarray) -> np.ndarray:
+    """Yes-count of each packed row, i.e. its squared norm; the last axis is a row."""
+    return _POPCOUNT[packed].sum(axis=-1)
+
+
 def packed_cognitive_load(pu: np.ndarray, pv: np.ndarray) -> int:
     if pu.shape != pv.shape:
         raise BinaryMatrixError(f"packed length mismatch: {pu.shape} vs {pv.shape}")
-    return int(_POPCOUNT[np.bitwise_and(pu, pv)].sum())
+    return int(popcounts(np.bitwise_and(pu, pv)))
 
 
 def save_binary_matrix(matrix: BinaryMatrix, path: str | Path) -> None:

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary import BinaryMatrix
+from .binary import BinaryMatrix, popcounts
 from .cluster import kmeans_fit
 from .corpus import content_id
 from .jsonl import CorruptFileError, read
-from .metrics import cosine_similarity, ndcg_at_k, spearman, v_measure
+from .metrics import ndcg_at_k, spearman, v_measure
 from .question_gen import QuestionBank
 
 
@@ -134,29 +134,39 @@ def load_clustering_task(path: str | Path) -> ClusteringTask:
     return ClusteringTask(texts=tuple(t for t, _ in rows), labels=tuple(lab for _, lab in rows))
 
 
-def _text_row(matrix: BinaryMatrix, text: str) -> np.ndarray:
+def _row_indices(matrix: BinaryMatrix, row_ids: list[str], names: list[str],
+                 kind: str) -> np.ndarray:
+    """Row index of each id in one lookup; TaskError names the first one missing."""
     try:
-        return matrix.row(matrix.row_index(content_id(text)))
-    except KeyError:
-        raise TaskError(f"text not embedded: {text[:60]!r}") from None
+        return matrix.row_indices(row_ids)
+    except KeyError as exc:
+        name = names[row_ids.index(exc.args[0])]
+        raise TaskError(f"{kind} {name[:60]!r} not embedded") from None
 
 
-def _id_row(matrix: BinaryMatrix, row_id: str, kind: str) -> np.ndarray:
-    try:
-        return matrix.row(matrix.row_index(row_id))
-    except KeyError:
-        raise TaskError(f"{kind} {row_id!r} not embedded") from None
+def _pair_rows(task: StsTask, matrix: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Packed rows of each pair's text_a and text_b, in pair order."""
+    texts = [text for pair in task.pairs for text in (pair.text_a, pair.text_b)]
+    rows = matrix.packed[_row_indices(matrix, [content_id(t) for t in texts], texts,
+                                      "text")]
+    return rows[0::2], rows[1::2]
+
+
+def _cosines(overlap: np.ndarray, pop_a: np.ndarray, pop_b) -> np.ndarray:
+    """float64 overlap / (sqrt(pop_a) * sqrt(pop_b)), 0 where either row is all zero.
+
+    For 0/1 rows the dot product and the squared norms are exact integers, so this
+    equals the cosine of the rows taken as float64 vectors, bit for bit.
+    """
+    denom = np.sqrt(pop_a) * np.sqrt(pop_b)
+    return np.divide(overlap, denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
 def sts_evaluate(task: StsTask, matrix: BinaryMatrix) -> StsResult:
     """Spearman between gold scores and cosine over binary rows (bits as reals)."""
-    golds, sims = [], []
-    for pair in task.pairs:
-        a = _text_row(matrix, pair.text_a).astype(np.float64)
-        b = _text_row(matrix, pair.text_b).astype(np.float64)
-        golds.append(pair.score)
-        sims.append(cosine_similarity(a, b))
-    rho = spearman(golds, sims)
+    a, b = _pair_rows(task, matrix)
+    sims = _cosines(popcounts(a & b), popcounts(a), popcounts(b))
+    rho = spearman([pair.score for pair in task.pairs], sims)
     return StsResult(spearman=rho, spearman_x100=100.0 * rho, pairs=len(task.pairs))
 
 
@@ -166,21 +176,20 @@ def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
     """Macro-averaged nDCG@k; corpus ranked by cosine, ties broken by doc id."""
     if not task.corpus:
         raise TaskError("retrieval corpus is empty")
+    if query_matrix.m != corpus_matrix.m:
+        raise TaskError(f"query rows have m={query_matrix.m} questions but corpus "
+                        f"rows have m={corpus_matrix.m}")
     doc_ids = sorted(task.corpus)
-    docs = np.stack([_id_row(corpus_matrix, d, "doc").astype(np.float64)
-                     for d in doc_ids])
-    doc_norms = np.linalg.norm(docs, axis=1)
+    docs = corpus_matrix.packed[_row_indices(corpus_matrix, doc_ids, doc_ids, "doc")]
+    doc_pops = popcounts(docs)
+    qids = sorted(task.queries)
+    queries = query_matrix.packed[_row_indices(query_matrix, qids, qids, "query")]
     per_query: dict[str, float] = {}
-    for qid in sorted(task.queries):
-        q = _id_row(query_matrix, qid, "query").astype(np.float64)
-        q_norm = np.linalg.norm(q)
-        denom = doc_norms * q_norm
-        scores = np.divide(docs @ q, denom, out=np.zeros(len(doc_ids)),
-                           where=denom > 0)
-        order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-        ranking = [doc_ids[i] for i in order]
-        per_query[qid] = ndcg_at_k(ranking, task.qrels.get(qid, {}), k=k,
-                                   exponential=exponential)
+    for qid, q, q_pop in zip(qids, queries, popcounts(queries)):
+        scores = _cosines(popcounts(docs & q), doc_pops, q_pop)
+        top = np.argsort(-scores, kind="stable")[:k]  # doc_ids ascend: ties go by id
+        per_query[qid] = ndcg_at_k([doc_ids[i] for i in top], task.qrels.get(qid, {}),
+                                   k=k, exponential=exponential)
     if not per_query:
         raise TaskError("retrieval task has no queries")
     mean = float(np.mean(list(per_query.values())))
@@ -202,12 +211,8 @@ def mean_cognitive_load(task: StsTask, matrix: BinaryMatrix) -> LoadResult:
     """Mean yes-overlap count over the task's pairs; half rounds up for display."""
     if not task.pairs:
         raise TaskError("empty task")
-    loads = []
-    for pair in task.pairs:
-        i = matrix.row_index(content_id(pair.text_a))
-        j = matrix.row_index(content_id(pair.text_b))
-        loads.append(matrix.pair_load(i, j))
-    exact = float(np.mean(loads))
+    a, b = _pair_rows(task, matrix)
+    exact = float(np.mean(popcounts(a & b)))
     return LoadResult(exact=exact, rounded=int(math.floor(exact + 0.5)))
 
 

@@ -1,7 +1,7 @@
-"""Evaluation metrics: cosine, Spearman rank correlation, nDCG@k, V-measure, shared-yes load.
+"""Evaluation metrics: Spearman rank correlation, nDCG@k, V-measure.
 
-All pure functions over numpy arrays; conventions (zero-vector cosine,
-constant-input errors, log base) are pinned by tests.
+All pure functions over numpy arrays; conventions (constant-input errors,
+log base) are pinned by tests.
 """
 
 from __future__ import annotations
@@ -16,19 +16,6 @@ logger = logging.getLogger(__name__)
 
 class MetricError(ValueError):
     """Raised on undefined metric inputs (length mismatch, constant series)."""
-
-
-def cosine_similarity(u, v) -> float:
-    """dot(u,v)/(|u||v|); 0.0 by convention when either vector is all zeros."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise MetricError(f"length mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
 
 
 def average_ranks(xs) -> np.ndarray:
@@ -138,13 +125,3 @@ def v_measure(labels_true, labels_pred) -> float:
         return 0.0
     return 2.0 * homogeneity * completeness / (homogeneity + completeness)
 
-
-def cognitive_load(u, v) -> int:
-    """Shared-yes count of two binary vectors: the inner product sum u_i * v_i."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise MetricError(f"length mismatch: {u.shape} vs {v.shape}")
-    if u.size and (not np.isin(u, (0, 1)).all() or not np.isin(v, (0, 1)).all()):
-        raise MetricError("cognitive load is defined on 0/1 vectors")
-    return int(np.bitwise_and(u.astype(np.uint8), v.astype(np.uint8)).sum())

@@ -7,6 +7,7 @@ Rendered prompts carry no trailing newline.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ class CandidateQuestion:
     ordinal: int  # position within the LLM's numbered list
 
 
+@functools.cache  # templates ship with the package and do not change at run time
 def load_template(name: str) -> str:
     text = resources.files("qembed.templates").joinpath(f"{name}.txt").read_text("utf-8")
     return text.rstrip("\n")

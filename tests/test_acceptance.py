@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import cognitive_load, cosine_similarity
 from qembed.binary import BinaryMatrix, packed_cognitive_load
 from qembed.config import load_config
 from qembed.corpus import content_id
@@ -20,7 +21,7 @@ from qembed.evaluation import load_sts_task, mean_cognitive_load
 from qembed.heads import (TrainingExample, compute_pos_weight, document_loss,
                           document_loss_and_grads, embed_documents, init_heads,
                           load_heads)
-from qembed.metrics import cognitive_load, cosine_similarity, ndcg_at_k, spearman, v_measure
+from qembed.metrics import ndcg_at_k, spearman, v_measure
 from qembed.pipeline import run_all, write_demo_workspace
 from qembed.prompts import (CandidateQuestion, render_answer_prompt,
                             render_contrastive_prompt,

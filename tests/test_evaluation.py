@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qembed.binary import BinaryMatrix
+from oracle import cognitive_load, cosine_similarity
+from qembed.binary import BinaryMatrix, popcounts
 from qembed.corpus import content_id
 from qembed.evaluation import (
     BankMismatchError,
@@ -22,7 +23,8 @@ from qembed.evaluation import (
     retrieval_evaluate,
     sts_evaluate,
 )
-from qembed.metrics import cosine_similarity
+from qembed.evaluation import _cosines
+from qembed.metrics import spearman
 from qembed.question_gen import BankQuestion, QuestionBank
 
 
@@ -206,6 +208,89 @@ class TestRetrievalEvaluate:
         # all scores 0 -> ranking falls back to doc-id order, d1 first
         assert result.mean_ndcg == pytest.approx(1.0)
 
+    def test_width_mismatch_names_both_widths(self):
+        # 13 and 16 questions pack into the same 2 bytes per row
+        q = BinaryMatrix.from_dense(np.ones((1, 13), dtype=np.uint8), row_ids=["q"])
+        d = BinaryMatrix.from_dense(np.ones((1, 16), dtype=np.uint8), row_ids=["d"])
+        task = RetrievalTask(queries={"q": "x"}, corpus={"d": "y"}, qrels={})
+        with pytest.raises(TaskError, match=r"m=13.*m=16"):
+            retrieval_evaluate(task, q, d)
+
+    def test_missing_doc_named(self):
+        q = self.id_matrix({"q": [1, 0]})
+        d = self.id_matrix({"d1": [1, 0]})
+        task = RetrievalTask(queries={"q": "x"}, corpus={"d1": "a", "ghost-doc": "b"},
+                             qrels={})
+        with pytest.raises(TaskError, match="ghost-doc"):
+            retrieval_evaluate(task, q, d)
+
+    def test_missing_query_named(self):
+        q = self.id_matrix({"q1": [1, 0]})
+        d = self.id_matrix({"d1": [1, 0]})
+        task = RetrievalTask(queries={"q1": "x", "ghost-query": "y"}, corpus={"d1": "a"},
+                             qrels={})
+        with pytest.raises(TaskError, match="ghost-query"):
+            retrieval_evaluate(task, q, d)
+
+
+WIDTHS = [1, 7, 8, 13, 64, 512]
+
+
+def oracle_rows(m: int, n: int = 40) -> np.ndarray:
+    """Random 0/1 rows with all-zero rows and duplicated rows (score ties)."""
+    dense = (rng(m).random((n, m)) < 0.3).astype(np.uint8)
+    dense[:3] = 0
+    dense[10:14] = dense[20]
+    return dense
+
+
+class TestPackedKernel:
+    """The packed popcount kernel equals the float64 per-vector oracle exactly."""
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_scores_match_oracle(self, m):
+        dense = oracle_rows(m)
+        packed = BinaryMatrix.from_dense(dense).packed
+        pops = popcounts(packed)
+        for j in (0, 5, 20):  # an all-zero query, a random one, a duplicated one
+            scores = _cosines(popcounts(packed & packed[j]), pops, pops[j])
+            assert scores.tolist() == [cosine_similarity(row, dense[j]) for row in dense]
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_ranking_by_score_then_doc_id(self, m):
+        dense = oracle_rows(m)
+        n = len(dense)
+        doc_ids = [f"d{(7 * i) % n:03d}" for i in range(n)]  # row order is not id order
+        perm = rng(m + 1).permutation(n)
+        corpus = BinaryMatrix.from_dense(dense[perm], row_ids=[doc_ids[i] for i in perm])
+        for j in (0, 5, 20):
+            scores = [cosine_similarity(row, dense[j]) for row in dense]
+            order = sorted(range(n), key=lambda i: (-scores[i], doc_ids[i]))
+            # distinct grades on every doc: nDCG@k is 1 only when the top k is
+            # exactly order[:k], in that order
+            task = RetrievalTask(queries={"q": "x"}, corpus=dict.fromkeys(doc_ids, "t"),
+                                 qrels={"q": {doc_ids[i]: float(n - r)
+                                              for r, i in enumerate(order)}})
+            query = BinaryMatrix.from_dense(dense[[j]], row_ids=["q"])
+            for k in (1, 10, n, n + 5):
+                assert retrieval_evaluate(task, query, corpus, k=k).mean_ndcg == 1.0
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_sts_and_load_match_oracle(self, m):
+        dense = oracle_rows(m)
+        g = rng(m + 2)
+        texts = [f"text {i}" for i in range(len(dense))]
+        matrix = BinaryMatrix.from_dense(dense, row_ids=[content_id(t) for t in texts])
+        index = [(0, 1), (0, 5), (10, 11), (12, 20), (5, 5)]
+        index += [tuple(int(x) for x in g.integers(0, len(dense), 2)) for _ in range(60)]
+        gold = g.normal(size=len(index)).tolist()
+        task = StsTask(pairs=tuple(StsPair(texts[a], texts[b], s)
+                                   for (a, b), s in zip(index, gold)))
+        sims = [cosine_similarity(dense[a], dense[b]) for a, b in index]
+        loads = [cognitive_load(dense[a], dense[b]) for a, b in index]
+        assert sts_evaluate(task, matrix).spearman == spearman(gold, sims)
+        assert mean_cognitive_load(task, matrix).exact == float(np.mean(loads))
+
 
 class TestClusteringEvaluate:
     def test_identical_rows_per_class(self):
@@ -262,6 +347,12 @@ class TestMeanCognitiveLoad:
         matrix = text_matrix({"a": [0]})
         with pytest.raises(TaskError, match="empty"):
             mean_cognitive_load(StsTask(pairs=()), matrix)
+
+    def test_missing_text_named(self):
+        matrix = text_matrix({"a": [1, 0]})
+        task = StsTask(pairs=(StsPair("a", "unseen text", 1.0),))
+        with pytest.raises(TaskError, match="unseen text"):
+            mean_cognitive_load(task, matrix)
 
 
 class TestTruncateDimensions:

