@@ -12,7 +12,7 @@ import numpy as np
 
 from qembed.answering import collect_answers, split_examples
 from qembed.cluster import kmeans_fit
-from qembed.heads import TrainingConfig, embed_documents, evaluate_heldout, train_heads
+from qembed.heads import TrainingConfig, embed_vectors, evaluate_heldout, train_heads
 from qembed.providers import AnswerCache, MockEncoder
 from qembed.question_gen import (ScoredQuestion, generate_cluster_questions,
                                  probe_question, sample_contrastive,
@@ -53,17 +53,19 @@ def main() -> None:
     print(f"collected {result.requested_pairs} question/document answers "
           f"in {result.llm_calls} LLM calls")
 
+    # the encoder ran once above; training, evaluation and embedding reuse its rows
+    row = {doc.id: i for i, doc in enumerate(corpus)}
     heldout_ids = {doc.id for doc in corpus.documents[::10]}
     train, heldout = split_examples(result.examples, heldout_ids)
-    heads = train_heads(train, texts, encoder, bank,
-                        TrainingConfig(learning_rate=3e-3, steps=2500,
-                                       hidden=8, seed=0))
-    report = evaluate_heldout(heads, encoder, heldout, texts)
+    heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
+                        cfg=TrainingConfig(learning_rate=3e-3, steps=2500,
+                                           hidden=8, seed=0))
+    report = evaluate_heldout(heads, embeddings[[row[ex.document_id] for ex in heldout]],
+                              heldout)
     print(f"held-out agreement with the LLM: {report.accuracy:.3f} "
           f"over {len(heldout)} documents\n")
 
-    matrix = embed_documents([d.text for d in corpus], encoder, heads,
-                             row_ids=[d.id for d in corpus])
+    matrix = embed_vectors(embeddings, heads, row_ids=[d.id for d in corpus])
     print("binary embeddings (one row per document, one column per question):")
     for doc in corpus.documents[:4]:
         row = matrix.row(matrix.row_index(doc.id))

@@ -47,9 +47,10 @@ def main() -> None:
                                  in_cluster=16, neighbor=10, neighbor_from=2,
                                  random_count=16)
     train, _ = split_examples(result.examples, set())
-    heads = train_heads(train, texts, encoder, bank,
-                        TrainingConfig(learning_rate=3e-3, steps=6000,
-                                       hidden=8, seed=0))
+    row = {doc.id: i for i, doc in enumerate(corpus)}
+    heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
+                        cfg=TrainingConfig(learning_rate=3e-3, steps=6000,
+                                           hidden=8, seed=0))
 
     docs = corpus.documents
     same_topic = (docs[0], docs[4])      # topics interleave: 0 and 4 match

@@ -110,9 +110,9 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
             answers, unparsed = parse_answers(raw, expected=len(chunk))
             unparsed_total += unparsed
             fp = prompt_fingerprint(prompt)
-            for qid, ans in zip(chunk, answers):
-                cache.put(AnswerRecord(question_id=qid, document_id=doc,
-                                       answer=ans, prompt_fingerprint=fp))
+            cache.put(*(AnswerRecord(question_id=qid, document_id=doc, answer=ans,
+                                     prompt_fingerprint=fp)
+                        for qid, ans in zip(chunk, answers)))
 
     examples = []
     for doc in sorted(wanted):

@@ -199,6 +199,15 @@ def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: n
     return loss, dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
 
 
+def _example_rows(embeddings: np.ndarray, examples: list[TrainingExample]) -> np.ndarray:
+    """embeddings as float64, checked to hold one row per example."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2 or len(embeddings) != len(examples):
+        raise TrainingError(f"embeddings of shape {embeddings.shape} for "
+                            f"{len(examples)} examples; need one row per example")
+    return embeddings
+
+
 def compute_pos_weight(examples: list[TrainingExample]) -> float:
     """Class-imbalance weight for yes terms: (# no answers) / (# yes answers)."""
     yes = sum(a for ex in examples for a in ex.answers.values())
@@ -209,26 +218,23 @@ def compute_pos_weight(examples: list[TrainingExample]) -> float:
     return no / yes
 
 
-def train_heads(examples: list[TrainingExample], texts: dict[str, str], encoder: Encoder,
+def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
                 bank: QuestionBank, cfg: TrainingConfig) -> QuestionHeads:
     """Train all heads: one document per step, loss over its answered questions only.
 
-    Documents cycle through a fresh seeded permutation each epoch, embeddings
-    are computed once up front (the encoder stays frozen), and Adam state plus
-    bias-correction step counts are tracked per head so untouched heads stay
-    bit-identical. Deterministic for a fixed cfg.seed.
+    embeddings is (n, d), row i the frozen encoder vector of examples[i]'s
+    document. Documents cycle through a fresh seeded permutation each epoch,
+    and Adam state plus bias-correction step counts are tracked per head so
+    untouched heads stay bit-identical. Deterministic for a fixed cfg.seed.
     """
     if not examples:
         raise TrainingError("no training examples")
+    embeddings = _example_rows(embeddings, examples)
     for ex in examples:
         bad = [qid for qid in ex.answers if not 0 <= qid < bank.m]
         if bad:
             raise TrainingError(f"example {ex.document_id} answers unknown question {bad[0]}")
-        if ex.document_id not in texts:
-            raise TrainingError(f"no text for document {ex.document_id}")
 
-    doc_ids = [ex.document_id for ex in examples]
-    embeddings = encoder.encode([texts[d] for d in doc_ids])
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else compute_pos_weight(examples)
 
     heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, cfg.seed,
@@ -278,18 +284,27 @@ def binarize(probabilities: np.ndarray, tau: float) -> np.ndarray:
     return (np.asarray(probabilities) > tau).astype(np.uint8)
 
 
+def answer_probabilities(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
+    """(n, m) probability that each head answers yes, for (n, d) encoder vectors."""
+    if heads.m == 0:
+        raise TrainingError("heads are empty")
+    return sigmoid(forward_logits(heads, embeddings))
+
+
+def embed_vectors(embeddings: np.ndarray, heads: QuestionHeads, tau: float | None = None,
+                  row_ids: list[str] | None = None) -> BinaryMatrix:
+    """Binary embeddings of (n, d) encoder vectors, columns in bank id order."""
+    tau = heads.tau_default if tau is None else tau
+    return BinaryMatrix.from_dense(binarize(answer_probabilities(heads, embeddings), tau),
+                                   row_ids)
+
+
 def embed_documents(doc_texts: list[str], encoder: Encoder, heads: QuestionHeads,
                     tau: float | None = None,
                     row_ids: list[str] | None = None) -> BinaryMatrix:
-    """Binary embeddings for documents, one encoder pass, columns in bank id order."""
-    tau = heads.tau_default if tau is None else tau
-    if heads.m == 0:
-        raise TrainingError("heads are empty")
-    if not doc_texts:
-        return BinaryMatrix.from_dense(np.zeros((0, heads.m), dtype=np.uint8),
-                                       row_ids or [])
-    logits = forward_logits(heads, encoder.encode(doc_texts))
-    return BinaryMatrix.from_dense(binarize(sigmoid(logits), tau), row_ids)
+    """Binary embeddings for documents: one encoder pass, then embed_vectors."""
+    embeddings = encoder.encode(doc_texts) if doc_texts else np.zeros((0, heads.d))
+    return embed_vectors(embeddings, heads, tau, row_ids)
 
 
 @dataclass(frozen=True)
@@ -359,14 +374,15 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray) -> Classificat
                                 macro=macro, weighted=weighted, total=total)
 
 
-def evaluate_heldout(heads: QuestionHeads, encoder: Encoder,
-                     examples: list[TrainingExample], texts: dict[str, str],
-                     tau: float = 0.5) -> ClassificationReport:
-    """Held-out answer agreement: predicted bits vs LLM answers over all pairs."""
+def evaluate_heldout(heads: QuestionHeads, embeddings: np.ndarray,
+                     examples: list[TrainingExample], tau: float = 0.5) -> ClassificationReport:
+    """Held-out answer agreement: predicted bits vs LLM answers over all pairs.
+
+    embeddings is (n, d), row i the encoder vector of examples[i]'s document.
+    """
     if not examples:
         raise TrainingError("held-out set is empty")
-    embeddings = encoder.encode([texts[ex.document_id] for ex in examples])
-    bits = binarize(sigmoid(forward_logits(heads, embeddings)), tau)
+    bits = binarize(answer_probabilities(heads, _example_rows(embeddings, examples)), tau)
     pairs = np.asarray([(row, qid, answer) for row, ex in enumerate(examples)
                         for qid, answer in sorted(ex.answers.items())], dtype=np.int64)
     rows, qids, trues = pairs.T

@@ -93,10 +93,11 @@ def read(path: str | Path, convert: Callable | None = None) -> Iterator:
 
 
 class AppendStore:
-    """Append-only json-lines map: replayed on open, last write wins, one line
-    appended under a lock per write. A final line cut short by a kill is
-    dropped with a warning; one that lost only its newline is kept. Either way
-    the next append starts a line of its own. Any other bad line raises."""
+    """Append-only json-lines map: replayed on open, last write wins, each
+    write one locked append of one or more whole lines. A final line cut short
+    by a kill is dropped with a warning, so a kill mid-write keeps every
+    complete line before it; one that lost only its newline is kept. Either
+    way the next append starts a line of its own. Any other bad line raises."""
 
     def __init__(self, path: str | Path, convert: Callable[[dict], tuple]):
         self.path = Path(path)
@@ -119,8 +120,9 @@ class AppendStore:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def append(self, key, value, line: str) -> None:
+    def append(self, entries: dict, lines: str) -> None:
+        """Record entries, written as lines (one per entry, in order), in one append."""
         with self._lock:
-            self.entries[key] = value
+            self.entries.update(entries)
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+                fh.write(lines)

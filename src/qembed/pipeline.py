@@ -23,8 +23,9 @@ from .cost import comparison_rows, cost_rows_jsonl, render_cost_table
 from .evaluation import (clustering_evaluate, explain_pair, load_clustering_task,
                          load_retrieval_task, load_sts_task, mean_cognitive_load,
                          retrieval_evaluate, sts_evaluate)
-from .heads import (TrainingConfig, TrainingExample, embed_documents,
-                    evaluate_heldout, load_heads, save_heads, train_heads)
+from .heads import (TrainingConfig, TrainingError, TrainingExample, answer_probabilities,
+                    binarize, embed_documents, embed_vectors, evaluate_heldout,
+                    load_heads, save_heads, train_heads)
 from . import jsonl
 from .metrics import MetricError
 from .providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore, RemoteLLM, ScriptedLLM
@@ -252,6 +253,18 @@ def _pos_weight_setting(raw: str) -> float | None:
     return float(raw)
 
 
+def _example_embeddings(ctx: StageContext, corpus,
+                        *example_sets: list[TrainingExample]) -> list[np.ndarray]:
+    """The encode stage's vectors of each example set's documents, rows in example order."""
+    embeddings = _load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus))
+    row = {doc_id: i for i, doc_id in enumerate(corpus.ids())}
+    missing = [ex.document_id for examples in example_sets for ex in examples
+               if ex.document_id not in row]
+    if missing:
+        raise TrainingError(f"example document {missing[0]} is not in the corpus")
+    return [embeddings[[row[ex.document_id] for ex in examples]] for examples in example_sets]
+
+
 def _stage_train(ctx: StageContext) -> dict:
     corpus = load_corpus(ctx.ws.path("corpus"))
     bank = load_question_bank(ctx.ws.path("bank"))
@@ -262,13 +275,13 @@ def _stage_train(ctx: StageContext) -> dict:
                          pos_weight=_pos_weight_setting(tcfg.pos_weight),
                          hidden=tcfg.hidden, seed=stage_seed(ctx.seed, "train"),
                          tau=tcfg.tau)
-    texts = corpus.text_by_id()
-    heads = train_heads(train, texts, ctx.encoder, bank, cfg)
+    train_vectors, heldout_vectors = _example_embeddings(ctx, corpus, train, heldout)
+    heads = train_heads(train, train_vectors, bank, cfg=cfg)
     save_heads(heads, ctx.ws.path("heads"))
     payload = {"provenance": ctx.provenance(), "train_docs": len(train),
                "heldout_docs": len(heldout), "accuracy": None, "report": None}
     if heldout:
-        report = evaluate_heldout(heads, ctx.encoder, heldout, texts, tau=tcfg.tau)
+        report = evaluate_heldout(heads, heldout_vectors, heldout, tau=tcfg.tau)
         payload["accuracy"] = report.accuracy
         payload["report"] = report.as_dict()
     jsonl.write_json(ctx.ws.path("heldout_report"), payload)
@@ -279,8 +292,8 @@ def _stage_train(ctx: StageContext) -> dict:
 def _stage_embed(ctx: StageContext) -> dict:
     corpus = load_corpus(ctx.ws.path("corpus"))
     heads = load_heads(ctx.ws.path("heads"))
-    matrix = embed_documents(corpus.texts(), ctx.encoder, heads,
-                             tau=ctx.cfg.training.tau, row_ids=corpus.ids())
+    matrix = embed_vectors(_load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus)),
+                           heads, tau=ctx.cfg.training.tau, row_ids=corpus.ids())
     save_binary_matrix(matrix, ctx.ws.path("matrix"))
     dense = matrix.to_dense()
     meta = {"provenance": ctx.provenance(), "bank_fingerprint": heads.bank_fingerprint,
@@ -307,7 +320,8 @@ def _require_sts(ctx: StageContext):
 def _stage_eval_sts(ctx: StageContext) -> dict:
     task = _require_sts(ctx)
     heads = load_heads(ctx.ws.path("heads"))
-    rho, load, _ = _sts_numbers(ctx, task, heads, ctx.cfg.training.tau)
+    rho, load = _sts_numbers(task, _embed_texts(ctx, heads, task.texts(),
+                                                tau=ctx.cfg.training.tau))
     rho_x100 = None if rho is None else 100.0 * rho
     payload = {"provenance": ctx.provenance(), "pairs": len(task.pairs),
                "spearman": rho, "spearman_x100": rho_x100,
@@ -390,15 +404,12 @@ def _stage_explain(ctx: StageContext) -> dict:
     return {"pairs_explained": len(reports)}
 
 
-def _sts_numbers(ctx: StageContext, task, heads, tau: float | None,
-                 matrix: BinaryMatrix | None = None):
-    if matrix is None:
-        matrix = _embed_texts(ctx, heads, task.texts(), tau=tau)
+def _sts_numbers(task, matrix: BinaryMatrix):
     try:
         rho = sts_evaluate(task, matrix).spearman
     except MetricError:
         rho = None  # constant similarities (e.g. all-zero rows at extreme tau)
-    return rho, mean_cognitive_load(task, matrix), matrix
+    return rho, mean_cognitive_load(task, matrix)
 
 
 def _stage_ablate(ctx: StageContext) -> dict:
@@ -408,22 +419,28 @@ def _stage_ablate(ctx: StageContext) -> dict:
     dims = parse_int_list(ctx.cfg.eval.ablate_dims)
     if not taus and not dims:
         raise ConfigError("[eval] ablation sweep is empty: set ablate_taus or ablate_dims")
+    texts = task.texts()
+    probabilities = answer_probabilities(heads, ctx.encoder.encode(texts))
+    row_ids = [content_id(t) for t in texts]
+
+    def matrix_at(tau: float) -> BinaryMatrix:
+        return BinaryMatrix.from_dense(binarize(probabilities, tau), row_ids)
+
     rows = []
     for tau in taus:
         if not 0 < tau < 1:
             raise ConfigError(f"[eval] ablate_taus entries must be in (0, 1), got {tau}")
-        rho, load, _ = _sts_numbers(ctx, task, heads, tau)
+        rho, load = _sts_numbers(task, matrix_at(tau))
         rows.append({"parameter": "tau", "value": tau, "spearman": rho,
                      "mean_load": load.exact})
     if dims:
-        _, _, base = _sts_numbers(ctx, task, heads, ctx.cfg.training.tau)
+        base = matrix_at(ctx.cfg.training.tau)
         for m_prime in dims:
             if not 1 <= m_prime <= base.m:
                 logger.warning("skipping ablation width %d outside [1, %d]",
                                m_prime, base.m)
                 continue
-            rho, load, _ = _sts_numbers(ctx, task, heads, None,
-                                        matrix=base.truncate(m_prime))
+            rho, load = _sts_numbers(task, base.truncate(m_prime))
             rows.append({"parameter": "dims", "value": m_prime, "spearman": rho,
                          "mean_load": load.exact})
     jsonl.write(ctx.ws.path("ablation_report"), [{"provenance": ctx.provenance()}, *rows],
@@ -478,9 +495,10 @@ STAGES: dict[str, Stage] = {s.name: s for s in [
     Stage("select", ("probes",), ("bank",), _stage_select),
     Stage("collect", ("corpus", "split", "cluster_model", "bank"),
           ("answers", "train_examples", "heldout_examples"), _stage_collect),
-    Stage("train", ("corpus", "bank", "train_examples", "heldout_examples"),
+    Stage("train", ("corpus", "doc_embeddings", "bank", "train_examples", "heldout_examples"),
           ("heads", "heldout_report"), _stage_train),
-    Stage("embed", ("corpus", "heads"), ("matrix", "embed_meta"), _stage_embed),
+    Stage("embed", ("corpus", "doc_embeddings", "heads"), ("matrix", "embed_meta"),
+          _stage_embed),
     Stage("eval-sts", ("heads",), ("sts_report",), _stage_eval_sts),
     Stage("eval-retrieval", ("heads",), ("retrieval_report",), _stage_eval_retrieval),
     Stage("eval-clustering", ("heads",), ("clustering_report",), _stage_eval_clustering),

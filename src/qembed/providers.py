@@ -160,7 +160,7 @@ class PromptCacheStore(AppendStore):
         return self.entries.get(fingerprint)
 
     def put(self, fingerprint: str, response: str) -> None:
-        self.append(fingerprint, response, dumps(
+        self.append({fingerprint: response}, dumps(
             {"prompt_fingerprint": fingerprint, "response": response}, ensure_ascii=False))
 
 
@@ -208,9 +208,10 @@ class AnswerCache(AppendStore):
     def get(self, question_id: int, document_id: str) -> int | None:
         return self.entries.get((question_id, document_id))
 
-    def put(self, record: AnswerRecord) -> None:
-        self.append((record.question_id, record.document_id), record.answer,
-                    dumps(vars(record)))
+    def put(self, *records: AnswerRecord) -> None:
+        """Store the answers of one LLM call with one locked append."""
+        self.append({(r.question_id, r.document_id): r.answer for r in records},
+                    "".join(dumps(vars(r)) for r in records))
 
 
 class RemoteLLM:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +76,17 @@ class BankQuestion:
     embedding: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuestionBank:
-    questions: list[BankQuestion]
+    """An immutable bank: questions is stored as a tuple, so the fingerprint,
+    hashed on first use, cannot go stale."""
+    questions: tuple[BankQuestion, ...]
     theta: float
     t: int
     encoder_fingerprint: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "questions", tuple(self.questions))
 
     @property
     def m(self) -> int:
@@ -90,6 +96,10 @@ class QuestionBank:
         return [q.text for q in self.questions]
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         payload = json.dumps({
             "theta": self.theta, "t": self.t,
             "encoder": self.encoder_fingerprint,
@@ -140,8 +150,9 @@ def sample_contrastive(model: ClusterModel, c: int, n_p: int, n_h: int, n_e: int
     """Draw generation texts: positives from c, hard negatives from its nearest
     clusters, easy negatives from everywhere else. Pools are disjoint by construction.
 
-    A cluster smaller than n_p yields all its members with a warning; negative
-    pools that cannot fill their count are an error naming the pool.
+    A cluster smaller than n_p, or an easy pool smaller than n_e, yields all
+    its texts with a warning (k-means may leave few texts outside c and its
+    neighbours); a hard pool that cannot fill n_h is an error naming the pool.
     """
     members = model.members(c)
     if not members:
@@ -149,7 +160,7 @@ def sample_contrastive(model: ClusterModel, c: int, n_p: int, n_h: int, n_e: int
     positives = _draw(members, n_p, rng, f"cluster {c} positives", allow_short=True)
     hard_pool, easy_pool = _negative_pools(model, c, hard_from)
     hard = _draw(hard_pool, n_h, rng, "hard negative pool")
-    easy = _draw(easy_pool, n_e, rng, "easy negative pool")
+    easy = _draw(easy_pool, n_e, rng, "easy negative pool", allow_short=True)
     return ContrastiveSample(cluster_id=c, positives=positives,
                              hard_negatives=hard, easy_negatives=easy)
 

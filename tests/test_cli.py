@@ -191,6 +191,21 @@ def test_doc_embeddings_row_count_must_match_corpus(mini_ws, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_example_outside_the_corpus_is_dependency_error(mini_ws, tmp_path, capsys):
+    """train looks each example's vector up in doc_embeddings.npy by document id."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    path = copy / "train_examples.jsonl"
+    path.write_text(path.read_text().replace('"document_id": "', '"document_id": "gone-', 1))
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "train", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and "gone-" in err and "not in the corpus" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_invalid_utf8_plain_lines_corpus_is_config_error(tmp_path, capsys):
     cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
     (tmp_path / "docs.txt").write_bytes(b"a fine first line\nbad \xff\xfe bytes\n")

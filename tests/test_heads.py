@@ -193,13 +193,18 @@ def hyperplane_data(encoder, n_docs, m, seed, margin_quantile=0.0):
     return texts, examples
 
 
+def vectors(encoder, texts, examples):
+    """Encoder rows of the examples' documents, in example order."""
+    return encoder.encode([texts[ex.document_id] for ex in examples])
+
+
 class TestTraining:
     def test_same_seed_is_bit_identical(self):
         encoder = MockEncoder(dim=16, seed=0)
         texts, examples = hyperplane_data(encoder, n_docs=12, m=3, seed=0)
         cfg = TrainingConfig(learning_rate=1e-3, steps=50, hidden=4, seed=9)
-        a = train_heads(examples, texts, encoder, toy_bank(3), cfg)
-        b = train_heads(examples, texts, encoder, toy_bank(3), cfg)
+        a = train_heads(examples, vectors(encoder, texts, examples), toy_bank(3), cfg=cfg)
+        b = train_heads(examples, vectors(encoder, texts, examples), toy_bank(3), cfg=cfg)
         for name in ("W1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(a.parameter_arrays()[name],
                                           b.parameter_arrays()[name])
@@ -211,7 +216,8 @@ class TestTraining:
         examples = [TrainingExample("d0", {0: 1, 1: 0}),
                     TrainingExample("d1", {0: 0, 1: 1})]
         cfg = TrainingConfig(learning_rate=1e-3, steps=40, hidden=4, seed=2, pos_weight=1.0)
-        trained = train_heads(examples, texts, encoder, toy_bank(3), cfg)
+        trained = train_heads(examples, vectors(encoder, texts, examples), toy_bank(3),
+                              cfg=cfg)
         init = init_heads(3, 16, 4, seed=2, tau=cfg.tau,
                           bank_fingerprint=toy_bank(3).fingerprint())
         np.testing.assert_array_equal(trained.W1[2], init.W1[2])
@@ -224,7 +230,8 @@ class TestTraining:
         examples = [TrainingExample("only", {0: 1})]
         cfg = TrainingConfig(learning_rate=1e-2, steps=2000, hidden=4, seed=0,
                              pos_weight=1.0)
-        heads = train_heads(examples, texts, encoder, toy_bank(1, dim=12), cfg)
+        heads = train_heads(examples, vectors(encoder, texts, examples), toy_bank(1, dim=12),
+                            cfg=cfg)
         prob = sigmoid(np.array([head_forward(heads, encoder.encode(
             [texts["only"]])[0], 0)]))[0]
         assert abs(prob - 1.0) < 0.05
@@ -235,15 +242,24 @@ class TestTraining:
                                           margin_quantile=0.75)
         train, heldout = examples[:160], examples[160:]
         cfg = TrainingConfig(learning_rate=3e-3, steps=20_000, hidden=16, seed=1)
-        heads = train_heads(train, texts, encoder, toy_bank(4, dim=16), cfg)
-        report = evaluate_heldout(heads, encoder, heldout, texts, tau=0.5)
+        heads = train_heads(train, vectors(encoder, texts, train), toy_bank(4, dim=16),
+                            cfg=cfg)
+        report = evaluate_heldout(heads, vectors(encoder, texts, heldout), heldout, tau=0.5)
         assert report.accuracy >= 0.99
 
     def test_unknown_question_id_rejected(self):
         encoder = MockEncoder(dim=8, seed=0)
         with pytest.raises(TrainingError, match="unknown question"):
-            train_heads([TrainingExample("d", {7: 1})], {"d": "text"}, encoder,
-                        toy_bank(2), TrainingConfig(steps=1, hidden=2, pos_weight=1.0))
+            train_heads([TrainingExample("d", {7: 1})], encoder.encode(["text"]),
+                        toy_bank(2), cfg=TrainingConfig(steps=1, hidden=2, pos_weight=1.0))
+
+    def test_embedding_rows_must_match_examples(self):
+        examples = [TrainingExample("d", {0: 1})]
+        with pytest.raises(TrainingError, match="one row per example"):
+            train_heads(examples, np.zeros((2, 8)), toy_bank(1),
+                        cfg=TrainingConfig(steps=1, hidden=2, pos_weight=1.0))
+        with pytest.raises(TrainingError, match="one row per example"):
+            evaluate_heldout(init_heads(1, 8, 2, seed=0), np.zeros(8), examples)
 
     def test_empty_answers_rejected_at_construction(self):
         with pytest.raises(TrainingError):
@@ -255,7 +271,8 @@ class TestEmbedDocuments:
         encoder = MockEncoder(dim=16, seed=0)
         texts, examples = hyperplane_data(encoder, n_docs=20, m=5, seed=5)
         cfg = TrainingConfig(learning_rate=1e-3, steps=200, hidden=4, seed=0)
-        return encoder, texts, train_heads(examples, texts, encoder, toy_bank(5), cfg)
+        return encoder, texts, train_heads(examples, vectors(encoder, texts, examples),
+                                           toy_bank(5), cfg=cfg)
 
     def test_zero_documents(self):
         encoder, _, heads = self.trained()
@@ -287,7 +304,7 @@ class TestEmbedDocuments:
             examples = [TrainingExample(doc_id, {q: bits[i, q] ^ flip
                                                  for q in range(i % heads.m, heads.m)})
                         for i, doc_id in enumerate(ids)]
-            report = evaluate_heldout(heads, encoder, examples, dict(zip(ids, docs)), tau=0.5)
+            report = evaluate_heldout(heads, encoder.encode(docs), examples, tau=0.5)
             assert report.accuracy == accuracy
             assert report.total == sum(len(ex.answers) for ex in examples)
 

@@ -1,14 +1,27 @@
 """Stage orchestration: ordering, skip logic, fingerprints, determinism."""
 
+import dataclasses
+import itertools
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qembed import jsonl
+from qembed.binary import save_binary_matrix
 from qembed.config import ConfigError, config_hash, load_config, with_seed
+from qembed.corpus import content_id, load_corpus
+from qembed.evaluation import load_sts_task, mean_cognitive_load, sts_evaluate
+from qembed.heads import (TrainingConfig, TrainingExample, embed_documents, load_heads,
+                          save_heads, train_heads)
+from qembed.metrics import MetricError
 from qembed.pipeline import (STAGE_ORDER, STAGES, run_all, run_stage,
                              stage_seed, write_demo_workspace)
+from qembed.providers import AnswerCache, MockEncoder
+from qembed.question_gen import load_question_bank
 from qembed.workspace import (ARTIFACTS, DependencyError, FingerprintError,
                               Workspace)
 
@@ -155,6 +168,161 @@ def test_run_log_appended(mini):
     entries = [json.loads(line)
                for line in (ws.root / "run_log.jsonl").read_text().splitlines()]
     assert sum(1 for e in entries if e.get("status") == "ran") == len(STAGE_ORDER)
+
+
+# -- each corpus text encoded once -------------------------------------------
+
+def _fresh_encoder(cfg):
+    return MockEncoder(dim=cfg.encoder.dim, seed=cfg.encoder.seed)
+
+
+def _examples(path):
+    return list(jsonl.read(path, lambda rec: TrainingExample(
+        rec["document_id"], {int(q): a for q, a in rec["answers"].items()})))
+
+
+def test_embed_stage_matches_a_fresh_encode(mini, tmp_path):
+    """embeddings.bin, built from doc_embeddings.npy, equals embedding the
+    corpus texts with a fresh encoder."""
+    _, cfg, ws, _ = mini
+    corpus = load_corpus(ws.path("corpus"))
+    matrix = embed_documents(corpus.texts(), _fresh_encoder(cfg), load_heads(ws.path("heads")),
+                             tau=cfg.training.tau, row_ids=corpus.ids())
+    save_binary_matrix(matrix, tmp_path / "fresh.bin")
+    assert (tmp_path / "fresh.bin").read_bytes() == ws.path("matrix").read_bytes()
+
+
+def test_training_on_stored_rows_matches_a_fresh_encode(mini, tmp_path):
+    _, cfg, ws, _ = mini
+    corpus = load_corpus(ws.path("corpus"))
+    texts = corpus.text_by_id()
+    train = _examples(ws.path("train_examples"))
+    row = {doc_id: i for i, doc_id in enumerate(corpus.ids())}
+    stored = np.load(ws.path("doc_embeddings"))[[row[ex.document_id] for ex in train]]
+    fresh = _fresh_encoder(cfg).encode([texts[ex.document_id] for ex in train])
+    assert cfg.training.pos_weight == "auto"
+    tcfg = TrainingConfig(learning_rate=cfg.training.learning_rate, steps=cfg.training.steps,
+                          hidden=cfg.training.hidden, seed=stage_seed(cfg.pipeline.seed, "train"),
+                          tau=cfg.training.tau)
+    bank = load_question_bank(ws.path("bank"))
+    from_stored = train_heads(train, stored, bank, cfg=tcfg)
+    assert from_stored.params.tobytes() == train_heads(train, fresh, bank, cfg=tcfg).params.tobytes()
+    save_heads(from_stored, tmp_path / "heads.bin")
+    assert (tmp_path / "heads.bin").read_bytes() == ws.path("heads").read_bytes()
+
+
+def test_ablate_rows_match_re_embedding_at_each_tau(mini):
+    cfg_path, cfg, ws, _ = mini
+    task = load_sts_task(cfg_path.parent / cfg.eval.sts)
+    heads = load_heads(ws.path("heads"))
+    texts = task.texts()
+
+    def embed(tau):
+        return embed_documents(texts, _fresh_encoder(cfg), heads, tau=tau,
+                               row_ids=[content_id(t) for t in texts])
+
+    def numbers(matrix):
+        try:
+            rho = sts_evaluate(task, matrix).spearman
+        except MetricError:
+            rho = None
+        return rho, mean_cognitive_load(task, matrix).exact
+
+    rows = [json.loads(line)
+            for line in ws.path("ablation_report").read_text().splitlines()[1:]]
+    assert {r["parameter"] for r in rows} == {"tau", "dims"}
+    base = embed(cfg.training.tau)
+    for r in rows:
+        matrix = embed(r["value"]) if r["parameter"] == "tau" else base.truncate(r["value"])
+        assert (r["spearman"], r["mean_load"]) == numbers(matrix), r
+
+
+def test_no_corpus_text_is_encoded_after_the_encode_stage(tmp_path, monkeypatch):
+    """Only the encode stage encodes the corpus; train and embed reuse its rows,
+    and ablate encodes the STS texts once for all its settings."""
+    calls = []  # (stage, texts)
+    running = []
+    encode = MockEncoder.encode
+
+    def counted(self, texts):
+        calls.append((running[-1], list(texts)))
+        return encode(self, texts)
+
+    monkeypatch.setattr(MockEncoder, "encode", counted)
+    for name, stage in STAGES.items():
+        def func(ctx, name=name, inner=stage.func):
+            running.append(name)
+            return inner(ctx)
+        monkeypatch.setitem(STAGES, name, dataclasses.replace(stage, func=func))
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **{**MINI, "steps": 100})
+    cfg = load_config(cfg_path)
+    run_all(cfg, Workspace(tmp_path), config_dir=cfg_path.parent)
+
+    corpus_texts = load_corpus(Workspace(tmp_path).path("corpus")).texts()
+    sts_texts = load_sts_task(cfg_path.parent / cfg.eval.sts).texts()
+    by_stage = Counter(stage for stage, _ in calls)
+    assert [texts for stage, texts in calls if stage == "encode"] == [corpus_texts]
+    assert [texts for stage, texts in calls if stage == "ablate"] == [sts_texts]
+    # the rest encode question texts (select) or their task file's texts
+    assert set(by_stage) == {"encode", "select", "eval-sts", "eval-retrieval",
+                             "eval-clustering", "explain", "ablate"}
+    assert not {t for stage, texts in calls if stage == "select" for t in texts} \
+        & set(corpus_texts)
+
+
+@pytest.fixture(scope="module")
+def collected(tmp_path_factory):
+    """A small workspace run through collect, three questions per answer prompt."""
+    root = tmp_path_factory.mktemp("collected")
+    cfg_path = write_demo_workspace(root, seed=0, **{**MINI, "n_per_topic": 8})
+    cfg_path.write_text(cfg_path.read_text().replace("[collection]\n",
+                                                     "[collection]\ngroup = 3\n"))
+    cfg = load_config(cfg_path)
+    assert cfg.collection.group == 3
+    ws = Workspace(root)
+    for name in STAGE_ORDER[:STAGE_ORDER.index("collect") + 1]:
+        run_stage(name, cfg, ws, config_dir=cfg_path.parent)
+    return cfg_path, cfg, ws
+
+
+def test_resume_after_a_kill_inside_a_batched_append(collected, tmp_path):
+    """Each LLM call's answers are one append. answers.jsonl cut at every byte
+    of its last multi-record batch resumes to the uninterrupted examples and cache."""
+    cfg_path, cfg, ws = collected
+    blob = ws.path("answers").read_bytes()
+    lines = blob.splitlines(keepends=True)
+    starts = [0, *itertools.accumulate(map(len, lines))]
+    call = [json.loads(line)["prompt_fingerprint"] for line in lines]
+    last = max(i for i in range(1, len(lines)) if call[i] == call[i - 1])
+    first = last
+    while call[first - 1] == call[last]:
+        first -= 1
+    assert last - first + 1 == 3
+    expected = {name: ws.path(name).read_bytes()
+                for name in ("train_examples", "heldout_examples")}
+    cache = AnswerCache(ws.path("answers")).entries
+    copy = Workspace(shutil.copytree(ws.root, tmp_path / "ws"))
+    for cut in range(starts[first], starts[last + 1]):
+        copy.path("answers").write_bytes(blob[:cut])
+        copy.clear_stage("collect")
+        run_stage("collect", cfg, copy, config_dir=cfg_path.parent)
+        for name, want in expected.items():
+            assert copy.path(name).read_bytes() == want, (name, cut)
+        assert AnswerCache(copy.path("answers")).entries == cache, cut
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_demo_generator_seeds_pass_through_select(tmp_path, seed):
+    """k-means can split the four topics unevenly (seeds 4 and 40 leave the
+    easy-negative pool short); every seed still reaches a bank."""
+    cfg_path = write_demo_workspace(tmp_path, seed=seed)
+    cfg = load_config(cfg_path)
+    ws = Workspace(tmp_path)
+    for name in STAGE_ORDER[:STAGE_ORDER.index("select") + 1]:
+        result = run_stage(name, cfg, ws, config_dir=cfg_path.parent)
+    assert result.summary["bank_size"] > 0
+    if seed == 0:
+        assert result.summary["bank_fingerprint"] == "5c27954e0b7d205a"
 
 
 # -- skip and re-run logic ---------------------------------------------------

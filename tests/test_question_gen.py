@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from qembed import question_gen
 from qembed.cluster import ClusterModel
 from qembed.prompts import CandidateQuestion
 from qembed.providers import MockEncoder
@@ -122,10 +124,17 @@ class TestSampleContrastive:
                            positions=[0.0, 1.0, 1.05, 1.1, 5.0, 5.1])
         with pytest.raises(SamplingError, match="hard negative pool"):
             sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(3))
-        model2 = make_model(sizes=[8, 7, 7, 7, 2, 2],
-                            positions=[0.0, 1.0, 1.05, 1.1, 5.0, 5.1])
-        with pytest.raises(SamplingError, match="easy negative pool"):
-            sample_contrastive(model2, 0, n_p=6, n_h=18, n_e=18, rng=rng(3))
+
+    def test_short_easy_pool_takes_all_with_warning(self, caplog):
+        """k-means can leave fewer texts outside c and its neighbours than n_e."""
+        model = make_model(sizes=[8, 7, 7, 7, 2, 2],
+                           positions=[0.0, 1.0, 1.05, 1.1, 5.0, 5.1])
+        with caplog.at_level("WARNING"):
+            sample = sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(3))
+        assert sorted(sample.easy_negatives) == ["c4d0", "c4d1", "c5d0", "c5d1"]
+        assert len(sample.hard_negatives) == 18
+        assert any("easy negative pool has only 4 texts, need 18" in r.message
+                   for r in caplog.records)
 
     def test_fixed_seed_reproduces_sample(self):
         model = self.default_model()
@@ -404,3 +413,18 @@ def test_bank_save_load_roundtrip(tmp_path):
     header = json.loads(path.read_text().splitlines()[0])
     assert header == {"theta": 0.8, "t": 4, "m": bank.m,
                       "encoder_fingerprint": "mock-encoder:dim=16:seed=0"}
+
+
+def test_bank_is_immutable_and_fingerprinted_once(monkeypatch):
+    questions = [BankQuestion(id=i, text=f"Is it {i}?", origin_cluster=0, quality=0.5,
+                              embedding=np.zeros(2)) for i in range(3)]
+    bank = QuestionBank(questions=questions, theta=0.8, t=4, encoder_fingerprint="enc")
+    questions.append(questions[0])  # the caller's list is not the bank's
+    assert bank.questions == tuple(questions[:3])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bank.theta = 0.9
+    other = dataclasses.replace(bank, theta=0.9)
+    assert other.fingerprint() != bank.fingerprint()
+    fingerprint = bank.fingerprint()
+    monkeypatch.setattr(question_gen, "hashlib", None)  # any rehash would now fail
+    assert bank.fingerprint() == fingerprint
