@@ -14,6 +14,7 @@ and load all work on that matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,9 +90,6 @@ class QuestionHeads:
     def m(self) -> int:
         return int(self.params.shape[0])
 
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {"W1": self.W1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
 
 def init_heads(m: int, d: int, h: int, seed: int, tau: float = 0.5,
                bank_fingerprint: str = "") -> QuestionHeads:
@@ -110,26 +108,15 @@ def init_heads(m: int, d: int, h: int, seed: int, tau: float = 0.5,
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)), formed from e = exp(-|x|) so neither branch overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
-
-
-def head_forward(heads: QuestionHeads, e: np.ndarray, i: int) -> float:
-    """Logit of head i: w2 . relu(W1 e + b1) + b2."""
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (heads.d,):
-        raise TrainingError(f"embedding shape {e.shape} does not match d={heads.d}")
-    hidden = np.maximum(heads.W1[i] @ e + heads.b1[i], 0.0)
-    return float(heads.w2[i] @ hidden + heads.b2[i])
 
 
 def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
@@ -152,51 +139,29 @@ def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
     return out if e.ndim > 1 else out[0]
 
 
-def document_loss(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
-                  labels: np.ndarray, pos_weight: float) -> float:
-    """Weighted BCE averaged over the document's answered questions."""
-    z = forward_logits(heads, e, question_ids)
-    y = np.asarray(labels, dtype=np.float64)
-    terms = pos_weight * y * _softplus(-z) + (1.0 - y) * _softplus(z)
-    return float(terms.mean())
+def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, pos_y: np.ndarray,
+                   neg_y: np.ndarray, grad: np.ndarray) -> float:
+    """Loss of the gathered parameter rows block (q, P); writes its gradient into grad.
 
-
-def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, labels: np.ndarray,
-                   pos_weight: float) -> tuple[float, np.ndarray]:
-    """Loss plus its (q, P) gradient for the gathered parameter rows block (q, P)."""
-    e = np.asarray(e, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    pos_y is pos_weight * labels and neg_y is 1 - labels; grad is (q, P) like block.
+    """
     W1, b1, w2, b2 = _split(block, h, d)
-
     a1 = W1 @ e + b1           # (q, h), one gemv per head
     hidden = np.maximum(a1, 0.0)
     z = np.einsum("qh,qh->q", w2, hidden) + b2
-    q = len(block)
 
-    terms = pos_weight * y * _softplus(-z) + (1.0 - y) * _softplus(z)
-    loss = float(terms.mean())
+    loss = float((pos_y * _softplus(-z) + neg_y * _softplus(z)).mean())
 
     sig = sigmoid(z)
-    dz = (pos_weight * y * (sig - 1.0) + (1.0 - y) * sig) / q  # (q,)
-    grad = np.empty_like(block)
+    dz = (pos_y * (sig - 1.0) + neg_y * sig) / len(block)  # (q,)
     d_W1, d_b1, d_w2, d_b2 = _split(grad, h, d)
-    d_b1[:] = dz[:, None] * w2 * (a1 > 0.0)
-    np.multiply(d_b1[:, :, None], e, out=d_W1)
+    # d_b1 is formed outside grad: an operand inside out='s buffer makes numpy copy it
+    d_a1 = dz[:, None] * w2 * (a1 > 0.0)
+    np.multiply(d_a1[:, :, None], e, out=d_W1)
+    d_b1[:] = d_a1
     np.multiply(dz[:, None], hidden, out=d_w2)
     d_b2[:] = dz
-    return loss, grad
-
-
-def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
-                            labels: np.ndarray, pos_weight: float):
-    """Loss plus analytic gradients for the touched heads only.
-
-    Returns (loss, grads) with grads = {W1: (q,h,d), b1: (q,h), w2: (q,h), b2: (q,)}
-    indexed parallel to question_ids: views into one (q, P) gradient block.
-    """
-    loss, grad = _loss_and_grad(heads.params[question_ids], heads.h, heads.d, e, labels,
-                                pos_weight)
-    return loss, dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
+    return loss
 
 
 def _example_rows(embeddings: np.ndarray, examples: list[TrainingExample]) -> np.ndarray:
@@ -243,10 +208,22 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     head_steps = np.zeros(heads.m, dtype=np.int64)  # per-head counts drive bias correction
+    # 1 - beta**t for every count t a head can reach, by the same power as per step
+    counts = np.arange(cfg.steps + 1, dtype=np.float64)
+    bias1 = 1.0 - ADAM_BETA1 ** counts
+    bias2 = 1.0 - ADAM_BETA2 ** counts
 
-    qids_per_doc = [np.asarray(sorted(ex.answers), dtype=np.int64) for ex in examples]
-    labels_per_doc = [np.asarray([ex.answers[q] for q in sorted(ex.answers)],
-                                 dtype=np.float64) for ex in examples]
+    qids_per_doc, pos_y_per_doc, neg_y_per_doc = [], [], []
+    for ex in examples:
+        qids = sorted(ex.answers)
+        y = np.asarray([ex.answers[q] for q in qids], dtype=np.float64)
+        qids_per_doc.append(np.asarray(qids, dtype=np.int64))
+        pos_y_per_doc.append(pos_weight * y)
+        neg_y_per_doc.append(1.0 - y)
+    # (q_max, P) buffers for block, grad, m, v and a temporary, sliced to [:q]
+    # per step; the gathers take mode="clip" because mode="raise" buffers out=
+    # (qids are checked above)
+    buffers = np.empty((5, max(len(qids) for qids in qids_per_doc), params.shape[1]))
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = len(examples)
@@ -258,22 +235,37 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
             order = rng.permutation(n)
         doc = int(order[pos])
         qids = qids_per_doc[doc]
-        block = params[qids]
-        loss, grad = _loss_and_grad(block, heads.h, heads.d, embeddings[doc],
-                                    labels_per_doc[doc], pos_weight)
-        if not np.isfinite(loss):
+        block, grad, m, v, tmp = buffers[:, :len(qids)]
+        params.take(qids, axis=0, out=block, mode="clip")
+        loss = _loss_and_grad(block, heads.h, heads.d, embeddings[doc],
+                              pos_y_per_doc[doc], neg_y_per_doc[doc], grad)
+        if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss at step {step}, "
                                 f"question ids {qids.tolist()}")
 
         head_steps[qids] += 1
-        t = head_steps[qids].astype(np.float64)[:, None]
-        m = ADAM_BETA1 * adam_m[qids] + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * adam_v[qids] + (1.0 - ADAM_BETA2) * grad * grad
+        t = head_steps[qids]
+        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in that operand order
+        adam_m.take(qids, axis=0, out=m, mode="clip")
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
+        m += tmp
+        adam_v.take(qids, axis=0, out=v, mode="clip")
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
         adam_m[qids] = m
         adam_v[qids] = v
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        params[qids] = block - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        # block -= lr * m_hat / (sqrt(v_hat) + eps)
+        m /= bias1[t][:, None]
+        m *= lr
+        v /= bias2[t][:, None]
+        np.sqrt(v, out=v)
+        v += ADAM_EPS
+        m /= v
+        block -= m
+        params[qids] = block
     return heads
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -214,13 +215,23 @@ class AnswerCache(AppendStore):
                     "".join(dumps(vars(r)) for r in records))
 
 
+def _delta_seconds(value: str | None) -> float | None:
+    """A Retry-After header as seconds to wait; None unless a non-negative number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):  # absent, or an HTTP date
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
+
+
 class RemoteLLM:
     """Minimal JSON-over-HTTP completion client.
 
     POSTs {"model", "prompt"} and expects {"completion": "..."} back. Retries
-    429 and 5xx responses with exponential backoff, fails fast on auth errors,
-    and bounds concurrent requests with a semaphore. The API key comes from
-    the QEMBED_API_KEY environment variable.
+    429 and 5xx responses with exponential backoff, or after the seconds a
+    429 or 503 names in Retry-After, fails fast on auth errors, and bounds
+    concurrent requests with a semaphore. The API key comes from the
+    QEMBED_API_KEY environment variable.
     """
 
     def __init__(self, endpoint: str, model: str, max_parallel: int = 4,
@@ -247,10 +258,13 @@ class RemoteLLM:
             headers={"Content-Type": "application/json",
                      "Authorization": f"Bearer {self._key}"})
         last_error: Exception | None = None
+        retry_after: float | None = None  # the server's requested wait before the next try
         with self._semaphore:
             for attempt in range(self.max_retries + 1):
                 if attempt:
-                    self._sleep(self.backoff_base * 2 ** (attempt - 1))
+                    self._sleep(self.backoff_base * 2 ** (attempt - 1)
+                                if retry_after is None else retry_after)
+                retry_after = None
                 try:
                     with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                         payload = json.loads(resp.read().decode("utf-8"))
@@ -260,6 +274,8 @@ class RemoteLLM:
                         raise ProviderError(f"authentication rejected ({exc.code})") from exc
                     if exc.code == 429 or exc.code >= 500:
                         last_error = exc
+                        if exc.code in (429, 503):
+                            retry_after = _delta_seconds(exc.headers.get("Retry-After"))
                         logger.warning("remote LLM returned %d, retrying", exc.code)
                         continue
                     raise ProviderError(f"remote LLM error {exc.code}") from exc

@@ -1,8 +1,19 @@
-"""Per-vector reference formulas that the packed scoring kernels are checked against."""
+"""Reference formulas that the batched and packed kernels are checked against.
+
+The per-vector cosine and cognitive load check the packed scoring kernels. The
+per-head forward, the per-document loss and the allocating training loop below
+check the heads module: reference_train_heads is the training loop as it was
+before the in-place Adam step, kept verbatim so trained parameters can be
+compared bit for bit.
+"""
 
 import numpy as np
 
+from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, QuestionHeads, TrainingConfig,
+                          TrainingError, TrainingExample, _example_rows, _loss_and_grad,
+                          _softplus, _split, compute_pos_weight, forward_logits, init_heads)
 from qembed.metrics import MetricError
+from qembed.question_gen import QuestionBank
 
 
 def cosine_similarity(u, v) -> float:
@@ -27,3 +38,131 @@ def cognitive_load(u, v) -> int:
     if u.size and (not np.isin(u, (0, 1)).all() or not np.isin(v, (0, 1)).all()):
         raise MetricError("cognitive load is defined on 0/1 vectors")
     return int(np.bitwise_and(u.astype(np.uint8), v.astype(np.uint8)).sum())
+
+
+def parameter_arrays(heads: QuestionHeads) -> dict[str, np.ndarray]:
+    """The W1, b1, w2 and b2 views into heads.params, by name."""
+    return {"W1": heads.W1, "b1": heads.b1, "w2": heads.w2, "b2": heads.b2}
+
+
+def head_forward(heads: QuestionHeads, e: np.ndarray, i: int) -> float:
+    """Logit of head i: w2 . relu(W1 e + b1) + b2."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.shape != (heads.d,):
+        raise TrainingError(f"embedding shape {e.shape} does not match d={heads.d}")
+    hidden = np.maximum(heads.W1[i] @ e + heads.b1[i], 0.0)
+    return float(heads.w2[i] @ hidden + heads.b2[i])
+
+
+def document_loss(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
+                  labels: np.ndarray, pos_weight: float) -> float:
+    """Weighted BCE averaged over the document's answered questions."""
+    z = forward_logits(heads, e, question_ids)
+    y = np.asarray(labels, dtype=np.float64)
+    terms = pos_weight * y * _softplus(-z) + (1.0 - y) * _softplus(z)
+    return float(terms.mean())
+
+
+def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
+                            labels: np.ndarray, pos_weight: float):
+    """Loss plus the training kernel's gradients for the touched heads only.
+
+    Returns (loss, grads) with grads = {W1: (q,h,d), b1: (q,h), w2: (q,h), b2: (q,)}
+    indexed parallel to question_ids: views into one (q, P) gradient block.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    block = heads.params[question_ids]
+    grad = np.empty_like(block)
+    loss = _loss_and_grad(block, heads.h, heads.d, np.asarray(e, dtype=np.float64),
+                          pos_weight * y, 1.0 - y, grad)
+    return loss, dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function by a boolean mask: 1/(1+exp(-x)) at x >= 0, exp(x)/(1+exp(x)) below."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray,
+                             labels: np.ndarray, pos_weight: float) -> tuple[float, np.ndarray]:
+    """Loss plus its (q, P) gradient for the gathered parameter rows block (q, P)."""
+    e = np.asarray(e, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    W1, b1, w2, b2 = _split(block, h, d)
+
+    a1 = W1 @ e + b1           # (q, h), one gemv per head
+    hidden = np.maximum(a1, 0.0)
+    z = np.einsum("qh,qh->q", w2, hidden) + b2
+    q = len(block)
+
+    terms = pos_weight * y * _softplus(-z) + (1.0 - y) * _softplus(z)
+    loss = float(terms.mean())
+
+    sig = masked_sigmoid(z)
+    dz = (pos_weight * y * (sig - 1.0) + (1.0 - y) * sig) / q  # (q,)
+    grad = np.empty_like(block)
+    d_W1, d_b1, d_w2, d_b2 = _split(grad, h, d)
+    d_b1[:] = dz[:, None] * w2 * (a1 > 0.0)
+    np.multiply(d_b1[:, :, None], e, out=d_W1)
+    np.multiply(dz[:, None], hidden, out=d_w2)
+    d_b2[:] = dz
+    return loss, grad
+
+
+def reference_train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
+                          bank: QuestionBank, cfg: TrainingConfig) -> QuestionHeads:
+    """train_heads with a freshly allocated gradient and Adam update on every step."""
+    if not examples:
+        raise TrainingError("no training examples")
+    embeddings = _example_rows(embeddings, examples)
+    for ex in examples:
+        bad = [qid for qid in ex.answers if not 0 <= qid < bank.m]
+        if bad:
+            raise TrainingError(f"example {ex.document_id} answers unknown question {bad[0]}")
+
+    pos_weight = cfg.pos_weight if cfg.pos_weight is not None else compute_pos_weight(examples)
+
+    heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, cfg.seed,
+                       tau=cfg.tau, bank_fingerprint=bank.fingerprint())
+    params = heads.params
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    head_steps = np.zeros(heads.m, dtype=np.int64)  # per-head counts drive bias correction
+
+    qids_per_doc = [np.asarray(sorted(ex.answers), dtype=np.int64) for ex in examples]
+    labels_per_doc = [np.asarray([ex.answers[q] for q in sorted(ex.answers)],
+                                 dtype=np.float64) for ex in examples]
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n = len(examples)
+    order = rng.permutation(n)
+    lr = cfg.learning_rate
+    for step in range(cfg.steps):
+        pos = step % n
+        if pos == 0 and step > 0:
+            order = rng.permutation(n)
+        doc = int(order[pos])
+        qids = qids_per_doc[doc]
+        block = params[qids]
+        loss, grad = _reference_loss_and_grad(block, heads.h, heads.d, embeddings[doc],
+                                              labels_per_doc[doc], pos_weight)
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at step {step}, "
+                                f"question ids {qids.tolist()}")
+
+        head_steps[qids] += 1
+        t = head_steps[qids].astype(np.float64)[:, None]
+        m = ADAM_BETA1 * adam_m[qids] + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * adam_v[qids] + (1.0 - ADAM_BETA2) * grad * grad
+        adam_m[qids] = m
+        adam_v[qids] = v
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        params[qids] = block - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return heads

@@ -11,15 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle import cognitive_load, cosine_similarity
+from oracle import (cognitive_load, cosine_similarity, document_loss,
+                    document_loss_and_grads)
 from qembed.binary import BinaryMatrix, packed_cognitive_load
 from qembed.config import load_config
 from qembed.corpus import content_id
 from qembed.cost import (CostParams, llm_prompt_count, llm_qa_cost, mbqa_cost,
                          training_pair_count)
 from qembed.evaluation import load_sts_task, mean_cognitive_load
-from qembed.heads import (TrainingExample, compute_pos_weight, document_loss,
-                          document_loss_and_grads, embed_documents, init_heads,
+from qembed.heads import (TrainingExample, compute_pos_weight, embed_documents, init_heads,
                           load_heads)
 from qembed.metrics import ndcg_at_k, spearman, v_measure
 from qembed.pipeline import run_all, write_demo_workspace

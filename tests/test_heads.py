@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from oracle import (document_loss, document_loss_and_grads, head_forward, masked_sigmoid,
+                    parameter_arrays, reference_train_heads)
 from qembed.heads import (
     FORWARD_CHUNK,
     ClassificationReport,
@@ -12,12 +14,9 @@ from qembed.heads import (
     binarize,
     classification_report,
     compute_pos_weight,
-    document_loss,
-    document_loss_and_grads,
     embed_documents,
     evaluate_heldout,
     forward_logits,
-    head_forward,
     init_heads,
     load_heads,
     save_heads,
@@ -37,7 +36,7 @@ def toy_bank(m, dim=8):
 class TestForward:
     def test_all_zero_parameters_give_zero_logit(self):
         heads = init_heads(m=2, d=4, h=3, seed=0)
-        for arr in heads.parameter_arrays().values():
+        for arr in parameter_arrays(heads).values():
             arr[:] = 0.0
         assert head_forward(heads, np.ones(4), 0) == 0.0
 
@@ -71,9 +70,24 @@ class TestForward:
             head_forward(heads, np.ones(5), 0)
 
 
+class TestSigmoid:
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0,
+                  1e-320, -1e-320]),
+        50.0 * np.random.default_rng(0).standard_normal(10_000),
+        np.array(-3.25),
+    ], ids=["edges", "normals", "0-d"])
+    def test_matches_masked_formula_bit_for_bit(self, x):
+        new, old = sigmoid(x), masked_sigmoid(x)
+        assert new.shape == old.shape
+        nan = np.isnan(old)
+        np.testing.assert_array_equal(np.isnan(new), nan)  # NaN stays NaN; its sign is moot
+        assert (new[~nan].view(np.int64) == old[~nan].view(np.int64)).all()
+
+
 def finite_difference_grads(heads, e, qids, labels, pw, delta=1e-6):
     grads = {}
-    for name, arr in heads.parameter_arrays().items():
+    for name, arr in parameter_arrays(heads).items():
         sub = arr[qids]
         grad = np.zeros_like(sub)
         it = np.nditer(sub, flags=["multi_index"])
@@ -206,8 +220,8 @@ class TestTraining:
         a = train_heads(examples, vectors(encoder, texts, examples), toy_bank(3), cfg=cfg)
         b = train_heads(examples, vectors(encoder, texts, examples), toy_bank(3), cfg=cfg)
         for name in ("W1", "b1", "w2", "b2"):
-            np.testing.assert_array_equal(a.parameter_arrays()[name],
-                                          b.parameter_arrays()[name])
+            np.testing.assert_array_equal(parameter_arrays(a)[name],
+                                          parameter_arrays(b)[name])
 
     def test_untouched_heads_keep_init_parameters(self):
         encoder = MockEncoder(dim=16, seed=0)
@@ -264,6 +278,58 @@ class TestTraining:
     def test_empty_answers_rejected_at_construction(self):
         with pytest.raises(TrainingError):
             TrainingExample("d", {})
+
+
+def random_training_set(seed, m, d, n_docs, q_range, used_heads=None):
+    """n_docs examples answering between q_range[0] and q_range[1] questions each,
+    drawn from used_heads (default all m), with (n_docs, d) normal embeddings."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pool = np.arange(m if used_heads is None else used_heads)
+    examples = []
+    for i in range(n_docs):
+        q = int(rng.integers(q_range[0], q_range[1] + 1))
+        qids = rng.choice(pool, size=q, replace=False)
+        examples.append(TrainingExample(f"doc{i}", {int(qid): int(rng.random() < 0.3)
+                                                    for qid in qids}))
+    # both classes present, so compute_pos_weight has a weight to give
+    examples[0] = TrainingExample("doc0", {int(pool[0]): 1, int(pool[-1]): 0})
+    return examples, rng.standard_normal((n_docs, d))
+
+
+class TestTrainingMatchesReference:
+    """train_heads keeps every bit of the allocating reference loop in tests/oracle.py."""
+
+    @pytest.mark.parametrize("m,h,d,n_docs,q_range,used,pos_weight,steps", [
+        (16, 16, 64, 180, (4, 13), None, None, 400),   # demo shape
+        (12, 6, 16, 30, (1, 12), None, None, 300),     # uneven answers, q=1 included
+        (10, 5, 8, 20, (1, 4), 6, None, 200),          # heads 6-9 never answered
+        (8, 4, 8, 25, (2, 6), None, 3.7, 200),         # explicit pos_weight
+        (9, 4, 8, 7, (1, 9), None, None, 52),          # steps not a multiple of n
+        (64, 8, 32, 40, (5, 20), None, None, 300),     # m=64, h=8, d=32
+    ], ids=["demo", "uneven", "untouched", "pos-weight", "partial-epoch", "m64"])
+    def test_params_bit_identical(self, m, h, d, n_docs, q_range, used, pos_weight, steps):
+        examples, embeddings = random_training_set(0, m, d, n_docs, q_range, used)
+        if q_range[0] == 1:
+            assert min(len(ex.answers) for ex in examples) == 1
+        cfg = TrainingConfig(learning_rate=3e-3, steps=steps, hidden=h, seed=5,
+                             pos_weight=pos_weight)
+        got = train_heads(examples, embeddings, toy_bank(m), cfg=cfg)
+        want = reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg)
+        assert (got.params.view(np.int64) == want.params.view(np.int64)).all()
+        if used is not None:
+            init = init_heads(m, d, h, seed=cfg.seed)
+            assert (got.params[used:].view(np.int64) == init.params[used:].view(np.int64)).all()
+
+    def test_non_finite_loss_names_the_step(self):
+        examples, embeddings = random_training_set(3, 8, 8, 10, (2, 5))
+        embeddings[4, 2] = np.inf
+        cfg = TrainingConfig(learning_rate=3e-3, steps=20, hidden=4, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as got:
+            train_heads(examples, embeddings, toy_bank(8), cfg=cfg)
+        assert "non-finite loss at step" in str(got.value)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
+            reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestEmbedDocuments:
@@ -357,8 +423,8 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.tau_default == 0.4
     assert loaded.bank_fingerprint == "abc123"
     for name in ("W1", "b1", "w2", "b2"):
-        np.testing.assert_allclose(loaded.parameter_arrays()[name],
-                                   heads.parameter_arrays()[name], atol=1e-6)
+        np.testing.assert_allclose(parameter_arrays(loaded)[name],
+                                   parameter_arrays(heads)[name], atol=1e-6)
 
 
 def test_heads_file_format_is_pinned(tmp_path):

@@ -194,16 +194,19 @@ class TestAnswerCache:
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
-    script: list  # [(status, payload_dict_or_None)]
+    script: list  # [(status, payload_dict_or_None[, extra_headers_dict])]
     seen: list
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).seen.append({"auth": self.headers.get("Authorization"), "body": body})
-        status, payload = self.script.pop(0) if self.script else (200, {"completion": "ok"})
+        status, payload, *extra = (self.script.pop(0) if self.script
+                                   else (200, {"completion": "ok"}))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         if payload is not None:
             self.wfile.write(json.dumps(payload).encode())
@@ -253,6 +256,30 @@ class TestRemoteLLM:
         assert llm.complete("p") == "done"
         assert len(handler.seen) == 3
         assert sleeps == [0.5, 1.0]  # exponential backoff
+
+    def test_waits_the_retry_after_seconds_of_429_and_503(self, fake_server, monkeypatch):
+        server, handler = fake_server
+        monkeypatch.setenv(API_KEY_ENV, "k")
+        handler.script.extend([(429, None, {"Retry-After": "7"}),
+                               (503, None, {"Retry-After": "0"}),
+                               (500, None, {"Retry-After": "9"}),  # only 429 and 503 ask
+                               (200, {"completion": "done"})])
+        sleeps = []
+        llm = RemoteLLM(self.url(server), model="m", sleep=sleeps.append)
+        assert llm.complete("p") == "done"
+        assert sleeps == [7.0, 0.0, 2.0]
+
+    def test_unparseable_retry_after_falls_back_to_backoff(self, fake_server, monkeypatch):
+        server, handler = fake_server
+        monkeypatch.setenv(API_KEY_ENV, "k")
+        handler.script.extend([(503, None, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                               (429, None, {"Retry-After": "-3"}),
+                               (429, None, {"Retry-After": "nan"}),
+                               (200, {"completion": "done"})])
+        sleeps = []
+        llm = RemoteLLM(self.url(server), model="m", sleep=sleeps.append)
+        assert llm.complete("p") == "done"
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_auth_error_is_fatal_not_retried(self, fake_server, monkeypatch):
         server, handler = fake_server

@@ -7,13 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Per-head reference code that the batched kernels are checked against.
-REFERENCE_ONLY = {
-    "head_forward": "one head's logit; the batched forward_logits is compared to it",
-    "document_loss": "one document's loss; finite differences check the gradients with it",
-    "document_loss_and_grads": "public wrapper of the training gradient kernel for the "
-                               "finite-difference check",
-}
+# Definitions kept in src although only tests call them, each with its reason.
+# Reference formulas belong in tests/oracle.py instead.
+REFERENCE_ONLY: dict[str, str] = {}
 
 
 def _unused_definitions() -> set[str]:

@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +103,35 @@ class TestLockAndLog:
         # released after the context exits
         with ws.locked():
             pass
+
+    def test_stale_lock_of_a_finished_process_is_replaced(self, ws, caplog):
+        done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True)
+        dead_pid = int(done.stdout)  # run() has reaped it, so its pid is free
+        lock = ws.root / "lock"
+        lock.write_text(str(dead_pid))
+        with caplog.at_level(logging.WARNING, logger="qembed.workspace"):
+            with ws.locked():
+                assert lock.read_text() == str(os.getpid())
+        assert f"pid {dead_pid}" in caplog.text
+        assert not lock.exists()
+
+    def test_lock_of_a_live_pid_is_kept(self, ws):
+        lock = ws.root / "lock"
+        lock.write_text(str(os.getpid()))
+        with pytest.raises(WorkspaceLockedError, match=f"locked by running pid {os.getpid()}"):
+            with ws.locked():
+                pass
+        assert lock.read_text() == str(os.getpid())
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "-1", "0", str(1 << 40)])
+    def test_lock_without_a_valid_pid_is_kept(self, ws, content):
+        lock = ws.root / "lock"
+        lock.write_text(content)
+        with pytest.raises(WorkspaceLockedError, match="names no pid"):
+            with ws.locked():
+                pass
+        assert lock.read_text() == content
 
     def test_log_appends_jsonl(self, ws):
         ws.log({"stage": "cluster", "status": "ran"})
