@@ -185,6 +185,9 @@ def _validate(cfg: PipelineConfig) -> None:
         bad(f"[selection] per_cluster_cap must be >= 1, got {cfg.selection.per_cluster_cap}")
     if cfg.training.learning_rate <= 0:
         bad(f"[training] learning_rate must be > 0, got {cfg.training.learning_rate}")
+    for name, value in (("steps", cfg.training.steps), ("hidden", cfg.training.hidden)):
+        if value < 1:
+            bad(f"[training] {name} must be >= 1, got {value}")
     if not 0 < cfg.training.tau < 1:
         bad(f"[training] tau must be in (0, 1), got {cfg.training.tau}")
     if cfg.training.pos_weight not in ("auto", "none"):

@@ -30,6 +30,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # rows per forward GEMM; bounds the (m, h, rows) hidden-layer temporary
 FORWARD_CHUNK = 32
+# bytes of one (rows, P) float64 array of a training chunk of heads; the five
+# such arrays of a chunk then stay near a 2 MB L2 cache
+TRAIN_CHUNK_BYTES = 512 * 1024
 
 
 class TrainingError(RuntimeError):
@@ -58,6 +61,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise TrainingError(f"learning rate must be positive, got {self.learning_rate}")
+        for name, value in (("steps", self.steps), ("hidden", self.hidden)):
+            if value < 1:
+                raise TrainingError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.tau < 1.0:
             raise TrainingError(f"tau must be in (0, 1), got {self.tau}")
 
@@ -139,29 +145,33 @@ def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
     return out if e.ndim > 1 else out[0]
 
 
-def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, pos_y: np.ndarray,
-                   neg_y: np.ndarray, grad: np.ndarray) -> float:
-    """Loss of the gathered parameter rows block (q, P); writes its gradient into grad.
+def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, counts: np.ndarray,
+                   pos_y: np.ndarray, neg_y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per-row loss terms of the parameter rows block (k, P); writes their gradient into grad.
 
-    pos_y is pos_weight * labels and neg_y is 1 - labels; grad is (q, P) like block.
+    Row i is one head on one document: e[i] is the document's vector, counts[i]
+    its number of answered questions, pos_y[i] = pos_weight * label and
+    neg_y[i] = 1 - label. A document's loss is the mean of its rows' terms, so
+    each row's gradient carries 1 / counts[i]. grad is (k, P) like block.
     """
     W1, b1, w2, b2 = _split(block, h, d)
-    a1 = W1 @ e + b1           # (q, h), one gemv per head
+    a1 = np.matmul(W1, e[:, :, None]).reshape(len(block), h)  # (k, h), one gemv per row
+    a1 += b1
     hidden = np.maximum(a1, 0.0)
     z = np.einsum("qh,qh->q", w2, hidden) + b2
 
-    loss = float((pos_y * _softplus(-z) + neg_y * _softplus(z)).mean())
+    terms = pos_y * _softplus(-z) + neg_y * _softplus(z)
 
     sig = sigmoid(z)
-    dz = (pos_y * (sig - 1.0) + neg_y * sig) / len(block)  # (q,)
+    dz = (pos_y * (sig - 1.0) + neg_y * sig) / counts  # (k,)
     d_W1, d_b1, d_w2, d_b2 = _split(grad, h, d)
     # d_b1 is formed outside grad: an operand inside out='s buffer makes numpy copy it
     d_a1 = dz[:, None] * w2 * (a1 > 0.0)
-    np.multiply(d_a1[:, :, None], e, out=d_W1)
+    np.multiply(d_a1[:, :, None], e[:, None, :], out=d_W1)
     d_b1[:] = d_a1
     np.multiply(dz[:, None], hidden, out=d_w2)
     d_b2[:] = dz
-    return loss
+    return terms
 
 
 def _example_rows(embeddings: np.ndarray, examples: list[TrainingExample]) -> np.ndarray:
@@ -183,14 +193,64 @@ def compute_pos_weight(examples: list[TrainingExample]) -> float:
     return no / yes
 
 
+def _lockstep_schedule(order: np.ndarray, answer_doc: np.ndarray, answer_qid: np.ndarray,
+                       m: int, with_steps: bool = False):
+    """Every head's touches, laid out round by round.
+
+    Step s of training takes document order[s] and updates each head the
+    document answered: one touch of that head, with the document's vector,
+    label and answer count. A head's gradient and Adam state depend only on
+    its own parameters, so training is m independent sequences of touches.
+    Invariant: each head sees the same (document, label, answer count)
+    sequence as in a loop of one document per step, namely its answers on the
+    steps whose document answers it, in step order.
+
+    Returns (heads, counts, starts, slots) and, with_steps, steps. heads are
+    the touched head ids by descending touch count (ties by id) and counts
+    their touch counts, so round r holds the r-th touch of the row prefix
+    heads[:starts[r + 1] - starts[r]]. slots[starts[r] + i] is the answer
+    index (into answer_doc and answer_qid) of heads[i]'s r-th touch, and
+    steps[starts[r] + i] the step it comes from.
+    """
+    draws = np.bincount(order, minlength=int(answer_doc[-1]) + 1)  # times each doc is taken
+    touches = np.bincount(answer_qid, weights=draws[answer_doc], minlength=m).astype(np.int64)
+    heads = np.argsort(-touches, kind="stable")
+    heads = heads[touches[heads] > 0]
+    counts = touches[heads]
+    rounds = int(counts[0])
+    # round r holds every head with more than r touches
+    starts = np.zeros(rounds + 1, dtype=np.int64)
+    np.cumsum(np.searchsorted(-counts, -np.arange(rounds), side="left"), out=starts[1:])
+    slots = np.empty(starts[-1], dtype=np.int32)
+    steps = np.empty(starts[-1], dtype=np.int32) if with_steps else None
+
+    by_head = np.argsort(answer_qid, kind="stable")  # answer ids grouped by head
+    head_ptr = np.concatenate(([0], np.cumsum(np.bincount(answer_qid, minlength=m))))
+    answer_of_doc = np.full(len(draws), -1, dtype=np.int32)
+    for rank, (q, count) in enumerate(zip(heads.tolist(), counts.tolist())):
+        answers = by_head[head_ptr[q]:head_ptr[q + 1]]
+        answer_of_doc[answer_doc[answers]] = answers
+        per_step = answer_of_doc[order]  # this head's answer on each step, -1 if none
+        touched = np.flatnonzero(per_step >= 0)
+        slots[starts[:count] + rank] = per_step[touched]
+        if with_steps:
+            steps[starts[:count] + rank] = touched
+        answer_of_doc[answer_doc[answers]] = -1
+    return (heads, counts, starts, slots) + ((steps,) if with_steps else ())
+
+
 def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
                 bank: QuestionBank, cfg: TrainingConfig) -> QuestionHeads:
     """Train all heads: one document per step, loss over its answered questions only.
 
     embeddings is (n, d), row i the frozen encoder vector of examples[i]'s
-    document. Documents cycle through a fresh seeded permutation each epoch,
-    and Adam state plus bias-correction step counts are tracked per head so
-    untouched heads stay bit-identical. Deterministic for a fixed cfg.seed.
+    document. Documents cycle through a fresh seeded permutation each epoch.
+    Each head has its own Adam state and bias-correction count, so untouched
+    heads keep their init. The steps run as lockstep rounds over chunks of
+    heads sized to cache (see _lockstep_schedule): round r applies every
+    head's r-th touch with one set of numpy calls, and each head gets the same
+    updates, bit for bit, as in a loop of one document per step.
+    Deterministic for a fixed cfg.seed.
     """
     if not examples:
         raise TrainingError("no training examples")
@@ -204,69 +264,96 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
 
     heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, cfg.seed,
                        tau=cfg.tau, bank_fingerprint=bank.fingerprint())
-    params = heads.params
-    adam_m = np.zeros_like(params)
-    adam_v = np.zeros_like(params)
-    head_steps = np.zeros(heads.m, dtype=np.int64)  # per-head counts drive bias correction
-    # 1 - beta**t for every count t a head can reach, by the same power as per step
-    counts = np.arange(cfg.steps + 1, dtype=np.float64)
-    bias1 = 1.0 - ADAM_BETA1 ** counts
-    bias2 = 1.0 - ADAM_BETA2 ** counts
+    params, h, d = heads.params, heads.h, heads.d
 
-    qids_per_doc, pos_y_per_doc, neg_y_per_doc = [], [], []
-    for ex in examples:
-        qids = sorted(ex.answers)
-        y = np.asarray([ex.answers[q] for q in qids], dtype=np.float64)
-        qids_per_doc.append(np.asarray(qids, dtype=np.int64))
-        pos_y_per_doc.append(pos_weight * y)
-        neg_y_per_doc.append(1.0 - y)
-    # (q_max, P) buffers for block, grad, m, v and a temporary, sliced to [:q]
-    # per step; the gathers take mode="clip" because mode="raise" buffers out=
-    # (qids are checked above)
-    buffers = np.empty((5, max(len(qids) for qids in qids_per_doc), params.shape[1]))
-
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    # every answer of every document, by document, then question id
     n = len(examples)
-    order = rng.permutation(n)
-    lr = cfg.learning_rate
-    for step in range(cfg.steps):
-        pos = step % n
-        if pos == 0 and step > 0:
-            order = rng.permutation(n)
-        doc = int(order[pos])
-        qids = qids_per_doc[doc]
-        block, grad, m, v, tmp = buffers[:, :len(qids)]
-        params.take(qids, axis=0, out=block, mode="clip")
-        loss = _loss_and_grad(block, heads.h, heads.d, embeddings[doc],
-                              pos_y_per_doc[doc], neg_y_per_doc[doc], grad)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss at step {step}, "
-                                f"question ids {qids.tolist()}")
+    sizes = np.asarray([len(ex.answers) for ex in examples])
+    answer_doc = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    answer_qid = np.asarray([q for ex in examples for q in sorted(ex.answers)], dtype=np.int32)
+    y = np.asarray([ex.answers[q] for ex in examples for q in sorted(ex.answers)],
+                   dtype=np.float64)
+    answer_pos_y, answer_neg_y = pos_weight * y, 1.0 - y
+    answer_count = np.repeat(sizes.astype(np.float64), sizes)
 
-        head_steps[qids] += 1
-        t = head_steps[qids]
-        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in that operand order
-        adam_m.take(qids, axis=0, out=m, mode="clip")
-        m *= ADAM_BETA1
-        np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
-        m += tmp
-        adam_v.take(qids, axis=0, out=v, mode="clip")
-        v *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
-        tmp *= grad
-        v += tmp
-        adam_m[qids] = m
-        adam_v[qids] = v
-        # block -= lr * m_hat / (sqrt(v_hat) + eps)
-        m /= bias1[t][:, None]
-        m *= lr
-        v /= bias2[t][:, None]
-        np.sqrt(v, out=v)
-        v += ADAM_EPS
-        m /= v
-        block -= m
-        params[qids] = block
+    # the step -> document order: a fresh permutation per epoch
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    order = np.empty(cfg.steps, dtype=np.int32)
+    for lo in range(0, cfg.steps, n):
+        order[lo:lo + n] = rng.permutation(n)[:cfg.steps - lo]
+    head_ids, counts, starts, slots = _lockstep_schedule(order, answer_doc, answer_qid, bank.m)
+    terms = np.empty(len(slots))  # each touch's loss term, by slot
+    # 1 - beta**t for every count t a head reaches; a head is at count r + 1 in round r
+    t = np.arange(len(starts), dtype=np.float64)
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
+
+    # block, grad, Adam m and v, and a temporary, for one chunk of heads; each
+    # round works on the prefix [:k] of heads still training. The gathers take
+    # mode="clip" because mode="raise" buffers out= (ids are in range).
+    chunk = min(len(head_ids), max(1, TRAIN_CHUNK_BYTES // params[0].nbytes))
+    buffers = np.empty((5, chunk, params.shape[1]))
+    e_buffer = np.empty((chunk, d))
+    lr = cfg.learning_rate
+    for lo in range(0, len(head_ids), chunk):
+        ids = head_ids[lo:lo + chunk]
+        params.take(ids, axis=0, out=buffers[0, :len(ids)], mode="clip")
+        buffers[2:4] = 0.0
+        for r in range(int(counts[lo])):
+            at = int(starts[r]) + lo
+            k = min(int(starts[r + 1]) - at, len(ids))
+            answers = slots[at:at + k]
+            block, grad, m, v, tmp = buffers[:, :k]
+            e = embeddings.take(answer_doc.take(answers), axis=0, out=e_buffer[:k],
+                                mode="clip")
+            terms[at:at + k] = _loss_and_grad(block, h, d, e, answer_count.take(answers),
+                                              answer_pos_y.take(answers),
+                                              answer_neg_y.take(answers), grad)
+
+            # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in that operand order
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
+            m += tmp
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
+            tmp *= grad
+            v += tmp
+            # block -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat in tmp and
+            # v_hat in grad; m / 1.0 == m, so that division is skipped
+            if bias1[r + 1] == 1.0:
+                np.multiply(m, lr, out=tmp)
+            else:
+                np.divide(m, bias1[r + 1], out=tmp)
+                tmp *= lr
+            np.divide(v, bias2[r + 1], out=grad)
+            np.sqrt(grad, out=grad)
+            grad += ADAM_EPS
+            tmp /= grad
+            block -= tmp
+        params[ids] = buffers[0, :len(ids)]
+
+    _check_losses(terms, slots, order, answer_doc, answer_qid, sizes, bank.m)
     return heads
+
+
+def _check_losses(terms, slots, order, answer_doc, answer_qid, sizes, m) -> None:
+    """Raise for the first step whose loss, the mean of its terms, is not finite.
+
+    If every |term| is at most max / (2 * max(sizes)), no step's sum of at most
+    max(sizes) terms can overflow, so every step's mean is finite.
+    """
+    if max(-terms.min(), terms.max()) <= np.finfo(np.float64).max / (2 * sizes.max()):
+        return
+    *_, steps = _lockstep_schedule(order, answer_doc, answer_qid, m, with_steps=True)
+    # (step, question id) order: answer ids rise with question id within a document
+    by_step = np.lexsort((slots, steps))
+    step_terms, step_slots = terms[by_step], slots[by_step]
+    bounds = np.concatenate(([0], np.cumsum(sizes[order])))
+    for step in range(len(order)):
+        lo, hi = bounds[step], bounds[step + 1]
+        if not math.isfinite(float(step_terms[lo:hi].mean())):
+            raise TrainingError(f"non-finite loss at step {step}, "
+                                f"question ids {answer_qid[step_slots[lo:hi]].tolist()}")
 
 
 def binarize(probabilities: np.ndarray, tau: float) -> np.ndarray:

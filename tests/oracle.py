@@ -67,15 +67,20 @@ def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: n
                             labels: np.ndarray, pos_weight: float):
     """Loss plus the training kernel's gradients for the touched heads only.
 
+    The kernel sees one row per question, each with the document's vector.
+
     Returns (loss, grads) with grads = {W1: (q,h,d), b1: (q,h), w2: (q,h), b2: (q,)}
     indexed parallel to question_ids: views into one (q, P) gradient block.
     """
     y = np.asarray(labels, dtype=np.float64)
     block = heads.params[question_ids]
     grad = np.empty_like(block)
-    loss = _loss_and_grad(block, heads.h, heads.d, np.asarray(e, dtype=np.float64),
-                          pos_weight * y, 1.0 - y, grad)
-    return loss, dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
+    q = len(block)
+    rows = np.repeat(np.asarray(e, dtype=np.float64)[None, :], q, axis=0)
+    terms = _loss_and_grad(block, heads.h, heads.d, rows, np.full(q, float(q)),
+                           pos_weight * y, 1.0 - y, grad)
+    grads = dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
+    return float(terms.mean()), grads
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -220,6 +220,20 @@ def test_invalid_utf8_plain_lines_corpus_is_config_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("setting", ["steps = -5", "hidden = 0", "hidden = -3"])
+def test_bad_training_size_is_config_error(tmp_path, capsys, setting):
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    key = setting.split()[0]
+    raw = cfg_path.read_text().replace(f"{key} = {MINI[key]}\n", f"{setting}\n")
+    cfg_path.write_text(raw, encoding="utf-8")
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and f"[training] {key} must be >= 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "heads.bin").exists()
+
+
 def _lose_final_record_and_newline(path):
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines[:-1])[:-1])

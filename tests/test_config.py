@@ -82,6 +82,10 @@ class TestValidation:
         ("[corpus]\nformat = xml\n", "format"),
         ("[training]\ntau = 0\n", "tau"),
         ("[training]\nlearning_rate = 0\n", "learning_rate"),
+        ("[training]\nsteps = -5\n", "steps must be >= 1"),
+        ("[training]\nsteps = 0\n", "steps must be >= 1"),
+        ("[training]\nhidden = 0\n", "hidden must be >= 1"),
+        ("[training]\nhidden = -3\n", "hidden must be >= 1"),
         ("[training]\npos_weight = heavy\n", "pos_weight"),
         ("[selection]\ndedup_threshold = 1.5\n", "dedup_threshold"),
         ("[llm]\nkind = psychic\n", "kind"),

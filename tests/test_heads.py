@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from oracle import (document_loss, document_loss_and_grads, head_forward, masked_sigmoid,
                     parameter_arrays, reference_train_heads)
 from qembed.heads import (
+    ADAM_BETA1,
     FORWARD_CHUNK,
+    TRAIN_CHUNK_BYTES,
     ClassificationReport,
     TrainingConfig,
     TrainingError,
@@ -275,6 +278,12 @@ class TestTraining:
         with pytest.raises(TrainingError, match="one row per example"):
             evaluate_heldout(init_heads(1, 8, 2, seed=0), np.zeros(8), examples)
 
+    @pytest.mark.parametrize("field,value", [("steps", 0), ("steps", -5), ("hidden", 0),
+                                             ("hidden", -3)])
+    def test_sizes_must_be_positive(self, field, value):
+        with pytest.raises(TrainingError, match=f"{field} must be >= 1, got {value}"):
+            TrainingConfig(**{field: value})
+
     def test_empty_answers_rejected_at_construction(self):
         with pytest.raises(TrainingError):
             TrainingExample("d", {})
@@ -306,7 +315,14 @@ class TestTrainingMatchesReference:
         (8, 4, 8, 25, (2, 6), None, 3.7, 200),         # explicit pos_weight
         (9, 4, 8, 7, (1, 9), None, None, 52),          # steps not a multiple of n
         (64, 8, 32, 40, (5, 20), None, None, 300),     # m=64, h=8, d=32
-    ], ids=["demo", "uneven", "untouched", "pos-weight", "partial-epoch", "m64"])
+        (40, 32, 64, 30, (5, 20), None, None, 120),    # two head chunks
+        (6, 4, 8, 10, (6, 6), None, None, 60),         # tied touch counts
+        (4, 4, 8, 12, (3, 4), None, None, 1500),       # 356+ touches: bias1 is 1.0
+        (5, 4, 8, 1, (2, 2), None, None, 50),          # one document
+        (8, 4, 8, 30, (1, 5), None, None, 17),         # steps < n
+        (8, 4, 8, 10, (2, 5), None, None, 1),          # one step
+    ], ids=["demo", "uneven", "untouched", "pos-weight", "partial-epoch", "m64",
+            "two-chunks", "tied-counts", "bias1-one", "one-doc", "steps-lt-n", "one-step"])
     def test_params_bit_identical(self, m, h, d, n_docs, q_range, used, pos_weight, steps):
         examples, embeddings = random_training_set(0, m, d, n_docs, q_range, used)
         if q_range[0] == 1:
@@ -320,6 +336,21 @@ class TestTrainingMatchesReference:
             init = init_heads(m, d, h, seed=cfg.seed)
             assert (got.params[used:].view(np.int64) == init.params[used:].view(np.int64)).all()
 
+    def test_edge_cases_reach_their_paths(self):
+        """The cases above cover what they are named for."""
+        # two-chunks: fewer rows fit one chunk than there are heads
+        assert TRAIN_CHUNK_BYTES // init_heads(1, 64, 32, seed=0).params.nbytes < 40
+        # tied-counts: every document but doc0 answers all 6 questions, so
+        # questions 1 to 4 are touched on the same steps
+        examples, _ = random_training_set(0, 6, 8, 10, (6, 6))
+        assert all(len(ex.answers) == 6 for ex in examples[1:])
+        # bias1-one: 1 - 0.9**t rounds to 1.0 from t = 356, and each head is
+        # answered by at least 3 of the 12 documents over 125 full epochs
+        assert 1.0 - ADAM_BETA1 ** 356.0 == 1.0 != 1.0 - ADAM_BETA1 ** 355.0
+        examples, _ = random_training_set(0, 4, 8, 12, (3, 4))
+        answered = [sum(q in ex.answers for ex in examples) for q in range(4)]
+        assert min(answered) * (1500 // 12) >= 356
+
     def test_non_finite_loss_names_the_step(self):
         examples, embeddings = random_training_set(3, 8, 8, 10, (2, 5))
         embeddings[4, 2] = np.inf
@@ -330,6 +361,80 @@ class TestTrainingMatchesReference:
         with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
             reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg)
         assert str(got.value) == str(want.value)
+
+    def test_divergence_after_step_zero_across_chunks(self):
+        m, n, seed = 40, 20, 4
+        examples, embeddings = random_training_set(1, m, 64, n, (5, 20))
+        # the document of step 5 in the first epoch's permutation
+        late = int(np.random.Generator(np.random.PCG64(seed)).permutation(n)[5])
+        embeddings[late, 3] = np.inf
+        cfg = TrainingConfig(learning_rate=3e-3, steps=60, hidden=32, seed=seed)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as got:
+            train_heads(examples, embeddings, toy_bank(m), cfg=cfg)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
+            reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite loss at step 5,")
+
+    @pytest.mark.parametrize("pos_weight,fails", [(4e307, False), (1e308, True)])
+    def test_huge_finite_terms(self, pos_weight, fails):
+        """Terms above max / (2 * answers) are checked with the exact step mean:
+        at 4e307 every mean stays finite, at 1e308 four finite yes terms
+        overflow the mean of step 0."""
+        examples = [TrainingExample(f"d{i}", {q: int(i % 3 != 0 or q % 2) for q in range(4)})
+                    for i in range(9)]
+        embeddings = np.random.default_rng(1).standard_normal((9, 8))
+        cfg = TrainingConfig(learning_rate=3e-3, steps=30, hidden=4, seed=5,
+                             pos_weight=pos_weight)
+        results = []
+        for train in (train_heads, reference_train_heads):
+            with np.errstate(all="ignore"):
+                try:
+                    results.append(train(examples, embeddings, toy_bank(4), cfg=cfg).params)
+                except TrainingError as exc:
+                    results.append(str(exc))
+        got, want = results
+        if fails:
+            assert got == want == "non-finite loss at step 0, question ids [0, 1, 2, 3]"
+        else:
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+class TestTrainingMemory:
+    @staticmethod
+    def peak_bytes(examples, embeddings, m, cfg):
+        train_heads(examples, embeddings, toy_bank(m), cfg=cfg)  # imports and caches warm
+        tracemalloc.start()
+        try:
+            train_heads(examples, embeddings, toy_bank(m), cfg=cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_demo_shape_peak(self):
+        """Bound: the returned (m, P) params and five chunk arrays of the same
+        rows; 12 bytes per touch (an int32 schedule slot and a float64 loss
+        term, at most steps * 13 touches); 48 bytes per step (the int32
+        document order, the schedule's per-step temporaries, and the two
+        float64 bias tables with their count vector); and 512 KB for one
+        round's temporaries and small arrays. Measured: 1.6 MB against a
+        bound of 2.1 MB; keeping two more float64 arrays per touch breaks it."""
+        m, h, d, steps = 16, 16, 64, 4000
+        examples, embeddings = random_training_set(2, m, d, 180, (4, 13))
+        cfg = TrainingConfig(learning_rate=3e-3, steps=steps, hidden=h, seed=0)
+        row = init_heads(1, d, h, seed=0).params.nbytes
+        bound = 6 * m * row + 12 * 13 * steps + 48 * steps + 512 * 1024
+        assert self.peak_bytes(examples, embeddings, m, cfg) < bound
+
+    def test_paper_shape_peak_below_per_head_adam_state(self):
+        """At m=512, h=32, d=256 the params are 34 MB. Adam state for all
+        heads at once would add two more such arrays; per-chunk state keeps
+        the peak under twice the params."""
+        m, h, d = 512, 32, 256
+        examples, embeddings = random_training_set(3, m, d, 30, (15, 20))
+        cfg = TrainingConfig(learning_rate=3e-3, steps=20, hidden=h, seed=0)
+        params_bytes = init_heads(1, d, h, seed=0).params.nbytes * m
+        assert self.peak_bytes(examples, embeddings, m, cfg) < 2 * params_bytes
 
 
 class TestEmbedDocuments:
