@@ -18,6 +18,17 @@ class BinaryMatrixError(ValueError):
     """Raised on shape mismatches or corrupt binary matrix files."""
 
 
+def is_binary(values: np.ndarray) -> bool:
+    """True iff every entry equals 0 or 1 (vacuously for no entries): bool and
+    integer arrays by their min and max, other dtypes entry by entry."""
+    values = np.asarray(values)
+    if values.dtype == np.bool_ or values.size == 0:
+        return True
+    if np.issubdtype(values.dtype, np.integer):
+        return bool(values.min() >= 0 and values.max() <= 1)
+    return bool(np.isin(values, (0, 1)).all())
+
+
 @dataclass
 class BinaryMatrix:
     packed: np.ndarray  # (n, ceil(m/8)) uint8
@@ -42,7 +53,7 @@ class BinaryMatrix:
         dense = np.asarray(dense)
         if dense.ndim != 2:
             raise BinaryMatrixError(f"dense matrix must be 2-d, got shape {dense.shape}")
-        if dense.size and not np.isin(dense, (0, 1)).all():
+        if not is_binary(dense):
             raise BinaryMatrixError("dense matrix must contain only 0/1 values")
         n, m = dense.shape
         if row_ids is None:

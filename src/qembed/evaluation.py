@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary import BinaryMatrix, popcounts
+from .binary import BinaryMatrix, is_binary, popcounts
 from .cluster import kmeans_fit
 from .corpus import content_id
 from .jsonl import CorruptFileError, read
@@ -290,17 +290,15 @@ def explain_pair(a_row, b_row, bank: QuestionBank, text_a: str = "",
         raise BankMismatchError(
             f"row shapes {a.shape}/{b.shape} do not match bank size {bank.m}")
     for name, row in (("a", a), ("b", b)):
-        if not np.isin(row, (0, 1)).all():
+        if not is_binary(row):
             raise BankMismatchError(f"row {name} is not binary")
-    shared, only_a, only_b = [], [], []
-    for q, ai, bi in zip(bank.questions, a, b):
-        hit = QuestionHit(id=q.id, text=q.text)
-        if ai and bi:
-            shared.append(hit)
-        elif ai:
-            only_a.append(hit)
-        elif bi:
-            only_b.append(hit)
-    return ExplanationReport(text_a=text_a, text_b=text_b,
-                             shared_yes=tuple(shared), only_a=tuple(only_a),
-                             only_b=tuple(only_b), cognitive_load=len(shared))
+    a, b = a != 0, b != 0
+
+    def hits(mask: np.ndarray) -> tuple[QuestionHit, ...]:
+        return tuple(QuestionHit(id=bank.questions[i].id, text=bank.questions[i].text)
+                     for i in np.flatnonzero(mask).tolist())
+
+    shared = hits(a & b)
+    return ExplanationReport(text_a=text_a, text_b=text_b, shared_yes=shared,
+                             only_a=hits(a & ~b), only_b=hits(b & ~a),
+                             cognitive_load=len(shared))

@@ -2,20 +2,29 @@
 
 One tiny MLP (d -> h -> 1) per bank question, trained jointly on cached LLM
 answers with class-weighted binary cross-entropy and per-parameter Adam.
-Everything is numpy float64 with explicit gradients so training is
-bit-reproducible and finite-difference checkable.
+Training is numpy float64 with explicit gradients, so it is bit-reproducible
+and finite-difference checkable.
 
-All m heads live in one C-contiguous (m, P) float64 matrix, P = h*d + 2h + 1.
+All m heads live in one C-contiguous (m, P) matrix, P = h*d + 2*h + 1.
 Row i is head i's block [W1 (h*d, row-major) | b1 (h) | w2 (h) | b2 (1)], the
 block order heads.bin stores in float32. Init, Adam, the forward pass, save
-and load all work on that matrix.
+and load all work on that matrix. Trained and initialised heads hold it in
+float64; load_heads keeps heads.bin's float32 values as they are, in one
+aligned read-only array.
+
+Probabilities (answer_probabilities, forward_logits) are float64 on either
+dtype. Embedding bits come from a float32 first layer with a rigorous
+forward-error bound per (row, head) (see _bound_constants); the few bits the
+bound cannot settle are recomputed by forward_logits, so every bit equals
+sigmoid(forward_logits(...)) > tau.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +39,26 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # rows per forward GEMM; bounds the (m, h, rows) hidden-layer temporary
 FORWARD_CHUNK = 32
+# bytes of one float64 block of heads in forward_logits; float32 heads are
+# upcast one such block at a time
+FORWARD_HEAD_BYTES = 4 * 1024 * 1024
 # bytes of one (rows, P) float64 array of a training chunk of heads; the five
 # such arrays of a chunk then stay near a 2 MB L2 cache
 TRAIN_CHUNK_BYTES = 512 * 1024
+
+# unit roundoffs of float32 and float64
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+# assumed bound on the relative error of float64 exp and log (a few ulps in practice)
+_EXP_LOG_ERROR = 2.0 ** -40
+# the sigmoid's rounding is bounded for tau in [_TAU_MARGIN, 1 - _TAU_MARGIN];
+# outside it every bit comes from forward_logits
+_TAU_MARGIN = 2.0 ** -30
+# largest row norm, and hidden-unit weight norm, the certified forward takes:
+# their product stays far below the float32 overflow threshold 2**128
+_NORM_LIMIT = 2.0 ** 60
+# largest per-head sum the certified forward takes: no float64 sum overflows
+_SUM_LIMIT = 2.0 ** 900
 
 
 class TrainingError(RuntimeError):
@@ -80,7 +106,9 @@ class QuestionHeads:
     """m heads stored in params (m, P), one [W1 | b1 | w2 | b2] block per row.
 
     The attributes W1 (m,h,d), b1 (m,h), w2 (m,h) and b2 (m,) are views into
-    params, so writing through them writes the parameters.
+    params, so writing through them writes the parameters. bounds holds the
+    certified forward's per-head constants; load_heads sets it beside its
+    read-only params, and any other heads get theirs computed on each call.
     """
     params: np.ndarray
     h: int
@@ -88,6 +116,7 @@ class QuestionHeads:
     seed: int
     tau_default: float
     bank_fingerprint: str
+    bounds: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.W1, self.b1, self.w2, self.b2 = _split(self.params, self.h, self.d)
@@ -129,20 +158,34 @@ def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
                    question_ids: np.ndarray | None = None) -> np.ndarray:
     """Logits (n, q) of all heads, or the question_ids subset, on an (n, d) batch.
 
-    A single 1-d embedding gives shape (q,).
+    A single 1-d embedding gives shape (q,). Runs in float64 on either params
+    dtype: float32 heads are upcast, exactly, one block of FORWARD_HEAD_BYTES
+    at a time. A head's logit on a row depends only on that head and the row's
+    chunk of FORWARD_CHUNK rows, so a subset of heads gives, bit for bit, the
+    full forward's columns.
     """
     e = np.asarray(embeddings, dtype=np.float64)
-    block = heads.params if question_ids is None else heads.params[question_ids]
-    W1, b1, w2, b2 = _split(block, heads.h, heads.d)
     rows = np.atleast_2d(e)
-    out = np.empty((len(rows), len(b2)))
+    ids = None if question_ids is None else np.asarray(question_ids, dtype=np.intp)
+    params = heads.params
+    out = np.empty((len(rows), len(params) if ids is None else len(ids)))
+    step = max(1, FORWARD_HEAD_BYTES // (8 * params.shape[1]))
+    for qlo in range(0, out.shape[1], step):
+        at = slice(qlo, qlo + step) if ids is None else ids[qlo:qlo + step]
+        _forward_block(params[at].astype(np.float64, copy=False), heads.h, heads.d, rows,
+                       out[:, qlo:qlo + step])
+    return out if e.ndim > 1 else out[0]
+
+
+def _forward_block(block: np.ndarray, h: int, d: int, rows: np.ndarray, out: np.ndarray):
+    """Logits of the float64 parameter rows block (q, P) on rows (n, d), into out (n, q)."""
+    W1, b1, w2, b2 = _split(block, h, d)
     for lo in range(0, len(rows), FORWARD_CHUNK):
         chunk = rows[lo:lo + FORWARD_CHUNK]
         hidden = np.matmul(W1, chunk.T)  # (q, h, rows)
         hidden += b1[:, :, None]
         np.maximum(hidden, 0.0, out=hidden)
         out[lo:lo + len(chunk)] = np.einsum("qh,qhn->nq", w2, hidden) + b2
-    return out if e.ndim > 1 else out[0]
 
 
 def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, counts: np.ndarray,
@@ -370,12 +413,162 @@ def answer_probabilities(heads: QuestionHeads, embeddings: np.ndarray) -> np.nda
     return sigmoid(forward_logits(heads, embeddings))
 
 
+def _gamma(n: int, u: float) -> float:
+    """n u / (1 - n u): bounds the relative error of an n-term dot product in
+    any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3)."""
+    return n * u / (1.0 - n * u)
+
+
+def _float32_first_layer(heads: QuestionHeads) -> np.ndarray:
+    """W1 as float32 (m, h, d): a view of float32 heads, a rounded copy of float64 ones."""
+    if heads.W1.dtype == np.float32:
+        return heads.W1
+    with np.errstate(over="ignore"):  # overflowing heads fail _bound_constants' checks
+        return heads.W1.astype(np.float32)
+
+
+def _bound_constants(heads: QuestionHeads, W1_32: np.ndarray) -> np.ndarray:
+    """(2, m) per-head constants (a, b) of the certified forward's error bound.
+
+    The certified forward takes z' = w2 . relu(fl32(W1 fl32(e)) + b1) + b2,
+    the first layer one float32 GEMM and the rest float64; the float64
+    forward is z = forward_logits. For each row e and head q,
+
+        |z' - z| <= a_q ||e||_2 + b_q.
+
+    Per hidden unit j, with n_j >= ||W1_qj||_2 and ||fl32(W1_qj)||_2:
+    - the float32 dot product errs by gamma_d^32 n_j ||fl32(e)||_2, and
+      rounding e (and W1, for float64 heads) to float32 by u32 n_j ||e||_2
+      each (Cauchy-Schwarz);
+    - both paths' float64 steps err by u64 for +b1 and gamma_(d+1)^64 and
+      gamma_(h+2)^64 for their dot products, relative to n_j ||e||_2 + |b1_j|;
+    - ReLU is 1-Lipschitz, and the second layer weighs unit j by |w2_qj|.
+    Summed: a_q = alpha * sum_j |w2_qj| n_j, and b_q = beta * sum_j |w2_qj| |b1_qj|
+    + |b2_q| plus sqrt(d) 2**-64 sum_j |w2_qj| for float32 underflow. alpha and
+    beta carry a factor 1 + 2**-20 for second-order terms and the rounding of
+    the bound itself.
+
+    n_j comes from a float32 einsum of squares, inflated by its own rounding:
+    gamma_d for the sum and u32 each for the square root and W1's rounding,
+    plus sqrt(d) 2**-62 for underflowed squares. A head whose n_j exceeds
+    _NORM_LIMIT, or whose sums exceed _SUM_LIMIT, gets a = inf, so every one
+    of its bits falls back; so does a NaN anywhere.
+    """
+    m, h, d = W1_32.shape
+    root_d = math.sqrt(d)
+    float64_steps = _gamma(d + 1, _U64) + 2.0 * _gamma(h + 2, _U64) + 2.0 * _U64
+    alpha = (_gamma(d, _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 * (1.0 + _U32)
+             + float64_steps) * (1.0 + 2.0 ** -20)
+    beta = float64_steps * (1.0 + 2.0 ** -20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("qhd,qhd->qh", W1_32, W1_32), dtype=np.float64)
+        norms *= 1.0 + 2.0 * (_gamma(d, _U32) + 2.0 * _U32)
+        norms += root_d * 2.0 ** -62
+        w2 = np.abs(np.asarray(heads.w2, dtype=np.float64))
+        weighted_norms = np.einsum("qh,qh->q", w2, norms)
+        weighted_b1 = np.einsum("qh,qh->q", w2, np.abs(np.asarray(heads.b1, dtype=np.float64)))
+        weighted_b1 += np.abs(np.asarray(heads.b2, dtype=np.float64))
+        fits = ((norms.max(axis=1, initial=0.0) <= _NORM_LIMIT)
+                & (weighted_norms <= _SUM_LIMIT) & (weighted_b1 <= _SUM_LIMIT))
+        bounds = np.stack([np.where(fits, alpha * weighted_norms, np.inf),
+                           beta * weighted_b1 + root_d * 2.0 ** -64 * w2.sum(axis=1)])
+    return bounds
+
+
+def _logit_threshold(tau: float) -> tuple[float, float] | None:
+    """logit(tau) and a slack s: a bit whose z lies farther than s from it is
+    z > logit(tau). None where that slack is not bounded here.
+
+    s covers the rounding of logit(tau) (log and log1p each within
+    _EXP_LOG_ERROR, then one subtraction) and of the sigmoid: its relative
+    error eps <= 2 _EXP_LOG_ERROR + 4 u64 moves the bit's boundary by at most
+    3 eps / (1 - tau) in logit space while tau eps / (1 - tau) <= 1/2. Both
+    carry a factor 2.
+    """
+    if not _TAU_MARGIN <= tau <= 1.0 - _TAU_MARGIN:
+        return None
+    log_tau, log_rest = math.log(tau), math.log1p(-tau)
+    threshold = log_tau - log_rest
+    sigmoid_error = 2.0 * _EXP_LOG_ERROR + 4.0 * _U64
+    slack = (3.0 * sigmoid_error / (1.0 - tau)
+             + _EXP_LOG_ERROR * (abs(log_tau) + abs(log_rest)) + _U64 * abs(threshold)
+             + 2.0 ** -900)
+    return threshold, 2.0 * slack
+
+
+def _float32_logits(heads: QuestionHeads, W1_32: np.ndarray, bounds: np.ndarray,
+                    chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The certified forward on (rows, d) float64 rows: logits z' (rows, m),
+    the first layer one float32 batched matmul and the rest float64, and the
+    bound (rows, m) of _bound_constants with |z' - forward_logits| <= bound.
+
+    A row whose norm exceeds _NORM_LIMIT or is not finite gets an infinite or
+    NaN bound. Runs under np.errstate, so such rows raise no warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("nd,nd->n", chunk, chunk))
+        norms *= 1.0 + 2.0 * _gamma(heads.d + 2, _U64)  # its own rounding
+        norms += 2.0 ** -500  # underflowed squares
+        norms[~(norms <= _NORM_LIMIT)] = np.inf
+        hidden = np.matmul(W1_32, chunk.astype(np.float32).T).astype(np.float64)
+        hidden += np.asarray(heads.b1, dtype=np.float64)[:, :, None]
+        np.maximum(hidden, 0.0, out=hidden)
+        z = np.einsum("qh,qhn->nq", np.asarray(heads.w2, dtype=np.float64), hidden)
+        z += heads.b2
+        bound = np.multiply.outer(norms, bounds[0])
+        bound += bounds[1]
+    return z, bound
+
+
+def _embedding_bits(heads: QuestionHeads, embeddings: np.ndarray, tau: float) -> np.ndarray:
+    """(n, m) uint8 bits sigmoid(forward_logits(heads, embeddings)) > tau.
+
+    Each chunk of FORWARD_CHUNK rows runs the certified forward
+    (_float32_logits). A bit is decided there when its logit lies farther from
+    logit(tau) than the bound plus the slack of _logit_threshold. Every other
+    (row, head) pair, NaN and inf included, is recomputed by forward_logits on
+    just those heads over the same chunk. tau outside _logit_threshold's
+    range, a float32 dot product too long to bound, or input that is not
+    (n, d) falls back in full.
+    """
+    if not 0.0 < tau < 1.0:
+        raise TrainingError(f"tau must be in (0, 1), got {tau}")
+    if heads.m == 0:
+        raise TrainingError("heads are empty")
+    e = np.asarray(embeddings, dtype=np.float64)
+    threshold = _logit_threshold(tau)
+    if threshold is None or e.ndim != 2 or heads.d * _U32 > 0.25:
+        return binarize(answer_probabilities(heads, e), tau)
+    threshold, slack = threshold
+    W1_32 = _float32_first_layer(heads)
+    bounds = heads.bounds
+    if bounds is None or heads.params.flags.writeable:
+        bounds = _bound_constants(heads, W1_32)
+
+    bits = np.empty((len(e), heads.m), dtype=np.uint8)
+    for lo in range(0, len(e), FORWARD_CHUNK):
+        chunk = e[lo:lo + FORWARD_CHUNK]
+        z, bound = _float32_logits(heads, W1_32, bounds, chunk)
+        z -= threshold  # rounding is monotone: fl(z - t) > bound implies z - t > bound
+        bound += slack
+        undecided = ~(np.abs(z) > bound)  # so NaN in z or the bound is undecided
+        out = bits[lo:lo + len(chunk)]
+        np.greater(z, 0.0, out=out)
+        if undecided.any():
+            qs = np.flatnonzero(undecided.any(axis=0))
+            redo = undecided[:, qs]
+            cols = out[:, qs]
+            cols[redo] = sigmoid(forward_logits(heads, chunk, qs))[redo] > tau
+            out[:, qs] = cols
+    return bits
+
+
 def embed_vectors(embeddings: np.ndarray, heads: QuestionHeads, tau: float | None = None,
                   row_ids: list[str] | None = None) -> BinaryMatrix:
     """Binary embeddings of (n, d) encoder vectors, columns in bank id order."""
     tau = heads.tau_default if tau is None else tau
-    return BinaryMatrix.from_dense(binarize(answer_probabilities(heads, embeddings), tau),
-                                   row_ids)
+    return BinaryMatrix.from_dense(_embedding_bits(heads, embeddings, tau), row_ids)
 
 
 def embed_documents(doc_texts: list[str], encoder: Encoder, heads: QuestionHeads,
@@ -478,18 +671,31 @@ def save_heads(heads: QuestionHeads, path: str | Path) -> None:
 
 
 def load_heads(path: str | Path) -> QuestionHeads:
-    """Inverse of save_heads; a torn or malformed file raises TrainingError naming it."""
-    blob = Path(path).read_bytes()
-    try:
-        nl = blob.index(b"\n")
-        header = json.loads(blob[:nl])
-        m, d, h = (int(header[key]) for key in ("m", "d", "h"))
-        if min(m, d, h) < 0:  # reshape would infer a -1 dimension
-            raise ValueError(f"negative shape m={m} d={d} h={h}")
-        params = np.frombuffer(blob, dtype=np.float32, offset=nl + 1)
-        return QuestionHeads(params=params.reshape(m, h * d + 2 * h + 1).astype(np.float64),
-                             h=h, d=d, seed=header["seed"],
-                             tau_default=header["tau_default"],
-                             bank_fingerprint=header["bank_fingerprint"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise TrainingError(f"corrupt heads file {path}: {type(exc).__name__}: {exc}") from exc
+    """Inverse of save_heads; a torn or malformed file raises TrainingError naming it.
+
+    The float32 payload is read into one aligned (m, P) array, made read-only,
+    with no float64 copy; the certified forward's constants are computed here once.
+    """
+    with open(path, "rb") as fh:
+        try:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise ValueError("no header line")
+            header = json.loads(line)
+            m, d, h = (int(header[key]) for key in ("m", "d", "h"))
+            if min(m, d, h) < 0:
+                raise ValueError(f"negative shape m={m} d={d} h={h}")
+            payload = os.fstat(fh.fileno()).st_size - len(line)
+            if payload != 4 * m * (h * d + 2 * h + 1):
+                raise ValueError(f"{payload} payload bytes for m={m} d={d} h={h}")
+            params = np.empty((m, h * d + 2 * h + 1), dtype=np.float32)
+            if fh.readinto(params.reshape(-1).view(np.uint8)) != payload:
+                raise ValueError("payload shorter than its size")
+            params.flags.writeable = False
+            heads = QuestionHeads(params=params, h=h, d=d, seed=header["seed"],
+                                  tau_default=header["tau_default"],
+                                  bank_fingerprint=header["bank_fingerprint"])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise TrainingError(f"corrupt heads file {path}: {type(exc).__name__}: {exc}") from exc
+    heads.bounds = _bound_constants(heads, heads.W1)
+    return heads

@@ -582,7 +582,7 @@ def _stage_applicable(name: str, cfg: PipelineConfig) -> bool:
 def run_all(cfg: PipelineConfig, ws: Workspace, config_dir: Path,
             force: bool = False) -> list[StageResult]:
     """Run every applicable stage in order; snapshot the config for provenance."""
-    (ws.root / "config.ini").write_text(dump_config(cfg), encoding="utf-8")
+    jsonl.write_text(ws.root / "config.ini", dump_config(cfg))
     results = []
     for name in STAGE_ORDER:
         if not _stage_applicable(name, cfg):

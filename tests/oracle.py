@@ -4,14 +4,16 @@ The per-vector cosine and cognitive load check the packed scoring kernels. The
 per-head forward, the per-document loss and the allocating training loop below
 check the heads module: reference_train_heads is the training loop as it was
 before the in-place Adam step, kept verbatim so trained parameters can be
-compared bit for bit.
+compared bit for bit, and reference_forward_logits is the float64 forward as
+it was before heads were loaded as float32, so logits and bits can be.
 """
 
 import numpy as np
 
-from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, QuestionHeads, TrainingConfig,
-                          TrainingError, TrainingExample, _example_rows, _loss_and_grad,
-                          _softplus, _split, compute_pos_weight, forward_logits, init_heads)
+from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FORWARD_CHUNK, QuestionHeads,
+                          TrainingConfig, TrainingError, TrainingExample, _example_rows,
+                          _loss_and_grad, _softplus, _split, compute_pos_weight,
+                          forward_logits, init_heads)
 from qembed.metrics import MetricError
 from qembed.question_gen import QuestionBank
 
@@ -52,6 +54,21 @@ def head_forward(heads: QuestionHeads, e: np.ndarray, i: int) -> float:
         raise TrainingError(f"embedding shape {e.shape} does not match d={heads.d}")
     hidden = np.maximum(heads.W1[i] @ e + heads.b1[i], 0.0)
     return float(heads.w2[i] @ hidden + heads.b2[i])
+
+
+def reference_forward_logits(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
+    """Logits (n, m) of all heads in float64, every head in one GEMM per row chunk."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    W1, b1, w2, b2 = _split(heads.params.astype(np.float64), heads.h, heads.d)
+    rows = np.atleast_2d(e)
+    out = np.empty((len(rows), len(b2)))
+    for lo in range(0, len(rows), FORWARD_CHUNK):
+        chunk = rows[lo:lo + FORWARD_CHUNK]
+        hidden = np.matmul(W1, chunk.T)  # (q, h, rows)
+        hidden += b1[:, :, None]
+        np.maximum(hidden, 0.0, out=hidden)
+        out[lo:lo + len(chunk)] = np.einsum("qh,qhn->nq", w2, hidden) + b2
+    return out
 
 
 def document_loss(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,

@@ -3,6 +3,7 @@
 Run as `python3 -m pytest tests/test_acceptance.py -v -s` for the full listing.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -32,6 +33,13 @@ from qembed.question_gen import (ProbeOutcome, ScoredQuestion, quality_score,
 from qembed.workspace import Workspace
 
 GOLDEN = Path(__file__).parent / "golden"
+# sha256 of the seed-0 demo's heads.bin and embeddings.bin, taken from the float64
+# embedding forward (x86-64, OpenBLAS): the certified float32 forward must give
+# every bit it gave
+DEMO_DIGESTS = {
+    "heads": "8546295e126c1f31e4686472e97a02e58999e4fd27bf43f034e8cb2b4d01f73f",
+    "matrix": "8653c4f86dfd19d8c38879aec3ef149030679887a987f520727f1cea50475833",
+}
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -237,6 +245,16 @@ def test_criterion_09_byte_identical_reruns(demo_run, tmp_path):
     ok = not diffs
     report(9, ok, f"two identical full runs, {len(compared)} artifacts "
                   f"byte-compared, differing: {diffs or 'none'}")
+
+
+def test_demo_artifacts_match_pinned_digests(demo_run):
+    """Criterion 9 compares two runs of the same code, so it cannot see a
+    flipped bit; these digests can. Training rounds through BLAS, so another
+    BLAS kernel may change heads.bin, and this test then says so."""
+    ws, _, _ = demo_run
+    digests = {name: hashlib.sha256(ws.path(name).read_bytes()).hexdigest()
+               for name in DEMO_DIGESTS}
+    assert digests == DEMO_DIGESTS
 
 
 def test_criterion_10_prompt_golden_files():

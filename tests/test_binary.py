@@ -4,6 +4,7 @@ import pytest
 from qembed.binary import (
     BinaryMatrix,
     BinaryMatrixError,
+    is_binary,
     load_binary_matrix,
     packed_cognitive_load,
     save_binary_matrix,
@@ -41,6 +42,23 @@ class TestPacking:
         with pytest.raises(BinaryMatrixError):
             BinaryMatrix.from_dense(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize("bad, dtype", [(2, np.int8), (-1, np.int8), (2, np.int64),
+                                            (-1, np.int64)]
+                             + [(bad, dtype) for bad in (2, -1, 0.5, np.nan, np.inf)
+                                for dtype in (np.float32, np.float64)])
+    def test_rejects_each_non_binary_value(self, bad, dtype):
+        dense = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.float64)
+        dense[1, 2] = bad
+        with pytest.raises(BinaryMatrixError, match="only 0/1"):
+            BinaryMatrix.from_dense(dense.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.uint64, np.int64,
+                                       np.float16, np.float64, object])
+    def test_accepts_binary_rows_of_every_dtype(self, dtype):
+        dense = np.array([[0, 1, 1], [1, 0, 0]]).astype(dtype)
+        np.testing.assert_array_equal(BinaryMatrix.from_dense(dense).to_dense(),
+                                      dense.astype(np.uint8))
+
     def test_empty_matrix_with_columns(self):
         matrix = BinaryMatrix.from_dense(np.zeros((0, 12), dtype=np.uint8))
         assert matrix.n == 0 and matrix.m == 12
@@ -50,6 +68,22 @@ class TestPacking:
         assert matrix.row_index("b") == 1
         with pytest.raises(KeyError):
             matrix.row_index("z")
+
+
+class TestIsBinary:
+    """is_binary accepts exactly the arrays np.isin(values, (0, 1)).all() does."""
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0), np.zeros((0, 4), dtype=np.int64), np.array([True, False]),
+        np.array([0, 1], dtype=np.uint8), np.array([[1, 1], [0, 1]], dtype=np.int64),
+        np.array([0, 2], dtype=np.uint8), np.array([-1, 1], dtype=np.int32),
+        np.array([1.0, -0.0]), np.array([0.0, 0.5]), np.array([np.nan, 1.0]),
+        np.array([1.0, np.inf]), np.array([1, 0], dtype=object), np.array([1, 2], dtype=object),
+        np.array([1 + 0j, 0j]), np.array([1j, 0j]), np.iinfo(np.int64).min * np.ones(2, np.int64),
+        np.array(["0", "1"]),
+    ])
+    def test_same_as_elementwise_isin(self, values):
+        assert is_binary(values) == bool(np.isin(values, (0, 1)).all())
 
 
 class TestCognitiveLoadPacked:

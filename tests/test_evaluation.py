@@ -399,6 +399,31 @@ class TestExplainPair:
         total = len(report.shared_yes) + len(report.only_a) + len(report.only_b)
         assert total == int(np.bitwise_or(a, b).sum())
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_report_matches_a_loop_over_questions(self, dtype):
+        g = rng(4)
+        bank = make_bank([f"Is it {i}?" for i in range(37)])
+        a = g.integers(0, 2, size=37).astype(dtype)
+        b = g.integers(0, 2, size=37).astype(dtype)
+        report = explain_pair(a, b, bank)
+        for name, want in (("shared_yes", a.astype(bool) & b.astype(bool)),
+                           ("only_a", a.astype(bool) & ~b.astype(bool)),
+                           ("only_b", ~a.astype(bool) & b.astype(bool))):
+            assert [(h.id, h.text) for h in getattr(report, name)] == \
+                [(q.id, q.text) for q, hit in zip(bank.questions, want) if hit]
+        assert report.cognitive_load == int((a.astype(bool) & b.astype(bool)).sum())
+
+    @pytest.mark.parametrize("bad, dtype", [(2, np.int64), (-1, np.int64), (2, np.float64),
+                                            (-1, np.float64), (0.5, np.float64),
+                                            (np.nan, np.float64)])
+    def test_non_binary_rows_are_rejected(self, bad, dtype):
+        bank = make_bank(["Is it x?", "Is it y?", "Is it z?"])
+        row = np.array([1, 0, bad], dtype=np.float64).astype(dtype)
+        with pytest.raises(BankMismatchError, match="row a is not binary"):
+            explain_pair(row, [0, 1, 0], bank)
+        with pytest.raises(BankMismatchError, match="row b is not binary"):
+            explain_pair([0, 1, 0], row, bank)
+
     def test_fingerprint_mismatch(self):
         bank = make_bank(["Is it x?", "Is it y?"])
         with pytest.raises(BankMismatchError):

@@ -5,19 +5,27 @@ import numpy as np
 import pytest
 
 from oracle import (document_loss, document_loss_and_grads, head_forward, masked_sigmoid,
-                    parameter_arrays, reference_train_heads)
+                    parameter_arrays, reference_forward_logits, reference_train_heads)
+from qembed import heads as heads_module
 from qembed.heads import (
     ADAM_BETA1,
     FORWARD_CHUNK,
+    FORWARD_HEAD_BYTES,
     TRAIN_CHUNK_BYTES,
     ClassificationReport,
     TrainingConfig,
     TrainingError,
     TrainingExample,
+    _bound_constants,
+    _float32_first_layer,
+    _float32_logits,
+    _logit_threshold,
+    answer_probabilities,
     binarize,
     classification_report,
     compute_pos_weight,
     embed_documents,
+    embed_vectors,
     evaluate_heldout,
     forward_logits,
     init_heads,
@@ -464,8 +472,10 @@ class TestEmbedDocuments:
             np.testing.assert_array_equal(matrix.row(i), expected)
 
         subset = np.array([4, 1, 3])
-        np.testing.assert_allclose(forward_logits(heads, encoder.encode(docs), subset),
-                                   oracle[:, subset], rtol=0, atol=1e-12)
+        full = forward_logits(heads, encoder.encode(docs))
+        np.testing.assert_allclose(full, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(forward_logits(heads, encoder.encode(docs), subset),
+                                      full[:, subset])
 
         # held-out answers set to the oracle's bits (then their negation) on a
         # varying question subset: accuracy 1 (then 0) means every pair agrees
@@ -485,6 +495,232 @@ class TestEmbedDocuments:
         ids = [f"id{i}" for i in range(4)]
         matrix = embed_documents(docs, encoder, heads, tau=0.5, row_ids=ids)
         assert matrix.row_ids == ids
+
+
+def loaded(heads, tmp_path, name="heads.bin"):
+    """heads after a save_heads / load_heads round trip: float32 parameters."""
+    save_heads(heads, tmp_path / name)
+    return load_heads(tmp_path / name)
+
+
+def expected_bits(heads, embeddings, tau):
+    """The bits as computed before the certified forward: sigmoid of the
+    float64 forward over every head, then > tau."""
+    with np.errstate(all="ignore"):
+        return (sigmoid(reference_forward_logits(heads, embeddings)) > tau).astype(np.uint8)
+
+
+class FallbackSpy:
+    """Records the forward_logits calls embed_vectors makes: (rows, heads) for
+    a subset of heads, (rows, None) for a full fallback."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = heads_module.forward_logits
+
+        def spy(heads, embeddings, question_ids=None):
+            ids = None if question_ids is None else len(question_ids)
+            self.calls.append((len(np.atleast_2d(embeddings)), ids))
+            return real(heads, embeddings, question_ids)
+
+        monkeypatch.setattr(heads_module, "forward_logits", spy)
+
+    @property
+    def full(self):
+        return sum(ids is None for _, ids in self.calls)
+
+
+class TestForwardSubsets:
+    """The fallback's premise: forward_logits over a subset of heads gives,
+    bit for bit, the full forward's columns, on float32-loaded heads."""
+
+    @pytest.mark.parametrize("rows", [1, 4, 31, 32, 33, 65])
+    def test_subset_columns_are_bit_identical(self, tmp_path, rows):
+        heads = loaded(init_heads(m=40, d=256, h=64, seed=4), tmp_path)
+        # float32 heads are upcast in blocks: 40 heads take two of them
+        assert FORWARD_HEAD_BYTES // (8 * heads.params.shape[1]) < heads.m
+        rng = np.random.default_rng(rows)
+        E = rng.standard_normal((rows, 256))
+        full = forward_logits(heads, E)
+        assert np.array_equal(full, reference_forward_logits(heads, E))
+        for subset in ([7], [39, 0, 12], [5, 5, 30, 1, 5], rng.permutation(40),
+                       rng.integers(0, 40, size=50), np.arange(40)[::-1]):
+            subset = np.asarray(subset)
+            assert np.array_equal(forward_logits(heads, E, subset), full[:, subset])
+
+    def test_probabilities_upcast_one_block_at_a_time(self, tmp_path):
+        """Bound: one FORWARD_HEAD_BYTES float64 block and small temporaries,
+        well under the 13 MB a float64 copy of all 100 heads would take."""
+        heads = loaded(init_heads(m=100, d=256, h=64, seed=1), tmp_path)
+        E = np.random.default_rng(0).standard_normal((4, 256))
+        tracemalloc.start()
+        try:
+            probabilities = answer_probabilities(heads, E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < FORWARD_HEAD_BYTES + 512 * 1024 < 2 * heads.params.nbytes
+        assert np.array_equal(probabilities, sigmoid(reference_forward_logits(heads, E)))
+
+
+class TestLoadedHeads:
+    def test_params_are_one_aligned_read_only_float32_array(self, tmp_path):
+        fresh = init_heads(m=5, d=12, h=3, seed=0, tau=0.3, bank_fingerprint="f")
+        heads = loaded(fresh, tmp_path)
+        params = heads.params
+        assert params.dtype == np.float32 and params.shape == fresh.params.shape
+        assert params.flags.c_contiguous and params.flags.owndata and params.flags.aligned
+        assert params.ctypes.data % 16 == 0
+        np.testing.assert_array_equal(params, fresh.params.astype(np.float32))
+        for view in (heads.W1, heads.b1, heads.w2, heads.b2):
+            assert np.shares_memory(view, params) and view.dtype == np.float32
+        with pytest.raises(ValueError):
+            heads.W1[0, 0, 0] = 1.0
+        assert np.array_equal(heads.bounds, _bound_constants(heads, heads.W1))
+
+    def test_empty_bank_loads(self, tmp_path):
+        heads = loaded(init_heads(m=0, d=4, h=2, seed=0), tmp_path)
+        assert heads.params.shape == (0, 4 * 2 + 2 * 2 + 1)
+        with pytest.raises(TrainingError, match="empty"):
+            embed_documents(["x"], MockEncoder(dim=4, seed=0), heads, tau=0.5)
+
+
+def boundary_rows(heads, tau, q, e0, ulps=3):
+    """Rows t * e0 on either side of head q's bit flip, at the closest scales t
+    that float64 gives, plus `ulps` scales either side of those."""
+    def bit(t):
+        return bool(expected_bits(heads, t * e0[None, :], tau)[0, q])
+
+    ts = np.linspace(0.5, 1.5, 101)
+    flips = [i for i in range(100) if bit(ts[i]) != bit(ts[i + 1])]
+    lo, hi = ts[flips[0]], ts[flips[0] + 1]
+    low_bit = bit(lo)
+    while np.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2
+        if bit(mid) == low_bit:
+            lo = mid
+        else:
+            hi = mid
+    scales = [lo, hi]
+    for _ in range(ulps):
+        scales += [np.nextafter(scales[-2], -np.inf), np.nextafter(scales[-1], np.inf)]
+    return np.stack([t * e0 for t in scales])
+
+
+def heads_at_threshold(m, d, h, seed, tau, e0):
+    """float64 heads whose every logit on e0 sits at logit(tau)."""
+    heads = init_heads(m=m, d=d, h=h, seed=seed)
+    z = reference_forward_logits(heads, e0[None, :])[0]
+    heads.b2[:] += (np.log(tau) - np.log1p(-tau)) - z
+    return heads
+
+
+class TestCertifiedBits:
+    """Every embedding bit equals sigmoid(float64 forward) > tau."""
+
+    TAUS = [0.1, 0.5, 0.9, 1e-6, 1 - 1e-6, 2.0 ** -30, 1 - 2.0 ** -30]
+
+    @pytest.mark.parametrize("tau", TAUS + [1e-12, 1 - 1e-12, 2.0 ** -31, 5e-324,
+                                            1 - 2.0 ** -53])
+    def test_random_heads_and_rows(self, tmp_path, tau):
+        rng = np.random.default_rng(11)
+        fresh = init_heads(m=24, d=64, h=32, seed=6)
+        fresh.b2[:] += rng.normal(0.0, 3.0, size=24)  # spread logits over the taus
+        E = rng.standard_normal((70, 64)) * rng.uniform(0.01, 40.0, size=(70, 1))
+        for heads in (fresh, loaded(fresh, tmp_path)):
+            np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
+                                          expected_bits(heads, E, tau))
+
+    @pytest.mark.parametrize("tau", [1e-12, 1 - 1e-12, 2.0 ** -31, 1 - 2.0 ** -31])
+    def test_unbounded_slack_falls_back_in_full(self, tmp_path, monkeypatch, tau):
+        assert _logit_threshold(tau) is None
+        heads = loaded(init_heads(m=6, d=16, h=4, seed=2), tmp_path)
+        E = np.random.default_rng(1).standard_normal((5, 16))
+        spy = FallbackSpy(monkeypatch)
+        np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
+                                      expected_bits(heads, E, tau))
+        assert spy.calls == [(5, None)]
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9, 1e-6, 1 - 1e-6])
+    def test_rows_within_ulps_of_the_threshold(self, tmp_path, monkeypatch, tau):
+        rng = np.random.default_rng(3)
+        e0 = rng.standard_normal(32)
+        fresh = heads_at_threshold(m=8, d=32, h=16, seed=5, tau=tau, e0=e0)
+        for heads in (fresh, loaded(fresh, tmp_path)):
+            rows = np.concatenate([boundary_rows(heads, tau, q, e0) for q in (0, 3, 7)])
+            spy = FallbackSpy(monkeypatch)
+            bits = embed_vectors(rows, heads, tau).to_dense()
+            monkeypatch.undo()
+            np.testing.assert_array_equal(bits, expected_bits(heads, rows, tau))
+            assert spy.calls and spy.full == 0  # 24 rows: one chunk, whose flips fall back
+            for q, at in ((0, 0), (3, 8), (7, 16)):  # each flip is in the rows
+                assert len(set(bits[at:at + 8, q].tolist())) == 2
+
+    def test_nan_inf_zero_and_extreme_rows(self, tmp_path, monkeypatch):
+        d = 16
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal(d)
+        rows = [np.zeros(d), base, base * 1e-300, np.full(d, 5e-324), base * 1e-40,
+                base * 1e39, base * 2.0 ** 61, base * 1e300]
+        for value in (np.nan, np.inf, -np.inf):
+            row = base.copy()
+            row[3] = value
+            rows.append(row)
+        rows.append(np.where(np.arange(d) % 2, np.inf, -np.inf))
+        E = np.stack(rows)
+        fresh = init_heads(m=10, d=d, h=8, seed=7)
+        for heads in (fresh, loaded(fresh, tmp_path)):
+            for tau in (0.1, 0.5, 0.9):
+                spy = FallbackSpy(monkeypatch)
+                with np.errstate(all="ignore"):
+                    bits = embed_vectors(E, heads, tau).to_dense()
+                monkeypatch.undo()
+                np.testing.assert_array_equal(bits, expected_bits(heads, E, tau))
+                assert spy.calls and spy.full == 0
+        # every bit of a NaN or inf row, or one past the norm limit, falls back
+        z, bound = _float32_logits(fresh, _float32_first_layer(fresh),
+                                   _bound_constants(fresh, _float32_first_layer(fresh)), E)
+        assert (~(np.abs(z) > bound))[5:].all()
+        assert np.isfinite(bound[:5]).all()
+
+    def test_trained_heads(self, tmp_path):
+        encoder = MockEncoder(dim=16, seed=0)
+        texts, examples = hyperplane_data(encoder, n_docs=60, m=6, seed=8)
+        cfg = TrainingConfig(learning_rate=1e-2, steps=2000, hidden=8, seed=1)
+        trained = train_heads(examples, vectors(encoder, texts, examples), toy_bank(6), cfg=cfg)
+        E = encoder.encode([f"held-out text {i} on topic {i % 5}" for i in range(100)])
+        for heads in (trained, loaded(trained, tmp_path)):
+            for tau in (0.1, 0.5, 0.9):
+                np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
+                                              expected_bits(heads, E, tau))
+
+    def test_float64_heads_written_through_views(self):
+        rng = np.random.default_rng(9)
+        heads = init_heads(m=5, d=12, h=6, seed=3)
+        E = rng.standard_normal((9, 12))
+        np.testing.assert_array_equal(embed_vectors(E, heads, 0.5).to_dense(),
+                                      expected_bits(heads, E, 0.5))
+        heads.W1[:] *= 50.0  # constants from before this write would under-bound
+        heads.w2[2] = 0.0
+        heads.b2[:] -= reference_forward_logits(heads, E[:1])[0]  # row 0 at logit(0.5)
+        np.testing.assert_array_equal(embed_vectors(E, heads, 0.5).to_dense(),
+                                      expected_bits(heads, E, 0.5))
+        assert heads.bounds is None
+
+    def test_bound_covers_the_float64_forward(self, tmp_path):
+        """|z' - z| <= bound on rows of many scales, on fresh, scaled and trained-like heads."""
+        rng = np.random.default_rng(12)
+        E = rng.standard_normal((64, 48)) * 10.0 ** rng.uniform(-6, 6, size=(64, 1))
+        fresh = init_heads(m=12, d=48, h=20, seed=2)
+        big = init_heads(m=12, d=48, h=20, seed=3)
+        big.W1[:] *= 1e3
+        big.b1[:] *= -1e2
+        for heads in (fresh, big, loaded(fresh, tmp_path), loaded(big, tmp_path, "big.bin")):
+            W1_32 = _float32_first_layer(heads)
+            for lo in range(0, len(E), FORWARD_CHUNK):
+                chunk = E[lo:lo + FORWARD_CHUNK]
+                z, bound = _float32_logits(heads, W1_32, _bound_constants(heads, W1_32), chunk)
+                assert (np.abs(z - reference_forward_logits(heads, chunk)) <= bound).all()
 
 
 class TestClassificationReport:
@@ -551,7 +787,8 @@ def test_corrupt_heads_file_names_the_file(tmp_path):
     bad_header = [b"{not json" + b"\n" + body,
                   header.replace(b'"d": 6, ', b"") + b"\n" + body,
                   header.replace(b'"h": 4', b'"h": null') + b"\n" + body,
-                  header.replace(b'"m": 3', b'"m": -1') + b"\n" + body]
+                  header.replace(b'"m": 3', b'"m": -1') + b"\n" + body,
+                  header.replace(b'"m": 3', b'"m": 1e999') + b"\n" + body]
     for corrupt in [blob[:cut] for cut in range(len(blob))] + bad_header:
         path.write_bytes(corrupt)
         with pytest.raises(TrainingError, match="heads.bin"):

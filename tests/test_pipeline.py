@@ -94,6 +94,21 @@ def test_config_snapshot_matches_hash(mini):
     assert (ws.root / "config.ini").read_text() == dump_config(cfg)
 
 
+def test_config_snapshot_write_failing_partway_keeps_the_previous_one(mini_copy, monkeypatch):
+    """A snapshot whose text cannot be encoded fails after the file is opened;
+    the previous snapshot stays, byte for byte, and no temporary is left."""
+    cfg_path, cfg, ws = mini_copy
+    snapshot = ws.root / "config.ini"
+    before = snapshot.read_bytes()
+    import qembed.pipeline as pipeline_module
+    monkeypatch.setattr(pipeline_module, "dump_config",
+                        lambda cfg: "[pipeline]\nseed = 1\n\ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        run_all(cfg, ws, config_dir=cfg_path.parent)
+    assert snapshot.read_bytes() == before
+    assert sorted(p.name for p in ws.root.glob("config.ini*")) == ["config.ini"]
+
+
 def test_heldout_report_has_provenance_and_accuracy(mini):
     _, cfg, ws, _ = mini
     report = json.loads(ws.path("heldout_report").read_text())
