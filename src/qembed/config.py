@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .prompts import QUESTIONS_PER_ANSWER_PROMPT
+
 
 class ConfigError(ValueError):
     """Unknown keys, bad types, or out-of-range values in a config file."""
@@ -162,8 +164,8 @@ def _validate(cfg: PipelineConfig) -> None:
     def bad(msg):
         raise ConfigError(msg)
 
-    if not 0 <= cfg.corpus.heldout_fraction < 1:
-        bad(f"[corpus] heldout_fraction must be in [0, 1), got {cfg.corpus.heldout_fraction}")
+    if not 0 < cfg.corpus.heldout_fraction < 1:
+        bad(f"[corpus] heldout_fraction must be in (0, 1), got {cfg.corpus.heldout_fraction}")
     if cfg.corpus.format not in ("plain-lines", "json-lines"):
         bad(f"[corpus] format must be plain-lines or json-lines, got {cfg.corpus.format!r}")
     if cfg.encoder.kind not in ("mock",):
@@ -179,6 +181,23 @@ def _validate(cfg: PipelineConfig) -> None:
                         ("easy_negatives", cfg.generation.easy_negatives)):
         if value < 1:
             bad(f"[generation] {name} must be >= 1, got {value}")
+    probe, col = cfg.probe, cfg.collection
+    if probe.positives < 1:
+        bad(f"[probe] positives must be >= 1, got {probe.positives}")
+    for section, name, value in (("generation", "hard_neighbor_clusters",
+                                  cfg.generation.hard_neighbor_clusters),
+                                 ("probe", "hard_negatives", probe.hard_negatives),
+                                 ("probe", "easy_negatives", probe.easy_negatives),
+                                 ("probe", "neighbor_clusters", probe.neighbor_clusters),
+                                 ("collection", "in_cluster", col.in_cluster),
+                                 ("collection", "neighbor", col.neighbor),
+                                 ("collection", "random", col.random)):
+        if value < 0:
+            bad(f"[{section}] {name} must be >= 0, got {value}")
+    if probe.hard_negatives + probe.easy_negatives < 1:
+        bad("[probe] hard_negatives and easy_negatives must not both be 0")
+    if not 1 <= col.group <= QUESTIONS_PER_ANSWER_PROMPT:
+        bad(f"[collection] group must be in [1, {QUESTIONS_PER_ANSWER_PROMPT}], got {col.group}")
     if not 0 <= cfg.selection.dedup_threshold <= 1:
         bad(f"[selection] dedup_threshold must be in [0, 1], got {cfg.selection.dedup_threshold}")
     if cfg.selection.per_cluster_cap < 1:

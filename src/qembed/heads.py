@@ -13,10 +13,10 @@ float64; load_heads keeps heads.bin's float32 values as they are, in one
 aligned read-only array.
 
 Probabilities (answer_probabilities, forward_logits) are float64 on either
-dtype. Embedding bits come from a float32 first layer with a rigorous
-forward-error bound per (row, head) (see _bound_constants); the few bits the
-bound cannot settle are recomputed by forward_logits, so every bit equals
-sigmoid(forward_logits(...)) > tau.
+dtype. Embedding bits of loaded heads come from a float32 first layer with a
+rigorous forward-error bound per (row, head) (see _bound_constants); the few
+bits the bound cannot settle are recomputed by forward_logits, so every bit
+equals sigmoid(forward_logits(...)) > tau, which is how other heads embed.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class QuestionHeads:
     The attributes W1 (m,h,d), b1 (m,h), w2 (m,h) and b2 (m,) are views into
     params, so writing through them writes the parameters. bounds holds the
     certified forward's per-head constants; load_heads sets it beside its
-    read-only params, and any other heads get theirs computed on each call.
+    read-only params. Other heads embed through the float64 forward.
     """
     params: np.ndarray
     h: int
@@ -420,14 +420,6 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _float32_first_layer(heads: QuestionHeads) -> np.ndarray:
-    """W1 as float32 (m, h, d): a view of float32 heads, a rounded copy of float64 ones."""
-    if heads.W1.dtype == np.float32:
-        return heads.W1
-    with np.errstate(over="ignore"):  # overflowing heads fail _bound_constants' checks
-        return heads.W1.astype(np.float32)
-
-
 def _bound_constants(heads: QuestionHeads, W1_32: np.ndarray) -> np.ndarray:
     """(2, m) per-head constants (a, b) of the certified forward's error bound.
 
@@ -497,11 +489,11 @@ def _logit_threshold(tau: float) -> tuple[float, float] | None:
     return threshold, 2.0 * slack
 
 
-def _float32_logits(heads: QuestionHeads, W1_32: np.ndarray, bounds: np.ndarray,
-                    chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The certified forward on (rows, d) float64 rows: logits z' (rows, m),
-    the first layer one float32 batched matmul and the rest float64, and the
-    bound (rows, m) of _bound_constants with |z' - forward_logits| <= bound.
+def _float32_logits(heads: QuestionHeads, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The certified forward of loaded heads on (rows, d) float64 rows: logits
+    z' (rows, m), the first layer one float32 batched matmul and the rest
+    float64, and the bound (rows, m) of heads.bounds with
+    |z' - forward_logits| <= bound.
 
     A row whose norm exceeds _NORM_LIMIT or is not finite gets an infinite or
     NaN bound. Runs under np.errstate, so such rows raise no warnings.
@@ -511,13 +503,13 @@ def _float32_logits(heads: QuestionHeads, W1_32: np.ndarray, bounds: np.ndarray,
         norms *= 1.0 + 2.0 * _gamma(heads.d + 2, _U64)  # its own rounding
         norms += 2.0 ** -500  # underflowed squares
         norms[~(norms <= _NORM_LIMIT)] = np.inf
-        hidden = np.matmul(W1_32, chunk.astype(np.float32).T).astype(np.float64)
+        hidden = np.matmul(heads.W1, chunk.astype(np.float32).T).astype(np.float64)
         hidden += np.asarray(heads.b1, dtype=np.float64)[:, :, None]
         np.maximum(hidden, 0.0, out=hidden)
         z = np.einsum("qh,qhn->nq", np.asarray(heads.w2, dtype=np.float64), hidden)
         z += heads.b2
-        bound = np.multiply.outer(norms, bounds[0])
-        bound += bounds[1]
+        bound = np.multiply.outer(norms, heads.bounds[0])
+        bound += heads.bounds[1]
     return z, bound
 
 
@@ -528,9 +520,10 @@ def _embedding_bits(heads: QuestionHeads, embeddings: np.ndarray, tau: float) ->
     (_float32_logits). A bit is decided there when its logit lies farther from
     logit(tau) than the bound plus the slack of _logit_threshold. Every other
     (row, head) pair, NaN and inf included, is recomputed by forward_logits on
-    just those heads over the same chunk. tau outside _logit_threshold's
-    range, a float32 dot product too long to bound, or input that is not
-    (n, d) falls back in full.
+    just those heads over the same chunk. Heads without load_heads' bounds
+    or with writeable params (so float64 heads), tau outside
+    _logit_threshold's range, a float32 dot product too long to bound, or
+    input that is not (n, d) fall back in full.
     """
     if not 0.0 < tau < 1.0:
         raise TrainingError(f"tau must be in (0, 1), got {tau}")
@@ -538,18 +531,15 @@ def _embedding_bits(heads: QuestionHeads, embeddings: np.ndarray, tau: float) ->
         raise TrainingError("heads are empty")
     e = np.asarray(embeddings, dtype=np.float64)
     threshold = _logit_threshold(tau)
-    if threshold is None or e.ndim != 2 or heads.d * _U32 > 0.25:
+    if (threshold is None or e.ndim != 2 or heads.d * _U32 > 0.25
+            or heads.bounds is None or heads.params.flags.writeable):
         return binarize(answer_probabilities(heads, e), tau)
     threshold, slack = threshold
-    W1_32 = _float32_first_layer(heads)
-    bounds = heads.bounds
-    if bounds is None or heads.params.flags.writeable:
-        bounds = _bound_constants(heads, W1_32)
 
     bits = np.empty((len(e), heads.m), dtype=np.uint8)
     for lo in range(0, len(e), FORWARD_CHUNK):
         chunk = e[lo:lo + FORWARD_CHUNK]
-        z, bound = _float32_logits(heads, W1_32, bounds, chunk)
+        z, bound = _float32_logits(heads, chunk)
         z -= threshold  # rounding is monotone: fl(z - t) > bound implies z - t > bound
         bound += slack
         undecided = ~(np.abs(z) > bound)  # so NaN in z or the bound is undecided
@@ -595,18 +585,6 @@ class ClassificationReport:
     macro: tuple[float, float, float]
     weighted: tuple[float, float, float]
     total: int
-
-    def render_text(self) -> str:
-        lines = [f"{'':>14}{'precision':>10}{'recall':>10}{'f1-score':>10}{'support':>10}",
-                 ""]
-        for name, cm in (("No", self.no), ("Yes", self.yes)):
-            lines.append(f"{name:>14}{cm.precision:>10.4f}{cm.recall:>10.4f}"
-                         f"{cm.f1:>10.4f}{cm.support:>10d}")
-        lines.append("")
-        lines.append(f"{'accuracy':>14}{'':>20}{self.accuracy:>10.4f}{self.total:>10d}")
-        for name, (p, r, f1) in (("macro avg", self.macro), ("weighted avg", self.weighted)):
-            lines.append(f"{name:>14}{p:>10.4f}{r:>10.4f}{f1:>10.4f}{self.total:>10d}")
-        return "\n".join(lines)
 
     def as_dict(self) -> dict:
         return {

@@ -34,13 +34,9 @@ from .question_gen import (CandidateQuestion, ProbeOutcome, ScoredQuestion,
                            probe_question, sample_contrastive,
                            save_question_bank, select_question_bank)
 from .synthetic import TopicOracleLLM
-from .workspace import Workspace, file_fingerprint
+from .workspace import ARTIFACTS, Workspace, file_fingerprint
 
 logger = logging.getLogger(__name__)
-
-STAGE_ORDER = ["ingest", "encode", "cluster", "generate", "probe", "select",
-               "collect", "train", "embed", "eval-sts", "eval-retrieval",
-               "eval-clustering", "explain", "ablate", "cost"]
 
 
 def stage_seed(root_seed: int, stage: str) -> int:
@@ -67,8 +63,7 @@ class StageContext:
         return self.cfg.pipeline.seed
 
     def resolve(self, path: str) -> Path:
-        p = Path(path)
-        return p if p.is_absolute() else self.config_dir / p
+        return self.config_dir / path  # an absolute path replaces config_dir
 
     @property
     def encoder(self):
@@ -311,14 +306,8 @@ def _embed_texts(ctx: StageContext, heads, texts: list[str], tau: float | None =
                            row_ids=[content_id(t) for t in texts])
 
 
-def _require_sts(ctx: StageContext):
-    if not ctx.cfg.eval.sts:
-        raise ConfigError("[eval] sts task file is not configured")
-    return load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-
-
 def _stage_eval_sts(ctx: StageContext) -> dict:
-    task = _require_sts(ctx)
+    task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
     heads = load_heads(ctx.ws.path("heads"))
     rho, load = _sts_numbers(task, _embed_texts(ctx, heads, task.texts(),
                                                 tau=ctx.cfg.training.tau))
@@ -339,8 +328,6 @@ def _stage_eval_sts(ctx: StageContext) -> dict:
 
 def _stage_eval_retrieval(ctx: StageContext) -> dict:
     ev = ctx.cfg.eval
-    if not (ev.queries and ev.corpus and ev.qrels):
-        raise ConfigError("[eval] queries, corpus, and qrels must all be configured")
     task = load_retrieval_task(ctx.resolve(ev.queries), ctx.resolve(ev.corpus),
                                ctx.resolve(ev.qrels))
     heads = load_heads(ctx.ws.path("heads"))
@@ -362,8 +349,6 @@ def _stage_eval_retrieval(ctx: StageContext) -> dict:
 
 
 def _stage_eval_clustering(ctx: StageContext) -> dict:
-    if not ctx.cfg.eval.clustering:
-        raise ConfigError("[eval] clustering task file is not configured")
     task = load_clustering_task(ctx.resolve(ctx.cfg.eval.clustering))
     heads = load_heads(ctx.ws.path("heads"))
     matrix = embed_documents(list(task.texts), ctx.encoder, heads,
@@ -381,7 +366,7 @@ def _stage_eval_clustering(ctx: StageContext) -> dict:
 
 
 def _stage_explain(ctx: StageContext) -> dict:
-    task = _require_sts(ctx)
+    task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
     heads = load_heads(ctx.ws.path("heads"))
     bank = load_question_bank(ctx.ws.path("bank"))
     n = min(ctx.cfg.eval.explain_pairs, len(task.pairs))
@@ -413,7 +398,7 @@ def _sts_numbers(task, matrix: BinaryMatrix):
 
 
 def _stage_ablate(ctx: StageContext) -> dict:
-    task = _require_sts(ctx)
+    task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
     heads = load_heads(ctx.ws.path("heads"))
     taus = parse_float_list(ctx.cfg.eval.ablate_taus)
     dims = parse_int_list(ctx.cfg.eval.ablate_dims)
@@ -482,30 +467,37 @@ def _stage_cost(ctx: StageContext) -> dict:
 class Stage:
     name: str
     inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
     func: object
+    tasks: tuple[tuple[str, str], ...] = ()  # (state key, [eval] key) per task file read
 
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        return tuple(a for a, (_, producer) in ARTIFACTS.items() if producer == self.name)
+
+
+_STS = (("sts_task", "sts"),)
 
 STAGES: dict[str, Stage] = {s.name: s for s in [
-    Stage("ingest", (), ("corpus", "split"), _stage_ingest),
-    Stage("encode", ("corpus",), ("doc_embeddings",), _stage_encode),
-    Stage("cluster", ("corpus", "doc_embeddings"), ("cluster_model",), _stage_cluster),
-    Stage("generate", ("corpus", "cluster_model"), ("candidates",), _stage_generate),
-    Stage("probe", ("corpus", "cluster_model", "candidates"), ("probes",), _stage_probe),
-    Stage("select", ("probes",), ("bank",), _stage_select),
-    Stage("collect", ("corpus", "split", "cluster_model", "bank"),
-          ("answers", "train_examples", "heldout_examples"), _stage_collect),
+    Stage("ingest", (), _stage_ingest),
+    Stage("encode", ("corpus",), _stage_encode),
+    Stage("cluster", ("corpus", "doc_embeddings"), _stage_cluster),
+    Stage("generate", ("corpus", "cluster_model"), _stage_generate),
+    Stage("probe", ("corpus", "cluster_model", "candidates"), _stage_probe),
+    Stage("select", ("probes",), _stage_select),
+    Stage("collect", ("corpus", "split", "cluster_model", "bank"), _stage_collect),
     Stage("train", ("corpus", "doc_embeddings", "bank", "train_examples", "heldout_examples"),
-          ("heads", "heldout_report"), _stage_train),
-    Stage("embed", ("corpus", "doc_embeddings", "heads"), ("matrix", "embed_meta"),
-          _stage_embed),
-    Stage("eval-sts", ("heads",), ("sts_report",), _stage_eval_sts),
-    Stage("eval-retrieval", ("heads",), ("retrieval_report",), _stage_eval_retrieval),
-    Stage("eval-clustering", ("heads",), ("clustering_report",), _stage_eval_clustering),
-    Stage("explain", ("heads", "bank"), ("explanations",), _stage_explain),
-    Stage("ablate", ("heads",), ("ablation_report",), _stage_ablate),
-    Stage("cost", (), ("cost_report",), _stage_cost),
+          _stage_train),
+    Stage("embed", ("corpus", "doc_embeddings", "heads"), _stage_embed),
+    Stage("eval-sts", ("heads",), _stage_eval_sts, _STS),
+    Stage("eval-retrieval", ("heads",), _stage_eval_retrieval,
+          (("queries", "queries"), ("corpus", "corpus"), ("qrels", "qrels"))),
+    Stage("eval-clustering", ("heads",), _stage_eval_clustering,
+          (("clustering_task", "clustering"),)),
+    Stage("explain", ("heads", "bank"), _stage_explain, _STS),
+    Stage("ablate", ("heads",), _stage_ablate, _STS),
+    Stage("cost", (), _stage_cost),
 ]}
+STAGE_ORDER = list(STAGES)
 
 
 @dataclass(frozen=True)
@@ -515,30 +507,21 @@ class StageResult:
     summary: dict
 
 
-def _external_inputs(name: str, cfg: PipelineConfig, config_dir: Path
-                     ) -> dict[str, Path]:
-    """Config-referenced files a stage reads, for change detection."""
-    def resolve(p):
-        path = Path(p)
-        return path if path.is_absolute() else config_dir / p
+def _unset_task(stage: Stage, cfg: PipelineConfig) -> str | None:
+    """The [eval] key of the first task file the stage reads that is not configured."""
+    return next((key for _, key in stage.tasks if not getattr(cfg.eval, key)), None)
 
-    out: dict[str, Path] = {}
-    ev = cfg.eval
-    if name == "ingest" and cfg.corpus.input:
-        out["file:corpus_input"] = resolve(cfg.corpus.input)
-    if name in ("eval-sts", "explain", "ablate") and ev.sts:
-        out["file:sts_task"] = resolve(ev.sts)
-    if name == "eval-retrieval":
-        for key, p in (("queries", ev.queries), ("corpus", ev.corpus),
-                       ("qrels", ev.qrels)):
-            if p:
-                out[f"file:{key}"] = resolve(p)
-    if name == "eval-clustering" and ev.clustering:
-        out["file:clustering_task"] = resolve(ev.clustering)
-    if (cfg.llm.kind == "scripted" and cfg.llm.transcript
-            and name in ("generate", "probe", "collect")):
-        out["file:transcript"] = resolve(cfg.llm.transcript)
-    return out
+
+def _config_files(stage: Stage, cfg: PipelineConfig) -> dict[str, str]:
+    """Configured files a stage reads, by state key, for change detection: its
+    task files, ingest's [corpus] input and, in a scripted run, the transcript
+    of the stages that call the LLM."""
+    files = {f"file:{key}": getattr(cfg.eval, attr) for key, attr in stage.tasks}
+    if stage.name == "ingest":
+        files["file:corpus_input"] = cfg.corpus.input
+    if cfg.llm.kind == "scripted" and stage.name in ("generate", "probe", "collect"):
+        files["file:transcript"] = cfg.llm.transcript
+    return {key: path for key, path in files.items() if path}
 
 
 def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
@@ -547,16 +530,20 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
         raise ConfigError(f"unknown stage {name!r}; "
                           f"known: {', '.join(STAGE_ORDER)}")
     stage = STAGES[name]
+    unset = _unset_task(stage, cfg)
+    if unset:
+        raise ConfigError(f"[eval] {unset} is not configured; stage '{name}' reads it")
     input_fps = ws.require_inputs(name, list(stage.inputs))
     ws.verify_chain(name, input_fps, force=force)
-    for key, path in _external_inputs(name, cfg, config_dir).items():
+    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps)
+    for key, path in _config_files(stage, cfg).items():
+        path = ctx.resolve(path)
         if path.exists():  # a missing file fails inside the stage, with context
             input_fps[key] = file_fingerprint(path)
     ch = config_hash(cfg)
     if not force and ws.up_to_date(name, ch, input_fps):
         ws.log({"stage": name, "status": "skipped"})
         return StageResult(stage=name, skipped=True, summary={})
-    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps)
     started = time.perf_counter()
     summary = stage.func(ctx)
     elapsed = round(time.perf_counter() - started, 3)
@@ -566,29 +553,16 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
     return StageResult(stage=name, skipped=False, summary=summary)
 
 
-def _stage_applicable(name: str, cfg: PipelineConfig) -> bool:
-    ev = cfg.eval
-    if name in ("eval-sts", "ablate"):
-        return bool(ev.sts)
-    if name == "explain":
-        return bool(ev.sts) and ev.explain_pairs > 0
-    if name == "eval-retrieval":
-        return bool(ev.queries and ev.corpus and ev.qrels)
-    if name == "eval-clustering":
-        return bool(ev.clustering)
-    return True
-
-
 def run_all(cfg: PipelineConfig, ws: Workspace, config_dir: Path,
             force: bool = False) -> list[StageResult]:
     """Run every applicable stage in order; snapshot the config for provenance."""
     jsonl.write_text(ws.root / "config.ini", dump_config(cfg))
     results = []
-    for name in STAGE_ORDER:
-        if not _stage_applicable(name, cfg):
-            ws.log({"stage": name, "status": "not-configured"})
+    for stage in STAGES.values():
+        if _unset_task(stage, cfg) or (stage.name == "explain" and not cfg.eval.explain_pairs):
+            ws.log({"stage": stage.name, "status": "not-configured"})
             continue
-        results.append(run_stage(name, cfg, ws, config_dir, force=force))
+        results.append(run_stage(stage.name, cfg, ws, config_dir, force=force))
     return results
 
 

@@ -6,16 +6,14 @@ fingerprints and config is a no-op, and an artifact that no longer matches
 what its producer recorded stops the run unless forced.
 """
 
+import fcntl
 import hashlib
-import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .jsonl import dumps, parse, write_json
-
-logger = logging.getLogger(__name__)
 
 
 class DependencyError(RuntimeError):
@@ -72,25 +70,6 @@ class StageRecord:
     config: str
     inputs: dict[str, str]
     outputs: dict[str, str]
-
-
-def _recorded_pid(lock_path: Path) -> int | None:
-    """The pid a lock file records; None if the file is gone or holds no valid pid."""
-    try:
-        pid = int(lock_path.read_text(encoding="ascii"))
-    except (OSError, UnicodeDecodeError, ValueError):
-        return None  # vanished, or its holder has not written its pid yet
-    return pid if 0 < pid < 1 << 31 else None  # os.kill treats pid <= 0 as a group
-
-
-def _pid_running(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)  # signal 0 only checks that the process exists
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # it exists, under another user
-    return True
 
 
 class Workspace:
@@ -188,42 +167,28 @@ class Workspace:
         with open(self.root / _RUN_LOG, "a", encoding="utf-8") as fh:
             fh.write(dumps(record, sort_keys=True))
 
-    def _create_lock(self, lock_path: Path) -> int:
-        """Open a new lock file with O_EXCL, replacing one whose recorded pid is gone."""
-        try:
-            return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        pid = _recorded_pid(lock_path)
-        if pid is not None and not _pid_running(pid):
-            logger.warning("replacing stale lock %s of pid %d, which is not running",
-                           lock_path, pid)
-            lock_path.unlink(missing_ok=True)
-            try:
-                return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                pass  # another run took the lock first
-            pid = _recorded_pid(lock_path)
-        if pid is None:
-            raise WorkspaceLockedError(f"workspace {self.root} is locked, and {lock_path} "
-                                       f"names no pid; remove it if no other run is active")
-        raise WorkspaceLockedError(f"workspace {self.root} is locked by running pid {pid} "
-                                   f"({lock_path})")
-
     @contextmanager
     def locked(self):
-        """Hold the workspace lock: a file recording this process's pid.
+        """Hold the workspace lock: an exclusive flock on <workspace>/lock.
 
-        A lock whose recorded pid no longer runs is stale and is replaced.
+        The kernel drops the lock however its holder exits, so no lock is ever
+        stale. The file records the holder's pid for the refusal message and
+        is never unlinked: a run that locked a new file while another still
+        held the unlinked one would share the workspace with it.
         """
         lock_path = self.root / _LOCK_FILE
-        fd = self._create_lock(lock_path)
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                pid = os.pread(fd, 32, 0).decode("ascii", "replace")
+                holder = (f"running pid {pid}" if pid.isdigit()
+                          else "a run that has not recorded its pid yet")
+                raise WorkspaceLockedError(f"workspace {self.root} is locked by {holder} "
+                                           f"({lock_path})") from None
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, str(os.getpid()).encode("ascii"), 0)
             yield self
         finally:
-            try:
-                os.unlink(lock_path)
-            except FileNotFoundError:
-                pass
+            os.close(fd)  # releases the flock

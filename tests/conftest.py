@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qembed
 
 
 class FixedEncoder:
@@ -24,3 +31,34 @@ class FixedEncoder:
 @pytest.fixture
 def fixed_encoder_factory():
     return FixedEncoder
+
+
+_HOLDER = """
+import sys
+from qembed.workspace import Workspace, WorkspaceLockedError
+try:
+    with Workspace(sys.argv[1]).locked():
+        print("entered", flush=True)
+        sys.stdin.read()  # hold the lock until stdin closes
+except WorkspaceLockedError:
+    print("refused", flush=True)
+"""
+
+
+@pytest.fixture
+def hold_lock():
+    """Start a process that takes a workspace's lock, prints "entered" and holds
+    the lock until its stdin closes, or prints "refused" and exits. Every
+    process started is closed and reaped at teardown."""
+    started = []
+    env = {**os.environ, "PYTHONPATH": str(Path(qembed.__file__).parents[1])}
+
+    def start(root) -> subprocess.Popen:
+        proc = subprocess.Popen([sys.executable, "-c", _HOLDER, str(root)], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        started.append(proc)
+        return proc
+
+    yield start
+    for proc in started:
+        proc.communicate("", timeout=60)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised through main(argv)."""
 
+import configparser
 import json
 import shutil
 
@@ -96,13 +97,15 @@ def test_stage_before_dependency(tmp_path, capsys):
     assert "run stage 'probe' first" in err
 
 
-def test_locked_workspace_refused(mini_ws, capsys):
+def test_locked_workspace_refused(mini_ws, capsys, hold_lock):
     root, cfg_path = mini_ws
-    ws = Workspace(root)
-    with ws.locked():
-        code = main(["run", "--config", str(cfg_path), "--workspace", str(root)])
+    holder = hold_lock(root)
+    assert holder.stdout.readline() == "entered\n"
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(root)])
+    err = capsys.readouterr().err
     assert code == EXIT_DEPENDENCY
-    assert "lock" in capsys.readouterr().err.lower()
+    assert err.startswith("error:") and f"locked by running pid {holder.pid} " in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_corrupt_heads_file_is_dependency_error(mini_ws, tmp_path, capsys):
@@ -232,6 +235,54 @@ def test_bad_training_size_is_config_error(tmp_path, capsys, setting):
     assert err.startswith("error:") and f"[training] {key} must be >= 1" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "heads.bin").exists()
+
+
+def _edit_config(cfg_path, section, **settings):
+    """Set each key of section to its value, or remove it where the value is None."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(cfg_path, encoding="utf-8")
+    for key, value in settings.items():
+        if value is None:
+            parser.remove_option(section, key)
+        else:
+            parser.set(section, key, value)
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
+@pytest.mark.parametrize("setting", [
+    "[collection] group = 0", "[collection] group = 25", "[collection] in_cluster = -1",
+    "[probe] positives = 0", "[probe] hard_negatives = 0, easy_negatives = 0",
+    "[probe] neighbor_clusters = -1", "[generation] hard_neighbor_clusters = -1",
+    "[corpus] heldout_fraction = 0",
+])
+def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting):
+    section, assignments = setting[1:].split("] ")
+    settings = dict(a.split(" = ") for a in assignments.split(", "))
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    _edit_config(cfg_path, section, **settings)
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: [{section}] {next(iter(settings))} ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage, key", [
+    ("eval-sts", "sts"), ("eval-retrieval", "queries"), ("eval-retrieval", "corpus"),
+    ("eval-retrieval", "qrels"), ("eval-clustering", "clustering"), ("explain", "sts"),
+    ("ablate", "sts"),
+])
+def test_stage_without_its_task_file_is_config_error(tmp_path, capsys, stage, key):
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    _edit_config(cfg_path, "eval", **{key: None})
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path),
+                 "--stage", stage])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: [eval] {key} is not configured")
+    assert len(err.strip().splitlines()) == 1
 
 
 def _lose_final_record_and_newline(path):

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import logging
 import os
@@ -19,6 +20,12 @@ from qembed.workspace import (
 @pytest.fixture
 def ws(tmp_path):
     return Workspace(tmp_path / "ws")
+
+
+def _dead_pid() -> int:
+    done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)  # run() has reaped it, so no process has this pid
 
 
 class TestLayout:
@@ -97,41 +104,51 @@ class TestUpToDate:
 class TestLockAndLog:
     def test_lock_exclusive(self, ws):
         with ws.locked():
-            with pytest.raises(WorkspaceLockedError, match="locked"):
+            with pytest.raises(WorkspaceLockedError, match=f"locked by running pid {os.getpid()} "):
                 with ws.locked():
                     pass
+        assert (ws.root / "lock").read_text() == str(os.getpid())  # kept, not unlinked
         # released after the context exits
         with ws.locked():
             pass
 
-    def test_stale_lock_of_a_finished_process_is_replaced(self, ws, caplog):
-        done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                              capture_output=True, text=True, check=True)
-        dead_pid = int(done.stdout)  # run() has reaped it, so its pid is free
-        lock = ws.root / "lock"
-        lock.write_text(str(dead_pid))
-        with caplog.at_level(logging.WARNING, logger="qembed.workspace"):
-            with ws.locked():
-                assert lock.read_text() == str(os.getpid())
-        assert f"pid {dead_pid}" in caplog.text
-        assert not lock.exists()
+    def test_lock_held_before_its_pid_is_written(self, ws):
+        fd = os.open(ws.root / "lock", os.O_RDWR | os.O_CREAT)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            with pytest.raises(WorkspaceLockedError, match="has not recorded its pid yet"):
+                with ws.locked():
+                    pass
+        finally:
+            os.close(fd)
 
-    def test_lock_of_a_live_pid_is_kept(self, ws):
-        lock = ws.root / "lock"
-        lock.write_text(str(os.getpid()))
-        with pytest.raises(WorkspaceLockedError, match=f"locked by running pid {os.getpid()}"):
-            with ws.locked():
-                pass
-        assert lock.read_text() == str(os.getpid())
-
-    @pytest.mark.parametrize("content", ["", "not a pid", "-1", "0", str(1 << 40)])
-    def test_lock_without_a_valid_pid_is_kept(self, ws, content):
+    @pytest.mark.parametrize("content", ["", "not a pid", "-1", "0", str(1 << 40), "dead pid"])
+    def test_leftover_lock_does_not_block(self, ws, caplog, content):
+        if content == "dead pid":
+            content = str(_dead_pid())
         lock = ws.root / "lock"
         lock.write_text(content)
-        with pytest.raises(WorkspaceLockedError, match="names no pid"):
+        with caplog.at_level(logging.DEBUG):
+            with ws.locked():
+                assert lock.read_text() == str(os.getpid())
+        assert not caplog.records
+
+    def test_lock_of_a_killed_holder_is_taken_at_once(self, ws, caplog, hold_lock):
+        holder = hold_lock(ws.root)
+        assert holder.stdout.readline() == "entered\n"
+        holder.kill()  # SIGKILL: no cleanup runs in the holder
+        holder.wait(timeout=60)
+        assert (ws.root / "lock").read_text() == str(holder.pid)
+        with caplog.at_level(logging.DEBUG):
             with ws.locked():
                 pass
-        assert lock.read_text() == content
+        assert not caplog.records
+
+    def test_two_runs_on_a_leftover_lock_one_enters(self, ws, hold_lock):
+        (ws.root / "lock").write_text(str(_dead_pid()))
+        runs = [hold_lock(ws.root) for _ in range(2)]
+        outcomes = sorted(run.stdout.readline() for run in runs)  # before either lets go
+        assert outcomes == ["entered\n", "refused\n"]
 
     def test_log_appends_jsonl(self, ws):
         ws.log({"stage": "cluster", "status": "ran"})
