@@ -112,6 +112,14 @@ class TestLockAndLog:
         with ws.locked():
             pass
 
+    def test_lock_of_a_live_pid_is_kept(self, ws, hold_lock):
+        holder = hold_lock(ws.root)
+        assert holder.stdout.readline() == "entered\n"
+        with pytest.raises(WorkspaceLockedError, match=f"locked by running pid {holder.pid} "):
+            with ws.locked():
+                pass
+        assert (ws.root / "lock").read_text() == str(holder.pid)
+
     def test_lock_held_before_its_pid_is_written(self, ws):
         fd = os.open(ws.root / "lock", os.O_RDWR | os.O_CREAT)
         try:
