@@ -8,11 +8,18 @@ sampled probe texts, and keeps the best non-duplicate questions per cluster.
 import numpy as np
 
 from qembed.cluster import kmeans_fit
+from qembed.config import GenerationSection, ProbeSection
 from qembed.providers import MockEncoder
 from qembed.question_gen import (ScoredQuestion, generate_cluster_questions,
                                  probe_question, sample_contrastive,
                                  select_question_bank)
 from qembed.synthetic import TopicOracleLLM, synthetic_corpus
+
+# 6 positives vs 12 hard + 12 easy negatives per cluster, hard ones from the
+# 2 nearest clusters; each candidate is probed on 5 positives, 3 hard and 2 easy
+GENERATION = GenerationSection(positives=6, hard_negatives=12, easy_negatives=12,
+                               hard_neighbor_clusters=2)
+PROBE = ProbeSection(positives=5, hard_negatives=3, easy_negatives=2, neighbor_clusters=2)
 
 
 def main() -> None:
@@ -28,15 +35,12 @@ def main() -> None:
     rng = np.random.Generator(np.random.PCG64(0))
     scored: list[ScoredQuestion] = []
     for cluster_id in range(model.k):
-        # 6 positives vs 12 hard + 12 easy negatives per cluster
-        sample = sample_contrastive(model, cluster_id, n_p=6, n_h=12, n_e=12,
-                                    rng=rng, hard_from=2)
+        sample = sample_contrastive(model, cluster_id, GENERATION, rng)
         candidates = generate_cluster_questions(sample, texts, llm)
         print(f"cluster {cluster_id}: LLM proposed {len(candidates)} questions, e.g.")
         print(f"  {candidates[0].text}")
         for cand in candidates:
-            outcome = probe_question(cand, model, texts, llm, p_p=5, p_h=3,
-                                     p_e=2, rng=rng, neighbor_from=2)
+            outcome = probe_question(cand, model, texts, llm, PROBE, rng)
             if outcome is not None:
                 scored.append(ScoredQuestion(cand, outcome))
 

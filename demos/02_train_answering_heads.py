@@ -12,22 +12,27 @@ import numpy as np
 
 from qembed.answering import collect_answers, split_examples
 from qembed.cluster import kmeans_fit
-from qembed.heads import TrainingConfig, embed_vectors, evaluate_heldout, train_heads
+from qembed.config import CollectionSection, GenerationSection, ProbeSection, TrainingSection
+from qembed.heads import embed_vectors, evaluate_heldout, train_heads
 from qembed.providers import AnswerCache, MockEncoder
 from qembed.question_gen import (ScoredQuestion, generate_cluster_questions,
                                  probe_question, sample_contrastive,
                                  select_question_bank)
 from qembed.synthetic import TopicOracleLLM, synthetic_corpus, text_topic
 
+# 6 positives vs 12 hard + 12 easy negatives per cluster, hard ones from the
+# 2 nearest clusters; each candidate is probed on 5 positives, 3 hard and 2 easy
+GENERATION = GenerationSection(positives=6, hard_negatives=12, easy_negatives=12,
+                               hard_neighbor_clusters=2)
+PROBE = ProbeSection(positives=5, hard_negatives=3, easy_negatives=2, neighbor_clusters=2)
+
 
 def build_bank(model, texts, encoder, llm, rng):
     scored = []
     for cluster_id in range(model.k):
-        sample = sample_contrastive(model, cluster_id, n_p=6, n_h=12, n_e=12,
-                                    rng=rng, hard_from=2)
+        sample = sample_contrastive(model, cluster_id, GENERATION, rng)
         for cand in generate_cluster_questions(sample, texts, llm):
-            outcome = probe_question(cand, model, texts, llm, p_p=5, p_h=3,
-                                     p_e=2, rng=rng, neighbor_from=2)
+            outcome = probe_question(cand, model, texts, llm, PROBE, rng)
             if outcome is not None:
                 scored.append(ScoredQuestion(cand, outcome))
     return select_question_bank(scored, encoder, theta=0.8, t=4)
@@ -48,8 +53,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnswerCache(Path(tmp) / "answers.jsonl")
         result = collect_answers(bank, model, texts, llm, cache, rng,
-                                 in_cluster=16, neighbor=10, neighbor_from=2,
-                                 random_count=6)
+                                 CollectionSection(in_cluster=16, neighbor=10,
+                                                   neighbor_clusters=2, random=6))
     print(f"collected {result.requested_pairs} question/document answers "
           f"in {result.llm_calls} LLM calls")
 
@@ -58,8 +63,8 @@ def main() -> None:
     heldout_ids = {doc.id for doc in corpus.documents[::10]}
     train, heldout = split_examples(result.examples, heldout_ids)
     heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
-                        cfg=TrainingConfig(learning_rate=3e-3, steps=2500,
-                                           hidden=8, seed=0))
+                        cfg=TrainingSection(learning_rate=3e-3, steps=2500, hidden=8),
+                        seed=0)
     report = evaluate_heldout(heads, embeddings[[row[ex.document_id] for ex in heldout]],
                               heldout)
     print(f"held-out agreement with the LLM: {report.accuracy:.3f} "

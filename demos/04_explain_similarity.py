@@ -12,13 +12,20 @@ import numpy as np
 
 from qembed.answering import collect_answers, split_examples
 from qembed.cluster import kmeans_fit
+from qembed.config import CollectionSection, GenerationSection, ProbeSection, TrainingSection
 from qembed.evaluation import explain_pair
-from qembed.heads import TrainingConfig, embed_documents, train_heads
+from qembed.heads import embed_documents, train_heads
 from qembed.providers import AnswerCache, MockEncoder
 from qembed.question_gen import (ScoredQuestion, generate_cluster_questions,
                                  probe_question, sample_contrastive,
                                  select_question_bank)
 from qembed.synthetic import TopicOracleLLM, synthetic_corpus
+
+# 6 positives vs 12 hard + 12 easy negatives per cluster, hard ones from the
+# 2 nearest clusters; each candidate is probed on 5 positives, 3 hard and 2 easy
+GENERATION = GenerationSection(positives=6, hard_negatives=12, easy_negatives=12,
+                               hard_neighbor_clusters=2)
+PROBE = ProbeSection(positives=5, hard_negatives=3, easy_negatives=2, neighbor_clusters=2)
 
 
 def main() -> None:
@@ -32,11 +39,9 @@ def main() -> None:
     model = kmeans_fit(embeddings, k=4, seed=0, doc_ids=[d.id for d in corpus])
     scored = []
     for cluster_id in range(model.k):
-        sample = sample_contrastive(model, cluster_id, n_p=6, n_h=12, n_e=12,
-                                    rng=rng, hard_from=2)
+        sample = sample_contrastive(model, cluster_id, GENERATION, rng)
         for cand in generate_cluster_questions(sample, texts, llm):
-            outcome = probe_question(cand, model, texts, llm, p_p=5, p_h=3,
-                                     p_e=2, rng=rng, neighbor_from=2)
+            outcome = probe_question(cand, model, texts, llm, PROBE, rng)
             if outcome is not None:
                 scored.append(ScoredQuestion(cand, outcome))
     bank = select_question_bank(scored, encoder, theta=0.8, t=4)
@@ -44,13 +49,13 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnswerCache(Path(tmp) / "answers.jsonl")
         result = collect_answers(bank, model, texts, llm, cache, rng,
-                                 in_cluster=16, neighbor=10, neighbor_from=2,
-                                 random_count=16)
+                                 CollectionSection(in_cluster=16, neighbor=10,
+                                                   neighbor_clusters=2, random=16))
     train, _ = split_examples(result.examples, set())
     row = {doc.id: i for i, doc in enumerate(corpus)}
     heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
-                        cfg=TrainingConfig(learning_rate=3e-3, steps=6000,
-                                           hidden=8, seed=0))
+                        cfg=TrainingSection(learning_rate=3e-3, steps=6000, hidden=8),
+                        seed=0)
 
     docs = corpus.documents
     same_topic = (docs[0], docs[4])      # topics interleave: 0 and 4 match

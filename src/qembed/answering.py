@@ -14,17 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusterModel, nearest_clusters
+from .config import CollectionSection
 from .heads import TrainingExample
-from .prompts import QUESTIONS_PER_ANSWER_PROMPT, parse_answers, render_answer_prompt
+from .prompts import parse_answers, render_answer_prompt
 from .providers import AnswerCache, AnswerRecord, LLMProvider, prompt_fingerprint
 from .question_gen import QuestionBank
 
 logger = logging.getLogger(__name__)
-
-IN_CLUSTER_POOL = 500
-NEIGHBOR_POOL = 300
-NEIGHBOR_CLUSTERS = 5
-RANDOM_POOL = 200
 
 
 @dataclass
@@ -38,8 +34,7 @@ class CollectionResult:
 
 def _question_documents(bank_question_cluster: int, model: ClusterModel,
                         all_docs: list[str], rng: np.random.Generator,
-                        in_cluster: int, neighbor: int, neighbor_from: int,
-                        random_count: int) -> list[str]:
+                        pools: CollectionSection) -> list[str]:
     """Sample the three document pools for one question, disjoint, clamped to availability."""
     picked: list[str] = []
     picked_set: set[str] = set()
@@ -54,24 +49,20 @@ def _question_documents(bank_question_cluster: int, model: ClusterModel,
             picked.append(pool[int(i)])
             picked_set.add(pool[int(i)])
 
-    take(model.members(bank_question_cluster), in_cluster)
-    j = min(neighbor_from, model.k - 1)
+    take(model.members(bank_question_cluster), pools.in_cluster)
+    j = min(pools.neighbor_clusters, model.k - 1)
     neighbor_pool: list[str] = []
     if j >= 1:
         for nc in nearest_clusters(model, bank_question_cluster, j):
             neighbor_pool.extend(model.members(nc))
-    take(neighbor_pool, neighbor)
-    take(all_docs, random_count)
+    take(neighbor_pool, pools.neighbor)
+    take(all_docs, pools.random)
     return picked
 
 
 def collect_answers(bank: QuestionBank, model: ClusterModel,
                     texts: dict[str, str], llm: LLMProvider, cache: AnswerCache,
-                    rng: np.random.Generator,
-                    in_cluster: int = IN_CLUSTER_POOL, neighbor: int = NEIGHBOR_POOL,
-                    neighbor_from: int = NEIGHBOR_CLUSTERS,
-                    random_count: int = RANDOM_POOL,
-                    group: int = QUESTIONS_PER_ANSWER_PROMPT) -> CollectionResult:
+                    rng: np.random.Generator, pools: CollectionSection) -> CollectionResult:
     """Collect yes/no training answers for every bank question.
 
     Pool sizes clamp to what the corpus offers. Cached pairs are never re-asked;
@@ -80,8 +71,6 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
     """
     if bank.m == 0:
         raise ValueError("question bank is empty")
-    if group < 1 or group > QUESTIONS_PER_ANSWER_PROMPT:
-        raise ValueError(f"group must be in [1, {QUESTIONS_PER_ANSWER_PROMPT}], got {group}")
     all_docs = sorted(texts)
     if not all_docs:
         raise ValueError("no document texts supplied")
@@ -89,8 +78,7 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
     wanted: dict[str, list[int]] = {}  # doc id -> question ids, bank order
     requested = 0
     for q in bank.questions:
-        docs = _question_documents(q.origin_cluster, model, all_docs, rng,
-                                   in_cluster, neighbor, neighbor_from, random_count)
+        docs = _question_documents(q.origin_cluster, model, all_docs, rng, pools)
         requested += len(docs)
         for d in docs:
             wanted.setdefault(d, []).append(q.id)
@@ -102,8 +90,8 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
     for doc in sorted(wanted):
         pending = [qid for qid in sorted(wanted[doc]) if cache.get(qid, doc) is None]
         cache_hits += len(wanted[doc]) - len(pending)
-        for start in range(0, len(pending), group):
-            chunk = pending[start:start + group]
+        for start in range(0, len(pending), pools.group):
+            chunk = pending[start:start + pools.group]
             prompt = render_answer_prompt(texts[doc], [question_text[q] for q in chunk])
             raw = llm.complete(prompt)
             llm_calls += 1

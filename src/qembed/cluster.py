@@ -14,12 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ClusterSection
 from .jsonl import CorruptFileError, dumps, records, replacing
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MAX_ITERS = 300  # mirrors the common library default
-DEFAULT_TOL = 1e-4
 
 
 class ClusterError(ValueError):
@@ -99,7 +97,7 @@ def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
 
 
 def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
-               max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
+               max_iters: int = ClusterSection.max_iters, tol: float = ClusterSection.tol,
                doc_ids: list[str] | None = None,
                check_unit: bool = True) -> ClusterModel:
     """Fit k-means with k-means++ init; deterministic for a fixed seed.

@@ -3,7 +3,9 @@
 Defaults are the full-scale settings (cluster count 5000, 6/18/18 generation
 sampling, 5/3/2 probing, dedup threshold 0.8, 4 questions per cluster,
 learning rate 1e-4, decision threshold 0.5). Unknown sections or keys are
-errors so typos cannot silently fall back to defaults.
+errors so typos cannot silently fall back to defaults. Each section checks its
+values when it is built, from a file or in code, and the library functions
+take the sections themselves as their parameters.
 """
 
 import configparser
@@ -16,7 +18,25 @@ from .prompts import QUESTIONS_PER_ANSWER_PROMPT
 
 
 class ConfigError(ValueError):
-    """Unknown keys, bad types, or out-of-range values in a config file."""
+    """Unknown keys, bad types, or out-of-range values in a config file or section."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _at_least(section: str, low: int, obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        _require(value >= low, f"[{section}] {name} must be >= {low}, got {value}")
+
+
+def _parsed(section: str, key: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -30,12 +50,22 @@ class CorpusSection:
     format: str = "json-lines"
     heldout_fraction: float = 0.1
 
+    def __post_init__(self):
+        _require(0 < self.heldout_fraction < 1,
+                 f"[corpus] heldout_fraction must be in (0, 1), got {self.heldout_fraction}")
+        _require(self.format in ("plain-lines", "json-lines"),
+                 f"[corpus] format must be plain-lines or json-lines, got {self.format!r}")
+
 
 @dataclass(frozen=True)
 class EncoderSection:
     kind: str = "mock"
     dim: int = 256
     seed: int = 0
+
+    def __post_init__(self):
+        _require(self.kind == "mock", f"[encoder] kind must be mock, got {self.kind!r}")
+        _at_least("encoder", 1, self, "dim")
 
 
 @dataclass(frozen=True)
@@ -47,12 +77,19 @@ class LlmSection:
     max_parallel: int = 4
     timeout: float = 60.0
 
+    def __post_init__(self):
+        _require(self.kind in ("scripted", "oracle", "remote"),
+                 f"[llm] kind must be scripted, oracle, or remote, got {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class ClusterSection:
     k: int = 5000
     max_iters: int = 300
     tol: float = 1e-4
+
+    def __post_init__(self):
+        _at_least("cluster", 1, self, "k")
 
 
 @dataclass(frozen=True)
@@ -62,6 +99,10 @@ class GenerationSection:
     easy_negatives: int = 18
     hard_neighbor_clusters: int = 3
 
+    def __post_init__(self):
+        _at_least("generation", 1, self, "positives", "hard_negatives", "easy_negatives")
+        _at_least("generation", 0, self, "hard_neighbor_clusters")
+
 
 @dataclass(frozen=True)
 class ProbeSection:
@@ -70,11 +111,22 @@ class ProbeSection:
     easy_negatives: int = 2
     neighbor_clusters: int = 3
 
+    def __post_init__(self):
+        _at_least("probe", 1, self, "positives")
+        _at_least("probe", 0, self, "hard_negatives", "easy_negatives", "neighbor_clusters")
+        _require(self.hard_negatives + self.easy_negatives >= 1,
+                 "[probe] hard_negatives and easy_negatives must not both be 0")
+
 
 @dataclass(frozen=True)
 class SelectionSection:
     dedup_threshold: float = 0.8
     per_cluster_cap: int = 4
+
+    def __post_init__(self):
+        _require(0 <= self.dedup_threshold <= 1,
+                 f"[selection] dedup_threshold must be in [0, 1], got {self.dedup_threshold}")
+        _at_least("selection", 1, self, "per_cluster_cap")
 
 
 @dataclass(frozen=True)
@@ -85,6 +137,14 @@ class CollectionSection:
     random: int = 200
     group: int = 20
 
+    def __post_init__(self):
+        _at_least("collection", 0, self, "in_cluster", "neighbor", "random")
+        _require(self.in_cluster + self.neighbor + self.random >= 1,
+                 "[collection] in_cluster + neighbor + random must be >= 1, got 0")
+        _require(1 <= self.group <= QUESTIONS_PER_ANSWER_PROMPT,
+                 f"[collection] group must be in [1, {QUESTIONS_PER_ANSWER_PROMPT}], "
+                 f"got {self.group}")
+
 
 @dataclass(frozen=True)
 class TrainingSection:
@@ -93,6 +153,23 @@ class TrainingSection:
     hidden: int = 128
     pos_weight: str = "auto"   # "auto", "none", or a float literal
     tau: float = 0.5
+
+    def __post_init__(self):
+        _require(self.learning_rate > 0,
+                 f"[training] learning_rate must be > 0, got {self.learning_rate}")
+        _at_least("training", 1, self, "steps", "hidden")
+        _require(0 < self.tau < 1, f"[training] tau must be in (0, 1), got {self.tau}")
+        try:
+            self.fixed_pos_weight()
+        except ValueError:
+            raise ConfigError(f"[training] pos_weight must be auto, none, or a number, "
+                              f"got {self.pos_weight!r}") from None
+
+    def fixed_pos_weight(self) -> float | None:
+        """The loss weight of yes answers; None for auto, computed from the answers."""
+        if self.pos_weight == "auto":
+            return None
+        return 1.0 if self.pos_weight == "none" else float(self.pos_weight)
 
 
 @dataclass(frozen=True)
@@ -106,6 +183,13 @@ class EvalSection:
     ablate_taus: str = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
     ablate_dims: str = ""
 
+    def __post_init__(self):
+        _at_least("eval", 0, self, "explain_pairs")
+        taus = _parsed("eval", "ablate_taus", parse_float_list, self.ablate_taus)
+        bad = next((tau for tau in taus if not 0 < tau < 1), None)
+        _require(bad is None, f"[eval] ablate_taus entries must be in (0, 1), got {bad}")
+        _parsed("eval", "ablate_dims", parse_int_list, self.ablate_dims)
+
 
 @dataclass(frozen=True)
 class CostSection:
@@ -114,13 +198,26 @@ class CostSection:
     questions_per_prompt: int = 20
     avg_input_tokens_per_prompt: float = 207.5
     avg_output_tokens_per_prompt: float = 133.4
-    price_in: float = 0.075
-    price_out: float = 0.30
+    price_in: float = 0.075    # USD per 1M input tokens
+    price_out: float = 0.30    # USD per 1M output tokens
     training_texts_per_question: int = 1000
     api_cost_per_pair: float = 3.1e-6
-    gpu_rate: float = 0.08
+    gpu_rate: float = 0.08     # USD per hour
     train_hours: float = 36.0
     infer_hours: str = "2000:48,4000:63,6000:73,8000:79,10000:90"
+
+    def __post_init__(self):
+        _at_least("cost", 1, self, "questions_per_prompt")
+        _at_least("cost", 0, self, "num_docs", "avg_input_tokens_per_prompt",
+                  "avg_output_tokens_per_prompt", "price_in", "price_out",
+                  "training_texts_per_question", "api_cost_per_pair", "gpu_rate",
+                  "train_hours")
+        counts = _parsed("cost", "question_counts", parse_int_list, self.question_counts)
+        _require(min(counts, default=0) >= 0,
+                 f"[cost] question_counts must be >= 0, got {self.question_counts!r}")
+        hours = _parsed("cost", "infer_hours", parse_hours_map, self.infer_hours)
+        _require(min(hours.values(), default=0) >= 0,
+                 f"[cost] infer_hours must be >= 0, got {self.infer_hours!r}")
 
 
 @dataclass(frozen=True)
@@ -158,72 +255,6 @@ def _coerce(section: str, key: str, raw: str, target_type):
     except ValueError:
         raise ConfigError(
             f"[{section}] {key} = {raw!r}: expected {target_type.__name__}") from None
-
-
-def _validate(cfg: PipelineConfig) -> None:
-    def bad(msg):
-        raise ConfigError(msg)
-
-    if not 0 < cfg.corpus.heldout_fraction < 1:
-        bad(f"[corpus] heldout_fraction must be in (0, 1), got {cfg.corpus.heldout_fraction}")
-    if cfg.corpus.format not in ("plain-lines", "json-lines"):
-        bad(f"[corpus] format must be plain-lines or json-lines, got {cfg.corpus.format!r}")
-    if cfg.encoder.kind not in ("mock",):
-        bad(f"[encoder] kind must be mock, got {cfg.encoder.kind!r}")
-    if cfg.encoder.dim < 1:
-        bad(f"[encoder] dim must be >= 1, got {cfg.encoder.dim}")
-    if cfg.llm.kind not in ("scripted", "oracle", "remote"):
-        bad(f"[llm] kind must be scripted, oracle, or remote, got {cfg.llm.kind!r}")
-    if cfg.cluster.k < 1:
-        bad(f"[cluster] k must be >= 1, got {cfg.cluster.k}")
-    for name, value in (("positives", cfg.generation.positives),
-                        ("hard_negatives", cfg.generation.hard_negatives),
-                        ("easy_negatives", cfg.generation.easy_negatives)):
-        if value < 1:
-            bad(f"[generation] {name} must be >= 1, got {value}")
-    probe, col = cfg.probe, cfg.collection
-    if probe.positives < 1:
-        bad(f"[probe] positives must be >= 1, got {probe.positives}")
-    for section, name, value in (("generation", "hard_neighbor_clusters",
-                                  cfg.generation.hard_neighbor_clusters),
-                                 ("probe", "hard_negatives", probe.hard_negatives),
-                                 ("probe", "easy_negatives", probe.easy_negatives),
-                                 ("probe", "neighbor_clusters", probe.neighbor_clusters),
-                                 ("collection", "in_cluster", col.in_cluster),
-                                 ("collection", "neighbor", col.neighbor),
-                                 ("collection", "random", col.random)):
-        if value < 0:
-            bad(f"[{section}] {name} must be >= 0, got {value}")
-    if probe.hard_negatives + probe.easy_negatives < 1:
-        bad("[probe] hard_negatives and easy_negatives must not both be 0")
-    if not 1 <= col.group <= QUESTIONS_PER_ANSWER_PROMPT:
-        bad(f"[collection] group must be in [1, {QUESTIONS_PER_ANSWER_PROMPT}], got {col.group}")
-    if not 0 <= cfg.selection.dedup_threshold <= 1:
-        bad(f"[selection] dedup_threshold must be in [0, 1], got {cfg.selection.dedup_threshold}")
-    if cfg.selection.per_cluster_cap < 1:
-        bad(f"[selection] per_cluster_cap must be >= 1, got {cfg.selection.per_cluster_cap}")
-    if cfg.training.learning_rate <= 0:
-        bad(f"[training] learning_rate must be > 0, got {cfg.training.learning_rate}")
-    for name, value in (("steps", cfg.training.steps), ("hidden", cfg.training.hidden)):
-        if value < 1:
-            bad(f"[training] {name} must be >= 1, got {value}")
-    if not 0 < cfg.training.tau < 1:
-        bad(f"[training] tau must be in (0, 1), got {cfg.training.tau}")
-    if cfg.training.pos_weight not in ("auto", "none"):
-        try:
-            float(cfg.training.pos_weight)
-        except ValueError:
-            bad(f"[training] pos_weight must be auto, none, or a number, "
-                f"got {cfg.training.pos_weight!r}")
-    if cfg.eval.explain_pairs < 0:
-        bad(f"[eval] explain_pairs must be >= 0, got {cfg.eval.explain_pairs}")
-    try:
-        parse_float_list(cfg.eval.ablate_taus)
-        parse_int_list(cfg.eval.ablate_dims)
-        parse_hours_map(cfg.cost.infer_hours)
-        parse_int_list(cfg.cost.question_counts)
-    except ValueError as exc:
-        bad(str(exc))
 
 
 def parse_float_list(raw: str) -> list[float]:
@@ -295,9 +326,7 @@ def config_from_parser(parser: configparser.ConfigParser,
                 known[key] if isinstance(known[key], str) else known[key].__name__]
             values[key] = _coerce(section, key, raw, target)
         kwargs[section] = section_type(**values)
-    cfg = PipelineConfig(**kwargs)
-    _validate(cfg)
-    return cfg
+    return PipelineConfig(**kwargs)
 
 
 def dump_config(cfg: PipelineConfig) -> str:

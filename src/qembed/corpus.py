@@ -67,7 +67,7 @@ def _assign_id(text: str, taken: set[str]) -> str:
     return candidate
 
 
-def ingest(path: str | Path, format: str = "plain-lines") -> Corpus:
+def ingest(path: str | Path, format: str) -> Corpus:
     """Read a corpus file, one document per non-empty line (or json-lines record).
 
     Blank and whitespace-only lines are dropped. Ids default to a content hash;

@@ -171,8 +171,7 @@ def sts_evaluate(task: StsTask, matrix: BinaryMatrix) -> StsResult:
 
 
 def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
-                       corpus_matrix: BinaryMatrix, k: int = 10,
-                       exponential: bool = False) -> RetrievalResult:
+                       corpus_matrix: BinaryMatrix, k: int = 10) -> RetrievalResult:
     """Macro-averaged nDCG@k; corpus ranked by cosine, ties broken by doc id."""
     if not task.corpus:
         raise TaskError("retrieval corpus is empty")
@@ -188,8 +187,7 @@ def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
     for qid, q, q_pop in zip(qids, queries, popcounts(queries)):
         scores = _cosines(popcounts(docs & q), doc_pops, q_pop)
         top = np.argsort(-scores, kind="stable")[:k]  # doc_ids ascend: ties go by id
-        per_query[qid] = ndcg_at_k([doc_ids[i] for i in top], task.qrels.get(qid, {}),
-                                   k=k, exponential=exponential)
+        per_query[qid] = ndcg_at_k([doc_ids[i] for i in top], task.qrels.get(qid, {}), k=k)
     if not per_query:
         raise TaskError("retrieval task has no queries")
     mean = float(np.mean(list(per_query.values())))

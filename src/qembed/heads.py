@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary import BinaryMatrix
+from .config import TrainingSection
 from .jsonl import dumps, replacing
 from .providers import Encoder
 from .question_gen import QuestionBank
@@ -75,25 +76,6 @@ class TrainingExample:
             raise TrainingError(f"example {self.document_id} has no answers")
 
 
-@dataclass
-class TrainingConfig:
-    learning_rate: float = 1e-4
-    steps: int = 100_000
-    pos_weight: float | None = None  # None: computed from the data
-    hidden: int = 128
-    seed: int = 0
-    tau: float = 0.5
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise TrainingError(f"learning rate must be positive, got {self.learning_rate}")
-        for name, value in (("steps", self.steps), ("hidden", self.hidden)):
-            if value < 1:
-                raise TrainingError(f"{name} must be >= 1, got {value}")
-        if not 0.0 < self.tau < 1.0:
-            raise TrainingError(f"tau must be in (0, 1), got {self.tau}")
-
-
 def _split(block: np.ndarray, h: int, d: int):
     """Views W1 (n,h,d), b1 (n,h), w2 (n,h), b2 (n,) into an (n, P) parameter block."""
     hd = h * d
@@ -126,7 +108,7 @@ class QuestionHeads:
         return int(self.params.shape[0])
 
 
-def init_heads(m: int, d: int, h: int, seed: int, tau: float = 0.5,
+def init_heads(m: int, d: int, h: int, seed: int, tau: float = TrainingSection.tau,
                bank_fingerprint: str = "") -> QuestionHeads:
     """Seeded uniform init in +-1/sqrt(fan_in) per layer."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -283,7 +265,7 @@ def _lockstep_schedule(order: np.ndarray, answer_doc: np.ndarray, answer_qid: np
 
 
 def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
-                bank: QuestionBank, cfg: TrainingConfig) -> QuestionHeads:
+                bank: QuestionBank, cfg: TrainingSection, seed: int) -> QuestionHeads:
     """Train all heads: one document per step, loss over its answered questions only.
 
     embeddings is (n, d), row i the frozen encoder vector of examples[i]'s
@@ -293,7 +275,7 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     heads sized to cache (see _lockstep_schedule): round r applies every
     head's r-th touch with one set of numpy calls, and each head gets the same
     updates, bit for bit, as in a loop of one document per step.
-    Deterministic for a fixed cfg.seed.
+    Deterministic for a fixed seed.
     """
     if not examples:
         raise TrainingError("no training examples")
@@ -303,9 +285,11 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
         if bad:
             raise TrainingError(f"example {ex.document_id} answers unknown question {bad[0]}")
 
-    pos_weight = cfg.pos_weight if cfg.pos_weight is not None else compute_pos_weight(examples)
+    pos_weight = cfg.fixed_pos_weight()
+    if pos_weight is None:
+        pos_weight = compute_pos_weight(examples)
 
-    heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, cfg.seed,
+    heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, seed,
                        tau=cfg.tau, bank_fingerprint=bank.fingerprint())
     params, h, d = heads.params, heads.h, heads.d
 
@@ -320,7 +304,7 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     answer_count = np.repeat(sizes.astype(np.float64), sizes)
 
     # the step -> document order: a fresh permutation per epoch
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     order = np.empty(cfg.steps, dtype=np.int32)
     for lo in range(0, cfg.steps, n):
         order[lo:lo + n] = rng.permutation(n)[:cfg.steps - lo]

@@ -50,26 +50,21 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def ndcg_at_k(ranking: list[str], qrels: dict[str, float], k: int = 10,
-              exponential: bool = False) -> float:
+def ndcg_at_k(ranking: list[str], qrels: dict[str, float], k: int = 10) -> float:
     """Normalized discounted cumulative gain over the top k of a ranking.
 
-    Linear gain rel/log2(rank+1) by default; exponential=True uses (2^rel - 1).
-    Returns 0.0 with a warning when the query has no relevant documents.
+    Linear gain rel/log2(rank+1). Returns 0.0 with a warning when the query
+    has no relevant documents.
     """
     if k < 1:
         raise MetricError(f"k must be >= 1, got {k}")
-
-    def gain(rel: float) -> float:
-        return (2.0 ** rel - 1.0) if exponential else float(rel)
-
     rels = sorted((r for r in qrels.values() if r > 0), reverse=True)
     if not rels:
         logger.warning("query has no relevant documents; nDCG reported as 0")
         return 0.0
-    idcg = sum(gain(rel) / math.log2(rank + 1)
+    idcg = sum(float(rel) / math.log2(rank + 1)
                for rank, rel in enumerate(rels[:k], start=1))
-    dcg = sum(gain(qrels.get(doc, 0.0)) / math.log2(rank + 1)
+    dcg = sum(float(qrels.get(doc, 0.0)) / math.log2(rank + 1)
               for rank, doc in enumerate(ranking[:k], start=1))
     return dcg / idcg
 

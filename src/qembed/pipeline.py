@@ -14,18 +14,18 @@ from pathlib import Path
 import numpy as np
 
 from .answering import collect_answers, split_examples
-from .binary import BinaryMatrix, save_binary_matrix
+from .binary import BinaryMatrix, popcounts, save_binary_matrix
 from .cluster import effective_k, kmeans_fit, load_cluster_model, save_cluster_model
 from .config import (ConfigError, PipelineConfig, config_hash, dump_config,
-                     parse_float_list, parse_hours_map, parse_int_list)
+                     parse_float_list, parse_int_list)
 from .corpus import content_id, exact_dedup, ingest, load_corpus, save_corpus, split_heldout
 from .cost import comparison_rows, cost_rows_jsonl, render_cost_table
 from .evaluation import (clustering_evaluate, explain_pair, load_clustering_task,
                          load_retrieval_task, load_sts_task, mean_cognitive_load,
                          retrieval_evaluate, sts_evaluate)
-from .heads import (TrainingConfig, TrainingError, TrainingExample, answer_probabilities,
-                    binarize, embed_documents, embed_vectors, evaluate_heldout,
-                    load_heads, save_heads, train_heads)
+from .heads import (TrainingError, TrainingExample, answer_probabilities, binarize,
+                    embed_documents, embed_vectors, evaluate_heldout, load_heads,
+                    save_heads, train_heads)
 from . import jsonl
 from .metrics import MetricError
 from .providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore, RemoteLLM, ScriptedLLM
@@ -160,12 +160,9 @@ def _stage_generate(ctx: StageContext) -> dict:
     model = load_cluster_model(ctx.ws.path("cluster_model"))
     texts = corpus.text_by_id()
     rng = _rng(ctx.seed, "generate")
-    gen = ctx.cfg.generation
     candidates = []
     for c in range(model.k):
-        sample = sample_contrastive(model, c, n_p=gen.positives,
-                                    n_h=gen.hard_negatives, n_e=gen.easy_negatives,
-                                    rng=rng, hard_from=gen.hard_neighbor_clusters)
+        sample = sample_contrastive(model, c, ctx.cfg.generation, rng)
         candidates.extend(generate_cluster_questions(sample, texts, ctx.llm))
     jsonl.write(ctx.ws.path("candidates"), map(asdict, candidates), sort_keys=True)
     return {"clusters": model.k, "candidates": len(candidates)}
@@ -176,15 +173,11 @@ def _stage_probe(ctx: StageContext) -> dict:
     model = load_cluster_model(ctx.ws.path("cluster_model"))
     texts = corpus.text_by_id()
     rng = _rng(ctx.seed, "probe")
-    cfg = ctx.cfg.probe
     candidates = list(jsonl.read(ctx.ws.path("candidates"),
                                  lambda rec: CandidateQuestion(**rec)))
     probes = []
     for cand in candidates:
-        outcome = probe_question(cand, model, texts, ctx.llm,
-                                 p_p=cfg.positives, p_h=cfg.hard_negatives,
-                                 p_e=cfg.easy_negatives, rng=rng,
-                                 neighbor_from=cfg.neighbor_clusters)
+        outcome = probe_question(cand, model, texts, ctx.llm, ctx.cfg.probe, rng)
         if outcome is not None:
             probes.append({**asdict(cand), **asdict(outcome)})
     jsonl.write(ctx.ws.path("probes"), probes, sort_keys=True)
@@ -225,12 +218,8 @@ def _stage_collect(ctx: StageContext) -> dict:
     split_path = ctx.ws.path("split")
     split = jsonl.parse(split_path.read_bytes(), split_path)
     cache = AnswerCache(ctx.ws.path("answers"))
-    col = ctx.cfg.collection
     result = collect_answers(bank, model, corpus.text_by_id(), ctx.llm, cache,
-                             _rng(ctx.seed, "collect"),
-                             in_cluster=col.in_cluster, neighbor=col.neighbor,
-                             neighbor_from=col.neighbor_clusters,
-                             random_count=col.random, group=col.group)
+                             _rng(ctx.seed, "collect"), ctx.cfg.collection)
     train, heldout = split_examples(result.examples,
                                     frozenset(split["heldout_ids"]))
     _write_examples(ctx.ws.path("train_examples"), train)
@@ -238,14 +227,6 @@ def _stage_collect(ctx: StageContext) -> dict:
     return {"pairs": result.requested_pairs, "llm_calls": result.llm_calls,
             "cache_hits": result.cache_hits, "unparsed": result.unparsed,
             "train_docs": len(train), "heldout_docs": len(heldout)}
-
-
-def _pos_weight_setting(raw: str) -> float | None:
-    if raw == "auto":
-        return None
-    if raw == "none":
-        return 1.0
-    return float(raw)
 
 
 def _example_embeddings(ctx: StageContext, corpus,
@@ -266,12 +247,8 @@ def _stage_train(ctx: StageContext) -> dict:
     train = _read_examples(ctx.ws.path("train_examples"))
     heldout = _read_examples(ctx.ws.path("heldout_examples"))
     tcfg = ctx.cfg.training
-    cfg = TrainingConfig(learning_rate=tcfg.learning_rate, steps=tcfg.steps,
-                         pos_weight=_pos_weight_setting(tcfg.pos_weight),
-                         hidden=tcfg.hidden, seed=stage_seed(ctx.seed, "train"),
-                         tau=tcfg.tau)
     train_vectors, heldout_vectors = _example_embeddings(ctx, corpus, train, heldout)
-    heads = train_heads(train, train_vectors, bank, cfg=cfg)
+    heads = train_heads(train, train_vectors, bank, cfg=tcfg, seed=stage_seed(ctx.seed, "train"))
     save_heads(heads, ctx.ws.path("heads"))
     payload = {"provenance": ctx.provenance(), "train_docs": len(train),
                "heldout_docs": len(heldout), "accuracy": None, "report": None}
@@ -290,10 +267,10 @@ def _stage_embed(ctx: StageContext) -> dict:
     matrix = embed_vectors(_load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus)),
                            heads, tau=ctx.cfg.training.tau, row_ids=corpus.ids())
     save_binary_matrix(matrix, ctx.ws.path("matrix"))
-    dense = matrix.to_dense()
     meta = {"provenance": ctx.provenance(), "bank_fingerprint": heads.bank_fingerprint,
             "tau": ctx.cfg.training.tau, "documents": matrix.n, "questions": matrix.m,
-            "mean_bits_per_document": float(dense.sum(axis=1).mean()) if matrix.n else 0.0}
+            "mean_bits_per_document":
+                float(popcounts(matrix.packed).mean()) if matrix.n else 0.0}
     jsonl.write_json(ctx.ws.path("embed_meta"), meta)
     return {"documents": matrix.n, "questions": matrix.m,
             "mean_bits": meta["mean_bits_per_document"]}
@@ -413,8 +390,6 @@ def _stage_ablate(ctx: StageContext) -> dict:
 
     rows = []
     for tau in taus:
-        if not 0 < tau < 1:
-            raise ConfigError(f"[eval] ablate_taus entries must be in (0, 1), got {tau}")
         rho, load = _sts_numbers(task, matrix_at(tau))
         rows.append({"parameter": "tau", "value": tau, "spearman": rho,
                      "mean_load": load.exact})
@@ -441,18 +416,9 @@ def _stage_ablate(ctx: StageContext) -> dict:
 
 def _stage_cost(ctx: StageContext) -> dict:
     cc = ctx.cfg.cost
-    counts = parse_int_list(cc.question_counts)
-    if not counts:
+    if not parse_int_list(cc.question_counts):
         raise ConfigError("[cost] question_counts is empty")
-    overrides = dict(
-        questions_per_prompt=cc.questions_per_prompt,
-        avg_input_tokens_per_prompt=cc.avg_input_tokens_per_prompt,
-        avg_output_tokens_per_prompt=cc.avg_output_tokens_per_prompt,
-        price_in=cc.price_in, price_out=cc.price_out,
-        training_texts_per_question=cc.training_texts_per_question,
-        api_cost_per_pair=cc.api_cost_per_pair, gpu_rate=cc.gpu_rate,
-        train_hours=cc.train_hours, infer_hours=parse_hours_map(cc.infer_hours))
-    rows = comparison_rows(cc.num_docs, counts, **overrides)
+    rows = comparison_rows(cc)
     jsonl.write_text(ctx.ws.path("cost_report"), jsonl.dumps(
         {"provenance": ctx.provenance()}, sort_keys=True) + cost_rows_jsonl(rows, cc.num_docs))
     jsonl.write_text(ctx.ws.root / "reports" / "cost.txt",

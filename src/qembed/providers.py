@@ -21,6 +21,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .config import LlmSection
 from .jsonl import AppendStore, dumps, read
 
 logger = logging.getLogger(__name__)
@@ -83,7 +84,7 @@ class MockEncoder:
     processes, good enough for clustering and probing at desk scale.
     """
 
-    def __init__(self, dim: int = 64, seed: int = 0):
+    def __init__(self, dim: int, seed: int = 0):
         if dim < 1:
             raise ValueError("encoder dim must be positive")
         self.dim = dim
@@ -234,9 +235,9 @@ class RemoteLLM:
     QEMBED_API_KEY environment variable.
     """
 
-    def __init__(self, endpoint: str, model: str, max_parallel: int = 4,
+    def __init__(self, endpoint: str, model: str, max_parallel: int = LlmSection.max_parallel,
                  max_retries: int = 5, backoff_base: float = 0.5,
-                 timeout: float = 60.0, sleep=time.sleep):
+                 timeout: float = LlmSection.timeout, sleep=time.sleep):
         if max_parallel < 1:
             raise ValueError("max_parallel must be at least 1")
         self.endpoint = endpoint

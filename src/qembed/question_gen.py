@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import ClusterModel, nearest_clusters
+from .config import GenerationSection, ProbeSection
 from .jsonl import CorruptFileError, dumps, parse, records, replacing
 from .prompts import (
     QUESTIONS_PER_GENERATION,
@@ -31,9 +32,7 @@ from .providers import Encoder, LLMProvider, ProviderError
 
 logger = logging.getLogger(__name__)
 
-HARD_NEGATIVE_CLUSTERS = 3   # nearest clusters feeding generation hard negatives
-PROBE_NEIGHBOR_CLUSTERS = 3  # nearest clusters feeding hard probes
-COSINE_SLACK = 1e-9          # dedup similarities this close to theta are re-checked exactly
+COSINE_SLACK = 1e-9  # dedup similarities this close to theta are re-checked exactly
 
 
 class SamplingError(ValueError):
@@ -144,23 +143,23 @@ def _negative_pools(model: ClusterModel, c: int,
     return hard_pool, easy_pool
 
 
-def sample_contrastive(model: ClusterModel, c: int, n_p: int, n_h: int, n_e: int,
-                       rng: np.random.Generator,
-                       hard_from: int = HARD_NEGATIVE_CLUSTERS) -> ContrastiveSample:
+def sample_contrastive(model: ClusterModel, c: int, gen: GenerationSection,
+                       rng: np.random.Generator) -> ContrastiveSample:
     """Draw generation texts: positives from c, hard negatives from its nearest
     clusters, easy negatives from everywhere else. Pools are disjoint by construction.
 
-    A cluster smaller than n_p, or an easy pool smaller than n_e, yields all
-    its texts with a warning (k-means may leave few texts outside c and its
-    neighbours); a hard pool that cannot fill n_h is an error naming the pool.
+    A cluster smaller than gen.positives, or an easy pool smaller than
+    gen.easy_negatives, yields all its texts with a warning (k-means may leave
+    few texts outside c and its neighbours); a hard pool that cannot fill
+    gen.hard_negatives is an error naming the pool.
     """
     members = model.members(c)
     if not members:
         raise SamplingError(f"cluster {c} has no members")
-    positives = _draw(members, n_p, rng, f"cluster {c} positives", allow_short=True)
-    hard_pool, easy_pool = _negative_pools(model, c, hard_from)
-    hard = _draw(hard_pool, n_h, rng, "hard negative pool")
-    easy = _draw(easy_pool, n_e, rng, "easy negative pool", allow_short=True)
+    positives = _draw(members, gen.positives, rng, f"cluster {c} positives", allow_short=True)
+    hard_pool, easy_pool = _negative_pools(model, c, gen.hard_neighbor_clusters)
+    hard = _draw(hard_pool, gen.hard_negatives, rng, "hard negative pool")
+    easy = _draw(easy_pool, gen.easy_negatives, rng, "easy negative pool", allow_short=True)
     return ContrastiveSample(cluster_id=c, positives=positives,
                              hard_negatives=hard, easy_negatives=easy)
 
@@ -196,19 +195,18 @@ def generate_cluster_questions(sample: ContrastiveSample, texts: dict[str, str],
 
 
 def probe_question(q: CandidateQuestion, model: ClusterModel, texts: dict[str, str],
-                   llm: LLMProvider, p_p: int, p_h: int, p_e: int,
-                   rng: np.random.Generator,
-                   neighbor_from: int = PROBE_NEIGHBOR_CLUSTERS) -> ProbeOutcome | None:
+                   llm: LLMProvider, probe: ProbeSection,
+                   rng: np.random.Generator) -> ProbeOutcome | None:
     """Ask the LLM the candidate question against fresh probe texts and score it.
 
     Returns None (question excluded downstream) if the provider fails.
     """
     members = model.members(q.origin_cluster)
-    pos_probes = _draw(members, p_p, rng, f"cluster {q.origin_cluster} probe positives",
-                       allow_short=True)
-    hard_pool, easy_pool = _negative_pools(model, q.origin_cluster, neighbor_from)
-    hard_probes = _draw(hard_pool, p_h, rng, "hard probe pool")
-    easy_probes = _draw(easy_pool, p_e, rng, "easy probe pool")
+    pos_probes = _draw(members, probe.positives, rng,
+                       f"cluster {q.origin_cluster} probe positives", allow_short=True)
+    hard_pool, easy_pool = _negative_pools(model, q.origin_cluster, probe.neighbor_clusters)
+    hard_probes = _draw(hard_pool, probe.hard_negatives, rng, "hard probe pool")
+    easy_probes = _draw(easy_pool, probe.easy_negatives, rng, "easy probe pool")
 
     def ask(doc_id: str) -> int:
         answers, _ = parse_answers(llm.complete(render_answer_prompt(texts[doc_id], [q.text])),
@@ -238,23 +236,23 @@ class _AdmittedSet:
 
     def __init__(self, capacity: int, dim: int, theta: float):
         self._rows = np.empty((capacity, dim), dtype=np.float64)
-        self._units: list[np.ndarray] = []
+        self._count = 0
         self._theta = theta
 
     def admit(self, vec: np.ndarray) -> np.ndarray | None:
         """vec's unit vector, now admitted, or None if it duplicates an admitted one."""
         norm = float(np.linalg.norm(vec))
         unit = vec / norm if norm else vec
-        sims = self._rows[:len(self._units)] @ unit
+        sims = self._rows[:self._count] @ unit
         if np.any(sims > self._theta + COSINE_SLACK):
             return None
         for j in np.flatnonzero(sims >= self._theta - COSINE_SLACK):
-            other = self._units[j]
+            other = self._rows[j]
             denom = float(np.linalg.norm(unit) * np.linalg.norm(other))
             if (float(unit @ other) / denom if denom else 0.0) > self._theta:
                 return None
-        self._rows[len(self._units)] = unit
-        self._units.append(unit)
+        self._rows[self._count] = unit
+        self._count += 1
         return unit
 
 

@@ -10,10 +10,10 @@ it was before heads were loaded as float32, so logits and bits can be.
 
 import numpy as np
 
+from qembed.config import TrainingSection
 from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FORWARD_CHUNK, QuestionHeads,
-                          TrainingConfig, TrainingError, TrainingExample, _example_rows,
-                          _loss_and_grad, _softplus, _split, compute_pos_weight,
-                          forward_logits, init_heads)
+                          TrainingError, TrainingExample, _example_rows, _loss_and_grad,
+                          _softplus, _split, compute_pos_weight, forward_logits, init_heads)
 from qembed.metrics import MetricError
 from qembed.question_gen import QuestionBank
 
@@ -138,7 +138,7 @@ def _reference_loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray,
 
 
 def reference_train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
-                          bank: QuestionBank, cfg: TrainingConfig) -> QuestionHeads:
+                          bank: QuestionBank, cfg: TrainingSection, seed: int) -> QuestionHeads:
     """train_heads with a freshly allocated gradient and Adam update on every step."""
     if not examples:
         raise TrainingError("no training examples")
@@ -148,9 +148,11 @@ def reference_train_heads(examples: list[TrainingExample], embeddings: np.ndarra
         if bad:
             raise TrainingError(f"example {ex.document_id} answers unknown question {bad[0]}")
 
-    pos_weight = cfg.pos_weight if cfg.pos_weight is not None else compute_pos_weight(examples)
+    pos_weight = cfg.fixed_pos_weight()
+    if pos_weight is None:
+        pos_weight = compute_pos_weight(examples)
 
-    heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, cfg.seed,
+    heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, seed,
                        tau=cfg.tau, bank_fingerprint=bank.fingerprint())
     params = heads.params
     adam_m = np.zeros_like(params)
@@ -161,7 +163,7 @@ def reference_train_heads(examples: list[TrainingExample], embeddings: np.ndarra
     labels_per_doc = [np.asarray([ex.answers[q] for q in sorted(ex.answers)],
                                  dtype=np.float64) for ex in examples]
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     n = len(examples)
     order = rng.permutation(n)
     lr = cfg.learning_rate

@@ -15,10 +15,9 @@ import pytest
 from oracle import (cognitive_load, cosine_similarity, document_loss,
                     document_loss_and_grads)
 from qembed.binary import BinaryMatrix, packed_cognitive_load
-from qembed.config import load_config
+from qembed.config import CostSection, load_config
 from qembed.corpus import content_id
-from qembed.cost import (CostParams, llm_prompt_count, llm_qa_cost, mbqa_cost,
-                         training_pair_count)
+from qembed.cost import llm_prompt_count, llm_qa_cost, mbqa_cost, training_pair_count
 from qembed.evaluation import load_sts_task, mean_cognitive_load
 from qembed.heads import (TrainingExample, compute_pos_weight, embed_documents, init_heads,
                           load_heads)
@@ -209,18 +208,18 @@ def test_criterion_07_pos_weight_arithmetic():
 
 
 def test_criterion_08_cost_model_reproductions():
-    p = CostParams(num_docs=8_800_000, num_questions=10_000)
-    prompts = llm_prompt_count(p)
+    p = CostSection(num_docs=8_800_000)
+    prompts = llm_prompt_count(p, 10_000)
     prompts_ok = prompts == 4_400_000_000
-    pairs = training_pair_count(p)
+    pairs = training_pair_count(p, 10_000)
     pairs_ok = pairs == 10_000_000
-    llm_usd = llm_qa_cost(p)
+    llm_usd = llm_qa_cost(p, 10_000)
     llm_ok = abs(llm_usd - 244_551.0) <= 0.10 * 244_551.0
     published = {2000: 13.0, 4000: 20.0, 6000: 27.0, 8000: 34.0, 10000: 41.0}
     mbqa_ok = True
     totals = {}
     for q, target in published.items():
-        total = mbqa_cost(CostParams(num_docs=8_800_000, num_questions=q)).total
+        total = mbqa_cost(p, q).total
         totals[q] = round(total, 2)
         if abs(total - target) > 2.0:
             mbqa_ok = False

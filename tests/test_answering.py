@@ -3,6 +3,7 @@ import pytest
 
 from qembed.answering import CollectionResult, collect_answers, split_examples
 from qembed.cluster import ClusterModel
+from qembed.config import CollectionSection
 from qembed.heads import TrainingExample
 from qembed.providers import AnswerCache
 from qembed.question_gen import BankQuestion, QuestionBank
@@ -10,6 +11,11 @@ from qembed.question_gen import BankQuestion, QuestionBank
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def pools(in_cluster, neighbor, neighbor_clusters, random):
+    return CollectionSection(in_cluster=in_cluster, neighbor=neighbor,
+                             neighbor_clusters=neighbor_clusters, random=random)
 
 
 def make_model(sizes, positions):
@@ -48,8 +54,7 @@ class TestCollectAnswers:
         texts = {d: f"text {d}" for d in model.doc_ids}
         cache = AnswerCache(tmp_path / "a.jsonl")
         result = collect_answers(bank, model, texts, YesLLM(), cache, rng(1),
-                                 in_cluster=5, neighbor=3, neighbor_from=2,
-                                 random_count=2)
+                                 pools(5, 3, 2, 2))
         assert result.requested_pairs == 10
         assert sum(len(ex.answers) for ex in result.examples) == 10
         assert len(cache) == 10
@@ -62,8 +67,7 @@ class TestCollectAnswers:
         cache = AnswerCache(tmp_path / "a.jsonl")
         llm = YesLLM()
         result = collect_answers(bank, model, texts, llm, cache, rng(0),
-                                 in_cluster=1, neighbor=0, neighbor_from=0,
-                                 random_count=0)
+                                 pools(1, 0, 0, 0))
         assert result.llm_calls == 2
         assert "20. Is it about thing" in llm.prompts[0]
         assert "5. Is it about thing" in llm.prompts[1]
@@ -81,7 +85,7 @@ class TestCollectAnswers:
 
         cache = AnswerCache(tmp_path / "a.jsonl")
         result = collect_answers(bank, model, texts, FixedLLM(), cache, rng(0),
-                                 in_cluster=1, neighbor=0, neighbor_from=0, random_count=0)
+                                 pools(1, 0, 0, 0))
         ex = result.examples[0]
         assert ex.answers == {0: 1, 1: 0}
 
@@ -91,12 +95,10 @@ class TestCollectAnswers:
         texts = {d: f"text {d}" for d in model.doc_ids}
         cache_path = tmp_path / "a.jsonl"
         first = collect_answers(bank, model, texts, YesLLM(), AnswerCache(cache_path),
-                                rng(3), in_cluster=2, neighbor=2, neighbor_from=1,
-                                random_count=1)
+                                rng(3), pools(2, 2, 1, 1))
         assert first.llm_calls > 0
         second = collect_answers(bank, model, texts, YesLLM(), AnswerCache(cache_path),
-                                 rng(3), in_cluster=2, neighbor=2, neighbor_from=1,
-                                 random_count=1)
+                                 rng(3), pools(2, 2, 1, 1))
         assert second.llm_calls == 0
         assert second.cache_hits == second.requested_pairs
         assert [ex.answers for ex in second.examples] == [ex.answers for ex in first.examples]
@@ -112,7 +114,7 @@ class TestCollectAnswers:
 
         result = collect_answers(bank, model, texts, PartialLLM(),
                                  AnswerCache(tmp_path / "a.jsonl"), rng(0),
-                                 in_cluster=1, neighbor=0, neighbor_from=0, random_count=0)
+                                 pools(1, 0, 0, 0))
         assert result.unparsed == 2
         assert result.examples[0].answers == {0: 1, 1: 0, 2: 0}
 
@@ -121,11 +123,9 @@ class TestCollectAnswers:
         bank = make_bank([0, 1, 2])
         texts = {d: f"text {d}" for d in model.doc_ids}
         a = collect_answers(bank, model, texts, YesLLM(), AnswerCache(tmp_path / "a.jsonl"),
-                            rng(9), in_cluster=2, neighbor=2, neighbor_from=1,
-                            random_count=1)
+                            rng(9), pools(2, 2, 1, 1))
         b = collect_answers(bank, model, texts, YesLLM(), AnswerCache(tmp_path / "b.jsonl"),
-                            rng(9), in_cluster=2, neighbor=2, neighbor_from=1,
-                            random_count=1)
+                            rng(9), pools(2, 2, 1, 1))
         assert [(ex.document_id, ex.answers) for ex in a.examples] == \
                [(ex.document_id, ex.answers) for ex in b.examples]
 
@@ -133,7 +133,7 @@ class TestCollectAnswers:
         bank = QuestionBank(questions=[], theta=0.8, t=4, encoder_fingerprint="x")
         with pytest.raises(ValueError):
             collect_answers(bank, None, {"d": "t"}, YesLLM(),
-                            AnswerCache(tmp_path / "a.jsonl"), rng(0))
+                            AnswerCache(tmp_path / "a.jsonl"), rng(0), CollectionSection())
 
 
 def test_split_examples_partitions_by_document():

@@ -254,7 +254,8 @@ def _edit_config(cfg_path, section, **settings):
     "[collection] group = 0", "[collection] group = 25", "[collection] in_cluster = -1",
     "[probe] positives = 0", "[probe] hard_negatives = 0, easy_negatives = 0",
     "[probe] neighbor_clusters = -1", "[generation] hard_neighbor_clusters = -1",
-    "[corpus] heldout_fraction = 0",
+    "[corpus] heldout_fraction = 0", "[collection] in_cluster = 0, neighbor = 0, random = 0",
+    "[eval] ablate_taus = 0.5,1.5",
 ])
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting):
     section, assignments = setting[1:].split("] ")

@@ -1,8 +1,19 @@
 import pytest
 
 from qembed.config import (
+    ClusterSection,
+    CollectionSection,
     ConfigError,
+    CorpusSection,
+    CostSection,
+    EncoderSection,
+    EvalSection,
+    GenerationSection,
+    LlmSection,
     PipelineConfig,
+    ProbeSection,
+    SelectionSection,
+    TrainingSection,
     config_hash,
     dump_config,
     load_config,
@@ -11,6 +22,7 @@ from qembed.config import (
     parse_int_list,
     with_seed,
 )
+from qembed.pipeline import write_demo_workspace
 
 
 def write(tmp_path, text):
@@ -76,6 +88,55 @@ class TestParsing:
             load_config(tmp_path / "absent.ini")
 
 
+# (section, values, expected start of the error message)
+OUT_OF_RANGE = [
+    (CorpusSection, {"heldout_fraction": 0.0}, "[corpus] heldout_fraction"),
+    (CorpusSection, {"heldout_fraction": 1.0}, "[corpus] heldout_fraction"),
+    (CorpusSection, {"format": "xml"}, "[corpus] format"),
+    (EncoderSection, {"kind": "remote"}, "[encoder] kind"),
+    (EncoderSection, {"dim": 0}, "[encoder] dim"),
+    (LlmSection, {"kind": "psychic"}, "[llm] kind"),
+    (ClusterSection, {"k": 0}, "[cluster] k"),
+    (GenerationSection, {"positives": 0}, "[generation] positives"),
+    (GenerationSection, {"hard_negatives": 0}, "[generation] hard_negatives"),
+    (GenerationSection, {"easy_negatives": 0}, "[generation] easy_negatives"),
+    (GenerationSection, {"hard_neighbor_clusters": -1}, "[generation] hard_neighbor_clusters"),
+    (ProbeSection, {"positives": 0}, "[probe] positives"),
+    (ProbeSection, {"hard_negatives": -1}, "[probe] hard_negatives"),
+    (ProbeSection, {"easy_negatives": -1}, "[probe] easy_negatives"),
+    (ProbeSection, {"hard_negatives": 0, "easy_negatives": 0}, "[probe] hard_negatives"),
+    (ProbeSection, {"neighbor_clusters": -1}, "[probe] neighbor_clusters"),
+    (SelectionSection, {"dedup_threshold": -0.1}, "[selection] dedup_threshold"),
+    (SelectionSection, {"dedup_threshold": 1.5}, "[selection] dedup_threshold"),
+    (SelectionSection, {"per_cluster_cap": 0}, "[selection] per_cluster_cap"),
+    (CollectionSection, {"in_cluster": -1}, "[collection] in_cluster"),
+    (CollectionSection, {"neighbor": -1}, "[collection] neighbor"),
+    (CollectionSection, {"random": -1}, "[collection] random"),
+    (CollectionSection, {"in_cluster": 0, "neighbor": 0, "random": 0}, "[collection] in_cluster"),
+    (CollectionSection, {"group": 0}, "[collection] group"),
+    (CollectionSection, {"group": 21}, "[collection] group"),
+    (TrainingSection, {"learning_rate": 0.0}, "[training] learning_rate"),
+    (TrainingSection, {"steps": 0}, "[training] steps must be >= 1, got 0"),
+    (TrainingSection, {"steps": -5}, "[training] steps must be >= 1, got -5"),
+    (TrainingSection, {"hidden": 0}, "[training] hidden must be >= 1, got 0"),
+    (TrainingSection, {"hidden": -3}, "[training] hidden must be >= 1, got -3"),
+    (TrainingSection, {"tau": 1.0}, "[training] tau"),
+    (TrainingSection, {"pos_weight": "heavy"}, "[training] pos_weight"),
+    (EvalSection, {"explain_pairs": -1}, "[eval] explain_pairs"),
+    (EvalSection, {"ablate_taus": "a,b"}, "[eval] ablate_taus"),
+    (EvalSection, {"ablate_taus": "0.5,1.5"}, "[eval] ablate_taus entries must be in (0, 1)"),
+    (EvalSection, {"ablate_dims": "4,x"}, "[eval] ablate_dims"),
+    (CostSection, {"num_docs": -1}, "[cost] num_docs"),
+    (CostSection, {"questions_per_prompt": 0}, "[cost] questions_per_prompt"),
+    (CostSection, {"price_in": -0.5}, "[cost] price_in"),
+    (CostSection, {"train_hours": -1.0}, "[cost] train_hours"),
+    (CostSection, {"question_counts": "2000,-1"}, "[cost] question_counts"),
+    (CostSection, {"question_counts": "2000,many"}, "[cost] question_counts"),
+    (CostSection, {"infer_hours": "1:-2"}, "[cost] infer_hours"),
+    (CostSection, {"infer_hours": "2000=48"}, "[cost] infer_hours"),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize("text,needle", [
         ("[corpus]\nheldout_fraction = 1.0\n", "heldout_fraction"),
@@ -96,6 +157,16 @@ class TestValidation:
     def test_rejects(self, tmp_path, text, needle):
         with pytest.raises(ConfigError, match=needle):
             load_config(write(tmp_path, text))
+
+
+    @pytest.mark.parametrize("section_type,values,prefix", OUT_OF_RANGE, ids=[
+        section.__name__ + "-" + "-".join(f"{k}={v}" for k, v in values.items())
+        for section, values, _ in OUT_OF_RANGE])
+    def test_section_rejects_out_of_range_value(self, section_type, values, prefix):
+        """Each section checks its own values when built in code, as from a file."""
+        with pytest.raises(ConfigError) as exc:
+            section_type(**values)
+        assert str(exc.value).startswith(prefix)
 
 
 class TestListParsers:
@@ -129,3 +200,10 @@ class TestSerialization:
 
     def test_hash_stable(self):
         assert config_hash(PipelineConfig()) == config_hash(PipelineConfig())
+
+    def test_hashes_are_pinned(self, tmp_path):
+        """Adding, removing or renaming a section field changes these hashes,
+        and with them every recorded stage's provenance."""
+        assert config_hash(PipelineConfig()) == "2f8b0e617ec132d8"
+        demo = load_config(write_demo_workspace(tmp_path, seed=0))
+        assert config_hash(demo) == "ee460cf2848be990"

@@ -23,7 +23,7 @@ def write_lines(path, lines):
 def test_ingest_plain_lines_drops_blank_lines(tmp_path):
     f = tmp_path / "docs.txt"
     f.write_text("alpha\n\n   \nbeta\ngamma\n", encoding="utf-8")
-    corpus = ingest(f)
+    corpus = ingest(f, format="plain-lines")
     assert corpus.texts() == ["alpha", "beta", "gamma"]
     assert len(set(corpus.ids())) == 3
 
@@ -31,7 +31,7 @@ def test_ingest_plain_lines_drops_blank_lines(tmp_path):
 def test_ingest_ids_are_content_hashes_with_dup_suffix(tmp_path):
     f = tmp_path / "docs.txt"
     write_lines(f, ["same", "same", "other", "same"])
-    corpus = ingest(f)
+    corpus = ingest(f, format="plain-lines")
     base = content_id("same")
     assert corpus.ids() == [base, f"{base}-1", content_id("other"), f"{base}-2"]
 
@@ -69,7 +69,7 @@ def test_ingest_plain_lines_invalid_utf8_names_the_file(tmp_path):
     f = tmp_path / "docs.txt"
     f.write_bytes(b"alpha\n\xff\xfe beta\n")
     with pytest.raises(CorpusError, match="docs.txt.*not valid UTF-8"):
-        ingest(f)
+        ingest(f, format="plain-lines")
 
 
 def test_exact_dedup_matches_brute_force_set_oracle(tmp_path):
@@ -80,7 +80,7 @@ def test_exact_dedup_matches_brute_force_set_oracle(tmp_path):
     rng.shuffle(docs)
     f = tmp_path / "docs.txt"
     write_lines(f, docs)
-    corpus = exact_dedup(ingest(f))
+    corpus = exact_dedup(ingest(f, format="plain-lines"))
     assert len(corpus) == 95
     assert sorted(corpus.texts()) == sorted(set(docs))
     # First occurrence is the survivor.

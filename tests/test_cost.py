@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from qembed.config import CostSection
 from qembed.cost import (
     CostError,
-    CostParams,
     comparison_rows,
     cost_rows_jsonl,
     llm_prompt_count,
@@ -20,119 +20,96 @@ MSMARCO_DOCS = 8_800_000
 
 class TestPromptCount:
     def test_msmarco_scale(self):
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
-        assert llm_prompt_count(p) == 4_400_000_000
+        assert llm_prompt_count(CostSection(num_docs=MSMARCO_DOCS), 10_000) == 4_400_000_000
 
     def test_single_doc_single_question(self):
-        p = CostParams(num_docs=1, num_questions=1)
-        assert llm_prompt_count(p) == 1
+        assert llm_prompt_count(CostSection(num_docs=1), 1) == 1
 
     def test_ceiling_arithmetic(self):
-        p = CostParams(num_docs=10, num_questions=25)
-        assert llm_prompt_count(p) == 20
+        assert llm_prompt_count(CostSection(num_docs=10), 25) == 20
 
 
 class TestLlmQaCost:
     def test_zero_prices(self):
-        p = CostParams(num_docs=100, num_questions=100, price_in=0.0, price_out=0.0)
-        assert llm_qa_cost(p) == 0.0
+        p = CostSection(num_docs=100, price_in=0.0, price_out=0.0)
+        assert llm_qa_cost(p, 100) == 0.0
 
     def test_calibrated_preset_hits_reference_total(self):
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
-        cost = llm_qa_cost(p)
+        cost = llm_qa_cost(CostSection(num_docs=MSMARCO_DOCS), 10_000)
         assert abs(cost - 244_551) / 244_551 < 0.10
 
     def test_calibrated_token_total(self):
         # the preset's per-prompt tokens must add up to 1.5e12 over 4.4e9 prompts
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
+        p = CostSection(num_docs=MSMARCO_DOCS)
         per_prompt = p.avg_input_tokens_per_prompt + p.avg_output_tokens_per_prompt
-        total = llm_prompt_count(p) * per_prompt
+        total = llm_prompt_count(p, 10_000) * per_prompt
         assert abs(total - 1.5e12) / 1.5e12 < 0.01
 
     def test_doubling_docs_doubles_cost(self):
-        a = CostParams(num_docs=1000, num_questions=500)
-        b = CostParams(num_docs=2000, num_questions=500)
-        assert llm_qa_cost(b) == 2 * llm_qa_cost(a)
+        a = CostSection(num_docs=1000)
+        b = CostSection(num_docs=2000)
+        assert llm_qa_cost(b, 500) == 2 * llm_qa_cost(a, 500)
 
     def test_per_prompt_cost_independent_of_docs(self):
         for docs in (1, 17, 1000, 8_800_000):
-            p = CostParams(num_docs=docs, num_questions=10_000)
-            ratio = llm_qa_cost(p) / llm_prompt_count(p)
-            base = llm_qa_cost(CostParams(num_docs=1, num_questions=10_000))
+            p = CostSection(num_docs=docs)
+            ratio = llm_qa_cost(p, 10_000) / llm_prompt_count(p, 10_000)
+            base = llm_qa_cost(CostSection(num_docs=1), 10_000)
             assert ratio == pytest.approx(base / 500, rel=1e-12)
 
 
 class TestTrainingCounts:
     def test_ten_million_pairs(self):
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
-        assert training_pair_count(p) == 10_000_000
+        assert training_pair_count(CostSection(num_docs=MSMARCO_DOCS), 10_000) == 10_000_000
 
 
 class TestMbqaCost:
     PAPER_TOTALS = {2000: 13, 4000: 20, 6000: 27, 8000: 34, 10000: 41}
 
     def test_headline_forty_one(self):
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
-        result = mbqa_cost(p)
+        result = mbqa_cost(CostSection(num_docs=MSMARCO_DOCS), 10_000)
         assert result.api_usd == pytest.approx(31.0)
         assert result.gpu_usd == pytest.approx((36 + 90) * 0.08)
         assert result.total == pytest.approx(41.08)
 
     @pytest.mark.parametrize("q,expected", sorted(PAPER_TOTALS.items()))
     def test_table_row_within_two_dollars(self, q, expected):
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=q)
-        assert abs(mbqa_cost(p).total - expected) <= 2.0
+        assert abs(mbqa_cost(CostSection(num_docs=MSMARCO_DOCS), q).total - expected) <= 2.0
 
     def test_zero_questions_zero_api(self):
-        p = CostParams(num_docs=10, num_questions=0, infer_hours={0: 0.0})
-        result = mbqa_cost(p)
+        result = mbqa_cost(CostSection(num_docs=10, infer_hours="0:0"), 0)
         assert result.api_usd == 0.0
         assert result.total == pytest.approx(36 * 0.08)
 
     def test_missing_infer_hours_entry(self):
-        p = CostParams(num_docs=10, num_questions=3000)
         with pytest.raises(CostError, match="3000"):
-            mbqa_cost(p)
+            mbqa_cost(CostSection(num_docs=10), 3000)
 
     def test_mbqa_cheaper_than_llm_at_all_sizes(self):
         for q in sorted(self.PAPER_TOTALS):
-            p = CostParams(num_docs=MSMARCO_DOCS, num_questions=q)
-            assert mbqa_cost(p).total <= llm_qa_cost(p)
+            p = CostSection(num_docs=MSMARCO_DOCS)
+            assert mbqa_cost(p, q).total <= llm_qa_cost(p, q)
 
     def test_headline_ratio_direction(self):
-        p = CostParams(num_docs=MSMARCO_DOCS, num_questions=10_000)
-        ratio = mbqa_cost(p).total / llm_qa_cost(p)
+        p = CostSection(num_docs=MSMARCO_DOCS)
+        ratio = mbqa_cost(p, 10_000).total / llm_qa_cost(p, 10_000)
         assert ratio < 0.001
-
-
-class TestValidation:
-    def test_negative_docs_rejected(self):
-        with pytest.raises(CostError, match="num_docs"):
-            CostParams(num_docs=-1, num_questions=10)
-
-    def test_zero_questions_per_prompt_rejected(self):
-        with pytest.raises(CostError, match="questions_per_prompt"):
-            CostParams(num_docs=1, num_questions=1, questions_per_prompt=0)
-
-    def test_negative_infer_hours_rejected(self):
-        with pytest.raises(CostError):
-            CostParams(num_docs=1, num_questions=1, infer_hours={1: -2.0})
 
 
 class TestTable:
     def test_rows_cover_default_sizes(self):
-        rows = comparison_rows(MSMARCO_DOCS)
+        rows = comparison_rows(CostSection(num_docs=MSMARCO_DOCS))
         assert [r.num_questions for r in rows] == [2000, 4000, 6000, 8000, 10000]
         assert rows[-1].mbqa_total_usd == pytest.approx(41.08)
 
     def test_render_contains_columns(self):
-        rows = comparison_rows(MSMARCO_DOCS)
+        rows = comparison_rows(CostSection(num_docs=MSMARCO_DOCS))
         text = render_cost_table(rows, MSMARCO_DOCS)
         assert "questions" in text and "mbqa total" in text
         assert "41.08" in text
 
     def test_jsonl_parses_back(self):
-        rows = comparison_rows(MSMARCO_DOCS, question_counts=[10_000])
+        rows = comparison_rows(CostSection(num_docs=MSMARCO_DOCS, question_counts="10000"))
         lines = cost_rows_jsonl(rows, MSMARCO_DOCS).strip().split("\n")
         rec = json.loads(lines[0])
         assert rec["num_docs"] == MSMARCO_DOCS

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 
 from qembed.cluster import ClusterModel, save_cluster_model
+from qembed.config import CostSection
 from qembed.corpus import Corpus, Document, save_corpus
 from qembed.cost import comparison_rows, cost_rows_jsonl
 from qembed.heads import TrainingExample
@@ -61,8 +62,8 @@ def write_every_format(root):
     ws = Workspace(root)
     ws.log({"stage": "café", "seconds": 0.5})
     ws.record_stage("café", "cfg-é", {"corpus": "ab"}, {"bank": "cd"})
-    (root / "cost.jsonl").write_text(cost_rows_jsonl(comparison_rows(1000, [2000, 4000]), 1000),
-                                     encoding="utf-8")
+    rows = comparison_rows(CostSection(num_docs=1000, question_counts="2000,4000"))
+    (root / "cost.jsonl").write_text(cost_rows_jsonl(rows, 1000), encoding="utf-8")
     write_demo_workspace(root / "demo", seed=0, n_per_topic=4, sts_pairs=6)
 
 

@@ -93,16 +93,6 @@ class TestNdcg:
         swapped = ndcg_at_k(["a", "b", "z", "y", "x"], qrels, k=2)
         assert base == swapped == 1.0
 
-    def test_exponential_gain_flag(self):
-        qrels = {"a": 2.0}
-        linear = ndcg_at_k(["x", "a"], qrels, k=2)
-        expo = ndcg_at_k(["x", "a"], qrels, k=2, exponential=True)
-        # single relevant doc: both normalize to the same discount ratio
-        assert linear == pytest.approx(expo, abs=1e-12)
-        graded = {"a": 2.0, "b": 1.0}
-        assert ndcg_at_k(["b", "a"], graded, k=2) != \
-            ndcg_at_k(["b", "a"], graded, k=2, exponential=True)
-
     def test_k_must_be_positive(self):
         with pytest.raises(MetricError):
             ndcg_at_k(["a"], {"a": 1.0}, k=0)

@@ -15,8 +15,7 @@ from qembed.binary import save_binary_matrix
 from qembed.config import ConfigError, config_hash, load_config, with_seed
 from qembed.corpus import content_id, load_corpus
 from qembed.evaluation import load_sts_task, mean_cognitive_load, sts_evaluate
-from qembed.heads import (TrainingConfig, TrainingExample, embed_documents, load_heads,
-                          save_heads, train_heads)
+from qembed.heads import TrainingExample, embed_documents, load_heads, save_heads, train_heads
 from qembed.metrics import MetricError
 from qembed.pipeline import (STAGE_ORDER, STAGES, run_all, run_stage,
                              stage_seed, write_demo_workspace)
@@ -216,12 +215,11 @@ def test_training_on_stored_rows_matches_a_fresh_encode(mini, tmp_path):
     stored = np.load(ws.path("doc_embeddings"))[[row[ex.document_id] for ex in train]]
     fresh = _fresh_encoder(cfg).encode([texts[ex.document_id] for ex in train])
     assert cfg.training.pos_weight == "auto"
-    tcfg = TrainingConfig(learning_rate=cfg.training.learning_rate, steps=cfg.training.steps,
-                          hidden=cfg.training.hidden, seed=stage_seed(cfg.pipeline.seed, "train"),
-                          tau=cfg.training.tau)
+    seed = stage_seed(cfg.pipeline.seed, "train")
     bank = load_question_bank(ws.path("bank"))
-    from_stored = train_heads(train, stored, bank, cfg=tcfg)
-    assert from_stored.params.tobytes() == train_heads(train, fresh, bank, cfg=tcfg).params.tobytes()
+    from_stored = train_heads(train, stored, bank, cfg=cfg.training, seed=seed)
+    from_fresh = train_heads(train, fresh, bank, cfg=cfg.training, seed=seed)
+    assert from_stored.params.tobytes() == from_fresh.params.tobytes()
     save_heads(from_stored, tmp_path / "heads.bin")
     assert (tmp_path / "heads.bin").read_bytes() == ws.path("heads").read_bytes()
 

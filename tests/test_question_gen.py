@@ -7,6 +7,7 @@ import pytest
 
 from qembed import question_gen
 from qembed.cluster import ClusterModel
+from qembed.config import GenerationSection, ProbeSection
 from qembed.prompts import CandidateQuestion
 from qembed.providers import MockEncoder
 from qembed.question_gen import (
@@ -99,7 +100,7 @@ class TestSampleContrastive:
 
     def test_default_counts_and_disjointness(self):
         model = self.default_model()
-        sample = sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(1))
+        sample = sample_contrastive(model, 0, GenerationSection(), rng(1))
         assert len(sample.positives) == 6
         assert len(sample.hard_negatives) == 18
         assert len(sample.easy_negatives) == 18
@@ -115,7 +116,7 @@ class TestSampleContrastive:
         model = make_model(sizes=[4, 10, 10, 10, 20, 20],
                            positions=[0.0, 1.0, 1.05, 1.1, 5.0, 5.1])
         with caplog.at_level("WARNING"):
-            sample = sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(2))
+            sample = sample_contrastive(model, 0, GenerationSection(), rng(2))
         assert sorted(sample.positives) == [f"c0d{i}" for i in range(4)]
         assert any("taking all" in r.message for r in caplog.records)
 
@@ -123,14 +124,14 @@ class TestSampleContrastive:
         model = make_model(sizes=[8, 2, 2, 2, 10, 10],
                            positions=[0.0, 1.0, 1.05, 1.1, 5.0, 5.1])
         with pytest.raises(SamplingError, match="hard negative pool"):
-            sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(3))
+            sample_contrastive(model, 0, GenerationSection(), rng(3))
 
     def test_short_easy_pool_takes_all_with_warning(self, caplog):
-        """k-means can leave fewer texts outside c and its neighbours than n_e."""
+        """k-means can leave fewer texts outside c and its neighbours than easy_negatives."""
         model = make_model(sizes=[8, 7, 7, 7, 2, 2],
                            positions=[0.0, 1.0, 1.05, 1.1, 5.0, 5.1])
         with caplog.at_level("WARNING"):
-            sample = sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(3))
+            sample = sample_contrastive(model, 0, GenerationSection(), rng(3))
         assert sorted(sample.easy_negatives) == ["c4d0", "c4d1", "c5d0", "c5d1"]
         assert len(sample.hard_negatives) == 18
         assert any("easy negative pool has only 4 texts, need 18" in r.message
@@ -138,8 +139,8 @@ class TestSampleContrastive:
 
     def test_fixed_seed_reproduces_sample(self):
         model = self.default_model()
-        a = sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(7))
-        b = sample_contrastive(model, 0, n_p=6, n_h=18, n_e=18, rng=rng(7))
+        a = sample_contrastive(model, 0, GenerationSection(), rng(7))
+        b = sample_contrastive(model, 0, GenerationSection(), rng(7))
         assert a == b
 
 
@@ -186,7 +187,7 @@ class TestProbeQuestion:
         texts = self.texts(model)
         llm = RuleLLM(lambda chunk, q: any(d in chunk for d in yes_docs))
         q = CandidateQuestion(text="Is it in the yes set?", origin_cluster=0, ordinal=0)
-        return probe_question(q, model, texts, llm, p_p=5, p_h=3, p_e=2, rng=rng(4))
+        return probe_question(q, model, texts, llm, ProbeSection(), rng(4))
 
     def test_perfect_question_scores_one(self):
         out = self.outcome(yes_docs=[f"c0d{i}" for i in range(5)])
@@ -214,7 +215,7 @@ class TestProbeQuestion:
         model = self.probe_model()
         q = CandidateQuestion(text="Is it anything?", origin_cluster=0, ordinal=0)
         assert probe_question(q, model, self.texts(model), FailingLLM(),
-                              p_p=5, p_h=3, p_e=2, rng=rng(5)) is None
+                              ProbeSection(), rng(5)) is None
 
     def test_quality_matches_brute_force_over_all_probe_combinations(self):
         # every assignment of yes/no to the 10 probes, scored through the full path
@@ -227,7 +228,7 @@ class TestProbeQuestion:
             yes_set = {d for d, b in zip(pos_docs + neg_docs, bits) if b}
             llm = RuleLLM(lambda chunk, q: any(d in chunk for d in yes_set))
             out = probe_question(question, model, texts, llm,
-                                 p_p=5, p_h=3, p_e=2, rng=rng(6))
+                                 ProbeSection(), rng(6))
             pos_yes = sum(bits[:5])
             neg_yes = sum(bits[5:])
             assert out.pos_yes == pos_yes and out.neg_yes == neg_yes
