@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .jsonl import replacing
 
-# popcount per byte value; avoids relying on newer numpy bit_count ufuncs
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+# popcount of each byte value, and of each pair of bytes read as one uint16 (a
+# sum of two byte counts, so either byte order gives the same table); tables
+# rather than np.bitwise_count, which numpy 1.24 lacks
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_POPCOUNT16 = (_POPCOUNT8[:, None] + _POPCOUNT8[None, :]).ravel()
 
 
 class BinaryMatrixError(ValueError):
@@ -29,8 +33,10 @@ def is_binary(values: np.ndarray) -> bool:
     return bool(np.isin(values, (0, 1)).all())
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryMatrix:
+    """Packed rows, made read-only when the matrix is built, so the row
+    popcounts, counted on first use, cannot go stale."""
     packed: np.ndarray  # (n, ceil(m/8)) uint8
     m: int  # true column count (bank size)
     row_ids: list[str]
@@ -42,7 +48,13 @@ class BinaryMatrix:
         if self.packed.shape[1] != (self.m + 7) // 8:
             raise BinaryMatrixError(
                 f"packed width {self.packed.shape[1]} does not fit m={self.m}")
-        self._index = {rid: i for i, rid in enumerate(self.row_ids)}
+        self.packed.flags.writeable = False
+        object.__setattr__(self, "_index", {rid: i for i, rid in enumerate(self.row_ids)})
+
+    @cached_property
+    def row_popcounts(self) -> np.ndarray:
+        """Yes-count (squared norm) of each row, uint64, counted once."""
+        return popcounts(self.packed)
 
     @property
     def n(self) -> int:
@@ -97,8 +109,19 @@ class BinaryMatrix:
 
 
 def popcounts(packed: np.ndarray) -> np.ndarray:
-    """Yes-count of each packed row, i.e. its squared norm; the last axis is a row."""
-    return _POPCOUNT[packed].sum(axis=-1)
+    """Yes-count of each packed uint8 row, i.e. its squared norm, as uint64.
+
+    The last axis is a row and must be contiguous, as in any row view of a
+    packed matrix: byte pairs are read as uint16 and looked up in one table, and
+    an odd last byte in the byte table.
+    """
+    packed = np.asarray(packed, dtype=np.uint8)
+    width = packed.shape[-1]
+    pairs = packed[..., :width & ~1].view(np.uint16)
+    counts = np.take(_POPCOUNT16, pairs).sum(axis=-1, dtype=np.uint64)
+    if width & 1:
+        counts += _POPCOUNT8[packed[..., -1]]
+    return counts
 
 
 def packed_cognitive_load(pu: np.ndarray, pv: np.ndarray) -> int:
@@ -124,7 +147,7 @@ def load_binary_matrix(path: str | Path) -> BinaryMatrix:
     end = 16 + n * width
     if len(blob) < end:
         raise BinaryMatrixError(f"binary matrix file shorter than header claims: {path}")
-    packed = np.frombuffer(blob[16:end], dtype=np.uint8).reshape(n, width).copy()
+    packed = np.frombuffer(blob, dtype=np.uint8, count=n * width, offset=16).reshape(n, width)
     try:
         *row_ids, torn = blob[end:].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:

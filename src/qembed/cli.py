@@ -11,7 +11,6 @@ from pathlib import Path
 
 from .binary import BinaryMatrixError
 from .config import ConfigError, load_config, with_seed
-from .cost import CostError
 from .corpus import CorpusError
 from .evaluation import BankMismatchError, TaskError
 from .heads import TrainingError
@@ -28,7 +27,7 @@ EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_PROVIDER = 4
 
-_CONFIG_ERRORS = (ConfigError, CostError, TaskError, SamplingError, CorpusError,
+_CONFIG_ERRORS = (ConfigError, TaskError, SamplingError, CorpusError,
                   QuestionParseError)
 _DEPENDENCY_ERRORS = (DependencyError, FingerprintError, WorkspaceLockedError,
                       BankMismatchError, TrainingError, BinaryMatrixError, CorruptFileError)

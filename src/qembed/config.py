@@ -74,7 +74,7 @@ class LlmSection:
     transcript: str = ""
     endpoint: str = ""
     model: str = ""
-    max_parallel: int = 4
+    max_parallel: int = 4    # callers inside one RemoteLLM at once; stages call it serially
     timeout: float = 60.0
 
     def __post_init__(self):
@@ -188,7 +188,10 @@ class EvalSection:
         taus = _parsed("eval", "ablate_taus", parse_float_list, self.ablate_taus)
         bad = next((tau for tau in taus if not 0 < tau < 1), None)
         _require(bad is None, f"[eval] ablate_taus entries must be in (0, 1), got {bad}")
-        _parsed("eval", "ablate_dims", parse_int_list, self.ablate_dims)
+        dims = _parsed("eval", "ablate_dims", parse_int_list, self.ablate_dims)
+        _require(not self.sts or taus or dims,
+                 "[eval] ablate_taus and ablate_dims are both empty: the ablate stage "
+                 "needs a sweep when sts is set")
 
 
 @dataclass(frozen=True)
@@ -213,11 +216,15 @@ class CostSection:
                   "training_texts_per_question", "api_cost_per_pair", "gpu_rate",
                   "train_hours")
         counts = _parsed("cost", "question_counts", parse_int_list, self.question_counts)
-        _require(min(counts, default=0) >= 0,
+        _require(bool(counts), "[cost] question_counts is empty")
+        _require(min(counts) >= 0,
                  f"[cost] question_counts must be >= 0, got {self.question_counts!r}")
         hours = _parsed("cost", "infer_hours", parse_hours_map, self.infer_hours)
         _require(min(hours.values(), default=0) >= 0,
                  f"[cost] infer_hours must be >= 0, got {self.infer_hours!r}")
+        missing = next((q for q in counts if q not in hours), None)
+        _require(missing is None, f"[cost] question_counts entry {missing} has no "
+                                  f"infer_hours entry; known sizes: {sorted(hours)}")
 
 
 @dataclass(frozen=True)

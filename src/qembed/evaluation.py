@@ -16,7 +16,7 @@ from .cluster import kmeans_fit
 from .corpus import content_id
 from .jsonl import CorruptFileError, read
 from .metrics import ndcg_at_k, spearman, v_measure
-from .question_gen import QuestionBank
+from .question_gen import QuestionBank, QuestionHit
 
 
 class TaskError(ValueError):
@@ -170,6 +170,16 @@ def sts_evaluate(task: StsTask, matrix: BinaryMatrix) -> StsResult:
     return StsResult(spearman=rho, spearman_x100=100.0 * rho, pairs=len(task.pairs))
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first k of a stable argsort of -scores: best first, equal scores by
+    ascending index. A partition finds the k-th best score (the lowest when
+    k >= len(scores)); only the scores at or above it, ties included, are sorted."""
+    cut = len(scores) - min(max(k, 1), len(scores))
+    kth = np.partition(scores, cut)[cut]
+    candidates = np.flatnonzero(scores >= kth)
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+
+
 def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
                        corpus_matrix: BinaryMatrix, k: int = 10) -> RetrievalResult:
     """Macro-averaged nDCG@k; corpus ranked by cosine, ties broken by doc id."""
@@ -179,14 +189,15 @@ def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
         raise TaskError(f"query rows have m={query_matrix.m} questions but corpus "
                         f"rows have m={corpus_matrix.m}")
     doc_ids = sorted(task.corpus)
-    docs = corpus_matrix.packed[_row_indices(corpus_matrix, doc_ids, doc_ids, "doc")]
-    doc_pops = popcounts(docs)
+    doc_rows = _row_indices(corpus_matrix, doc_ids, doc_ids, "doc")
+    docs = corpus_matrix.packed[doc_rows]
+    doc_pops = corpus_matrix.row_popcounts[doc_rows]
     qids = sorted(task.queries)
-    queries = query_matrix.packed[_row_indices(query_matrix, qids, qids, "query")]
+    query_rows = _row_indices(query_matrix, qids, qids, "query")
     per_query: dict[str, float] = {}
-    for qid, q, q_pop in zip(qids, queries, popcounts(queries)):
-        scores = _cosines(popcounts(docs & q), doc_pops, q_pop)
-        top = np.argsort(-scores, kind="stable")[:k]  # doc_ids ascend: ties go by id
+    for qid, q, q_pop in zip(qids, query_matrix.packed[query_rows],
+                             query_matrix.row_popcounts[query_rows]):
+        top = _top_k(_cosines(popcounts(docs & q), doc_pops, q_pop), k)
         per_query[qid] = ndcg_at_k([doc_ids[i] for i in top], task.qrels.get(qid, {}), k=k)
     if not per_query:
         raise TaskError("retrieval task has no queries")
@@ -212,12 +223,6 @@ def mean_cognitive_load(task: StsTask, matrix: BinaryMatrix) -> LoadResult:
     a, b = _pair_rows(task, matrix)
     exact = float(np.mean(popcounts(a & b)))
     return LoadResult(exact=exact, rounded=int(math.floor(exact + 0.5)))
-
-
-@dataclass(frozen=True)
-class QuestionHit:
-    id: int
-    text: str
 
 
 @dataclass(frozen=True)
@@ -291,10 +296,10 @@ def explain_pair(a_row, b_row, bank: QuestionBank, text_a: str = "",
         if not is_binary(row):
             raise BankMismatchError(f"row {name} is not binary")
     a, b = a != 0, b != 0
+    bank_hits = bank.hits
 
     def hits(mask: np.ndarray) -> tuple[QuestionHit, ...]:
-        return tuple(QuestionHit(id=bank.questions[i].id, text=bank.questions[i].text)
-                     for i in np.flatnonzero(mask).tolist())
+        return tuple(bank_hits[i] for i in np.flatnonzero(mask).tolist())
 
     shared = hits(a & b)
     return ExplanationReport(text_a=text_a, text_b=text_b, shared_yes=shared,

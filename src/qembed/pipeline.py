@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .answering import collect_answers, split_examples
-from .binary import BinaryMatrix, popcounts, save_binary_matrix
+from .binary import BinaryMatrix, save_binary_matrix
 from .cluster import effective_k, kmeans_fit, load_cluster_model, save_cluster_model
 from .config import (ConfigError, PipelineConfig, config_hash, dump_config,
                      parse_float_list, parse_int_list)
@@ -270,7 +270,7 @@ def _stage_embed(ctx: StageContext) -> dict:
     meta = {"provenance": ctx.provenance(), "bank_fingerprint": heads.bank_fingerprint,
             "tau": ctx.cfg.training.tau, "documents": matrix.n, "questions": matrix.m,
             "mean_bits_per_document":
-                float(popcounts(matrix.packed).mean()) if matrix.n else 0.0}
+                float(matrix.row_popcounts.mean()) if matrix.n else 0.0}
     jsonl.write_json(ctx.ws.path("embed_meta"), meta)
     return {"documents": matrix.n, "questions": matrix.m,
             "mean_bits": meta["mean_bits_per_document"]}
@@ -379,8 +379,6 @@ def _stage_ablate(ctx: StageContext) -> dict:
     heads = load_heads(ctx.ws.path("heads"))
     taus = parse_float_list(ctx.cfg.eval.ablate_taus)
     dims = parse_int_list(ctx.cfg.eval.ablate_dims)
-    if not taus and not dims:
-        raise ConfigError("[eval] ablation sweep is empty: set ablate_taus or ablate_dims")
     texts = task.texts()
     probabilities = answer_probabilities(heads, ctx.encoder.encode(texts))
     row_ids = [content_id(t) for t in texts]
@@ -416,8 +414,6 @@ def _stage_ablate(ctx: StageContext) -> dict:
 
 def _stage_cost(ctx: StageContext) -> dict:
     cc = ctx.cfg.cost
-    if not parse_int_list(cc.question_counts):
-        raise ConfigError("[cost] question_counts is empty")
     rows = comparison_rows(cc)
     jsonl.write_text(ctx.ws.path("cost_report"), jsonl.dumps(
         {"provenance": ctx.provenance()}, sort_keys=True) + cost_rows_jsonl(rows, cc.num_docs))

@@ -76,6 +76,13 @@ class BankQuestion:
 
 
 @dataclass(frozen=True)
+class QuestionHit:
+    """A bank question as an explanation lists it."""
+    id: int
+    text: str
+
+
+@dataclass(frozen=True)
 class QuestionBank:
     """An immutable bank: questions is stored as a tuple, so the fingerprint,
     hashed on first use, cannot go stale."""
@@ -96,6 +103,11 @@ class QuestionBank:
 
     def fingerprint(self) -> str:
         return self._fingerprint
+
+    @cached_property
+    def hits(self) -> tuple[QuestionHit, ...]:
+        """Each question as a QuestionHit, in bank order, built once per bank."""
+        return tuple(QuestionHit(id=q.id, text=q.text) for q in self.questions)
 
     @cached_property
     def _fingerprint(self) -> str:

@@ -1,6 +1,9 @@
 """Reference formulas that the batched and packed kernels are checked against.
 
 The per-vector cosine and cognitive load check the packed scoring kernels. The
+byte-table popcount, the full stable sort and the per-call explanation are the
+scoring code as it was before the 16-bit popcount table, the partial top-k and
+the per-bank question hits, so those can be compared exactly. The
 per-head forward, the per-document loss and the allocating training loop below
 check the heads module: reference_train_heads is the training loop as it was
 before the in-place Adam step, kept verbatim so trained parameters can be
@@ -11,11 +14,14 @@ it was before heads were loaded as float32, so logits and bits can be.
 import numpy as np
 
 from qembed.config import TrainingSection
+from qembed.evaluation import ExplanationReport
 from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FORWARD_CHUNK, QuestionHeads,
                           TrainingError, TrainingExample, _example_rows, _loss_and_grad,
                           _softplus, _split, compute_pos_weight, forward_logits, init_heads)
 from qembed.metrics import MetricError
-from qembed.question_gen import QuestionBank
+from qembed.question_gen import QuestionBank, QuestionHit
+
+BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
 def cosine_similarity(u, v) -> float:
@@ -40,6 +46,32 @@ def cognitive_load(u, v) -> int:
     if u.size and (not np.isin(u, (0, 1)).all() or not np.isin(v, (0, 1)).all()):
         raise MetricError("cognitive load is defined on 0/1 vectors")
     return int(np.bitwise_and(u.astype(np.uint8), v.astype(np.uint8)).sum())
+
+
+def byte_table_popcounts(packed: np.ndarray) -> np.ndarray:
+    """Yes-count of each packed row by one 256-entry lookup per byte."""
+    return BYTE_POPCOUNT[packed].sum(axis=-1)
+
+
+def full_sort_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k best scores' indices by a stable argsort of all of -scores."""
+    return np.argsort(-scores, kind="stable")[:k]
+
+
+def per_call_explanation(a_row, b_row, bank: QuestionBank, text_a: str = "",
+                         text_b: str = "") -> ExplanationReport:
+    """explain_pair's report for binary rows, each QuestionHit built for this call."""
+    a = np.asarray(a_row) != 0
+    b = np.asarray(b_row) != 0
+
+    def hits(mask):
+        return tuple(QuestionHit(id=bank.questions[i].id, text=bank.questions[i].text)
+                     for i in np.flatnonzero(mask).tolist())
+
+    shared = hits(a & b)
+    return ExplanationReport(text_a=text_a, text_b=text_b, shared_yes=shared,
+                             only_a=hits(a & ~b), only_b=hits(b & ~a),
+                             cognitive_load=len(shared))
 
 
 def parameter_arrays(heads: QuestionHeads) -> dict[str, np.ndarray]:

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oracle import byte_table_popcounts
 from qembed.binary import (
     BinaryMatrix,
     BinaryMatrixError,
     is_binary,
     load_binary_matrix,
     packed_cognitive_load,
+    popcounts,
     save_binary_matrix,
 )
 
@@ -84,6 +88,80 @@ class TestIsBinary:
     ])
     def test_same_as_elementwise_isin(self, values):
         assert is_binary(values) == bool(np.isin(values, (0, 1)).all())
+
+
+def assert_same_popcounts(packed):
+    got, want = popcounts(packed), byte_table_popcounts(packed)
+    assert got.dtype == want.dtype == np.uint64
+    assert got.tolist() == want.tolist()
+
+
+class TestPopcounts:
+    """The 16-bit table kernel equals the byte-table kernel exactly."""
+
+    @pytest.mark.parametrize("width", range(18))
+    def test_every_width_and_rank(self, width):
+        g = np.random.Generator(np.random.PCG64(width))
+        for shape in ((width,), (9, width), (3, 4, width)):
+            assert_same_popcounts(g.integers(0, 256, size=shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("width", range(18))
+    def test_non_contiguous_row_views(self, width):
+        g = np.random.Generator(np.random.PCG64(100 + width))
+        rows = g.integers(0, 256, size=(10, width), dtype=np.uint8)
+        assert_same_popcounts(rows[0::2])  # as STS takes each pair's first rows
+        assert_same_popcounts(rows[1::3])
+        assert_same_popcounts(rows.reshape(2, 5, width)[:, ::2])
+
+    @pytest.mark.parametrize("width", range(18))
+    def test_all_zero_and_all_one_rows(self, width):
+        for fill in (0, 255):
+            rows = np.full((4, width), fill, dtype=np.uint8)
+            assert_same_popcounts(rows)
+            assert popcounts(rows).tolist() == [8 * width if fill else 0] * 4
+
+
+class TestRowPopcounts:
+    """Row popcounts are counted once and equal a fresh count of the rows."""
+
+    def test_from_dense(self):
+        dense = random_dense(np.random.Generator(np.random.PCG64(5)), 30, 77)
+        matrix = BinaryMatrix.from_dense(dense)
+        assert matrix.row_popcounts.tolist() == popcounts(matrix.packed).tolist()
+        assert matrix.row_popcounts.tolist() == dense.sum(axis=1).tolist()
+        assert matrix.row_popcounts is matrix.row_popcounts
+
+    def test_after_save_and_load(self, tmp_path):
+        dense = random_dense(np.random.Generator(np.random.PCG64(6)), 12, 130)
+        save_binary_matrix(BinaryMatrix.from_dense(dense), tmp_path / "m.bin")
+        loaded = load_binary_matrix(tmp_path / "m.bin")
+        assert loaded.row_popcounts.tolist() == popcounts(loaded.packed).tolist()
+        assert loaded.row_popcounts.tolist() == dense.sum(axis=1).tolist()
+
+    def test_after_truncate(self):
+        dense = random_dense(np.random.Generator(np.random.PCG64(7)), 12, 64, p=0.5)
+        matrix = BinaryMatrix.from_dense(dense)
+        matrix.row_popcounts  # counted before the cut: the cut counts its own
+        for m_prime in (64, 33, 8, 1):
+            cut = matrix.truncate(m_prime)
+            assert cut.row_popcounts.tolist() == popcounts(cut.packed).tolist()
+            assert cut.row_popcounts.tolist() == dense[:, :m_prime].sum(axis=1).tolist()
+
+    def test_packed_rows_are_read_only(self, tmp_path):
+        matrix = BinaryMatrix.from_dense(np.eye(9, dtype=np.uint8))
+        save_binary_matrix(matrix, tmp_path / "m.bin")
+        for built in (matrix, load_binary_matrix(tmp_path / "m.bin")):
+            with pytest.raises(ValueError, match="read-only"):
+                built.packed[0, 0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.packed = np.zeros_like(built.packed)
+
+    def test_constructor_freezes_the_given_rows(self):
+        packed = np.array([[3], [1]], dtype=np.uint8)
+        matrix = BinaryMatrix(packed=packed, m=2, row_ids=["a", "b"])
+        with pytest.raises(ValueError, match="read-only"):
+            packed[0, 0] = 0
+        assert matrix.row_popcounts.tolist() == [2, 1]
 
 
 class TestCognitiveLoadPacked:

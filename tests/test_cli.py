@@ -238,9 +238,12 @@ def test_bad_training_size_is_config_error(tmp_path, capsys, setting):
 
 
 def _edit_config(cfg_path, section, **settings):
-    """Set each key of section to its value, or remove it where the value is None."""
+    """Set each key of section (added if absent) to its value, or remove it
+    where the value is None."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(cfg_path, encoding="utf-8")
+    if not parser.has_section(section):
+        parser.add_section(section)
     for key, value in settings.items():
         if value is None:
             parser.remove_option(section, key)
@@ -255,7 +258,8 @@ def _edit_config(cfg_path, section, **settings):
     "[probe] positives = 0", "[probe] hard_negatives = 0, easy_negatives = 0",
     "[probe] neighbor_clusters = -1", "[generation] hard_neighbor_clusters = -1",
     "[corpus] heldout_fraction = 0", "[collection] in_cluster = 0, neighbor = 0, random = 0",
-    "[eval] ablate_taus = 0.5,1.5",
+    "[eval] ablate_taus = 0.5,1.5", "[eval] ablate_taus = , ablate_dims = ",
+    "[cost] question_counts = ", "[cost] question_counts = 3000",
 ])
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting):
     section, assignments = setting[1:].split("] ")
@@ -268,6 +272,7 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting):
     assert err.startswith(f"error: [{section}] {next(iter(settings))} ")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "corpus.jsonl").exists()
+    assert not (tmp_path / "run_log.jsonl").exists()  # no stage ran
 
 
 @pytest.mark.parametrize("stage, key", [

@@ -126,12 +126,17 @@ OUT_OF_RANGE = [
     (EvalSection, {"ablate_taus": "a,b"}, "[eval] ablate_taus"),
     (EvalSection, {"ablate_taus": "0.5,1.5"}, "[eval] ablate_taus entries must be in (0, 1)"),
     (EvalSection, {"ablate_dims": "4,x"}, "[eval] ablate_dims"),
+    (EvalSection, {"sts": "sts.jsonl", "ablate_taus": "", "ablate_dims": ""},
+     "[eval] ablate_taus and ablate_dims are both empty"),
     (CostSection, {"num_docs": -1}, "[cost] num_docs"),
     (CostSection, {"questions_per_prompt": 0}, "[cost] questions_per_prompt"),
     (CostSection, {"price_in": -0.5}, "[cost] price_in"),
     (CostSection, {"train_hours": -1.0}, "[cost] train_hours"),
     (CostSection, {"question_counts": "2000,-1"}, "[cost] question_counts"),
     (CostSection, {"question_counts": "2000,many"}, "[cost] question_counts"),
+    (CostSection, {"question_counts": ""}, "[cost] question_counts is empty"),
+    (CostSection, {"question_counts": "2000,3000"},
+     "[cost] question_counts entry 3000 has no infer_hours entry"),
     (CostSection, {"infer_hours": "1:-2"}, "[cost] infer_hours"),
     (CostSection, {"infer_hours": "2000=48"}, "[cost] infer_hours"),
 ]
@@ -167,6 +172,10 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             section_type(**values)
         assert str(exc.value).startswith(prefix)
+
+    def test_empty_ablation_sweep_allowed_without_sts(self):
+        """No sts task means no ablate stage, so it needs no sweep."""
+        assert EvalSection(ablate_taus="", ablate_dims="").sts == ""
 
 
 class TestListParsers:

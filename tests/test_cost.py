@@ -77,7 +77,8 @@ class TestMbqaCost:
         assert abs(mbqa_cost(CostSection(num_docs=MSMARCO_DOCS), q).total - expected) <= 2.0
 
     def test_zero_questions_zero_api(self):
-        result = mbqa_cost(CostSection(num_docs=10, infer_hours="0:0"), 0)
+        result = mbqa_cost(CostSection(num_docs=10, question_counts="0",
+                                        infer_hours="0:0"), 0)
         assert result.api_usd == 0.0
         assert result.total == pytest.approx(36 * 0.08)
 

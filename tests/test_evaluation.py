@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import cognitive_load, cosine_similarity
+from oracle import cognitive_load, cosine_similarity, full_sort_top_k, per_call_explanation
 from qembed.binary import BinaryMatrix, popcounts
 from qembed.corpus import content_id
 from qembed.evaluation import (
@@ -23,7 +23,7 @@ from qembed.evaluation import (
     retrieval_evaluate,
     sts_evaluate,
 )
-from qembed.evaluation import _cosines
+from qembed.evaluation import _cosines, _top_k
 from qembed.metrics import spearman
 from qembed.question_gen import BankQuestion, QuestionBank
 
@@ -292,6 +292,30 @@ class TestPackedKernel:
         assert mean_cognitive_load(task, matrix).exact == float(np.mean(loads))
 
 
+class TestTopK:
+    """The partial top-k equals the first k of a stable full sort, ties included."""
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_heavy_ties_from_rows(self, m):
+        dense = oracle_rows(m)
+        dense = np.concatenate([dense, dense[20:24], np.zeros((5, m), dtype=np.uint8)])
+        packed = BinaryMatrix.from_dense(dense).packed
+        pops = popcounts(packed)
+        n = len(dense)
+        for j in (0, 5, 20):  # an all-zero query, a random one, a duplicated one
+            scores = _cosines(popcounts(packed & packed[j]), pops, pops[j])
+            for k in (1, 2, 10, n - 1, n, n + 5):
+                assert _top_k(scores, k).tolist() == full_sort_top_k(scores, k).tolist()
+
+    @pytest.mark.parametrize("scores", [np.zeros(40), np.ones(7),
+                                        rng(3).integers(0, 3, size=200) / 2.0,
+                                        np.array([0.5, -0.0, 0.0, 0.5, 1.0, 0.0])])
+    def test_few_distinct_scores(self, scores):
+        n = len(scores)
+        for k in (0, 1, 3, n - 1, n, n + 5):
+            assert _top_k(scores, k).tolist() == full_sort_top_k(scores, k).tolist()
+
+
 class TestClusteringEvaluate:
     def test_identical_rows_per_class(self):
         dense = np.array([[1, 0, 0, 1]] * 5 + [[0, 1, 1, 0]] * 5, dtype=np.uint8)
@@ -423,6 +447,28 @@ class TestExplainPair:
             explain_pair(row, [0, 1, 0], bank)
         with pytest.raises(BankMismatchError, match="row b is not binary"):
             explain_pair([0, 1, 0], row, bank)
+
+    @pytest.mark.parametrize("m", [1, 9, 64])
+    def test_report_equals_a_per_call_build(self, m):
+        g = rng(m)
+        bank = make_bank([f"Is it {i}?" for i in range(m)])
+        rows = [g.integers(0, 2, size=m) for _ in range(6)] + [np.zeros(m, dtype=int),
+                                                               np.ones(m, dtype=int)]
+        for a in rows:
+            for b in rows[::3]:
+                report = explain_pair(a, b, bank, text_a="alpha", text_b="beta")
+                want = per_call_explanation(a, b, bank, text_a="alpha", text_b="beta")
+                assert report == want
+                assert report.render_text() == want.render_text()
+                assert report.render_markdown() == want.render_markdown()
+                assert report.as_dict() == want.as_dict()
+
+    def test_hits_are_built_once_per_bank(self):
+        bank = make_bank(["Is it x?", "Is it y?"])
+        first = explain_pair([1, 1], [1, 0], bank)
+        second = explain_pair([1, 0], [1, 1], bank)
+        assert first.shared_yes[0] is second.shared_yes[0] is bank.hits[0]
+        assert first.only_a == second.only_b == (bank.hits[1],)
 
     def test_fingerprint_mismatch(self):
         bank = make_bank(["Is it x?", "Is it y?"])
