@@ -50,8 +50,7 @@ def main() -> None:
     bank = build_bank(model, texts, encoder, llm, rng)
     print(f"bank: {bank.m} questions")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = AnswerCache(Path(tmp) / "answers.jsonl")
+    with tempfile.TemporaryDirectory() as tmp, AnswerCache(Path(tmp) / "answers.jsonl") as cache:
         result = collect_answers(bank, model, texts, llm, cache, rng,
                                  CollectionSection(in_cluster=16, neighbor=10,
                                                    neighbor_clusters=2, random=6))

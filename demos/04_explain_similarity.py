@@ -46,8 +46,7 @@ def main() -> None:
                 scored.append(ScoredQuestion(cand, outcome))
     bank = select_question_bank(scored, encoder, theta=0.8, t=4)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = AnswerCache(Path(tmp) / "answers.jsonl")
+    with tempfile.TemporaryDirectory() as tmp, AnswerCache(Path(tmp) / "answers.jsonl") as cache:
         result = collect_answers(bank, model, texts, llm, cache, rng,
                                  CollectionSection(in_cluster=16, neighbor=10,
                                                    neighbor_clusters=2, random=16))

@@ -33,6 +33,7 @@ class ClusterModel:
     inertia: float
     iterations: int = 0
     _members: dict[int, list[str]] = field(default_factory=dict, repr=False)
+    _neighbors: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -54,17 +55,54 @@ class ClusterModel:
         return self._members[c]
 
 
-def _squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared Euclidean; clip the expansion's negative float noise.
-    d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(centroids * centroids, axis=1)[None, :]
-          - 2.0 * x @ centroids.T)
-    return np.maximum(d2, 0.0)
+class _Rows:
+    """The fit's rows with the per-fit terms of every distance computation:
+    the squared row norms and 2x, taken once."""
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.xx = np.sum(x * x, axis=1)[:, None]
+        self.twice = 2.0 * x
+
+    def squared_distances(self, centroids: np.ndarray) -> np.ndarray:
+        """(n, k) squared Euclidean; clip the expansion's negative float noise."""
+        d2 = self.xx + np.sum(centroids * centroids, axis=1)[None, :] - self.twice @ centroids.T
+        return np.maximum(d2, 0.0)
+
+    def label_sums(self, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(k, d) sum of each label's rows, added one row at a time in index
+        order from 0.0: np.add.at's order, so its bits.
+
+        Rows are sorted stably by label, and labels by falling count. Step p
+        adds the p-th row of every label with more than p rows: a prefix of
+        that label order, so one gather and one slice add per step. Once one
+        label is left, np.add.accumulate, which adds in index order, adds the
+        rest of its rows in one call.
+        """
+        order = np.argsort(labels, kind="stable")
+        by_size = np.argsort(-counts, kind="stable")
+        sizes = counts[by_size]
+        first = (np.cumsum(counts) - counts)[by_size]  # each label's first row in order
+        sums = np.zeros((len(counts), self.x.shape[1]))
+        live = len(counts)
+        for p in range(int(sizes[0])):
+            while sizes[live - 1] <= p:
+                live -= 1
+            if live == 1:
+                rest = self.x[order[first[0] + p:first[0] + sizes[0]]]
+                sums[0] = np.add.accumulate(np.vstack([sums[:1], rest]))[-1]
+                break
+            sums[:live] += self.x[order[first[:live] + p]]
+        out = np.empty_like(sums)
+        out[by_size] = sums
+        return out
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
+    x = rows.x
     n = x.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _squared_distances(x, x[chosen[-1]][None, :])[:, 0]
+    d2 = rows.squared_distances(x[chosen[-1]][None, :])[:, 0]
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -75,7 +113,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         chosen.append(nxt)
-        d2 = np.minimum(d2, _squared_distances(x, x[nxt][None, :])[:, 0])
+        d2 = np.minimum(d2, rows.squared_distances(x[nxt][None, :])[:, 0])
     return x[chosen].copy()
 
 
@@ -128,18 +166,19 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
         raise ClusterError("doc_ids length does not match embeddings")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    centroids = _kmeans_pp_init(x, k, rng)
+    rows = _Rows(x)
+    centroids = _kmeans_pp_init(rows, k, rng)
 
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
     inertia = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        d2 = _squared_distances(x, centroids)
+        d2 = rows.squared_distances(centroids)
         labels = np.argmin(d2, axis=1)  # ties resolve to the lowest index
         reseeded = _reseed_empty(x, centroids, labels, d2)
         if reseeded:
-            d2 = _squared_distances(x, centroids)
+            d2 = rows.squared_distances(centroids)
         counts = np.bincount(labels, minlength=k)
 
         inertia = float(d2[np.arange(n), labels].sum())
@@ -147,8 +186,7 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
             f"inertia increased at iteration {iterations}: {prev_inertia} -> {inertia}"
         prev_inertia = inertia
 
-        new_centroids = np.zeros_like(centroids)
-        np.add.at(new_centroids, labels, x)
+        new_centroids = rows.label_sums(labels, counts)
         new_centroids /= counts[:, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
@@ -156,10 +194,10 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
             break
 
     # settle assignments against the final centroids so labels are exact argmins
-    d2 = _squared_distances(x, centroids)
+    d2 = rows.squared_distances(centroids)
     labels = np.argmin(d2, axis=1)
     if _reseed_empty(x, centroids, labels, d2):
-        d2 = _squared_distances(x, centroids)
+        d2 = rows.squared_distances(centroids)
         labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
 
@@ -179,16 +217,18 @@ def effective_k(requested: int, n: int) -> int:
 def nearest_clusters(model: ClusterModel, c: int, j: int) -> list[int]:
     """The j clusters nearest to c's centroid (Euclidean, excluding c), ascending distance.
 
-    Ties break toward the lower cluster index.
+    Ties break toward the lower cluster index. Each cluster's neighbor order is
+    sorted once per model, on first use.
     """
     if not 0 <= c < model.k:
         raise ClusterError(f"cluster index {c} out of range [0, {model.k})")
     if not 1 <= j < model.k:
         raise ClusterError(f"need 1 <= j < k={model.k}, got j={j}")
-    deltas = model.centroids - model.centroids[c]
-    dist = np.linalg.norm(deltas, axis=1)
-    order = sorted(i for i in range(model.k) if i != c)
-    order.sort(key=lambda i: (dist[i], i))
+    order = model._neighbors.get(c)
+    if order is None:
+        dist = np.linalg.norm(model.centroids - model.centroids[c], axis=1)
+        ranked = np.argsort(dist, kind="stable")
+        order = model._neighbors[c] = ranked[ranked != c].tolist()
     return order[:j]
 
 

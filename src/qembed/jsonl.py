@@ -97,13 +97,19 @@ class AppendStore:
     write one locked append of one or more whole lines. A final line cut short
     by a kill is dropped with a warning, so a kill mid-write keeps every
     complete line before it; one that lost only its newline is kept. Either
-    way the next append starts a line of its own. Any other bad line raises."""
+    way the next append starts a line of its own. Any other bad line raises.
+
+    The store holds the file open from replay to close(); use it as a context
+    manager. Each append is one write and one flush, so a reader of the file
+    sees whole lines only, and a kill between appends loses none of them.
+    """
 
     def __init__(self, path: str | Path, convert: Callable[[dict], tuple]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self.entries: dict = {}
-        with open(self.path, "a+b") as fh:
+        self._fh = fh = open(self.path, "a+b")
+        try:
             fh.seek(0)
             try:
                 self.entries.update(records(fh, self.path, convert))
@@ -116,13 +122,26 @@ class AppendStore:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")
+                    fh.flush()
+        except BaseException:
+            fh.close()
+            raise
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
 
     def append(self, entries: dict, lines: str) -> None:
         """Record entries, written as lines (one per entry, in order), in one append."""
         with self._lock:
             self.entries.update(entries)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(lines)
+            self._fh.write(lines.encode("utf-8"))
+            self._fh.flush()

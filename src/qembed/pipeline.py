@@ -97,6 +97,11 @@ class StageContext:
         store = PromptCacheStore(self.ws.root / "prompt_cache.jsonl")
         return CachedLLM(remote, store)
 
+    def close(self) -> None:
+        """Close the prompt cache that a remote LLM holds open."""
+        if isinstance(self._llm, CachedLLM):
+            self._llm.store.close()
+
     def provenance(self) -> dict:
         return {"config_hash": config_hash(self.cfg), "inputs": dict(self.input_fps)}
 
@@ -217,9 +222,9 @@ def _stage_collect(ctx: StageContext) -> dict:
     bank = load_question_bank(ctx.ws.path("bank"))
     split_path = ctx.ws.path("split")
     split = jsonl.parse(split_path.read_bytes(), split_path)
-    cache = AnswerCache(ctx.ws.path("answers"))
-    result = collect_answers(bank, model, corpus.text_by_id(), ctx.llm, cache,
-                             _rng(ctx.seed, "collect"), ctx.cfg.collection)
+    with AnswerCache(ctx.ws.path("answers")) as cache:
+        result = collect_answers(bank, model, corpus.text_by_id(), ctx.llm, cache,
+                                 _rng(ctx.seed, "collect"), ctx.cfg.collection)
     train, heldout = split_examples(result.examples,
                                     frozenset(split["heldout_ids"]))
     _write_examples(ctx.ws.path("train_examples"), train)
@@ -507,7 +512,10 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
         ws.log({"stage": name, "status": "skipped"})
         return StageResult(stage=name, skipped=True, summary={})
     started = time.perf_counter()
-    summary = stage.func(ctx)
+    try:
+        summary = stage.func(ctx)
+    finally:
+        ctx.close()
     elapsed = round(time.perf_counter() - started, 3)
     output_fps = ws.fingerprint_outputs(list(stage.outputs))
     ws.record_stage(name, ch, input_fps, output_fps)

@@ -6,6 +6,7 @@ so transcripts can be replayed and caches survive provider swaps.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -15,6 +16,8 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -75,6 +78,9 @@ class LLMProvider(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
+ENCODE_BLOCK = 64  # texts per block of MockEncoder's padded token sums
+
+
 class MockEncoder:
     """Deterministic stand-in for a sentence encoder.
 
@@ -96,28 +102,42 @@ class MockEncoder:
         return rng.standard_normal(self.dim)
 
     def encode(self, texts: list[str]) -> np.ndarray:
-        drawn: dict[str, np.ndarray] = {}  # each token is drawn once per call
-
-        def token_vector(token: str) -> np.ndarray:
-            vec = drawn.get(token)
-            if vec is None:
-                vec = drawn[token] = self._token_vector(token)
-            return vec
-
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        # Each distinct token is drawn once per call into one table whose last
+        # row is zero. Blocks of texts become (texts, longest) tables of token
+        # rows, padded with the zero row, summed one token position at a time
+        # from 0.0: each text's sum adds its tokens in text order, as a
+        # per-token loop would, and adding +0.0 to it changes no bit.
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__  # a new token gets the next row
+        token_rows = array("q")  # every text's token rows, in text order
+        ends = array("q", [0])  # text i's rows are token_rows[ends[i]:ends[i + 1]]
+        empty = {}  # an empty text is its own token's vector, unsummed
         for i, text in enumerate(texts):
-            tokens = text.lower().split()
-            if tokens:
-                vec = np.zeros(self.dim)
-                for tok in tokens:
-                    vec += token_vector(tok)
-            else:
-                vec = token_vector(f"<empty:{text!r}>")
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                vec = token_vector("<zero>")
-                norm = float(np.linalg.norm(vec))
-            out[i] = vec / norm
+            token_rows.extend(map(index.__getitem__, text.lower().split()))
+            if len(token_rows) == ends[-1]:
+                empty[i] = index[f"<empty:{text!r}>"]
+            ends.append(len(token_rows))
+        out = np.zeros((len(texts), self.dim))
+        table = np.zeros((len(index) + 1, self.dim))
+        for token, row in index.items():
+            table[row] = self._token_vector(token)
+        token_rows, ends = np.frombuffer(token_rows, np.int64), np.frombuffer(ends, np.int64)
+        for lo in range(0, len(texts), ENCODE_BLOCK):
+            bounds = ends[lo:lo + ENCODE_BLOCK + 1]
+            lengths = np.diff(bounds)
+            rows = np.full((len(lengths), lengths.max()), len(index))
+            rows[np.arange(rows.shape[1]) < lengths[:, None]] = token_rows[bounds[0]:bounds[-1]]
+            sums = out[lo:lo + len(lengths)]
+            for column in rows.T:
+                sums += table[column]
+        for i, row in empty.items():
+            out[i] = table[row]
+        norms = np.sqrt([row.dot(row) for row in out])  # np.linalg.norm's dot, row by row
+        zero = norms == 0.0
+        if zero.any():
+            out[zero] = self._token_vector("<zero>")
+            norms[zero] = np.linalg.norm(out[np.argmax(zero)])
+        out /= norms[:, None]
         return out
 
     def fingerprint(self) -> str:
@@ -211,9 +231,16 @@ class AnswerCache(AppendStore):
         return self.entries.get((question_id, document_id))
 
     def put(self, *records: AnswerRecord) -> None:
-        """Store the answers of one LLM call with one locked append."""
-        self.append({(r.question_id, r.document_id): r.answer for r in records},
-                    "".join(dumps(vars(r)) for r in records))
+        """Store the answers of one LLM call with one locked append.
+
+        Each line has the bytes of jsonl.dumps(vars(record)); the call's
+        document id and prompt fingerprint, shared by its records, are
+        JSON-encoded once each."""
+        quote = functools.cache(json.dumps)
+        self.append({(r.question_id, r.document_id): r.answer for r in records}, "".join(
+            f'{{"question_id": {r.question_id:d}, "document_id": {quote(r.document_id)}, '
+            f'"answer": {r.answer:d}, "prompt_fingerprint": {quote(r.prompt_fingerprint)}}}\n'
+            for r in records))
 
 
 def _delta_seconds(value: str | None) -> float | None:

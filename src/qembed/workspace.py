@@ -109,11 +109,6 @@ class Workspace:
                                   "outputs": outputs}
         self._save_state(state)
 
-    def clear_stage(self, stage: str) -> None:
-        state = self._load_state()
-        state["stages"].pop(stage, None)
-        self._save_state(state)
-
     # -- dependency and staleness checks -------------------------------------
 
     def require_inputs(self, stage: str, artifacts: list[str]) -> dict[str, str]:

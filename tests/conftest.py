@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -31,6 +32,14 @@ class FixedEncoder:
 @pytest.fixture
 def fixed_encoder_factory():
     return FixedEncoder
+
+
+@pytest.fixture
+def opened():
+    """opened(store) enters a context manager, such as an answer cache, and
+    returns what it gives; every one entered is closed at teardown."""
+    with contextlib.ExitStack() as stack:
+        yield stack.enter_context
 
 
 _HOLDER = """

@@ -9,15 +9,23 @@ check the heads module: reference_train_heads is the training loop as it was
 before the in-place Adam step, kept verbatim so trained parameters can be
 compared bit for bit, and reference_forward_logits is the float64 forward as
 it was before heads were loaded as float32, so logits and bits can be.
+reference_kmeans_fit (np.add.at, norms and 2x taken in every distance call),
+sorted_neighbors (a Python sort per call), per_token_encode (one vector add
+per token) and dumped_answer_lines (one json.dumps per record) are the k-means,
+neighbor, encoder and answer-cache code as it was before the sorted centroid
+update, the per-model neighbor order, the padded token sums and the per-call
+encoding of answer lines.
 """
 
 import numpy as np
 
-from qembed.config import TrainingSection
+from qembed.cluster import ClusterModel, _reseed_empty
+from qembed.config import ClusterSection, TrainingSection
 from qembed.evaluation import ExplanationReport
 from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FORWARD_CHUNK, QuestionHeads,
                           TrainingError, TrainingExample, _example_rows, _loss_and_grad,
                           _softplus, _split, compute_pos_weight, forward_logits, init_heads)
+from qembed.jsonl import dumps
 from qembed.metrics import MetricError
 from qembed.question_gen import QuestionBank, QuestionHit
 
@@ -222,3 +230,91 @@ def reference_train_heads(examples: list[TrainingExample], embeddings: np.ndarra
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
         params[qids] = block - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return heads
+
+
+def _squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(centroids * centroids, axis=1)[None, :]
+          - 2.0 * x @ centroids.T)
+    return np.maximum(d2, 0.0)
+
+
+def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = x.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = _squared_distances(x, x[chosen[-1]][None, :])[:, 0]
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            mask = np.ones(n, dtype=bool)
+            mask[chosen] = False
+            nxt = int(np.flatnonzero(mask)[0])
+        else:
+            nxt = int(rng.choice(n, p=d2 / total))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, _squared_distances(x, x[nxt][None, :])[:, 0])
+    return x[chosen].copy()
+
+
+def reference_kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
+                         max_iters: int = ClusterSection.max_iters,
+                         tol: float = ClusterSection.tol) -> ClusterModel:
+    """kmeans_fit on valid input: np.add.at centroid sums, per-call distance terms."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centroids = _kmeans_pp_init(x, k, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        d2 = _squared_distances(x, centroids)
+        labels = np.argmin(d2, axis=1)
+        reseeded = _reseed_empty(x, centroids, labels, d2)
+        counts = np.bincount(labels, minlength=k)
+        new_centroids = np.zeros_like(centroids)
+        np.add.at(new_centroids, labels, x)
+        new_centroids /= counts[:, None]
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol and not reseeded:
+            break
+    d2 = _squared_distances(x, centroids)
+    labels = np.argmin(d2, axis=1)
+    if _reseed_empty(x, centroids, labels, d2):
+        d2 = _squared_distances(x, centroids)
+        labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), labels].sum())
+    return ClusterModel(centroids=centroids, doc_ids=[str(i) for i in range(n)],
+                        labels=labels, seed=seed, inertia=inertia, iterations=iterations)
+
+
+def sorted_neighbors(model: ClusterModel, c: int, j: int) -> list[int]:
+    """The j clusters nearest to c by a Python sort on (distance, index)."""
+    dist = np.linalg.norm(model.centroids - model.centroids[c], axis=1)
+    order = sorted(i for i in range(model.k) if i != c)
+    order.sort(key=lambda i: (dist[i], i))
+    return order[:j]
+
+
+def per_token_encode(texts: list[str], dim: int, draw) -> np.ndarray:
+    """MockEncoder's rule, one vector add per token occurrence; draw(token) gives
+    a token's vector."""
+    rows = []
+    for text in texts:
+        tokens = text.lower().split()
+        if tokens:
+            vec = np.zeros(dim)
+            for tok in tokens:
+                vec += draw(tok)
+        else:
+            vec = draw(f"<empty:{text!r}>")
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            vec = draw("<zero>")
+            norm = float(np.linalg.norm(vec))
+        rows.append(vec / norm)
+    return np.stack(rows) if rows else np.zeros((0, dim))
+
+
+def dumped_answer_lines(records) -> str:
+    """An answer cache append of records: one jsonl.dumps(vars(r)) line each."""
+    return "".join(dumps(vars(r)) for r in records)

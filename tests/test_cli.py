@@ -296,15 +296,22 @@ def _lose_final_record_and_newline(path):
     path.write_bytes(b"".join(lines[:-1])[:-1])
 
 
+def _forget_stage(root, stage):
+    """Drop a stage's record from state.json, as a kill before it finished leaves it."""
+    state = json.loads((root / "state.json").read_text())
+    del state["stages"][stage]
+    (root / "state.json").write_text(json.dumps(state))
+
+
 @pytest.mark.parametrize("damage", [_cut_last_20_bytes, _lose_final_record_and_newline])
-def test_resume_after_torn_answer_cache(mini_ws, tmp_path, capsys, damage):
+def test_resume_after_torn_answer_cache(mini_ws, tmp_path, capsys, opened, damage):
     """A kill mid-collect leaves answers.jsonl cut inside its last line and no
     record of the stage; a plain rerun resumes to the same examples."""
     root, cfg_path = mini_ws
     copy = tmp_path / "ws"
     shutil.copytree(root, copy)
     damage(copy / "answers.jsonl")
-    Workspace(copy).clear_stage("collect")
+    _forget_stage(copy, "collect")
     examples = ["train_examples.jsonl", "heldout_examples.jsonl"]
     for name in examples:
         (copy / name).unlink()
@@ -313,7 +320,7 @@ def test_resume_after_torn_answer_cache(mini_ws, tmp_path, capsys, damage):
     assert code == EXIT_OK
     for name in examples:
         assert (copy / name).read_bytes() == (root / name).read_bytes()
-    resumed, uninterrupted = (AnswerCache(ws / "answers.jsonl") for ws in (copy, root))
+    resumed, uninterrupted = (opened(AnswerCache(ws / "answers.jsonl")) for ws in (copy, root))
     assert resumed.entries == uninterrupted.entries
 
 

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import qembed.cluster
+from oracle import reference_kmeans_fit, sorted_neighbors
 from qembed.cluster import (
     ClusterError,
     ClusterModel,
@@ -125,6 +127,47 @@ class TestKmeansFit:
             assert ms == [i for i in ids if i in set(ms)]
 
 
+def _fit_cases():
+    """(name, rows, k, check_unit) for the comparison with the np.add.at fit."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    corpus = unit(rng.standard_normal((300, 96)))
+    duplicated = unit(np.repeat(rng.standard_normal((6, 16)), 5, axis=0))
+    yield "k=1", corpus[:120], 1, True
+    yield "k=n", corpus[:24], 24, True
+    yield "k=4, d=7", unit(rng.standard_normal((90, 7))), 4, True
+    yield "k=17, d=224", unit(rng.standard_normal((200, 224))), 17, True
+    yield "k=30, n=300", corpus, 30, True
+    yield "blobs", blobs(rng, np.eye(8)[:5], per=25, spread=0.3), 5, True
+    yield "one long cluster", np.vstack([corpus[:3], unit(np.ones((150, 96)) + 0.01
+                                         * rng.standard_normal((150, 96)))]), 4, True
+    yield "duplicate rows", duplicated, 4, True
+    # four centroids on three distinct rows: one is empty and re-seeded every iteration
+    yield "reseeded", np.repeat(np.eye(3), 4, axis=0), 4, True
+    yield "binary rows", (rng.random((150, 40)) < 0.3).astype(np.float64), 4, False
+    yield "binary rows, k=12", (rng.random((150, 40)) < 0.5).astype(np.float64), 12, False
+    yield "signed zeros", -(rng.random((120, 24)) < 0.2).astype(np.float64), 6, False
+
+
+@pytest.mark.parametrize("name, x, k, check_unit", list(_fit_cases()),
+                         ids=[case[0] for case in _fit_cases()])
+def test_fit_matches_the_add_at_fit_bit_for_bit(name, x, k, check_unit, monkeypatch):
+    reseeds = []
+    reseed = qembed.cluster._reseed_empty
+
+    def counted(*args):
+        reseeds.append(reseed(*args))
+        return reseeds[-1]
+
+    monkeypatch.setattr(qembed.cluster, "_reseed_empty", counted)
+    for seed in (0, 5):
+        fit = kmeans_fit(x, k=k, seed=seed, check_unit=check_unit)
+        ref = reference_kmeans_fit(x, k=k, seed=seed)
+        assert fit.centroids.tobytes() == ref.centroids.tobytes()
+        assert fit.labels.tobytes() == ref.labels.tobytes()
+        assert (fit.inertia, fit.iterations) == (ref.inertia, ref.iterations)
+    assert any(reseeds) == (name == "reseeded")
+
+
 class TestNearestClusters:
     def line_model(self, positions):
         centroids = np.array([[p, 0.0] for p in positions])
@@ -154,6 +197,28 @@ class TestNearestClusters:
     def test_ties_break_low_index(self):
         model = self.line_model([0.0, 1.0, -1.0])
         assert nearest_clusters(model, 0, 2) == [1, 2]
+
+    def test_matches_the_per_call_sort_with_ties_and_repeated_calls(self):
+        # equidistant pairs, a centroid duplicated (distance 0 before c itself),
+        # and a cluster asked about again with every j
+        model = self.line_model([2.0, 1.0, 3.0, 0.0, 4.0, 2.0, 1.0, 2.0])
+        for _ in range(2):
+            for c in range(model.k):
+                for j in range(1, model.k):
+                    got = nearest_clusters(model, c, j)
+                    assert got == sorted_neighbors(model, c, j), (c, j)
+        got.append(-1)  # the caller's list is its own
+        assert nearest_clusters(model, c, model.k - 1) == sorted_neighbors(model, c, model.k - 1)
+
+    def test_order_is_memoized_per_model(self, monkeypatch):
+        model = self.line_model([0.0, 5.0, 1.0, 3.0])
+        assert nearest_clusters(model, 1, 2) == [3, 2]
+        monkeypatch.setattr(np, "argsort", None)  # a second sort would fail
+        assert nearest_clusters(model, 1, 3) == [3, 2, 0]
+        with pytest.raises(ClusterError, match="out of range"):
+            nearest_clusters(model, 4, 1)
+        with pytest.raises(ClusterError, match="need 1 <= j < k=4"):
+            nearest_clusters(model, 1, 4)
 
     def test_rejects_j_out_of_range(self):
         model = self.line_model([0.0, 1.0])

@@ -53,10 +53,11 @@ def write_every_format(root):
                                     doc_ids=["café-1", "d2"], labels=np.array([0, 1]),
                                     seed=3, inertia=0.25, iterations=2),
                        root / "cluster.model")
-    answers = AnswerCache(root / "answers.jsonl")
-    answers.put(AnswerRecord(7, "café-1", 1, "fp-é"))
-    answers.put(AnswerRecord(2, "d2", 0, "fp"))
-    PromptCacheStore(root / "prompt_cache.jsonl").put("fp-é", "1. oui, café")
+    with AnswerCache(root / "answers.jsonl") as answers:
+        answers.put(AnswerRecord(7, "café-1", 1, "fp-é"))
+        answers.put(AnswerRecord(2, "d2", 0, "fp"))
+    with PromptCacheStore(root / "prompt_cache.jsonl") as prompts:
+        prompts.put("fp-é", "1. oui, café")
     _write_examples(root / "train_examples.jsonl",
                     [TrainingExample("café-1", {10: 0, 2: 1}), TrainingExample("d2", {2: 0})])
     ws = Workspace(root)

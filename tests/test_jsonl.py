@@ -70,19 +70,21 @@ def _answer(i):
 
 
 @pytest.mark.parametrize("kind", ["answers", "prompts"])
-def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog):
+def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog, opened):
     """A kill mid-append leaves a final record cut at any byte: the store keeps
     every complete record, and the next put lands on a line of its own."""
     path = tmp_path / f"{kind}.jsonl"
     if kind == "answers":
-        store, new, reload = AnswerCache(path), _answer(99), AnswerCache
-        for i in range(3):
-            store.put(_answer(i))
+        new, reload = _answer(99), AnswerCache
+        with reload(path) as store:
+            for i in range(3):
+                store.put(_answer(i))
         expected = {(i, f"doc-é{i}"): i % 2 for i in (0, 1, 2, 99)}
     else:
-        store, new, reload = PromptCacheStore(path), ("fp99", "réponse"), PromptCacheStore
-        for i in range(3):
-            store.put(f"fp{i}", f"1. oui, café {i}")
+        new, reload = ("fp99", "réponse"), PromptCacheStore
+        with reload(path) as store:
+            for i in range(3):
+                store.put(f"fp{i}", f"1. oui, café {i}")
         expected = {f"fp{i}": f"1. oui, café {i}" for i in range(3)} | {"fp99": "réponse"}
     blob = path.read_bytes()
     last = blob.rindex(b"\n", 0, len(blob) - 1) + 1
@@ -90,7 +92,7 @@ def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog):
         path.write_bytes(blob[:cut])
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            store = reload(path)
+            store = opened(reload(path))
         complete = cut == len(blob) - 1  # only the final newline is lost
         torn = last < cut < len(blob) - 1
         assert ("dropped 1 torn final record" in caplog.text) == torn
@@ -101,14 +103,14 @@ def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog):
             store.put(*new)
         want = {key: value for key, value in expected.items()
                 if complete or key not in ((2, "doc-é2"), "fp2")}
-        assert reload(path).entries == want, cut
+        assert opened(reload(path)).entries == want, cut
 
 
 def test_bad_record_before_the_end_is_fatal(tmp_path):
     path = tmp_path / "answers.jsonl"
-    cache = AnswerCache(path)
-    for i in range(3):
-        cache.put(_answer(i))
+    with AnswerCache(path) as cache:
+        for i in range(3):
+            cache.put(_answer(i))
     lines = path.read_bytes().split(b"\n")
     path.write_bytes(b"\n".join([lines[0][:-5]] + lines[1:]))
     with pytest.raises(CorruptFileError, match=r"answers\.jsonl:1"):

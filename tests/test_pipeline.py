@@ -1,25 +1,34 @@
 """Stage orchestration: ordering, skip logic, fingerprints, determinism."""
 
 import dataclasses
+import gc
+import hashlib
 import itertools
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qembed import jsonl
+import qembed
+from qembed import config, jsonl
 from qembed.binary import save_binary_matrix
 from qembed.config import ConfigError, config_hash, load_config, with_seed
 from qembed.corpus import content_id, load_corpus
 from qembed.evaluation import load_sts_task, mean_cognitive_load, sts_evaluate
 from qembed.heads import TrainingExample, embed_documents, load_heads, save_heads, train_heads
 from qembed.metrics import MetricError
-from qembed.pipeline import (STAGE_ORDER, STAGES, run_all, run_stage,
+from qembed.pipeline import (STAGE_ORDER, STAGES, StageContext, run_all, run_stage,
                              stage_seed, write_demo_workspace)
-from qembed.providers import AnswerCache, MockEncoder
+from qembed.providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore
+from qembed.synthetic import TopicOracleLLM
 from qembed.question_gen import load_question_bank
 from qembed.workspace import (ARTIFACTS, DependencyError, FingerprintError,
                               Workspace)
@@ -298,7 +307,7 @@ def collected(tmp_path_factory):
     return cfg_path, cfg, ws
 
 
-def test_resume_after_a_kill_inside_a_batched_append(collected, tmp_path):
+def test_resume_after_a_kill_inside_a_batched_append(collected, tmp_path, opened):
     """Each LLM call's answers are one append. answers.jsonl cut at every byte
     of its last multi-record batch resumes to the uninterrupted examples and cache."""
     cfg_path, cfg, ws = collected
@@ -313,15 +322,123 @@ def test_resume_after_a_kill_inside_a_batched_append(collected, tmp_path):
     assert last - first + 1 == 3
     expected = {name: ws.path(name).read_bytes()
                 for name in ("train_examples", "heldout_examples")}
-    cache = AnswerCache(ws.path("answers")).entries
+    cache = opened(AnswerCache(ws.path("answers"))).entries
     copy = Workspace(shutil.copytree(ws.root, tmp_path / "ws"))
     for cut in range(starts[first], starts[last + 1]):
         copy.path("answers").write_bytes(blob[:cut])
-        copy.clear_stage("collect")
-        run_stage("collect", cfg, copy, config_dir=cfg_path.parent)
+        run_stage("collect", cfg, copy, config_dir=cfg_path.parent, force=True)
         for name, want in expected.items():
             assert copy.path(name).read_bytes() == want, (name, cut)
-        assert AnswerCache(copy.path("answers")).entries == cache, cut
+        with AnswerCache(copy.path("answers")) as resumed:
+            assert resumed.entries == cache, cut
+
+
+_DIE_MID_COLLECT = """
+import os, signal, sys
+from pathlib import Path
+from qembed.config import load_config
+from qembed.pipeline import run_stage
+from qembed.synthetic import TopicOracleLLM
+from qembed.workspace import Workspace
+
+config_path, root, last_call = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+complete, calls = TopicOracleLLM.complete, []
+
+def dying(self, prompt):
+    calls.append(prompt)
+    if len(calls) > last_call:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return complete(self, prompt)
+
+TopicOracleLLM.complete = dying
+run_stage("collect", load_config(config_path), Workspace(root), config_path.parent, force=True)
+"""
+
+
+def test_a_process_killed_mid_collect_resumes_to_the_same_answers(collected, tmp_path):
+    """A child killed after some of collect's LLM calls leaves every answer it
+    was given on disk; resuming asks for the rest and writes the same bytes."""
+    cfg_path, cfg, ws = collected
+    want = {name: ws.path(name).read_bytes()
+            for name in ("answers", "train_examples", "heldout_examples")}
+    calls = sum(json.loads(line).get("llm_calls", 0)
+                for line in (ws.root / "run_log.jsonl").read_text().splitlines())
+    assert calls > 4
+    copy = Workspace(shutil.copytree(ws.root, tmp_path / "ws"))
+    for name in want:
+        copy.path(name).unlink()
+    env = {**os.environ, "PYTHONPATH": str(Path(qembed.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", _DIE_MID_COLLECT,
+                            str(copy.root / cfg_path.name), str(copy.root), str(calls // 2)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    partial = copy.path("answers").read_bytes()
+    fingerprints = {json.loads(line)["prompt_fingerprint"] for line in partial.splitlines()}
+    assert len(fingerprints) == calls // 2  # every call's answers, and only whole lines
+    assert want["answers"].startswith(partial)
+    run_stage("collect", cfg, copy, config_dir=cfg_path.parent, force=True)
+    for name, blob in want.items():
+        assert copy.path(name).read_bytes() == blob, name
+
+
+def test_stages_close_the_caches_they_open(mini_copy, monkeypatch):
+    """collect's answer cache and a cached LLM's prompt cache are closed when
+    their stage returns: nothing is left for the collector to warn about."""
+    cfg_path, cfg, ws = mini_copy
+    stores = []
+
+    def cached_llm(ctx):
+        stores.append(PromptCacheStore(ctx.ws.root / "prompt_cache.jsonl"))
+        return CachedLLM(TopicOracleLLM(), stores[-1])
+
+    monkeypatch.setattr(StageContext, "_build_llm", cached_llm)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for name in ("generate", "collect"):
+            run_stage(name, cfg, ws, config_dir=cfg_path.parent, force=True)
+        gc.collect()
+    assert len(stores) == 2 and all(store._fh.closed for store in stores)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("demo", ["02_train_answering_heads.py", "04_explain_similarity.py"])
+def test_demos_opening_an_answer_cache_leave_no_resource_warning(demo):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(Path(qembed.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-X", "dev", "-W", "error:unclosed:ResourceWarning",
+                          str(root / "demos" / demo)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "ResourceWarning" not in run.stderr
+
+
+# sha256 of a build_scale-shaped build's artifacts (seed 1, 1,200 documents,
+# d=256, k=30, the default generation, probe and collection pools), taken
+# from the np.add.at k-means, the per-token encoder and per-record answer lines
+BUILD_SCALE_DIGESTS = {
+    "cluster.model": "61c388445d957871be61b77cc0cc73012561c083edee9b0810f13642f21fce02",
+    "bank.jsonl": "a05eee0fbe7d041c2b1965df69a8d40cda29010540df44ee8e20672782c099d2",
+    "answers.jsonl": "56c1a6b4ff2c7029889b4e283a7044db170a7a626fe92ecde6aa63e679799382",
+    "heads.bin": "874b27feea3a85f3d3025e67e2bc18fcdcf82b2d3c9f39766b499be71c8b0fa6",
+    "embeddings.bin": "3ff4b0957485846bd43e971bac292bccfdbd395ae51373c65d63fb012e52bfb2",
+    "reports/clustering.json":
+        "8fb70e5bdb5f868fbd1b524bebae660484193a4240c2b4ad364cc5be82e28261",
+}
+
+
+def test_build_scale_shaped_run_keeps_its_pinned_bytes(tmp_path):
+    cfg_path = write_demo_workspace(tmp_path / "inputs", seed=1, n_per_topic=300, steps=500,
+                                    dim=256)
+    cfg = dataclasses.replace(load_config(cfg_path),
+                              cluster=config.ClusterSection(k=30),
+                              generation=config.GenerationSection(),
+                              probe=config.ProbeSection(),
+                              collection=config.CollectionSection())
+    ws = Workspace(tmp_path / "ws")
+    run_all(cfg, ws, config_dir=cfg_path.parent)
+    digests = {name: hashlib.sha256((ws.root / name).read_bytes()).hexdigest()
+               for name in BUILD_SCALE_DIGESTS}
+    assert digests == BUILD_SCALE_DIGESTS
 
 
 @pytest.mark.parametrize("seed", range(60))

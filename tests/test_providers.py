@@ -6,7 +6,9 @@ import threading
 import numpy as np
 import pytest
 
+from oracle import dumped_answer_lines, per_token_encode
 from qembed.providers import (
+    ENCODE_BLOCK,
     API_KEY_ENV,
     AnswerCache,
     AnswerRecord,
@@ -29,23 +31,6 @@ def token_draw(seed, dim, token):
     digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
     return np.random.Generator(
         np.random.PCG64(int.from_bytes(digest, "little"))).standard_normal(dim)
-
-
-def per_occurrence_oracle(texts, dim, draw):
-    """MockEncoder's rule with a fresh draw for every token occurrence."""
-    rows = []
-    for text in texts:
-        tokens = text.lower().split()
-        if tokens:
-            vec = np.zeros(dim)
-            for tok in tokens:
-                vec += draw(tok)
-        else:
-            vec = draw(f"<empty:{text!r}>")
-        if float(np.linalg.norm(vec)) == 0.0:
-            vec = draw("<zero>")
-        rows.append(vec / float(np.linalg.norm(vec)))
-    return np.stack(rows)
 
 
 class TestMockEncoder:
@@ -86,7 +71,7 @@ class TestMockEncoder:
             "<zero> <empty:''>",                  # tokens spelling the fallback names
             "gamma",
         ]
-        expected = per_occurrence_oracle(texts, 24, lambda tok: token_draw(5, 24, tok))
+        expected = per_token_encode(texts, 24, lambda tok: token_draw(5, 24, tok))
         assert np.array_equal(enc.encode(texts), expected)
 
     def test_rows_summing_to_zero_match_the_oracle(self, monkeypatch):
@@ -97,8 +82,21 @@ class TestMockEncoder:
         monkeypatch.setattr(enc, "_token_vector", opposed)
         texts = ["up down", "up", "down up up", "down down up up"]
         rows = enc.encode(texts)
-        assert np.array_equal(rows, per_occurrence_oracle(texts, 6, opposed))
+        assert np.array_equal(rows, per_token_encode(texts, 6, opposed))
         assert np.array_equal(rows[0], rows[3])  # both fell back to the "<zero>" draw
+
+    @pytest.mark.parametrize("dim", [7, 256])
+    def test_matches_the_per_token_loop_bit_for_bit(self, dim):
+        rng = np.random.Generator(np.random.PCG64(dim))
+        vocab = ["star", "orbit", "café", "naïve", "日本語", "Ünïcode", "a", "A", "zero"]
+        texts = ["", "   ", "\t\n", "a a a a a", "CAFÉ café Café", "日本語 text 日本語"]
+        texts += [" ".join(rng.choice(vocab, size=int(rng.integers(0, 40))))
+                  for _ in range(2 * ENCODE_BLOCK + 37)]  # three row blocks, ragged
+        enc = MockEncoder(dim=dim, seed=4)
+        expected = per_token_encode(texts, dim, lambda tok: token_draw(4, dim, tok))
+        assert enc.encode(texts).tobytes() == expected.tobytes()
+        assert enc.encode([]).shape == (0, dim)
+        assert enc.encode(texts[:3]).tobytes() == expected[:3].tobytes()  # no token at all
 
     def test_batch_equals_stacked_single_calls(self):
         enc = MockEncoder(dim=32, seed=2)
@@ -138,8 +136,8 @@ class CountingLLM:
 
 
 class TestCachedLLM:
-    def test_second_identical_prompt_hits_cache(self, tmp_path):
-        store = PromptCacheStore(tmp_path / "cache.jsonl")
+    def test_second_identical_prompt_hits_cache(self, tmp_path, opened):
+        store = opened(PromptCacheStore(tmp_path / "cache.jsonl"))
         inner = CountingLLM()
         llm = CachedLLM(inner, store)
         assert llm.complete("p") == "yes"
@@ -147,39 +145,67 @@ class TestCachedLLM:
         assert inner.calls == 1
         assert (llm.hits, llm.misses) == (1, 1)
 
-    def test_cache_persists_across_instances(self, tmp_path):
+    def test_cache_persists_across_instances(self, tmp_path, opened):
         path = tmp_path / "cache.jsonl"
-        CachedLLM(CountingLLM("first"), PromptCacheStore(path)).complete("p")
+        with PromptCacheStore(path) as store:
+            CachedLLM(CountingLLM("first"), store).complete("p")
         inner = CountingLLM("second")
-        llm = CachedLLM(inner, PromptCacheStore(path))
+        llm = CachedLLM(inner, opened(PromptCacheStore(path)))
         assert llm.complete("p") == "first"
         assert inner.calls == 0
 
-    def test_last_write_wins_on_reload(self, tmp_path):
+    def test_last_write_wins_on_reload(self, tmp_path, opened):
         path = tmp_path / "cache.jsonl"
         fp = prompt_fingerprint("p")
         with open(path, "w") as fh:
             fh.write(json.dumps({"prompt_fingerprint": fp, "response": "old"}) + "\n")
             fh.write(json.dumps({"prompt_fingerprint": fp, "response": "new"}) + "\n")
-        assert PromptCacheStore(path).get(fp) == "new"
+        assert opened(PromptCacheStore(path)).get(fp) == "new"
 
 
 class TestAnswerCache:
-    def test_roundtrip_and_overwrite(self, tmp_path):
+    def test_roundtrip_and_overwrite(self, tmp_path, opened):
         path = tmp_path / "answers.jsonl"
-        cache = AnswerCache(path)
-        cache.put(AnswerRecord(3, "doc-a", 1, "fp1"))
-        cache.put(AnswerRecord(3, "doc-a", 0, "fp2"))
-        cache.put(AnswerRecord(4, "doc-b", 1, "fp3"))
-        reloaded = AnswerCache(path)
+        with AnswerCache(path) as cache:
+            cache.put(AnswerRecord(3, "doc-a", 1, "fp1"))
+            cache.put(AnswerRecord(3, "doc-a", 0, "fp2"))
+            cache.put(AnswerRecord(4, "doc-b", 1, "fp3"))
+        reloaded = opened(AnswerCache(path))
         assert reloaded.get(3, "doc-a") == 0
         assert reloaded.get(4, "doc-b") == 1
         assert reloaded.get(9, "doc-a") is None
         assert len(reloaded) == 2
 
-    def test_concurrent_puts_keep_file_parseable(self, tmp_path):
+    def test_lines_match_one_dumps_per_record(self, tmp_path, opened):
+        ids = ['say "yes"', "back\\slash\\", "tab\tnew\nline\x00\x1f\x7f", "café-日本",
+               "\u2028sep\x85", "lone \ud800 surrogate", "", "plain"]
+        calls = [[AnswerRecord(q, doc, q % 2, fp) for q in (3, 0, 12)]
+                 for doc, fp in zip(ids, ["fp-" + doc for doc in reversed(ids)])]
+        calls.append([AnswerRecord(1, "a", 1, "f\"p"), AnswerRecord(2, "b", 0, "fp")])
         path = tmp_path / "answers.jsonl"
-        cache = AnswerCache(path)
+        cache = opened(AnswerCache(path))
+        for records in calls:
+            cache.put(*records)
+        assert path.read_bytes() == "".join(map(dumped_answer_lines, calls)).encode("utf-8")
+        with AnswerCache(path) as reloaded:
+            assert reloaded.entries == cache.entries
+            assert len(reloaded) == len(ids) * 3 + 2
+
+    def test_a_second_reader_sees_whole_lines_after_every_put(self, tmp_path, opened):
+        path = tmp_path / "answers.jsonl"
+        cache = opened(AnswerCache(path))
+        for call in range(30):
+            cache.put(*(AnswerRecord(q, f"doc-é{call}", (q + call) % 2, f"fp{call}")
+                        for q in range(call % 4 + 1)))
+            with open(path, "rb") as reader:
+                blob = reader.read()
+            assert blob.endswith(b"\n")
+            with AnswerCache(path) as second:
+                assert second.entries == cache.entries, call
+
+    def test_concurrent_puts_keep_file_parseable(self, tmp_path, opened):
+        path = tmp_path / "answers.jsonl"
+        cache = opened(AnswerCache(path))
 
         def work(base):
             for i in range(50):
@@ -190,7 +216,7 @@ class TestAnswerCache:
             t.start()
         for t in threads:
             t.join()
-        assert len(AnswerCache(path)) == 200
+        assert len(opened(AnswerCache(path))) == 200
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

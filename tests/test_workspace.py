@@ -95,11 +95,6 @@ class TestUpToDate:
         ws.path("cluster_model").unlink()
         assert not ws.up_to_date("cluster", "cfg", {})
 
-    def test_clear_stage(self, ws):
-        ws.record_stage("cluster", "cfg", {}, {})
-        ws.clear_stage("cluster")
-        assert ws.stage_record("cluster") is None
-
 
 class TestLockAndLog:
     def test_lock_exclusive(self, ws):
