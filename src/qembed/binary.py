@@ -97,6 +97,17 @@ class BinaryMatrix:
         return np.fromiter(map(self._index.__getitem__, row_ids), dtype=np.intp,
                            count=len(row_ids))
 
+    @cached_property
+    def _ids_ascending(self) -> bool:
+        ids = self.row_ids
+        return all(a < b for a, b in zip(ids, ids[1:]))
+
+    def rows_are_sorted(self, ids) -> bool:
+        """Whether the row ids are exactly the set-like ids, in ascending order:
+        then the rows are those of sorted(ids), in that order. The order is
+        checked once per matrix."""
+        return self._index.keys() == ids and self._ids_ascending
+
     def pair_load(self, i: int, j: int) -> int:
         """Shared-yes count of rows i and j via packed popcount."""
         return packed_cognitive_load(self.packed[i], self.packed[j])

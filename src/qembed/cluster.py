@@ -119,19 +119,35 @@ def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray
 
 def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
                   d2: np.ndarray) -> bool:
-    """Move each empty cluster onto the farthest point from its centroid not yet
-    taken, updating centroids and labels in place; True if any cluster was empty."""
+    """Move each empty cluster onto the farthest point from its centroid whose
+    cluster holds another, different row, updating centroids and labels in
+    place; True if any cluster moved.
+
+    So no cluster is ever emptied, and a point is never split from copies of
+    itself. Where no such point is left, as with fewer distinct rows than
+    clusters, the remaining empty clusters stay empty.
+    """
     empties = np.flatnonzero(np.bincount(labels, minlength=len(centroids)) == 0)
-    taken: set[int] = set()
-    point_d2 = d2[np.arange(len(x)), labels]
+    if not empties.size:
+        return False
+
+    def mixed(c: int) -> bool:  # cluster c holds two different rows
+        rows = x[labels == c]
+        return bool((rows != rows[:1]).any())
+
+    is_mixed = [mixed(c) for c in range(len(centroids))]
+    order = np.argsort(-d2[np.arange(len(x)), labels], kind="stable").tolist()
+    moved = False
     for empty in empties:
-        order = np.argsort(-point_d2, kind="stable")
-        far = next(int(i) for i in order if int(i) not in taken)
-        taken.add(far)
+        far = next((i for i in order if is_mixed[labels[i]]), None)
+        if far is None:
+            break
+        donor = labels[far]
         centroids[empty] = x[far]
         labels[far] = empty
-        point_d2[far] = 0.0
-    return bool(empties.size)
+        is_mixed[donor] = mixed(donor)
+        moved = True
+    return moved
 
 
 def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
@@ -187,7 +203,10 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
         prev_inertia = inertia
 
         new_centroids = rows.label_sums(labels, counts)
-        new_centroids /= counts[:, None]
+        # an empty cluster keeps its centroid
+        filled = counts[:, None] > 0
+        np.divide(new_centroids, counts[:, None], out=new_centroids, where=filled)
+        np.copyto(new_centroids, centroids, where=~filled)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol and not reseeded:

@@ -188,10 +188,14 @@ def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
     if query_matrix.m != corpus_matrix.m:
         raise TaskError(f"query rows have m={query_matrix.m} questions but corpus "
                         f"rows have m={corpus_matrix.m}")
-    doc_ids = sorted(task.corpus)
-    doc_rows = _row_indices(corpus_matrix, doc_ids, doc_ids, "doc")
-    docs = corpus_matrix.packed[doc_rows]
-    doc_pops = corpus_matrix.row_popcounts[doc_rows]
+    if corpus_matrix.rows_are_sorted(task.corpus.keys()):
+        doc_ids = corpus_matrix.row_ids
+        docs, doc_pops = corpus_matrix.packed, corpus_matrix.row_popcounts
+    else:
+        doc_ids = sorted(task.corpus)
+        doc_rows = _row_indices(corpus_matrix, doc_ids, doc_ids, "doc")
+        docs = corpus_matrix.packed[doc_rows]
+        doc_pops = corpus_matrix.row_popcounts[doc_rows]
     qids = sorted(task.queries)
     query_rows = _row_indices(query_matrix, qids, qids, "query")
     per_query: dict[str, float] = {}

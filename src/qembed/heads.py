@@ -3,7 +3,12 @@
 One tiny MLP (d -> h -> 1) per bank question, trained jointly on cached LLM
 answers with class-weighted binary cross-entropy and per-parameter Adam.
 Training is numpy float64 with explicit gradients, so it is bit-reproducible
-and finite-difference checkable.
+and finite-difference checkable. It runs as lockstep rounds over chunks of
+heads, split among the CPUs the process may run on: this process trains one
+share and a forked child each other (see train_heads). It stays in process on
+one CPU, where the platform cannot tell the CPUs, while other threads run,
+and for runs too small to pay for a fork. Each head's updates depend only on
+its own touches, so the trained bits are the same for any number of workers.
 
 All m heads live in one C-contiguous (m, P) matrix, P = h*d + 2*h + 1.
 Row i is head i's block [W1 (h*d, row-major) | b1 (h) | w2 (h) | b2 (1)], the
@@ -21,11 +26,16 @@ equals sigmoid(forward_logits(...)) > tau, which is how other heads embed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import mmap
 import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,9 +53,21 @@ FORWARD_CHUNK = 32
 # bytes of one float64 block of heads in forward_logits; float32 heads are
 # upcast one such block at a time
 FORWARD_HEAD_BYTES = 4 * 1024 * 1024
-# bytes of one (rows, P) float64 array of a training chunk of heads; the five
+# bytes of one (rows, P) float64 array of a training chunk of heads; the six
 # such arrays of a chunk then stay near a 2 MB L2 cache
 TRAIN_CHUNK_BYTES = 512 * 1024
+# parameter updates (touches times P) below which training stays in process:
+# a fork, its copy-on-write faults and the wait for the child cost about 10 ms,
+# more than a second worker saves on such a run (demo shape, 2 CPUs)
+FORK_MIN_WORK = 1 << 23
+# lockstep rounds between a training worker's checks for a non-finite logit
+# and, in a forked child, for a parent that has exited
+CHECK_ROUNDS = 256
+# touches whose loss terms are formed at once after training
+TERM_BLOCK = 4096
+# Adam's (2, 1, 1) coefficients of m and v, and of their gradient terms
+_ADAM_BETAS = np.array([ADAM_BETA1, ADAM_BETA2])[:, None, None]
+_ADAM_GRAD_WEIGHTS = 1.0 - _ADAM_BETAS
 
 # unit roundoffs of float32 and float64
 _U32 = 2.0 ** -24
@@ -170,33 +192,40 @@ def _forward_block(block: np.ndarray, h: int, d: int, rows: np.ndarray, out: np.
         out[lo:lo + len(chunk)] = np.einsum("qh,qhn->nq", w2, hidden) + b2
 
 
-def _loss_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, counts: np.ndarray,
-                   pos_y: np.ndarray, neg_y: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Per-row loss terms of the parameter rows block (k, P); writes their gradient into grad.
+def _logits_and_grad(block: np.ndarray, h: int, d: int, e: np.ndarray, counts: np.ndarray,
+                     pos_y: np.ndarray, neg_y: np.ndarray, grad: np.ndarray,
+                     z: np.ndarray) -> np.ndarray:
+    """Logits of the parameter rows block (k, P) into z (k,), and their loss's
+    gradient into grad, (k, P) like block; returns z.
 
     Row i is one head on one document: e[i] is the document's vector, counts[i]
     its number of answered questions, pos_y[i] = pos_weight * label and
-    neg_y[i] = 1 - label. A document's loss is the mean of its rows' terms, so
-    each row's gradient carries 1 / counts[i]. grad is (k, P) like block.
+    neg_y[i] = 1 - label. A document's loss is the mean of its rows'
+    _loss_terms, so each row's gradient carries 1 / counts[i].
     """
     W1, b1, w2, b2 = _split(block, h, d)
     a1 = np.matmul(W1, e[:, :, None]).reshape(len(block), h)  # (k, h), one gemv per row
     a1 += b1
     hidden = np.maximum(a1, 0.0)
-    z = np.einsum("qh,qh->q", w2, hidden) + b2
-
-    terms = pos_y * _softplus(-z) + neg_y * _softplus(z)
+    np.add(np.einsum("qh,qh->q", w2, hidden), b2, out=z)
 
     sig = sigmoid(z)
     dz = (pos_y * (sig - 1.0) + neg_y * sig) / counts  # (k,)
     d_W1, d_b1, d_w2, d_b2 = _split(grad, h, d)
     # d_b1 is formed outside grad: an operand inside out='s buffer makes numpy copy it
     d_a1 = dz[:, None] * w2 * (a1 > 0.0)
-    np.multiply(d_a1[:, :, None], e[:, None, :], out=d_W1)
+    # einsum's products equal np.multiply's but for the sign of a zero, which
+    # no trained bit depends on: Adam's m and v start at +0 and never become -0
+    np.einsum("kh,kd->khd", d_a1, e, out=d_W1)
     d_b1[:] = d_a1
     np.multiply(dz[:, None], hidden, out=d_w2)
     d_b2[:] = dz
-    return terms
+    return z
+
+
+def _loss_terms(z: np.ndarray, pos_y: np.ndarray, neg_y: np.ndarray) -> np.ndarray:
+    """Each row's loss term from its logit z, with pos_y and neg_y as in _logits_and_grad."""
+    return pos_y * _softplus(-z) + neg_y * _softplus(z)
 
 
 def _example_rows(embeddings: np.ndarray, examples: list[TrainingExample]) -> np.ndarray:
@@ -218,50 +247,290 @@ def compute_pos_weight(examples: list[TrainingExample]) -> float:
     return no / yes
 
 
-def _lockstep_schedule(order: np.ndarray, answer_doc: np.ndarray, answer_qid: np.ndarray,
-                       m: int, with_steps: bool = False):
-    """Every head's touches, laid out round by round.
+def _touch_counts(order: np.ndarray, answer_doc: np.ndarray, answer_qid: np.ndarray,
+                  m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The touched head ids by descending touch count (ties by id), and their counts.
 
     Step s of training takes document order[s] and updates each head the
     document answered: one touch of that head, with the document's vector,
-    label and answer count. A head's gradient and Adam state depend only on
-    its own parameters, so training is m independent sequences of touches.
-    Invariant: each head sees the same (document, label, answer count)
-    sequence as in a loop of one document per step, namely its answers on the
-    steps whose document answers it, in step order.
-
-    Returns (heads, counts, starts, slots) and, with_steps, steps. heads are
-    the touched head ids by descending touch count (ties by id) and counts
-    their touch counts, so round r holds the r-th touch of the row prefix
-    heads[:starts[r + 1] - starts[r]]. slots[starts[r] + i] is the answer
-    index (into answer_doc and answer_qid) of heads[i]'s r-th touch, and
-    steps[starts[r] + i] the step it comes from.
+    label and answer count.
     """
     draws = np.bincount(order, minlength=int(answer_doc[-1]) + 1)  # times each doc is taken
     touches = np.bincount(answer_qid, weights=draws[answer_doc], minlength=m).astype(np.int64)
     heads = np.argsort(-touches, kind="stable")
     heads = heads[touches[heads] > 0]
-    counts = touches[heads]
-    rounds = int(counts[0])
-    # round r holds every head with more than r touches
-    starts = np.zeros(rounds + 1, dtype=np.int64)
-    np.cumsum(np.searchsorted(-counts, -np.arange(rounds), side="left"), out=starts[1:])
-    slots = np.empty(starts[-1], dtype=np.int32)
-    steps = np.empty(starts[-1], dtype=np.int32) if with_steps else None
+    return heads, touches[heads]
 
+
+def _round_starts(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Where each lockstep round of the chunk heads[lo:hi] starts among all
+    touches (see _lockstep_schedule), and where the chunk's touches end."""
+    part = counts[lo:hi]
+    starts = np.empty(int(part[0]) + 1, dtype=np.int64)
+    # round r holds every head of the chunk with more than r touches
+    np.cumsum(np.searchsorted(-part, -np.arange(int(part[0])), side="left"), out=starts[1:])
+    starts[0] = counts[:lo].sum()
+    starts[1:] += starts[0]
+    return starts
+
+
+def _lockstep_schedule(order: np.ndarray, answer_doc: np.ndarray, answer_qid: np.ndarray,
+                       heads: np.ndarray, counts: np.ndarray, chunk: int,
+                       with_steps: bool = False):
+    """Every touch of heads (counts touches each, see _touch_counts), laid out
+    chunk by chunk and round by round.
+
+    A head's gradient and Adam state depend only on its own parameters, so
+    training is independent sequences of touches, one per head. Invariant:
+    each head sees the same (document, label, answer count) sequence as in a
+    loop of one document per step, namely its answers on the steps whose
+    document answers it, in step order.
+
+    The chunk heads[lo:lo + chunk] owns touches counts[:lo].sum() up to
+    counts[:lo + chunk].sum(). With s = _round_starts(counts, lo, lo + chunk),
+    its round r is touches s[r]:s[r + 1]: the r-th touch of each of its first
+    s[r + 1] - s[r] heads, a prefix since counts fall. Returns slots and, with
+    with_steps, (slots, steps): slots[i] is the answer index (into answer_doc
+    and answer_qid) of touch i, and steps[i] the step it comes from.
+    """
+    slots = np.empty(int(counts.sum()), dtype=np.int32)
+    steps = np.empty(len(slots), dtype=np.int32) if with_steps else None
     by_head = np.argsort(answer_qid, kind="stable")  # answer ids grouped by head
-    head_ptr = np.concatenate(([0], np.cumsum(np.bincount(answer_qid, minlength=m))))
-    answer_of_doc = np.full(len(draws), -1, dtype=np.int32)
+    head_ptr = np.concatenate(([0], np.cumsum(np.bincount(answer_qid))))
+    answer_of_doc = np.full(int(answer_doc[-1]) + 1, -1, dtype=np.int32)
     for rank, (q, count) in enumerate(zip(heads.tolist(), counts.tolist())):
+        lo = rank - rank % chunk
+        if rank == lo:
+            starts = _round_starts(counts, lo, lo + chunk)
         answers = by_head[head_ptr[q]:head_ptr[q + 1]]
         answer_of_doc[answer_doc[answers]] = answers
         per_step = answer_of_doc[order]  # this head's answer on each step, -1 if none
         touched = np.flatnonzero(per_step >= 0)
-        slots[starts[:count] + rank] = per_step[touched]
+        at = starts[:count] + (rank - lo)
+        slots[at] = per_step[touched]
         if with_steps:
-            steps[starts[:count] + rank] = touched
+            steps[at] = touched
         answer_of_doc[answer_doc[answers]] = -1
-    return (heads, counts, starts, slots) + ((steps,) if with_steps else ())
+    return (slots, steps) if with_steps else slots
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _worker_count(heads: int, work: int) -> int:
+    """Training workers for heads touched heads and work parameter updates:
+    one per usable CPU, at most one per head. One, so no fork, while other
+    threads run, since a fork from a threaded process can deadlock, and for
+    less work than FORK_MIN_WORK."""
+    if threading.active_count() > 1 or work < FORK_MIN_WORK:
+        return 1
+    return min(_usable_cpus(), heads)
+
+
+def _deal(counts: np.ndarray, chunk: int, workers: int) -> list[list[tuple[int, int]]]:
+    """The chunks heads[lo:lo + chunk], as (lo, hi), dealt into at most
+    workers shares of about equal work: heaviest chunk first, each to the
+    share with the least work so far (the first on ties). A chunk's work is
+    its touch count times P, the same P for every head. Shares list their
+    chunks by rising lo; empty shares are dropped."""
+    chunks = [(lo, min(lo + chunk, len(counts))) for lo in range(0, len(counts), chunk)]
+    weights = [int(counts[lo:hi].sum()) for lo, hi in chunks]
+    shares: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(chunks)), key=lambda i: -weights[i]):
+        worker = loads.index(min(loads))
+        shares[worker].append(chunks[i])
+        loads[worker] += weights[i]
+    return [sorted(share) for share in shares if share]
+
+
+class _Lockstep:
+    """One training run in lockstep rounds: the inputs every worker reads, and
+    the results the calling process keeps, params and one logit z per touch.
+
+    A share is a list of chunks (lo, hi) of heads. Each chunk trains on its own
+    in six (rows, P) buffers: parameters, gradient, Adam m and v, and two
+    temporaries; round r works on the prefix [:k] of its heads still
+    training. A head's updates depend only on its own touches, so any split of
+    the chunks among workers gives the same bits.
+    """
+
+    def __init__(self, params, h, d, lr, embeddings, answer_doc, answer_count, answer_pos_y,
+                 answer_neg_y, heads, counts, slots, chunk, steps):
+        self.params, self.h, self.d, self.lr = params, h, d, lr
+        self.embeddings, self.answer_doc, self.answer_count = embeddings, answer_doc, answer_count
+        self.answer_pos_y, self.answer_neg_y = answer_pos_y, answer_neg_y
+        self.heads, self.counts, self.slots = heads, counts, slots
+        self.steps = steps  # () -> the step of every touch; only after a non-finite logit
+        self.ends = np.concatenate(([0], np.cumsum(counts)))  # heads[lo:hi] own ends[lo]:ends[hi]
+        self.z = np.zeros(len(slots))
+        # 1 - beta**t for every count t a head reaches; a head is at count r + 1 in round r
+        t = np.arange(int(counts[0]) + 1, dtype=np.float64)
+        self.bias1 = 1.0 - ADAM_BETA1 ** t
+        self.bias2 = 1.0 - ADAM_BETA2 ** t
+        self.buffers = np.empty((6, chunk, params.shape[1]))
+        self.e_buffer = np.empty((chunk, d))
+
+    def _layout(self, share):
+        """Each chunk (lo, hi) of a share, with its touches a:b among all
+        touches, and its first row and first touch within the share."""
+        row = touch = 0
+        for lo, hi in share:
+            a, b = int(self.ends[lo]), int(self.ends[hi])
+            yield lo, hi, a, b, row, touch
+            row += hi - lo
+            touch += b - a
+
+    def region_bytes(self, share) -> int:
+        """Size of a child's result region: the share's trained rows, then its logits."""
+        rows = sum(hi - lo for lo, hi in share)
+        touches = sum(int(self.ends[hi] - self.ends[lo]) for lo, hi in share)
+        return 8 * (rows * self.params.shape[1] + touches)
+
+    def _region_views(self, share, region):
+        P = self.params.shape[1]
+        rows = sum(hi - lo for lo, hi in share)
+        return (np.frombuffer(region, count=rows * P).reshape(rows, P),
+                np.frombuffer(region, offset=8 * rows * P))
+
+    def train_share(self, share, region=None, parent=None) -> None:
+        """Train a share into params and z or, in a forked child, into its
+        result region; the child stops once its parent, pid parent, has exited."""
+        if region is not None:
+            rows, z = self._region_views(share, region)
+        end = len(self.bias1)  # past every round
+        for lo, hi, a, b, row, touch in self._layout(share):
+            out_z = self.z[a:b] if region is None else z[touch:touch + b - a]
+            block, end = self._train_chunk(lo, hi, out_z, end, parent)
+            if region is None:
+                self.params[self.heads[lo:hi]] = block
+            else:
+                rows[row:row + hi - lo] = block
+
+    def collect(self, share, region) -> None:
+        """Copy a child's results from its region into params and z."""
+        rows, z = self._region_views(share, region)
+        for lo, hi, a, b, row, touch in self._layout(share):
+            self.params[self.heads[lo:hi]] = rows[row:row + hi - lo]
+            self.z[a:b] = z[touch:touch + b - a]
+
+    def _train_chunk(self, lo, hi, z, end, parent):
+        """Run the rounds of heads[lo:hi] below end, each touch's logit into z.
+
+        After every CHECK_ROUNDS rounds, a non-finite logit lowers end to one
+        past the first step it comes from. Round r holds only touches of steps
+        >= r, so the rounds up to that step complete every step up to it, and
+        no later round runs. Returns the trained rows (a buffer view) and end.
+        """
+        h, d, lr, bias1, bias2 = self.h, self.d, self.lr, self.bias1, self.bias2
+        ids = self.heads[lo:hi]
+        starts = _round_starts(self.counts, lo, hi)
+        base = int(starts[0])
+        buffers = self.buffers
+        # the gathers take mode="clip" because mode="raise" buffers out= (ids are in range)
+        self.params.take(ids, axis=0, out=buffers[0, :len(ids)], mode="clip")
+        buffers[2:4] = 0.0
+        rounds = len(starts) - 1
+        done = 0
+        while done < min(rounds, end):
+            until = min(rounds, end, done + CHECK_ROUNDS)
+            for r in range(done, until):
+                at = int(starts[r])
+                k = int(starts[r + 1]) - at
+                answers = self.slots[at:at + k]
+                rows = buffers[:, :k]
+                block, grad, m, v, tmp, _ = rows
+                e = self.embeddings.take(self.answer_doc.take(answers), axis=0,
+                                         out=self.e_buffer[:k], mode="clip")
+                _logits_and_grad(block, h, d, e, self.answer_count.take(answers),
+                                 self.answer_pos_y.take(answers),
+                                 self.answer_neg_y.take(answers), grad,
+                                 z[at - base:at - base + k])
+
+                # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in that
+                # operand order, as one (2, k, P) update
+                moments, grad_terms = rows[2:4], rows[4:6]
+                moments *= _ADAM_BETAS
+                np.multiply(_ADAM_GRAD_WEIGHTS, grad, out=grad_terms)
+                grad_terms[1] *= grad
+                moments += grad_terms
+                # block -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat in tmp and
+                # v_hat in grad; m / 1.0 == m, so that division is skipped
+                if bias1[r + 1] == 1.0:
+                    np.multiply(m, lr, out=tmp)
+                else:
+                    np.divide(m, bias1[r + 1], out=tmp)
+                    tmp *= lr
+                np.divide(v, bias2[r + 1], out=grad)
+                np.sqrt(grad, out=grad)
+                grad += ADAM_EPS
+                tmp /= grad
+                block -= tmp
+            first = int(starts[done])
+            bad = np.flatnonzero(~np.isfinite(z[first - base:int(starts[until]) - base]))
+            if bad.size:
+                end = min(end, int(self.steps()[bad + first].min()) + 1)
+            if parent is not None and os.getppid() != parent:
+                raise TrainingError(f"training process {parent} has exited")
+            done = until
+        return buffers[0, :len(ids)], end
+
+
+def _train_forked(run: _Lockstep, shares: list[list[tuple[int, int]]]) -> None:
+    """Train shares[0] in this process and each other share in a forked child.
+
+    Each child returns its results through an anonymous shared mmap sized to
+    its share (run.region_bytes), and leaves by os._exit, so it never returns
+    into its caller's stack. It first closes every file descriptor it
+    inherited, so it never holds the workspace lock, and it exits once it
+    sees that this process has. If this process's own share or a wait
+    raises, every child is killed and reaped before the exception goes on.
+    A child's non-zero exit is a TrainingError. No child outlives the call.
+    """
+    parent = os.getpid()
+    regions: list[mmap.mmap] = []
+    live: list[int] = []
+    try:
+        try:
+            for share in shares[1:]:
+                regions.append(mmap.mmap(-1, run.region_bytes(share)))
+                pid = os.fork()
+                if pid == 0:
+                    _child(run, share, regions[-1], parent)
+                live.append(pid)
+            run.train_share(shares[0])
+            codes = []
+            while live:
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(live[0], 0)[1]))
+                live.pop(0)
+        except BaseException:
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+            for pid in live:
+                os.waitpid(pid, 0)
+            raise
+        failed = [code for code in codes if code]
+        if failed:
+            raise TrainingError(f"a training worker exited with status {failed[0]}")
+        for share, region in zip(shares[1:], regions):
+            run.collect(share, region)
+    finally:
+        for region in regions:
+            region.close()
+
+
+def _child(run: _Lockstep, share, region: mmap.mmap, parent: int) -> NoReturn:
+    """A forked child's whole life: train one share into region, then exit."""
+    code = 1
+    try:
+        os.closerange(0, os.sysconf("SC_OPEN_MAX"))
+        run.train_share(share, region, parent)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
@@ -272,10 +541,18 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     document. Documents cycle through a fresh seeded permutation each epoch.
     Each head has its own Adam state and bias-correction count, so untouched
     heads keep their init. The steps run as lockstep rounds over chunks of
-    heads sized to cache (see _lockstep_schedule): round r applies every
-    head's r-th touch with one set of numpy calls, and each head gets the same
-    updates, bit for bit, as in a loop of one document per step.
-    Deterministic for a fixed seed.
+    heads (see _lockstep_schedule): round r applies every head's r-th touch
+    with one set of numpy calls, and each head gets the same updates, bit for
+    bit, as in a loop of one document per step.
+
+    Chunks are sized to cache, and to split the touched heads evenly among
+    the CPUs this process may run on. One worker per CPU trains a share of
+    about equal work: this process one, a forked child each other (see
+    _train_forked). Training stays in this process, with no fork, on one
+    CPU, where the platform cannot tell the CPUs, while other threads run,
+    and for less work than FORK_MIN_WORK (see _worker_count). The trained
+    bits are the same for any number of workers. Deterministic for a fixed
+    seed.
     """
     if not examples:
         raise TrainingError("no training examples")
@@ -291,7 +568,7 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
 
     heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, seed,
                        tau=cfg.tau, bank_fingerprint=bank.fingerprint())
-    params, h, d = heads.params, heads.h, heads.d
+    params = heads.params
 
     # every answer of every document, by document, then question id
     n = len(examples)
@@ -308,75 +585,51 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     order = np.empty(cfg.steps, dtype=np.int32)
     for lo in range(0, cfg.steps, n):
         order[lo:lo + n] = rng.permutation(n)[:cfg.steps - lo]
-    head_ids, counts, starts, slots = _lockstep_schedule(order, answer_doc, answer_qid, bank.m)
-    terms = np.empty(len(slots))  # each touch's loss term, by slot
-    # 1 - beta**t for every count t a head reaches; a head is at count r + 1 in round r
-    t = np.arange(len(starts), dtype=np.float64)
-    bias1 = 1.0 - ADAM_BETA1 ** t
-    bias2 = 1.0 - ADAM_BETA2 ** t
+    head_ids, counts = _touch_counts(order, answer_doc, answer_qid, bank.m)
+    workers = _worker_count(len(head_ids), int(counts.sum()) * params.shape[1])
+    chunk = min(max(1, TRAIN_CHUNK_BYTES // params[0].nbytes), -(-len(head_ids) // workers))
+    slots = _lockstep_schedule(order, answer_doc, answer_qid, head_ids, counts, chunk)
+    steps = functools.cache(lambda: _lockstep_schedule(order, answer_doc, answer_qid, head_ids,
+                                                       counts, chunk, with_steps=True)[1])
+    run = _Lockstep(params, heads.h, heads.d, cfg.learning_rate, embeddings, answer_doc,
+                    answer_count, answer_pos_y, answer_neg_y, head_ids, counts, slots, chunk,
+                    steps)
+    shares = _deal(counts, chunk, workers)
+    if len(shares) == 1:
+        run.train_share(shares[0])
+    else:
+        _train_forked(run, shares)
 
-    # block, grad, Adam m and v, and a temporary, for one chunk of heads; each
-    # round works on the prefix [:k] of heads still training. The gathers take
-    # mode="clip" because mode="raise" buffers out= (ids are in range).
-    chunk = min(len(head_ids), max(1, TRAIN_CHUNK_BYTES // params[0].nbytes))
-    buffers = np.empty((5, chunk, params.shape[1]))
-    e_buffer = np.empty((chunk, d))
-    lr = cfg.learning_rate
-    for lo in range(0, len(head_ids), chunk):
-        ids = head_ids[lo:lo + chunk]
-        params.take(ids, axis=0, out=buffers[0, :len(ids)], mode="clip")
-        buffers[2:4] = 0.0
-        for r in range(int(counts[lo])):
-            at = int(starts[r]) + lo
-            k = min(int(starts[r + 1]) - at, len(ids))
-            answers = slots[at:at + k]
-            block, grad, m, v, tmp = buffers[:, :k]
-            e = embeddings.take(answer_doc.take(answers), axis=0, out=e_buffer[:k],
-                                mode="clip")
-            terms[at:at + k] = _loss_and_grad(block, h, d, e, answer_count.take(answers),
-                                              answer_pos_y.take(answers),
-                                              answer_neg_y.take(answers), grad)
-
-            # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, in that operand order
-            m *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
-            m += tmp
-            v *= ADAM_BETA2
-            np.multiply(1.0 - ADAM_BETA2, grad, out=tmp)
-            tmp *= grad
-            v += tmp
-            # block -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat in tmp and
-            # v_hat in grad; m / 1.0 == m, so that division is skipped
-            if bias1[r + 1] == 1.0:
-                np.multiply(m, lr, out=tmp)
-            else:
-                np.divide(m, bias1[r + 1], out=tmp)
-                tmp *= lr
-            np.divide(v, bias2[r + 1], out=grad)
-            np.sqrt(grad, out=grad)
-            grad += ADAM_EPS
-            tmp /= grad
-            block -= tmp
-        params[ids] = buffers[0, :len(ids)]
-
-    _check_losses(terms, slots, order, answer_doc, answer_qid, sizes, bank.m)
+    terms = run.z  # each touch's logit, turned into its loss term in place
+    for lo in range(0, len(terms), TERM_BLOCK):
+        answers = slots[lo:lo + TERM_BLOCK]
+        terms[lo:lo + len(answers)] = _loss_terms(terms[lo:lo + len(answers)],
+                                                  answer_pos_y.take(answers),
+                                                  answer_neg_y.take(answers))
+    _check_losses(terms, slots, steps, order, sizes, answer_qid)
     return heads
 
 
-def _check_losses(terms, slots, order, answer_doc, answer_qid, sizes, m) -> None:
+def _check_losses(terms, slots, steps, order, sizes, answer_qid) -> None:
     """Raise for the first step whose loss, the mean of its terms, is not finite.
 
     If every |term| is at most max / (2 * max(sizes)), no step's sum of at most
-    max(sizes) terms can overflow, so every step's mean is finite.
+    max(sizes) terms can overflow, so every step's mean is finite. Otherwise
+    steps() gives each term's step. The search ends at the first step with a
+    non-finite term: that step's mean is not finite, and every step up to it
+    is complete even where a worker stopped there.
     """
     if max(-terms.min(), terms.max()) <= np.finfo(np.float64).max / (2 * sizes.max()):
         return
-    *_, steps = _lockstep_schedule(order, answer_doc, answer_qid, m, with_steps=True)
+    steps = steps()
+    bad = ~np.isfinite(terms)
+    last = int(steps[bad].min()) if bad.any() else len(order) - 1
+    kept = np.flatnonzero(steps <= last)
     # (step, question id) order: answer ids rise with question id within a document
-    by_step = np.lexsort((slots, steps))
+    by_step = kept[np.lexsort((slots[kept], steps[kept]))]
     step_terms, step_slots = terms[by_step], slots[by_step]
-    bounds = np.concatenate(([0], np.cumsum(sizes[order])))
-    for step in range(len(order)):
+    bounds = np.concatenate(([0], np.cumsum(sizes[order[:last + 1]])))
+    for step in range(last + 1):
         lo, hi = bounds[step], bounds[step + 1]
         if not math.isfinite(float(step_terms[lo:hi].mean())):
             raise TrainingError(f"non-finite loss at step {step}, "

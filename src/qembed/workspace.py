@@ -169,7 +169,10 @@ class Workspace:
         The kernel drops the lock however its holder exits, so no lock is ever
         stale. The file records the holder's pid for the refusal message and
         is never unlinked: a run that locked a new file while another still
-        held the unlinked one would share the workspace with it.
+        held the unlinked one would share the workspace with it. A forked
+        child would share the lock through its copy of the descriptor, so
+        train_heads' training children close every inherited descriptor
+        first: the lock is free the moment the run that took it exits.
         """
         lock_path = self.root / _LOCK_FILE
         fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)

@@ -23,8 +23,9 @@ from qembed.cluster import ClusterModel, _reseed_empty
 from qembed.config import ClusterSection, TrainingSection
 from qembed.evaluation import ExplanationReport
 from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FORWARD_CHUNK, QuestionHeads,
-                          TrainingError, TrainingExample, _example_rows, _loss_and_grad,
-                          _softplus, _split, compute_pos_weight, forward_logits, init_heads)
+                          TrainingError, TrainingExample, _example_rows, _logits_and_grad,
+                          _loss_terms, _softplus, _split, compute_pos_weight, forward_logits,
+                          init_heads)
 from qembed.jsonl import dumps
 from qembed.metrics import MetricError
 from qembed.question_gen import QuestionBank, QuestionHit
@@ -134,8 +135,9 @@ def document_loss_and_grads(heads: QuestionHeads, e: np.ndarray, question_ids: n
     grad = np.empty_like(block)
     q = len(block)
     rows = np.repeat(np.asarray(e, dtype=np.float64)[None, :], q, axis=0)
-    terms = _loss_and_grad(block, heads.h, heads.d, rows, np.full(q, float(q)),
-                           pos_weight * y, 1.0 - y, grad)
+    z = _logits_and_grad(block, heads.h, heads.d, rows, np.full(q, float(q)),
+                         pos_weight * y, 1.0 - y, grad, np.empty(q))
+    terms = _loss_terms(z, pos_weight * y, 1.0 - y)
     grads = dict(zip(("W1", "b1", "w2", "b2"), _split(grad, heads.h, heads.d)))
     return float(terms.mean()), grads
 
@@ -272,7 +274,9 @@ def reference_kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
         counts = np.bincount(labels, minlength=k)
         new_centroids = np.zeros_like(centroids)
         np.add.at(new_centroids, labels, x)
-        new_centroids /= counts[:, None]
+        filled = counts > 0
+        new_centroids[filled] /= counts[filled, None]
+        new_centroids[~filled] = centroids[~filled]  # an empty cluster keeps its centroid
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol and not reseeded:

@@ -1,5 +1,7 @@
 import itertools
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,8 +143,9 @@ def _fit_cases():
     yield "one long cluster", np.vstack([corpus[:3], unit(np.ones((150, 96)) + 0.01
                                          * rng.standard_normal((150, 96)))]), 4, True
     yield "duplicate rows", duplicated, 4, True
-    # four centroids on three distinct rows: one is empty and re-seeded every iteration
-    yield "reseeded", np.repeat(np.eye(3), 4, axis=0), 4, True
+    # cubed normals: one cluster of this fit empties once and is re-seeded
+    yield "reseeded", np.random.Generator(np.random.PCG64(2606)).standard_normal((23, 2)) ** 3, \
+        9, False
     yield "binary rows", (rng.random((150, 40)) < 0.3).astype(np.float64), 4, False
     yield "binary rows, k=12", (rng.random((150, 40)) < 0.5).astype(np.float64), 12, False
     yield "signed zeros", -(rng.random((120, 24)) < 0.2).astype(np.float64), 6, False
@@ -166,6 +169,28 @@ def test_fit_matches_the_add_at_fit_bit_for_bit(name, x, k, check_unit, monkeypa
         assert fit.labels.tobytes() == ref.labels.tobytes()
         assert (fit.inertia, fit.iterations) == (ref.inertia, ref.iterations)
     assert any(reseeds) == (name == "reseeded")
+
+
+@pytest.mark.parametrize("x, k", [
+    (np.zeros((120, 16)), 4),                      # every row the same
+    (unit(np.repeat(np.eye(10), 5, axis=0)), 50),  # 10 distinct unit rows, 5 copies each
+    (np.repeat(np.eye(3), 4, axis=0), 4),          # 3 distinct rows for 4 clusters
+], ids=["all-zero", "10-distinct-k50", "3-distinct-k4"])
+def test_fewer_distinct_rows_than_clusters_converge(x, k):
+    """Each distinct row gets one cluster and the other clusters stay empty:
+    no cluster is re-seeded onto a copy of its own row or emptied for
+    another, so the fit ends at once, with no warning, as the reference fit."""
+    distinct = np.unique(x, axis=0, return_inverse=True)[1].ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = kmeans_fit(x, k=k, seed=0, check_unit=False)
+    assert fit.iterations == 1 and fit.inertia == 0.0
+    assert len(np.unique(fit.labels)) == distinct.max() + 1
+    assert (np.unique(np.stack([fit.labels, distinct]), axis=1).shape[1]
+            == distinct.max() + 1)  # copies of one row share one cluster
+    ref = reference_kmeans_fit(x, k=k, seed=0)
+    assert fit.centroids.tobytes() == ref.centroids.tobytes()
+    assert fit.labels.tobytes() == ref.labels.tobytes()
 
 
 class TestNearestClusters:

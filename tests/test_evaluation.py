@@ -276,6 +276,39 @@ class TestPackedKernel:
                 assert retrieval_evaluate(task, query, corpus, k=k).mean_ndcg == 1.0
 
     @pytest.mark.parametrize("m", WIDTHS)
+    def test_rows_in_sorted_id_order_rank_alike_without_a_lookup(self, m, monkeypatch):
+        """A corpus matrix whose rows are the task's docs in sorted-id order
+        skips the id sort, lookup and gather, and gives the same result as the
+        same rows in another order, or with a row the task does not hold."""
+        dense = oracle_rows(m)
+        n = len(dense)
+        doc_ids = [f"d{i:03d}" for i in range(n)]
+        corpus_dict = dict.fromkeys(reversed(doc_ids), "t")  # keys not in sorted order
+        qrels = {f"q{j}": {doc_ids[i]: float(1 + (i * j) % 5) for i in range(0, n, 3)}
+                 for j in range(6)}
+        task = RetrievalTask(queries={q: "x" for q in qrels}, corpus=corpus_dict, qrels=qrels)
+        query = BinaryMatrix.from_dense(dense[[0, 5, 10, 20, 21, 22]], row_ids=list(qrels))
+        perm = rng(m + 3).permutation(n)
+        shuffled = BinaryMatrix.from_dense(dense[perm], row_ids=[doc_ids[i] for i in perm])
+        extra = BinaryMatrix.from_dense(np.vstack([dense, dense[:1]]),
+                                        row_ids=doc_ids + ["e-not-in-task"])
+        want = [retrieval_evaluate(task, query, corpus) for corpus in (shuffled, extra)]
+        in_order = BinaryMatrix.from_dense(dense, row_ids=doc_ids)
+        assert in_order.rows_are_sorted(corpus_dict.keys())
+        assert not shuffled.rows_are_sorted(corpus_dict.keys())
+        assert not extra.rows_are_sorted(corpus_dict.keys())
+        looked_up = []
+        real = BinaryMatrix.row_indices
+
+        def row_indices(matrix, ids):
+            looked_up.append(matrix)
+            return real(matrix, ids)
+
+        monkeypatch.setattr(BinaryMatrix, "row_indices", row_indices)
+        assert want == [retrieval_evaluate(task, query, in_order)] * 2
+        assert looked_up == [query]
+
+    @pytest.mark.parametrize("m", WIDTHS)
     def test_sts_and_load_match_oracle(self, m):
         dense = oracle_rows(m)
         g = rng(m + 2)

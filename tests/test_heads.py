@@ -1,11 +1,21 @@
+import fcntl
 import hashlib
+import mmap
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle import (document_loss, document_loss_and_grads, head_forward, masked_sigmoid,
                     parameter_arrays, reference_forward_logits, reference_train_heads)
+import qembed
 from qembed import heads as heads_module
 from qembed.config import TrainingSection
 from qembed.heads import (
@@ -33,8 +43,13 @@ from qembed.heads import (
     sigmoid,
     train_heads,
 )
+from qembed.pipeline import write_demo_workspace
 from qembed.providers import MockEncoder
 from qembed.question_gen import BankQuestion, QuestionBank
+from test_acceptance import DEMO_DIGESTS
+
+# the worker counts training is checked at: in process, and forked two and three ways
+WORKER_COUNTS = (1, 2, 3)
 
 
 def toy_bank(m, dim=8):
@@ -306,6 +321,55 @@ def random_training_set(seed, m, d, n_docs, q_range, used_heads=None):
     return examples, rng.standard_normal((n_docs, d))
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes train_heads see n usable CPUs and fork for any amount of
+    work, so that it trains on min(n, touched heads) workers."""
+    def set_cpus(n):
+        monkeypatch.setattr(heads_module, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(heads_module, "FORK_MIN_WORK", 0)
+    return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork makes in this process during the test."""
+    made = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def assert_reaped(pids):
+    """Every pid was a child of this process and has been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def train_at_each_worker_count(cpus, forks, train):
+    """train() at each of WORKER_COUNTS: its result, or its TrainingError's
+    message, each time; forked exactly when more than one worker trains."""
+    results = []
+    for workers in WORKER_COUNTS:
+        cpus(workers)
+        before = len(forks)
+        try:
+            results.append(train())
+        except TrainingError as exc:
+            results.append(str(exc))
+        assert (len(forks) > before) == (workers > 1), workers
+    assert_reaped(forks)
+    return results
+
+
 class TestTrainingMatchesReference:
     """train_heads keeps every bit of the allocating reference loop in tests/oracle.py."""
 
@@ -324,18 +388,39 @@ class TestTrainingMatchesReference:
         (8, 4, 8, 10, (2, 5), None, "auto", 1),          # one step
     ], ids=["demo", "uneven", "untouched", "pos-weight", "partial-epoch", "m64",
             "two-chunks", "tied-counts", "bias1-one", "one-doc", "steps-lt-n", "one-step"])
-    def test_params_bit_identical(self, m, h, d, n_docs, q_range, used, pos_weight, steps):
+    def test_params_bit_identical(self, cpus, forks, m, h, d, n_docs, q_range, used,
+                                  pos_weight, steps):
+        """At every worker count."""
         examples, embeddings = random_training_set(0, m, d, n_docs, q_range, used)
         if q_range[0] == 1:
             assert min(len(ex.answers) for ex in examples) == 1
         cfg = TrainingSection(learning_rate=3e-3, steps=steps, hidden=h,
                               pos_weight=pos_weight)
-        got = train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=5)
         want = reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=5)
-        assert (got.params.view(np.int64) == want.params.view(np.int64)).all()
-        if used is not None:
-            init = init_heads(m, d, h, seed=5)
-            assert (got.params[used:].view(np.int64) == init.params[used:].view(np.int64)).all()
+        init = init_heads(m, d, h, seed=5)
+        for got in train_at_each_worker_count(
+                cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(m), cfg=cfg,
+                                                 seed=5)):
+            assert (got.params.view(np.int64) == want.params.view(np.int64)).all()
+            if used is not None:
+                assert (got.params[used:].view(np.int64)
+                        == init.params[used:].view(np.int64)).all()
+
+    def test_mostly_dead_relu_units(self, cpus, forks):
+        """A large step kills most hidden units. Their gradients are zeros of
+        either sign, and exact zeros and negative zeros in the embeddings give
+        more: the W1 outer product may flip a zero's sign, and no bit may move."""
+        examples, embeddings = random_training_set(0, 8, 8, 30, (2, 6))
+        embeddings[:, ::2] = 0.0
+        embeddings[:, 1::4] = -0.0
+        cfg = TrainingSection(learning_rate=0.2, steps=300, hidden=6)
+        want = reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=5)
+        for got in train_at_each_worker_count(
+                cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(8), cfg=cfg,
+                                                 seed=5)):
+            assert (got.params.view(np.int64) == want.params.view(np.int64)).all()
+        hidden = np.einsum("qhd,nd->nqh", want.W1, embeddings) + want.b1
+        assert (hidden <= 0.0).mean() > 0.75
 
     def test_edge_cases_reach_their_paths(self):
         """The cases above cover what they are named for."""
@@ -352,33 +437,66 @@ class TestTrainingMatchesReference:
         answered = [sum(q in ex.answers for ex in examples) for q in range(4)]
         assert min(answered) * (1500 // 12) >= 356
 
-    def test_non_finite_loss_names_the_step(self):
+    def test_non_finite_loss_names_the_step(self, cpus, forks):
         examples, embeddings = random_training_set(3, 8, 8, 10, (2, 5))
         embeddings[4, 2] = np.inf
         cfg = TrainingSection(learning_rate=3e-3, steps=20, hidden=4)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as got:
-            train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=1)
-        assert "non-finite loss at step" in str(got.value)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
-            reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=1)
-        assert str(got.value) == str(want.value)
+        with np.errstate(all="ignore"):
+            got = train_at_each_worker_count(
+                cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(8), cfg=cfg,
+                                                 seed=1))
+            with pytest.raises(TrainingError) as want:
+                reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=1)
+        assert "non-finite loss at step" in str(want.value)
+        assert got == [str(want.value)] * len(WORKER_COUNTS)
 
-    def test_divergence_after_step_zero_across_chunks(self):
+    def test_divergence_after_step_zero_across_chunks(self, cpus, forks):
         m, n, seed = 40, 20, 4
         examples, embeddings = random_training_set(1, m, 64, n, (5, 20))
         # the document of step 5 in the first epoch's permutation
         late = int(np.random.Generator(np.random.PCG64(seed)).permutation(n)[5])
         embeddings[late, 3] = np.inf
         cfg = TrainingSection(learning_rate=3e-3, steps=60, hidden=32)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as got:
-            train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
-            reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
+        with np.errstate(all="ignore"):
+            got = train_at_each_worker_count(
+                cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(m), cfg=cfg,
+                                                 seed=seed))
+            with pytest.raises(TrainingError) as want:
+                reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
+        assert got == [str(want.value)] * len(WORKER_COUNTS)
+        assert str(want.value).startswith("non-finite loss at step 5,")
+
+    def test_divergence_stops_within_a_check_of_its_step(self, cpus, monkeypatch):
+        """A non-finite logit at step 40 of 4,000 ends training at the next
+        check: no chunk runs a round past CHECK_ROUNDS, where training in full
+        would run over a thousand, and the message is the reference loop's."""
+        m, n, seed = 6, 50, 2
+        examples, embeddings = random_training_set(4, m, 8, n, (2, 4))
+        # the document of step 40 in the first epoch's permutation
+        embeddings[np.random.Generator(np.random.PCG64(seed)).permutation(n)[40], 0] = np.nan
+        cfg = TrainingSection(learning_rate=3e-3, steps=4000, hidden=4)
+        rounds = []
+        real = heads_module._logits_and_grad
+
+        def count_rounds(*args):
+            rounds.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(heads_module, "_logits_and_grad", count_rounds)
+        cpus(1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError) as got:
+                train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
+            with pytest.raises(TrainingError) as want:
+                reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
         assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("non-finite loss at step 5,")
+        assert str(want.value).startswith("non-finite loss at step 40,")
+        assert len(rounds) == heads_module.CHECK_ROUNDS
+        answered = max(sum(q in ex.answers for ex in examples) for q in range(m))
+        assert answered * (4000 // n) > 1000  # the rounds of training in full
 
     @pytest.mark.parametrize("pos_weight,fails", [("4e+307", False), ("1e+308", True)])
-    def test_huge_finite_terms(self, pos_weight, fails):
+    def test_huge_finite_terms(self, cpus, forks, pos_weight, fails):
         """Terms above max / (2 * answers) are checked with the exact step mean:
         at 4e307 every mean stays finite, at 1e308 four finite yes terms
         overflow the mean of step 0."""
@@ -386,22 +504,30 @@ class TestTrainingMatchesReference:
                     for i in range(9)]
         embeddings = np.random.default_rng(1).standard_normal((9, 8))
         cfg = TrainingSection(learning_rate=3e-3, steps=30, hidden=4, pos_weight=pos_weight)
-        results = []
-        for train in (train_heads, reference_train_heads):
-            with np.errstate(all="ignore"):
-                try:
-                    results.append(train(examples, embeddings, toy_bank(4), cfg=cfg,
-                                         seed=5).params)
-                except TrainingError as exc:
-                    results.append(str(exc))
-        got, want = results
-        if fails:
-            assert got == want == "non-finite loss at step 0, question ids [0, 1, 2, 3]"
-        else:
-            assert (got.view(np.int64) == want.view(np.int64)).all()
+
+        def train(trainer):
+            return trainer(examples, embeddings, toy_bank(4), cfg=cfg, seed=5).params
+
+        with np.errstate(all="ignore"):
+            results = train_at_each_worker_count(cpus, forks, lambda: train(train_heads))
+            try:
+                want = train(reference_train_heads)
+            except TrainingError as exc:
+                want = str(exc)
+        for got in results:
+            if fails:
+                assert got == want == "non-finite loss at step 0, question ids [0, 1, 2, 3]"
+            else:
+                assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 class TestTrainingMemory:
+    """Peaks of training in process, with one worker."""
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, cpus):
+        cpus(1)
+
     @staticmethod
     def peak_bytes(examples, embeddings, m, cfg):
         train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=0)  # warm imports, caches
@@ -436,6 +562,187 @@ class TestTrainingMemory:
         cfg = TrainingSection(learning_rate=3e-3, steps=20, hidden=h)
         params_bytes = init_heads(1, d, h, seed=0).params.nbytes * m
         assert self.peak_bytes(examples, embeddings, m, cfg) < 2 * params_bytes
+
+
+def touch_counts(examples, steps, seed):
+    """Each head's touches in a training run, by descending count (ties by
+    id): one per step whose document answers it."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = len(examples)
+    order = np.concatenate([rng.permutation(n) for _ in range(-(-steps // n))])[:steps]
+    counts = {}
+    for doc in order:
+        for q in examples[doc].answers:
+            counts[q] = counts.get(q, 0) + 1
+    return sorted(counts.values(), reverse=True)
+
+
+def running(pid):
+    """Whether process pid exists and has not ended (a zombie has ended), from /proc."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in "ZX"
+
+
+def child_pids(pid):
+    """The running children that process pid forked from its main thread, from
+    /proc (other threads may come and go: BLAS stops its threads to fork)."""
+    try:
+        children = Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except (FileNotFoundError, ProcessLookupError):
+        return []
+    return [child for child in map(int, children) if running(child)]
+
+
+class TestTrainingWorkers:
+    """Forked training: results through shared regions, and no process left behind."""
+
+    @staticmethod
+    def demo_training():
+        examples, embeddings = random_training_set(2, 16, 64, 180, (4, 13))
+        cfg = TrainingSection(learning_rate=3e-3, steps=400, hidden=16)
+        return examples, embeddings, cfg, lambda: train_heads(examples, embeddings,
+                                                              toy_bank(16), cfg=cfg, seed=0)
+
+    def test_each_region_holds_its_child_rows_and_one_logit_per_touch(self, cpus,
+                                                                       monkeypatch):
+        """Three workers on 16 heads: chunks of 6, 6 and 4 heads by falling
+        touch count, the heaviest trained in process. Each child's region is
+        8 bytes per parameter of its rows plus 8 per touch, and nothing more."""
+        examples, _, cfg, train = self.demo_training()
+        sizes = []
+        real = mmap.mmap
+
+        def region(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", region)
+        cpus(3)
+        train()
+        P = init_heads(1, 64, 16, seed=0).params.shape[1]
+        counts = touch_counts(examples, cfg.steps, seed=0)
+        assert len(counts) == 16 and sum(counts[:6]) > max(sum(counts[6:12]), sum(counts[12:]))
+        assert sorted(sizes) == sorted([8 * (6 * P + sum(counts[6:12])),
+                                        8 * (4 * P + sum(counts[12:]))])
+
+    def test_a_failing_child_is_a_training_error(self, cpus, forks, monkeypatch):
+        real = heads_module._Lockstep.train_share
+
+        def fail_in_children(run, share, region=None, parent=None):
+            if region is not None:
+                raise MemoryError("no room")
+            real(run, share, region, parent)
+
+        monkeypatch.setattr(heads_module._Lockstep, "train_share", fail_in_children)
+        cpus(3)
+        with pytest.raises(TrainingError, match="worker exited with status 1"):
+            self.demo_training()[-1]()
+        assert len(forks) == 2
+        assert_reaped(forks)
+        assert child_pids(os.getpid()) == []
+
+    def test_an_interrupt_of_the_own_share_kills_every_child(self, cpus, forks, monkeypatch):
+        """The children are killed, not waited for: their share of a long run
+        would take seconds."""
+        real = heads_module._Lockstep.train_share
+
+        def interrupt_in_process(run, share, region=None, parent=None):
+            if region is None:
+                raise KeyboardInterrupt
+            real(run, share, region, parent)
+
+        monkeypatch.setattr(heads_module._Lockstep, "train_share", interrupt_in_process)
+        examples, embeddings = random_training_set(2, 16, 64, 180, (4, 13))
+        cfg = TrainingSection(learning_rate=3e-3, steps=100_000, hidden=16)
+        cpus(3)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            train_heads(examples, embeddings, toy_bank(16), cfg=cfg, seed=0)
+        assert time.perf_counter() - started < 2.0
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_a_small_run_trains_in_process(self, monkeypatch, forks):
+        """400 steps at the demo shape are 3.8M parameter updates: below
+        FORK_MIN_WORK, so no fork on any number of CPUs."""
+        examples, _, cfg, train = self.demo_training()
+        monkeypatch.setattr(heads_module, "_usable_cpus", lambda: 4)
+        P = init_heads(1, 64, 16, seed=0).params.shape[1]
+        assert sum(touch_counts(examples, cfg.steps, seed=0)) * P < heads_module.FORK_MIN_WORK
+        want = train()
+        assert forks == []
+        monkeypatch.setattr(heads_module, "FORK_MIN_WORK", 0)
+        got = train()
+        assert len(forks) == 3
+        assert (got.params.view(np.int64) == want.params.view(np.int64)).all()
+
+    def test_a_live_thread_keeps_training_in_process(self, cpus, forks):
+        *_, train = self.demo_training()
+        cpus(2)
+        want = train()
+        assert len(forks) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = train()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(forks) == 1
+        assert (got.params.view(np.int64) == want.params.view(np.int64)).all()
+
+
+_RUN = [sys.executable, "-m", "qembed.cli", "run"]
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="reads a process's children from /proc")
+def test_a_killed_build_leaves_no_worker_and_resumes_to_the_same_heads(tmp_path):
+    """SIGKILL a seed-0 demo build while it trains. The workspace lock is
+    free at once, its training child, if any, exits within half a second,
+    and `qembed run` resumes to the pinned heads.bin bytes."""
+    cfg_path = write_demo_workspace(tmp_path, seed=0)
+    env = {**os.environ, "PYTHONPATH": str(Path(qembed.__file__).parents[1])}
+    args = _RUN + ["--config", str(cfg_path), "--workspace", str(tmp_path)]
+    build = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    try:
+        log = tmp_path / "run_log.jsonl"
+        deadline = time.monotonic() + 120
+        # a record is one line, written once its stage has ended; the last
+        # line may still be partly written
+        while not (log.exists() and '"stage": "collect"' in log.read_text()):
+            assert build.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        # collect has ended, so train runs; with more than one CPU it forks
+        children = []
+        waited = time.monotonic() + 1.0
+        while not children and time.monotonic() < waited:
+            children = child_pids(build.pid)
+            time.sleep(0.01)
+    finally:
+        build.send_signal(signal.SIGKILL)
+        build.wait(timeout=60)
+    # at once, while a worker may still run: no worker holds the lock
+    with open(tmp_path / "lock", "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)  # raises if anything holds it
+    assert not (tmp_path / "heads.bin").exists()  # killed before train ended
+    assert bool(children) == (len(os.sched_getaffinity(0)) > 1)
+    # a worker checks for its parent every CHECK_ROUNDS rounds, tens of ms
+    # here; its share of the demo would take over a second more
+    deadline = time.monotonic() + 0.5
+    while any(map(running, children)):
+        assert time.monotonic() < deadline, f"worker {children} outlived its parent"
+        time.sleep(0.01)
+    resumed = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+    assert resumed.returncode == 0, resumed.stderr
+    heads_bin = (tmp_path / "heads.bin").read_bytes()
+    assert hashlib.sha256(heads_bin).hexdigest() == DEMO_DIGESTS["heads"]
 
 
 class TestEmbedDocuments:
