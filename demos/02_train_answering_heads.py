@@ -13,7 +13,7 @@ import numpy as np
 from qembed.answering import collect_answers, split_examples
 from qembed.cluster import kmeans_fit
 from qembed.config import CollectionSection, GenerationSection, ProbeSection, TrainingSection
-from qembed.heads import embed_vectors, evaluate_heldout, train_heads
+from qembed.heads import embed_vectors, evaluate_heldout, load_heads, save_heads, train_heads
 from qembed.providers import AnswerCache, MockEncoder
 from qembed.question_gen import (ScoredQuestion, generate_cluster_questions,
                                  probe_question, sample_contrastive,
@@ -50,20 +50,24 @@ def main() -> None:
     bank = build_bank(model, texts, encoder, llm, rng)
     print(f"bank: {bank.m} questions")
 
-    with tempfile.TemporaryDirectory() as tmp, AnswerCache(Path(tmp) / "answers.jsonl") as cache:
-        result = collect_answers(bank, model, texts, llm, cache, rng,
-                                 CollectionSection(in_cluster=16, neighbor=10,
-                                                   neighbor_clusters=2, random=6))
-    print(f"collected {result.requested_pairs} question/document answers "
-          f"in {result.llm_calls} LLM calls")
+    with tempfile.TemporaryDirectory() as tmp:
+        with AnswerCache(Path(tmp) / "answers.jsonl") as cache:
+            result = collect_answers(bank, model, texts, llm, cache, rng,
+                                     CollectionSection(in_cluster=16, neighbor=10,
+                                                       neighbor_clusters=2, random=6))
+        print(f"collected {result.requested_pairs} question/document answers "
+              f"in {result.llm_calls} LLM calls")
 
-    # the encoder ran once above; training, evaluation and embedding reuse its rows
-    row = {doc.id: i for i, doc in enumerate(corpus)}
-    heldout_ids = {doc.id for doc in corpus.documents[::10]}
-    train, heldout = split_examples(result.examples, heldout_ids)
-    heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
-                        cfg=TrainingSection(learning_rate=3e-3, steps=2500, hidden=8),
-                        seed=0)
+        # the encoder ran once above; training, evaluation and embedding reuse its rows
+        row = {doc.id: i for i, doc in enumerate(corpus)}
+        heldout_ids = {doc.id for doc in corpus.documents[::10]}
+        train, heldout = split_examples(result.examples, heldout_ids)
+        heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
+                            cfg=TrainingSection(learning_rate=3e-3, steps=2500, hidden=8),
+                            seed=0)
+        # heads embed as saved: float32 in heads.bin, loaded back read-only
+        save_heads(heads, Path(tmp) / "heads.bin")
+        heads = load_heads(Path(tmp) / "heads.bin")
     report = evaluate_heldout(heads, embeddings[[row[ex.document_id] for ex in heldout]],
                               heldout)
     print(f"held-out agreement with the LLM: {report.accuracy:.3f} "

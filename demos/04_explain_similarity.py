@@ -14,7 +14,7 @@ from qembed.answering import collect_answers, split_examples
 from qembed.cluster import kmeans_fit
 from qembed.config import CollectionSection, GenerationSection, ProbeSection, TrainingSection
 from qembed.evaluation import explain_pair
-from qembed.heads import embed_documents, train_heads
+from qembed.heads import embed_documents, load_heads, save_heads, train_heads
 from qembed.providers import AnswerCache, MockEncoder
 from qembed.question_gen import (ScoredQuestion, generate_cluster_questions,
                                  probe_question, sample_contrastive,
@@ -46,15 +46,19 @@ def main() -> None:
                 scored.append(ScoredQuestion(cand, outcome))
     bank = select_question_bank(scored, encoder, theta=0.8, t=4)
 
-    with tempfile.TemporaryDirectory() as tmp, AnswerCache(Path(tmp) / "answers.jsonl") as cache:
-        result = collect_answers(bank, model, texts, llm, cache, rng,
-                                 CollectionSection(in_cluster=16, neighbor=10,
-                                                   neighbor_clusters=2, random=16))
-    train, _ = split_examples(result.examples, set())
-    row = {doc.id: i for i, doc in enumerate(corpus)}
-    heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
-                        cfg=TrainingSection(learning_rate=3e-3, steps=6000, hidden=8),
-                        seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        with AnswerCache(Path(tmp) / "answers.jsonl") as cache:
+            result = collect_answers(bank, model, texts, llm, cache, rng,
+                                     CollectionSection(in_cluster=16, neighbor=10,
+                                                       neighbor_clusters=2, random=16))
+        train, _ = split_examples(result.examples, set())
+        row = {doc.id: i for i, doc in enumerate(corpus)}
+        heads = train_heads(train, embeddings[[row[ex.document_id] for ex in train]], bank,
+                            cfg=TrainingSection(learning_rate=3e-3, steps=6000, hidden=8),
+                            seed=0)
+        # heads embed as saved: float32 in heads.bin, loaded back read-only
+        save_heads(heads, Path(tmp) / "heads.bin")
+        heads = load_heads(Path(tmp) / "heads.bin")
 
     docs = corpus.documents
     same_topic = (docs[0], docs[4])      # topics interleave: 0 and 4 match

@@ -13,15 +13,14 @@ its own touches, so the trained bits are the same for any number of workers.
 All m heads live in one C-contiguous (m, P) matrix, P = h*d + 2*h + 1.
 Row i is head i's block [W1 (h*d, row-major) | b1 (h) | w2 (h) | b2 (1)], the
 block order heads.bin stores in float32. Init, Adam, the forward pass, save
-and load all work on that matrix. Trained and initialised heads hold it in
-float64; load_heads keeps heads.bin's float32 values as they are, in one
-aligned read-only array.
+and load all work on that matrix. Training holds it in float64; load_heads
+keeps heads.bin's float32 values as they are, in one aligned read-only array.
 
-Probabilities (answer_probabilities, forward_logits) are float64 on either
-dtype. Embedding bits of loaded heads come from a float32 first layer with a
-rigorous forward-error bound per (row, head) (see _bound_constants); the few
-bits the bound cannot settle are recomputed by forward_logits, so every bit
-equals sigmoid(forward_logits(...)) > tau, which is how other heads embed.
+Only loaded heads, the heads as saved, give bits: embed_vectors and
+evaluate_heldout take them from _embedding_bits, a float32 first layer with
+a rigorous forward-error bound per (row, head) (see _bound_constants); the
+float64 forward_logits recomputes the few bits the bound cannot settle, so
+every bit equals sigmoid(forward_logits(...)) > tau.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ class QuestionHeads:
     The attributes W1 (m,h,d), b1 (m,h), w2 (m,h) and b2 (m,) are views into
     params, so writing through them writes the parameters. bounds holds the
     certified forward's per-head constants; load_heads sets it beside its
-    read-only params. Other heads embed through the float64 forward.
+    read-only float32 params. Only heads with bounds give bits.
     """
     params: np.ndarray
     h: int
@@ -595,18 +594,18 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
                     answer_count, answer_pos_y, answer_neg_y, head_ids, counts, slots, chunk,
                     steps)
     shares = _deal(counts, chunk, workers)
-    if len(shares) == 1:
-        run.train_share(shares[0])
-    else:
-        _train_forked(run, shares)
-
-    terms = run.z  # each touch's logit, turned into its loss term in place
-    for lo in range(0, len(terms), TERM_BLOCK):
-        answers = slots[lo:lo + TERM_BLOCK]
-        terms[lo:lo + len(answers)] = _loss_terms(terms[lo:lo + len(answers)],
-                                                  answer_pos_y.take(answers),
-                                                  answer_neg_y.take(answers))
-    _check_losses(terms, slots, steps, order, sizes, answer_qid)
+    with np.errstate(all="ignore"):  # divergence is _check_losses' error; children inherit this
+        if len(shares) == 1:
+            run.train_share(shares[0])
+        else:
+            _train_forked(run, shares)
+        terms = run.z  # each touch's logit, turned into its loss term in place
+        for lo in range(0, len(terms), TERM_BLOCK):
+            answers = slots[lo:lo + TERM_BLOCK]
+            terms[lo:lo + len(answers)] = _loss_terms(terms[lo:lo + len(answers)],
+                                                      answer_pos_y.take(answers),
+                                                      answer_neg_y.take(answers))
+        _check_losses(terms, slots, steps, order, sizes, answer_qid)
     return heads
 
 
@@ -643,33 +642,41 @@ def binarize(probabilities: np.ndarray, tau: float) -> np.ndarray:
     return (np.asarray(probabilities) > tau).astype(np.uint8)
 
 
-def answer_probabilities(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
-    """(n, m) probability that each head answers yes, for (n, d) encoder vectors."""
+def _head_inputs(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
+    """embeddings as float64 (n, heads.d) rows for non-empty heads, else TrainingError."""
     if heads.m == 0:
         raise TrainingError("heads are empty")
-    return sigmoid(forward_logits(heads, embeddings))
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] != heads.d:
+        raise TrainingError(f"embeddings of shape {e.shape} for heads of width {heads.d}")
+    return e
+
+
+def answer_probabilities(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
+    """(n, m) probability that each head answers yes, for (n, d) encoder vectors."""
+    return sigmoid(forward_logits(heads, _head_inputs(heads, embeddings)))
 
 
 def _gamma(n: int, u: float) -> float:
-    """n u / (1 - n u): bounds the relative error of an n-term dot product in
-    any summation order (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3)."""
-    return n * u / (1.0 - n * u)
+    """n u / (1 - n u), inf from n u = 1: bounds the relative error of an
+    n-term dot product in any summation order (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3)."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
 
 
-def _bound_constants(heads: QuestionHeads, W1_32: np.ndarray) -> np.ndarray:
+def _bound_constants(heads: QuestionHeads) -> np.ndarray:
     """(2, m) per-head constants (a, b) of the certified forward's error bound.
 
     The certified forward takes z' = w2 . relu(fl32(W1 fl32(e)) + b1) + b2,
-    the first layer one float32 GEMM and the rest float64; the float64
-    forward is z = forward_logits. For each row e and head q,
+    the first layer one float32 GEMM and the rest float64; forward_logits
+    takes z in float64 from the same float32 parameters. Per row e and head q,
 
         |z' - z| <= a_q ||e||_2 + b_q.
 
-    Per hidden unit j, with n_j >= ||W1_qj||_2 and ||fl32(W1_qj)||_2:
-    - the float32 dot product errs by gamma_d^32 n_j ||fl32(e)||_2, and
-      rounding e (and W1, for float64 heads) to float32 by u32 n_j ||e||_2
-      each (Cauchy-Schwarz);
+    Per hidden unit j, with n_j >= ||W1_qj||_2:
+    - the float32 dot product errs by gamma_d^32 n_j ||fl32(e)||_2
+      <= gamma_d^32 (1 + u32) n_j ||e||_2, and rounding e to float32 by
+      u32 n_j ||e||_2 (Cauchy-Schwarz);
     - both paths' float64 steps err by u64 for +b1 and gamma_(d+1)^64 and
       gamma_(h+2)^64 for their dot products, relative to n_j ||e||_2 + |b1_j|;
     - ReLU is 1-Lipschitz, and the second layer weighs unit j by |w2_qj|.
@@ -678,36 +685,34 @@ def _bound_constants(heads: QuestionHeads, W1_32: np.ndarray) -> np.ndarray:
     beta carry a factor 1 + 2**-20 for second-order terms and the rounding of
     the bound itself.
 
-    n_j comes from a float32 einsum of squares, inflated by its own rounding:
-    gamma_d for the sum and u32 each for the square root and W1's rounding,
-    plus sqrt(d) 2**-62 for underflowed squares. A head whose n_j exceeds
-    _NORM_LIMIT, or whose sums exceed _SUM_LIMIT, gets a = inf, so every one
-    of its bits falls back; so does a NaN anywhere.
+    n_j is a float32 einsum of squares inflated by its own rounding (gamma_d
+    for the sum, u32 for the square root), plus sqrt(d) 2**-62 for underflowed
+    squares. a = inf, so each bit is recomputed, for a head with n_j above
+    _NORM_LIMIT, a sum above _SUM_LIMIT or a NaN, and for all when d u32 > 1/4.
     """
-    m, h, d = W1_32.shape
+    W1, h, d = heads.W1, heads.h, heads.d
     root_d = math.sqrt(d)
     float64_steps = _gamma(d + 1, _U64) + 2.0 * _gamma(h + 2, _U64) + 2.0 * _U64
-    alpha = (_gamma(d, _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 * (1.0 + _U32)
-             + float64_steps) * (1.0 + 2.0 ** -20)
+    alpha = (_gamma(d, _U32) * (1.0 + _U32) + _U32 + float64_steps) * (1.0 + 2.0 ** -20)
     beta = float64_steps * (1.0 + 2.0 ** -20)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("qhd,qhd->qh", W1_32, W1_32), dtype=np.float64)
-        norms *= 1.0 + 2.0 * (_gamma(d, _U32) + 2.0 * _U32)
+        norms = np.sqrt(np.einsum("qhd,qhd->qh", W1, W1), dtype=np.float64)
+        norms *= 1.0 + 2.0 * (_gamma(d, _U32) + _U32)
         norms += root_d * 2.0 ** -62
         w2 = np.abs(np.asarray(heads.w2, dtype=np.float64))
         weighted_norms = np.einsum("qh,qh->q", w2, norms)
         weighted_b1 = np.einsum("qh,qh->q", w2, np.abs(np.asarray(heads.b1, dtype=np.float64)))
         weighted_b1 += np.abs(np.asarray(heads.b2, dtype=np.float64))
-        fits = ((norms.max(axis=1, initial=0.0) <= _NORM_LIMIT)
+        fits = ((d * _U32 <= 0.25) & (norms.max(axis=1, initial=0.0) <= _NORM_LIMIT)
                 & (weighted_norms <= _SUM_LIMIT) & (weighted_b1 <= _SUM_LIMIT))
         bounds = np.stack([np.where(fits, alpha * weighted_norms, np.inf),
                            beta * weighted_b1 + root_d * 2.0 ** -64 * w2.sum(axis=1)])
     return bounds
 
 
-def _logit_threshold(tau: float) -> tuple[float, float] | None:
+def _logit_threshold(tau: float) -> tuple[float, float]:
     """logit(tau) and a slack s: a bit whose z lies farther than s from it is
-    z > logit(tau). None where that slack is not bounded here.
+    z > logit(tau). s is inf for tau outside [_TAU_MARGIN, 1 - _TAU_MARGIN].
 
     s covers the rounding of logit(tau) (log and log1p each within
     _EXP_LOG_ERROR, then one subtraction) and of the sigmoid: its relative
@@ -715,10 +720,10 @@ def _logit_threshold(tau: float) -> tuple[float, float] | None:
     3 eps / (1 - tau) in logit space while tau eps / (1 - tau) <= 1/2. Both
     carry a factor 2.
     """
-    if not _TAU_MARGIN <= tau <= 1.0 - _TAU_MARGIN:
-        return None
     log_tau, log_rest = math.log(tau), math.log1p(-tau)
     threshold = log_tau - log_rest
+    if not _TAU_MARGIN <= tau <= 1.0 - _TAU_MARGIN:
+        return threshold, math.inf
     sigmoid_error = 2.0 * _EXP_LOG_ERROR + 4.0 * _U64
     slack = (3.0 * sigmoid_error / (1.0 - tau)
              + _EXP_LOG_ERROR * (abs(log_tau) + abs(log_rest)) + _U64 * abs(threshold)
@@ -757,21 +762,15 @@ def _embedding_bits(heads: QuestionHeads, embeddings: np.ndarray, tau: float) ->
     (_float32_logits). A bit is decided there when its logit lies farther from
     logit(tau) than the bound plus the slack of _logit_threshold. Every other
     (row, head) pair, NaN and inf included, is recomputed by forward_logits on
-    just those heads over the same chunk. Heads without load_heads' bounds
-    or with writeable params (so float64 heads), tau outside
-    _logit_threshold's range, a float32 dot product too long to bound, or
-    input that is not (n, d) fall back in full.
+    just those heads over the same chunk; an infinite bound or slack sends
+    every pair there. Heads without load_heads' bounds raise TrainingError.
     """
     if not 0.0 < tau < 1.0:
         raise TrainingError(f"tau must be in (0, 1), got {tau}")
-    if heads.m == 0:
-        raise TrainingError("heads are empty")
-    e = np.asarray(embeddings, dtype=np.float64)
-    threshold = _logit_threshold(tau)
-    if (threshold is None or e.ndim != 2 or heads.d * _U32 > 0.25
-            or heads.bounds is None or heads.params.flags.writeable):
-        return binarize(answer_probabilities(heads, e), tau)
-    threshold, slack = threshold
+    e = _head_inputs(heads, embeddings)
+    if heads.bounds is None:
+        raise TrainingError("only heads loaded by load_heads give embedding bits")
+    threshold, slack = _logit_threshold(tau)
 
     bits = np.empty((len(e), heads.m), dtype=np.uint8)
     for lo in range(0, len(e), FORWARD_CHUNK):
@@ -869,7 +868,7 @@ def evaluate_heldout(heads: QuestionHeads, embeddings: np.ndarray,
     """
     if not examples:
         raise TrainingError("held-out set is empty")
-    bits = binarize(answer_probabilities(heads, _example_rows(embeddings, examples)), tau)
+    bits = _embedding_bits(heads, _example_rows(embeddings, examples), tau)
     pairs = np.asarray([(row, qid, answer) for row, ex in enumerate(examples)
                         for qid, answer in sorted(ex.answers.items())], dtype=np.int64)
     rows, qids, trues = pairs.T
@@ -912,5 +911,5 @@ def load_heads(path: str | Path) -> QuestionHeads:
                                   bank_fingerprint=header["bank_fingerprint"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise TrainingError(f"corrupt heads file {path}: {type(exc).__name__}: {exc}") from exc
-    heads.bounds = _bound_constants(heads, heads.W1)
+    heads.bounds = _bound_constants(heads)
     return heads

@@ -253,12 +253,13 @@ def _stage_train(ctx: StageContext) -> dict:
     heldout = _read_examples(ctx.ws.path("heldout_examples"))
     tcfg = ctx.cfg.training
     train_vectors, heldout_vectors = _example_embeddings(ctx, corpus, train, heldout)
-    heads = train_heads(train, train_vectors, bank, cfg=tcfg, seed=stage_seed(ctx.seed, "train"))
-    save_heads(heads, ctx.ws.path("heads"))
+    save_heads(train_heads(train, train_vectors, bank, cfg=tcfg,
+                           seed=stage_seed(ctx.seed, "train")), ctx.ws.path("heads"))
     payload = {"provenance": ctx.provenance(), "train_docs": len(train),
                "heldout_docs": len(heldout), "accuracy": None, "report": None}
-    if heldout:
-        report = evaluate_heldout(heads, heldout_vectors, heldout, tau=tcfg.tau)
+    if heldout:  # scored on the heads as saved, which every later stage loads
+        report = evaluate_heldout(load_heads(ctx.ws.path("heads")), heldout_vectors, heldout,
+                                  tau=tcfg.tau)
         payload["accuracy"] = report.accuracy
         payload["report"] = report.as_dict()
     jsonl.write_json(ctx.ws.path("heldout_report"), payload)

@@ -122,6 +122,21 @@ def test_corrupt_heads_file_is_dependency_error(mini_ws, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("stage", ["eval-sts", "ablate"])
+def test_encoder_of_another_width_than_the_heads_is_dependency_error(mini_ws, tmp_path, capsys,
+                                                                     stage):
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)  # never damage the shared fixture
+    _edit_config(copy / cfg_path.name, "encoder", dim="32")
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", stage])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and ", 32) for heads of width 64" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _cut_last_20_bytes(path):
     path.write_bytes(path.read_bytes()[:-20])
 

@@ -2,6 +2,7 @@ import fcntl
 import hashlib
 import mmap
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -274,14 +275,14 @@ class TestTraining:
             [texts["only"]])[0], 0)]))[0]
         assert abs(prob - 1.0) < 0.05
 
-    def test_linearly_separable_heldout_accuracy(self):
+    def test_linearly_separable_heldout_accuracy(self, tmp_path):
         encoder = MockEncoder(dim=16, seed=2)
         texts, examples = hyperplane_data(encoder, n_docs=200, m=4, seed=3,
                                           margin_quantile=0.75)
         train, heldout = examples[:160], examples[160:]
         cfg = TrainingSection(learning_rate=3e-3, steps=20_000, hidden=16)
-        heads = train_heads(train, vectors(encoder, texts, train), toy_bank(4, dim=16),
-                            cfg=cfg, seed=1)
+        heads = loaded(train_heads(train, vectors(encoder, texts, train), toy_bank(4, dim=16),
+                                   cfg=cfg, seed=1), tmp_path)
         report = evaluate_heldout(heads, vectors(encoder, texts, heldout), heldout, tau=0.5)
         assert report.accuracy >= 0.99
 
@@ -441,12 +442,10 @@ class TestTrainingMatchesReference:
         examples, embeddings = random_training_set(3, 8, 8, 10, (2, 5))
         embeddings[4, 2] = np.inf
         cfg = TrainingSection(learning_rate=3e-3, steps=20, hidden=4)
-        with np.errstate(all="ignore"):
-            got = train_at_each_worker_count(
-                cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(8), cfg=cfg,
-                                                 seed=1))
-            with pytest.raises(TrainingError) as want:
-                reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=1)
+        got = train_at_each_worker_count(
+            cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=1))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
+            reference_train_heads(examples, embeddings, toy_bank(8), cfg=cfg, seed=1)
         assert "non-finite loss at step" in str(want.value)
         assert got == [str(want.value)] * len(WORKER_COUNTS)
 
@@ -457,12 +456,11 @@ class TestTrainingMatchesReference:
         late = int(np.random.Generator(np.random.PCG64(seed)).permutation(n)[5])
         embeddings[late, 3] = np.inf
         cfg = TrainingSection(learning_rate=3e-3, steps=60, hidden=32)
-        with np.errstate(all="ignore"):
-            got = train_at_each_worker_count(
-                cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(m), cfg=cfg,
-                                                 seed=seed))
-            with pytest.raises(TrainingError) as want:
-                reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
+        got = train_at_each_worker_count(
+            cpus, forks, lambda: train_heads(examples, embeddings, toy_bank(m), cfg=cfg,
+                                             seed=seed))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
+            reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
         assert got == [str(want.value)] * len(WORKER_COUNTS)
         assert str(want.value).startswith("non-finite loss at step 5,")
 
@@ -484,11 +482,10 @@ class TestTrainingMatchesReference:
 
         monkeypatch.setattr(heads_module, "_logits_and_grad", count_rounds)
         cpus(1)
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingError) as got:
-                train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
-            with pytest.raises(TrainingError) as want:
-                reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
+        with pytest.raises(TrainingError) as got:
+            train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as want:
+            reference_train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=seed)
         assert str(got.value) == str(want.value)
         assert str(want.value).startswith("non-finite loss at step 40,")
         assert len(rounds) == heads_module.CHECK_ROUNDS
@@ -508,12 +505,12 @@ class TestTrainingMatchesReference:
         def train(trainer):
             return trainer(examples, embeddings, toy_bank(4), cfg=cfg, seed=5).params
 
-        with np.errstate(all="ignore"):
-            results = train_at_each_worker_count(cpus, forks, lambda: train(train_heads))
-            try:
+        results = train_at_each_worker_count(cpus, forks, lambda: train(train_heads))
+        try:
+            with np.errstate(all="ignore"):
                 want = train(reference_train_heads)
-            except TrainingError as exc:
-                want = str(exc)
+        except TrainingError as exc:
+            want = str(exc)
         for got in results:
             if fails:
                 assert got == want == "non-finite loss at step 0, question ids [0, 1, 2, 3]"
@@ -746,20 +743,21 @@ def test_a_killed_build_leaves_no_worker_and_resumes_to_the_same_heads(tmp_path)
 
 
 class TestEmbedDocuments:
-    def trained(self):
+    def trained(self, tmp_path):
+        """Trained heads as load_heads gives them back."""
         encoder = MockEncoder(dim=16, seed=0)
         texts, examples = hyperplane_data(encoder, n_docs=20, m=5, seed=5)
         cfg = TrainingSection(learning_rate=1e-3, steps=200, hidden=4)
-        return encoder, texts, train_heads(examples, vectors(encoder, texts, examples),
-                                           toy_bank(5), cfg=cfg, seed=0)
+        return encoder, texts, loaded(train_heads(examples, vectors(encoder, texts, examples),
+                                                  toy_bank(5), cfg=cfg, seed=0), tmp_path)
 
-    def test_zero_documents(self):
-        encoder, _, heads = self.trained()
+    def test_zero_documents(self, tmp_path):
+        encoder, _, heads = self.trained(tmp_path)
         matrix = embed_documents([], encoder, heads, tau=0.5)
         assert matrix.n == 0 and matrix.m == 5
 
-    def test_matrix_matches_per_document_loop_oracle(self):
-        encoder, texts, heads = self.trained()
+    def test_matrix_matches_per_document_loop_oracle(self, tmp_path):
+        encoder, texts, heads = self.trained(tmp_path)
         # more rows than one forward chunk, and not a multiple of it
         docs = sorted(texts.values()) + [f"extra document {i} about topic {i % 7}"
                                          for i in range(FORWARD_CHUNK + 7 - len(texts))]
@@ -789,8 +787,8 @@ class TestEmbedDocuments:
             assert report.accuracy == accuracy
             assert report.total == sum(len(ex.answers) for ex in examples)
 
-    def test_rows_follow_input_order(self):
-        encoder, texts, heads = self.trained()
+    def test_rows_follow_input_order(self, tmp_path):
+        encoder, texts, heads = self.trained(tmp_path)
         docs = sorted(texts.values())[:4]
         ids = [f"id{i}" for i in range(4)]
         matrix = embed_documents(docs, encoder, heads, tau=0.5, row_ids=ids)
@@ -810,9 +808,9 @@ def expected_bits(heads, embeddings, tau):
         return (sigmoid(reference_forward_logits(heads, embeddings)) > tau).astype(np.uint8)
 
 
-class FallbackSpy:
+class RecomputeSpy:
     """Records the forward_logits calls embed_vectors makes: (rows, heads) for
-    a subset of heads, (rows, None) for a full fallback."""
+    a subset of heads, (rows, None) for all of them."""
 
     def __init__(self, monkeypatch):
         self.calls = []
@@ -831,7 +829,7 @@ class FallbackSpy:
 
 
 class TestForwardSubsets:
-    """The fallback's premise: forward_logits over a subset of heads gives,
+    """The recompute's premise: forward_logits over a subset of heads gives,
     bit for bit, the full forward's columns, on float32-loaded heads."""
 
     @pytest.mark.parametrize("rows", [1, 4, 31, 32, 33, 65])
@@ -876,13 +874,22 @@ class TestLoadedHeads:
             assert np.shares_memory(view, params) and view.dtype == np.float32
         with pytest.raises(ValueError):
             heads.W1[0, 0, 0] = 1.0
-        assert np.array_equal(heads.bounds, _bound_constants(heads, heads.W1))
+        assert np.array_equal(heads.bounds, _bound_constants(heads))
 
     def test_empty_bank_loads(self, tmp_path):
         heads = loaded(init_heads(m=0, d=4, h=2, seed=0), tmp_path)
         assert heads.params.shape == (0, 4 * 2 + 2 * 2 + 1)
         with pytest.raises(TrainingError, match="empty"):
             embed_documents(["x"], MockEncoder(dim=4, seed=0), heads, tau=0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 16), (12,), (1, 3, 12)])
+    def test_rows_of_another_width_are_a_training_error(self, tmp_path, shape):
+        heads = loaded(init_heads(m=5, d=12, h=3, seed=0), tmp_path)
+        E = np.ones(shape)
+        for embed in (lambda: embed_vectors(E, heads, 0.5),
+                      lambda: answer_probabilities(heads, E)):
+            with pytest.raises(TrainingError, match=re.escape(f"shape {shape} for heads of width 12")):
+                embed()
 
 
 def boundary_rows(heads, tau, q, e0, ulps=3):
@@ -927,37 +934,48 @@ class TestCertifiedBits:
         fresh = init_heads(m=24, d=64, h=32, seed=6)
         fresh.b2[:] += rng.normal(0.0, 3.0, size=24)  # spread logits over the taus
         E = rng.standard_normal((70, 64)) * rng.uniform(0.01, 40.0, size=(70, 1))
-        for heads in (fresh, loaded(fresh, tmp_path)):
-            np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
-                                          expected_bits(heads, E, tau))
+        heads = loaded(fresh, tmp_path)
+        np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
+                                      expected_bits(heads, E, tau))
 
     @pytest.mark.parametrize("tau", [1e-12, 1 - 1e-12, 2.0 ** -31, 1 - 2.0 ** -31])
     def test_unbounded_slack_falls_back_in_full(self, tmp_path, monkeypatch, tau):
-        assert _logit_threshold(tau) is None
+        """An infinite slack sends every (row, head) pair to the recompute."""
+        assert _logit_threshold(tau)[1] == np.inf
         heads = loaded(init_heads(m=6, d=16, h=4, seed=2), tmp_path)
-        E = np.random.default_rng(1).standard_normal((5, 16))
-        spy = FallbackSpy(monkeypatch)
+        E = np.random.default_rng(1).standard_normal((FORWARD_CHUNK + 5, 16))
+        spy = RecomputeSpy(monkeypatch)
         np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
                                       expected_bits(heads, E, tau))
-        assert spy.calls == [(5, None)]
+        assert spy.calls == [(FORWARD_CHUNK, 6), (5, 6)]
+
+    @pytest.mark.parametrize("u32", [2.0 ** -6, 2.0 ** -5, 2.0 ** -4])
+    def test_too_wide_for_the_bound_recomputes_every_pair(self, tmp_path, monkeypatch, u32):
+        """Where d u32 > 1/4, every head's bound is infinite, also from d u32 = 1
+        on, where gamma_d^32 is not defined (here with a coarser u32, so that
+        d = 32 is too wide)."""
+        monkeypatch.setattr(heads_module, "_U32", u32)
+        heads = loaded(init_heads(m=6, d=32, h=4, seed=2), tmp_path)
+        assert (heads.bounds[0] == np.inf).all()
+        E = np.random.default_rng(2).standard_normal((9, 32))
+        spy = RecomputeSpy(monkeypatch)
+        np.testing.assert_array_equal(embed_vectors(E, heads, 0.5).to_dense(),
+                                      expected_bits(heads, E, 0.5))
+        assert spy.calls == [(9, 6)]
 
     @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9, 1e-6, 1 - 1e-6])
     def test_rows_within_ulps_of_the_threshold(self, tmp_path, monkeypatch, tau):
         rng = np.random.default_rng(3)
         e0 = rng.standard_normal(32)
-        fresh = heads_at_threshold(m=8, d=32, h=16, seed=5, tau=tau, e0=e0)
-        for heads in (fresh, loaded(fresh, tmp_path)):
-            rows = np.concatenate([boundary_rows(heads, tau, q, e0) for q in (0, 3, 7)])
-            spy = FallbackSpy(monkeypatch)
-            bits = embed_vectors(rows, heads, tau).to_dense()
-            monkeypatch.undo()
-            np.testing.assert_array_equal(bits, expected_bits(heads, rows, tau))
-            if heads is fresh:  # float64 heads take the float64 forward whole
-                assert spy.calls == [(len(rows), None)]
-            else:  # 24 rows: one chunk, whose flips fall back
-                assert spy.calls and spy.full == 0
-            for q, at in ((0, 0), (3, 8), (7, 16)):  # each flip is in the rows
-                assert len(set(bits[at:at + 8, q].tolist())) == 2
+        heads = loaded(heads_at_threshold(m=8, d=32, h=16, seed=5, tau=tau, e0=e0), tmp_path)
+        rows = np.concatenate([boundary_rows(heads, tau, q, e0) for q in (0, 3, 7)])
+        spy = RecomputeSpy(monkeypatch)
+        bits = embed_vectors(rows, heads, tau).to_dense()
+        monkeypatch.undo()
+        np.testing.assert_array_equal(bits, expected_bits(heads, rows, tau))
+        assert spy.calls and spy.full == 0  # 24 rows: one chunk, whose flips are recomputed
+        for q, at in ((0, 0), (3, 8), (7, 16)):  # each flip is in the rows
+            assert len(set(bits[at:at + 8, q].tolist())) == 2
 
     def test_nan_inf_zero_and_extreme_rows(self, tmp_path, monkeypatch):
         d = 16
@@ -971,20 +989,15 @@ class TestCertifiedBits:
             rows.append(row)
         rows.append(np.where(np.arange(d) % 2, np.inf, -np.inf))
         E = np.stack(rows)
-        fresh = init_heads(m=10, d=d, h=8, seed=7)
-        stored = loaded(fresh, tmp_path)
-        for heads in (fresh, stored):
-            for tau in (0.1, 0.5, 0.9):
-                spy = FallbackSpy(monkeypatch)
-                with np.errstate(all="ignore"):
-                    bits = embed_vectors(E, heads, tau).to_dense()
-                monkeypatch.undo()
-                np.testing.assert_array_equal(bits, expected_bits(heads, E, tau))
-                if heads is fresh:
-                    assert spy.calls == [(len(E), None)]
-                else:
-                    assert spy.calls and spy.full == 0
-        # every bit of a NaN or inf row, or one past the norm limit, falls back
+        stored = loaded(init_heads(m=10, d=d, h=8, seed=7), tmp_path)
+        for tau in (0.1, 0.5, 0.9):
+            spy = RecomputeSpy(monkeypatch)
+            with np.errstate(all="ignore"):
+                bits = embed_vectors(E, stored, tau).to_dense()
+            monkeypatch.undo()
+            np.testing.assert_array_equal(bits, expected_bits(stored, E, tau))
+            assert spy.calls and spy.full == 0
+        # every bit of a NaN or inf row, or one past the norm limit, is recomputed
         z, bound = _float32_logits(stored, E)
         assert (~(np.abs(z) > bound))[5:].all()
         assert np.isfinite(bound[:5]).all()
@@ -996,23 +1009,20 @@ class TestCertifiedBits:
         trained = train_heads(examples, vectors(encoder, texts, examples), toy_bank(6), cfg=cfg,
                               seed=1)
         E = encoder.encode([f"held-out text {i} on topic {i % 5}" for i in range(100)])
-        for heads in (trained, loaded(trained, tmp_path)):
-            for tau in (0.1, 0.5, 0.9):
-                np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
-                                              expected_bits(heads, E, tau))
+        heads = loaded(trained, tmp_path)
+        for tau in (0.1, 0.5, 0.9):
+            np.testing.assert_array_equal(embed_vectors(E, heads, tau).to_dense(),
+                                          expected_bits(heads, E, tau))
 
-    def test_float64_heads_written_through_views(self):
-        rng = np.random.default_rng(9)
+    def test_only_loaded_heads_give_bits(self):
+        """init_heads and train_heads output has no bounds: embedding it, or
+        scoring held-out answers on it, is a TrainingError."""
         heads = init_heads(m=5, d=12, h=6, seed=3)
-        E = rng.standard_normal((9, 12))
-        np.testing.assert_array_equal(embed_vectors(E, heads, 0.5).to_dense(),
-                                      expected_bits(heads, E, 0.5))
-        heads.W1[:] *= 50.0  # constants from before this write would under-bound
-        heads.w2[2] = 0.0
-        heads.b2[:] -= reference_forward_logits(heads, E[:1])[0]  # row 0 at logit(0.5)
-        np.testing.assert_array_equal(embed_vectors(E, heads, 0.5).to_dense(),
-                                      expected_bits(heads, E, 0.5))
-        assert heads.bounds is None
+        E = np.random.default_rng(9).standard_normal((9, 12))
+        with pytest.raises(TrainingError, match="load_heads"):
+            embed_vectors(E, heads, 0.5)
+        with pytest.raises(TrainingError, match="load_heads"):
+            evaluate_heldout(heads, E[:1], [TrainingExample("d", {0: 1})])
 
     def test_bound_covers_the_float64_forward(self, tmp_path):
         """|z' - z| <= bound on rows of many scales, on loaded fresh and scaled heads."""

@@ -233,6 +233,26 @@ def test_training_on_stored_rows_matches_a_fresh_encode(mini, tmp_path):
     assert (tmp_path / "heads.bin").read_bytes() == ws.path("heads").read_bytes()
 
 
+def test_heldout_report_scores_the_heads_as_saved(mini_copy, monkeypatch):
+    """train scores held-out answers on heads.bin as load_heads gives it back,
+    float32 and read-only: the heads every later stage embeds with."""
+    cfg_path, cfg, ws = mini_copy
+    seen = []
+    real = qembed.pipeline.evaluate_heldout
+
+    def spy(heads, *args, **kwargs):
+        seen.append(heads)
+        return real(heads, *args, **kwargs)
+
+    monkeypatch.setattr(qembed.pipeline, "evaluate_heldout", spy)
+    report = ws.path("heldout_report").read_bytes()
+    run_stage("train", cfg, ws, cfg_path.parent, force=True)
+    [heads] = seen
+    assert heads.params.dtype == np.float32 and not heads.params.flags.writeable
+    assert heads.params.tobytes() == load_heads(ws.path("heads")).params.tobytes()
+    assert ws.path("heldout_report").read_bytes() == report
+
+
 def test_ablate_rows_match_re_embedding_at_each_tau(mini):
     cfg_path, cfg, ws, _ = mini
     task = load_sts_task(cfg_path.parent / cfg.eval.sts)
