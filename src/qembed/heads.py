@@ -5,7 +5,8 @@ answers with class-weighted binary cross-entropy and per-parameter Adam.
 Training is numpy float64 with explicit gradients, so it is bit-reproducible
 and finite-difference checkable. It runs as lockstep rounds over chunks of
 heads, split among the CPUs the process may run on: this process trains one
-share and a forked child each other (see train_heads). It stays in process on
+share and a forked child each other, each writing its trained rows and logits
+in place into memory they all share (see train_heads). It stays in process on
 one CPU, where the platform cannot tell the CPUs, while other threads run,
 and for runs too small to pay for a fork. Each head's updates depend only on
 its own touches, so the trained bits are the same for any number of workers.
@@ -130,13 +131,16 @@ class QuestionHeads:
 
 
 def init_heads(m: int, d: int, h: int, seed: int, tau: float = TrainingSection.tau,
-               bank_fingerprint: str = "") -> QuestionHeads:
-    """Seeded uniform init in +-1/sqrt(fan_in) per layer."""
+               bank_fingerprint: str = "", params: np.ndarray | None = None) -> QuestionHeads:
+    """Seeded uniform init in +-1/sqrt(fan_in) per layer, drawn into params,
+    a float64 (m, P) array, if given."""
     rng = np.random.Generator(np.random.PCG64(seed))
     lim1 = 1.0 / np.sqrt(d)
     lim2 = 1.0 / np.sqrt(h)
-    heads = QuestionHeads(params=np.empty((m, h * d + 2 * h + 1)), h=h, d=d, seed=seed,
-                          tau_default=tau, bank_fingerprint=bank_fingerprint)
+    if params is None:
+        params = np.empty((m, h * d + 2 * h + 1))
+    heads = QuestionHeads(params=params, h=h, d=d, seed=seed, tau_default=tau,
+                          bank_fingerprint=bank_fingerprint)
     for block in heads.W1:  # same stream as one (m, h, d) draw, without its temporary
         block[:] = rng.uniform(-lim1, lim1, size=(h, d))
     heads.b1[:] = rng.uniform(-lim1, lim1, size=(m, h))
@@ -161,14 +165,12 @@ def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
                    question_ids: np.ndarray | None = None) -> np.ndarray:
     """Logits (n, q) of all heads, or the question_ids subset, on an (n, d) batch.
 
-    A single 1-d embedding gives shape (q,). Runs in float64 on either params
-    dtype: float32 heads are upcast, exactly, one block of FORWARD_HEAD_BYTES
-    at a time. A head's logit on a row depends only on that head and the row's
-    chunk of FORWARD_CHUNK rows, so a subset of heads gives, bit for bit, the
-    full forward's columns.
+    Runs in float64 on either params dtype: float32 heads are upcast,
+    exactly, one block of FORWARD_HEAD_BYTES at a time. A head's logit on a
+    row depends only on that head and the row's chunk of FORWARD_CHUNK rows,
+    so a subset of heads gives, bit for bit, the full forward's columns.
     """
-    e = np.asarray(embeddings, dtype=np.float64)
-    rows = np.atleast_2d(e)
+    rows = np.asarray(embeddings, dtype=np.float64)
     ids = None if question_ids is None else np.asarray(question_ids, dtype=np.intp)
     params = heads.params
     out = np.empty((len(rows), len(params) if ids is None else len(ids)))
@@ -177,7 +179,7 @@ def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
         at = slice(qlo, qlo + step) if ids is None else ids[qlo:qlo + step]
         _forward_block(params[at].astype(np.float64, copy=False), heads.h, heads.d, rows,
                        out[:, qlo:qlo + step])
-    return out if e.ndim > 1 else out[0]
+    return out
 
 
 def _forward_block(block: np.ndarray, h: int, d: int, rows: np.ndarray, out: np.ndarray):
@@ -348,7 +350,8 @@ def _deal(counts: np.ndarray, chunk: int, workers: int) -> list[list[tuple[int, 
 
 class _Lockstep:
     """One training run in lockstep rounds: the inputs every worker reads, and
-    the results the calling process keeps, params and one logit z per touch.
+    its results, params and one logit z per touch, which every worker writes
+    in place.
 
     A share is a list of chunks (lo, hi) of heads. Each chunk trains on its own
     in six (rows, P) buffers: parameters, gradient, Adam m and v, and two
@@ -357,15 +360,14 @@ class _Lockstep:
     the chunks among workers gives the same bits.
     """
 
-    def __init__(self, params, h, d, lr, embeddings, answer_doc, answer_count, answer_pos_y,
+    def __init__(self, params, z, h, d, lr, embeddings, answer_doc, answer_count, answer_pos_y,
                  answer_neg_y, heads, counts, slots, chunk, steps):
-        self.params, self.h, self.d, self.lr = params, h, d, lr
+        self.params, self.z, self.h, self.d, self.lr = params, z, h, d, lr
         self.embeddings, self.answer_doc, self.answer_count = embeddings, answer_doc, answer_count
         self.answer_pos_y, self.answer_neg_y = answer_pos_y, answer_neg_y
         self.heads, self.counts, self.slots = heads, counts, slots
         self.steps = steps  # () -> the step of every touch; only after a non-finite logit
         self.ends = np.concatenate(([0], np.cumsum(counts)))  # heads[lo:hi] own ends[lo]:ends[hi]
-        self.z = np.zeros(len(slots))
         # 1 - beta**t for every count t a head reaches; a head is at count r + 1 in round r
         t = np.arange(int(counts[0]) + 1, dtype=np.float64)
         self.bias1 = 1.0 - ADAM_BETA1 ** t
@@ -373,48 +375,15 @@ class _Lockstep:
         self.buffers = np.empty((6, chunk, params.shape[1]))
         self.e_buffer = np.empty((chunk, d))
 
-    def _layout(self, share):
-        """Each chunk (lo, hi) of a share, with its touches a:b among all
-        touches, and its first row and first touch within the share."""
-        row = touch = 0
-        for lo, hi in share:
-            a, b = int(self.ends[lo]), int(self.ends[hi])
-            yield lo, hi, a, b, row, touch
-            row += hi - lo
-            touch += b - a
-
-    def region_bytes(self, share) -> int:
-        """Size of a child's result region: the share's trained rows, then its logits."""
-        rows = sum(hi - lo for lo, hi in share)
-        touches = sum(int(self.ends[hi] - self.ends[lo]) for lo, hi in share)
-        return 8 * (rows * self.params.shape[1] + touches)
-
-    def _region_views(self, share, region):
-        P = self.params.shape[1]
-        rows = sum(hi - lo for lo, hi in share)
-        return (np.frombuffer(region, count=rows * P).reshape(rows, P),
-                np.frombuffer(region, offset=8 * rows * P))
-
-    def train_share(self, share, region=None, parent=None) -> None:
-        """Train a share into params and z or, in a forked child, into its
-        result region; the child stops once its parent, pid parent, has exited."""
-        if region is not None:
-            rows, z = self._region_views(share, region)
+    def train_share(self, share, parent=None) -> None:
+        """Train a share's heads into their rows of params and their touches'
+        logits into z. A forked child passes parent, its parent's pid, and
+        stops once that process has exited."""
         end = len(self.bias1)  # past every round
-        for lo, hi, a, b, row, touch in self._layout(share):
-            out_z = self.z[a:b] if region is None else z[touch:touch + b - a]
-            block, end = self._train_chunk(lo, hi, out_z, end, parent)
-            if region is None:
-                self.params[self.heads[lo:hi]] = block
-            else:
-                rows[row:row + hi - lo] = block
-
-    def collect(self, share, region) -> None:
-        """Copy a child's results from its region into params and z."""
-        rows, z = self._region_views(share, region)
-        for lo, hi, a, b, row, touch in self._layout(share):
-            self.params[self.heads[lo:hi]] = rows[row:row + hi - lo]
-            self.z[a:b] = z[touch:touch + b - a]
+        for lo, hi in share:
+            block, end = self._train_chunk(lo, hi, self.z[self.ends[lo]:self.ends[hi]], end,
+                                           parent)
+            self.params[self.heads[lo:hi]] = block
 
     def _train_chunk(self, lo, hi, z, end, parent):
         """Run the rounds of heads[lo:hi] below end, each touch's logit into z.
@@ -481,52 +450,45 @@ class _Lockstep:
 def _train_forked(run: _Lockstep, shares: list[list[tuple[int, int]]]) -> None:
     """Train shares[0] in this process and each other share in a forked child.
 
-    Each child returns its results through an anonymous shared mmap sized to
-    its share (run.region_bytes), and leaves by os._exit, so it never returns
-    into its caller's stack. It first closes every file descriptor it
-    inherited, so it never holds the workspace lock, and it exits once it
-    sees that this process has. If this process's own share or a wait
-    raises, every child is killed and reaped before the exception goes on.
-    A child's non-zero exit is a TrainingError. No child outlives the call.
+    run's params and z are anonymous shared memory, so a child's trained rows
+    and logits land where this process reads them. A child leaves by
+    os._exit, so it never returns into its caller's stack. It first closes
+    every file descriptor it inherited, so it never holds the workspace lock,
+    and it exits once it sees that this process has. If this process's own
+    share or a wait raises, every child is killed and reaped before the
+    exception goes on. A child's non-zero exit is a TrainingError. No child
+    outlives the call.
     """
     parent = os.getpid()
-    regions: list[mmap.mmap] = []
     live: list[int] = []
     try:
-        try:
-            for share in shares[1:]:
-                regions.append(mmap.mmap(-1, run.region_bytes(share)))
-                pid = os.fork()
-                if pid == 0:
-                    _child(run, share, regions[-1], parent)
-                live.append(pid)
-            run.train_share(shares[0])
-            codes = []
-            while live:
-                codes.append(os.waitstatus_to_exitcode(os.waitpid(live[0], 0)[1]))
-                live.pop(0)
-        except BaseException:
-            for pid in live:
-                os.kill(pid, signal.SIGKILL)
-            for pid in live:
-                os.waitpid(pid, 0)
-            raise
-        failed = [code for code in codes if code]
-        if failed:
-            raise TrainingError(f"a training worker exited with status {failed[0]}")
-        for share, region in zip(shares[1:], regions):
-            run.collect(share, region)
-    finally:
-        for region in regions:
-            region.close()
+        for share in shares[1:]:
+            pid = os.fork()
+            if pid == 0:
+                _child(run, share, parent)
+            live.append(pid)
+        run.train_share(shares[0])
+        codes = []
+        while live:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(live[0], 0)[1]))
+            live.pop(0)
+    except BaseException:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in live:
+            os.waitpid(pid, 0)
+        raise
+    failed = [code for code in codes if code]
+    if failed:
+        raise TrainingError(f"a training worker exited with status {failed[0]}")
 
 
-def _child(run: _Lockstep, share, region: mmap.mmap, parent: int) -> NoReturn:
-    """A forked child's whole life: train one share into region, then exit."""
+def _child(run: _Lockstep, share, parent: int) -> NoReturn:
+    """A forked child's whole life: train one share in place, then exit."""
     code = 1
     try:
         os.closerange(0, os.sysconf("SC_OPEN_MAX"))
-        run.train_share(share, region, parent)
+        run.train_share(share, parent)
         code = 0
     finally:
         os._exit(code)
@@ -547,11 +509,12 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     Chunks are sized to cache, and to split the touched heads evenly among
     the CPUs this process may run on. One worker per CPU trains a share of
     about equal work: this process one, a forked child each other (see
-    _train_forked). Training stays in this process, with no fork, on one
-    CPU, where the platform cannot tell the CPUs, while other threads run,
-    and for less work than FORK_MIN_WORK (see _worker_count). The trained
-    bits are the same for any number of workers. Deterministic for a fixed
-    seed.
+    _train_forked). Every worker writes its heads' rows and its touches'
+    logits in place, into one anonymous shared mapping made before any
+    fork. Training stays in this process, with no fork, on one CPU, where
+    the platform cannot tell the CPUs, while other threads run, and for
+    less work than FORK_MIN_WORK (see _worker_count). The trained bits are
+    the same for any number of workers. Deterministic for a fixed seed.
     """
     if not examples:
         raise TrainingError("no training examples")
@@ -564,10 +527,6 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     pos_weight = cfg.fixed_pos_weight()
     if pos_weight is None:
         pos_weight = compute_pos_weight(examples)
-
-    heads = init_heads(bank.m, embeddings.shape[1], cfg.hidden, seed,
-                       tau=cfg.tau, bank_fingerprint=bank.fingerprint())
-    params = heads.params
 
     # every answer of every document, by document, then question id
     n = len(examples)
@@ -585,12 +544,23 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     for lo in range(0, cfg.steps, n):
         order[lo:lo + n] = rng.permutation(n)[:cfg.steps - lo]
     head_ids, counts = _touch_counts(order, answer_doc, answer_qid, bank.m)
-    workers = _worker_count(len(head_ids), int(counts.sum()) * params.shape[1])
-    chunk = min(max(1, TRAIN_CHUNK_BYTES // params[0].nbytes), -(-len(head_ids) // workers))
+    touches = int(counts.sum())
+
+    # params, then one logit per touch, in one anonymous shared mapping: every
+    # worker, this process or a forked child, writes its results in place
+    m, d, h = bank.m, embeddings.shape[1], cfg.hidden
+    P = h * d + 2 * h + 1
+    shared = mmap.mmap(-1, 8 * (m * P + touches))
+    heads = init_heads(m, d, h, seed, tau=cfg.tau, bank_fingerprint=bank.fingerprint(),
+                       params=np.frombuffer(shared, count=m * P).reshape(m, P))
+    z = np.frombuffer(shared, offset=8 * m * P)
+
+    workers = _worker_count(len(head_ids), touches * P)
+    chunk = min(max(1, TRAIN_CHUNK_BYTES // (8 * P)), -(-len(head_ids) // workers))
     slots = _lockstep_schedule(order, answer_doc, answer_qid, head_ids, counts, chunk)
     steps = functools.cache(lambda: _lockstep_schedule(order, answer_doc, answer_qid, head_ids,
                                                        counts, chunk, with_steps=True)[1])
-    run = _Lockstep(params, heads.h, heads.d, cfg.learning_rate, embeddings, answer_doc,
+    run = _Lockstep(heads.params, z, h, d, cfg.learning_rate, embeddings, answer_doc,
                     answer_count, answer_pos_y, answer_neg_y, head_ids, counts, slots, chunk,
                     steps)
     shares = _deal(counts, chunk, workers)
@@ -599,7 +569,7 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
             run.train_share(shares[0])
         else:
             _train_forked(run, shares)
-        terms = run.z  # each touch's logit, turned into its loss term in place
+        terms = z  # each touch's logit, turned into its loss term in place
         for lo in range(0, len(terms), TERM_BLOCK):
             answers = slots[lo:lo + TERM_BLOCK]
             terms[lo:lo + len(answers)] = _loss_terms(terms[lo:lo + len(answers)],

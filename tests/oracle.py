@@ -114,8 +114,8 @@ def reference_forward_logits(heads: QuestionHeads, embeddings: np.ndarray) -> np
 
 def document_loss(heads: QuestionHeads, e: np.ndarray, question_ids: np.ndarray,
                   labels: np.ndarray, pos_weight: float) -> float:
-    """Weighted BCE averaged over the document's answered questions."""
-    z = forward_logits(heads, e, question_ids)
+    """Weighted BCE averaged over the document's answered questions, for e (d,)."""
+    z = forward_logits(heads, e[None, :], question_ids)[0]
     y = np.asarray(labels, dtype=np.float64)
     terms = pos_weight * y * _softplus(-z) + (1.0 - y) * _softplus(z)
     return float(terms.mean())

@@ -85,10 +85,11 @@ class TestForward:
 
     def test_forward_logits_agrees_with_per_head(self):
         heads = init_heads(m=5, d=6, h=4, seed=3)
-        e = np.random.default_rng(0).standard_normal(6)
+        e = np.random.default_rng(0).standard_normal((1, 6))
         all_logits = forward_logits(heads, e)
+        assert all_logits.shape == (1, 5)
         for i in range(5):
-            assert all_logits[i] == pytest.approx(head_forward(heads, e, i), abs=1e-12)
+            assert all_logits[0, i] == pytest.approx(head_forward(heads, e[0], i), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         heads = init_heads(m=1, d=4, h=2, seed=0)
@@ -518,24 +519,40 @@ class TestTrainingMatchesReference:
                 assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
+@pytest.fixture
+def mapped(monkeypatch):
+    """The lengths of the mmap.mmap mappings made in this process during the test."""
+    lengths = []
+    real = mmap.mmap
+
+    def spy(fileno, length, *args, **kwargs):
+        lengths.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", spy)
+    return lengths
+
+
 class TestTrainingMemory:
-    """Peaks of training in process, with one worker."""
+    """Peaks of training in process, with one worker: the traced heap's peak
+    plus the bytes the run maps, which tracemalloc does not see."""
 
     @pytest.fixture(autouse=True)
     def one_worker(self, cpus):
         cpus(1)
 
     @staticmethod
-    def peak_bytes(examples, embeddings, m, cfg):
+    def peak_bytes(examples, embeddings, m, cfg, mapped):
         train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=0)  # warm imports, caches
+        mapped.clear()
         tracemalloc.start()
         try:
             train_heads(examples, embeddings, toy_bank(m), cfg=cfg, seed=0)
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] + sum(mapped)
         finally:
             tracemalloc.stop()
 
-    def test_demo_shape_peak(self):
+    def test_demo_shape_peak(self, mapped):
         """Bound: the returned (m, P) params and five chunk arrays of the same
         rows; 12 bytes per touch (an int32 schedule slot and a float64 loss
         term, at most steps * 13 touches); 48 bytes per step (the int32
@@ -548,9 +565,9 @@ class TestTrainingMemory:
         cfg = TrainingSection(learning_rate=3e-3, steps=steps, hidden=h)
         row = init_heads(1, d, h, seed=0).params.nbytes
         bound = 6 * m * row + 12 * 13 * steps + 48 * steps + 512 * 1024
-        assert self.peak_bytes(examples, embeddings, m, cfg) < bound
+        assert self.peak_bytes(examples, embeddings, m, cfg, mapped) < bound
 
-    def test_paper_shape_peak_below_per_head_adam_state(self):
+    def test_paper_shape_peak_below_per_head_adam_state(self, mapped):
         """At m=512, h=32, d=256 the params are 34 MB. Adam state for all
         heads at once would add two more such arrays; per-chunk state keeps
         the peak under twice the params."""
@@ -558,7 +575,7 @@ class TestTrainingMemory:
         examples, embeddings = random_training_set(3, m, d, 30, (15, 20))
         cfg = TrainingSection(learning_rate=3e-3, steps=20, hidden=h)
         params_bytes = init_heads(1, d, h, seed=0).params.nbytes * m
-        assert self.peak_bytes(examples, embeddings, m, cfg) < 2 * params_bytes
+        assert self.peak_bytes(examples, embeddings, m, cfg, mapped) < 2 * params_bytes
 
 
 def touch_counts(examples, steps, seed):
@@ -594,7 +611,8 @@ def child_pids(pid):
 
 
 class TestTrainingWorkers:
-    """Forked training: results through shared regions, and no process left behind."""
+    """Forked training: results written in place into shared memory, and no
+    process left behind."""
 
     @staticmethod
     def demo_training():
@@ -603,35 +621,43 @@ class TestTrainingWorkers:
         return examples, embeddings, cfg, lambda: train_heads(examples, embeddings,
                                                               toy_bank(16), cfg=cfg, seed=0)
 
-    def test_each_region_holds_its_child_rows_and_one_logit_per_touch(self, cpus,
-                                                                       monkeypatch):
-        """Three workers on 16 heads: chunks of 6, 6 and 4 heads by falling
-        touch count, the heaviest trained in process. Each child's region is
-        8 bytes per parameter of its rows plus 8 per touch, and nothing more."""
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_mapping_holds_every_row_and_one_logit_per_touch(self, cpus, forks, mapped,
+                                                                 monkeypatch, workers):
+        """In process and on three workers alike, training maps 8 bytes per
+        parameter of all 16 heads plus 8 per touch, once, and nothing per
+        child. Three workers cut chunks of 6, 6 and 4 heads by falling touch
+        count, and the heaviest trains in process."""
         examples, _, cfg, train = self.demo_training()
-        sizes = []
-        real = mmap.mmap
+        in_process = []
+        real = heads_module._Lockstep.train_share
 
-        def region(fileno, length, *args, **kwargs):
-            sizes.append(length)
-            return real(fileno, length, *args, **kwargs)
+        def record(run, share, parent=None):
+            if parent is None:
+                in_process.append(share)
+            real(run, share, parent)
 
-        monkeypatch.setattr(mmap, "mmap", region)
-        cpus(3)
+        monkeypatch.setattr(heads_module._Lockstep, "train_share", record)
+        cpus(workers)
         train()
         P = init_heads(1, 64, 16, seed=0).params.shape[1]
         counts = touch_counts(examples, cfg.steps, seed=0)
-        assert len(counts) == 16 and sum(counts[:6]) > max(sum(counts[6:12]), sum(counts[12:]))
-        assert sorted(sizes) == sorted([8 * (6 * P + sum(counts[6:12])),
-                                        8 * (4 * P + sum(counts[12:]))])
+        assert mapped == [8 * (16 * P + sum(counts))]
+        assert len(forks) == workers - 1
+        if workers == 3:
+            assert len(counts) == 16
+            assert sum(counts[:6]) > max(sum(counts[6:12]), sum(counts[12:]))
+            assert in_process == [[(0, 6)]]
+        else:
+            assert in_process == [[(0, 16)]]
 
     def test_a_failing_child_is_a_training_error(self, cpus, forks, monkeypatch):
         real = heads_module._Lockstep.train_share
 
-        def fail_in_children(run, share, region=None, parent=None):
-            if region is not None:
+        def fail_in_children(run, share, parent=None):
+            if parent is not None:
                 raise MemoryError("no room")
-            real(run, share, region, parent)
+            real(run, share, parent)
 
         monkeypatch.setattr(heads_module._Lockstep, "train_share", fail_in_children)
         cpus(3)
@@ -646,10 +672,10 @@ class TestTrainingWorkers:
         would take seconds."""
         real = heads_module._Lockstep.train_share
 
-        def interrupt_in_process(run, share, region=None, parent=None):
-            if region is None:
+        def interrupt_in_process(run, share, parent=None):
+            if parent is None:
                 raise KeyboardInterrupt
-            real(run, share, region, parent)
+            real(run, share, parent)
 
         monkeypatch.setattr(heads_module._Lockstep, "train_share", interrupt_in_process)
         examples, embeddings = random_training_set(2, 16, 64, 180, (4, 13))
