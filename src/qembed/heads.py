@@ -43,7 +43,7 @@ from .binary import BinaryMatrix
 from .config import TrainingSection
 from .jsonl import dumps, replacing
 from .providers import Encoder
-from .question_gen import QuestionBank
+from .question_gen import _U32, _U64, QuestionBank, _gamma
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -69,9 +69,6 @@ TERM_BLOCK = 4096
 _ADAM_BETAS = np.array([ADAM_BETA1, ADAM_BETA2])[:, None, None]
 _ADAM_GRAD_WEIGHTS = 1.0 - _ADAM_BETAS
 
-# unit roundoffs of float32 and float64
-_U32 = 2.0 ** -24
-_U64 = 2.0 ** -53
 # assumed bound on the relative error of float64 exp and log (a few ulps in practice)
 _EXP_LOG_ERROR = 2.0 ** -40
 # the sigmoid's rounding is bounded for tau in [_TAU_MARGIN, 1 - _TAU_MARGIN];
@@ -625,13 +622,6 @@ def _head_inputs(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
 def answer_probabilities(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
     """(n, m) probability that each head answers yes, for (n, d) encoder vectors."""
     return sigmoid(forward_logits(heads, _head_inputs(heads, embeddings)))
-
-
-def _gamma(n: int, u: float) -> float:
-    """n u / (1 - n u), inf from n u = 1: bounds the relative error of an
-    n-term dot product in any summation order (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 3)."""
-    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
 
 
 def _bound_constants(heads: QuestionHeads) -> np.ndarray:

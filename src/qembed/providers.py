@@ -12,10 +12,9 @@ import json
 import logging
 import math
 import os
+import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -80,6 +79,69 @@ class LLMProvider(Protocol):
 
 ENCODE_BLOCK = 64  # texts per block of MockEncoder's padded token sums
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h)
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MIX_MULT_L, _MIX_MULT_MINUS_R = 0xCA01F9DD, (1 << 32) - 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(xor, mul) of SeedSequence's count successive word hashes: each xors its
+    word with a running constant, steps the constant by mult, multiplies."""
+    steps, const = [], init
+    for _ in range(count):
+        steps.append((const, const * mult & _MASK32))
+        const = steps[-1][1]
+    return steps
+
+
+# (src, dst, xor, mul): 4 pool fills (src == dst), then 12 mixes of pool word
+# src's hash into word dst
+_POOL_STEPS = tuple((src, dst, *consts) for (src, dst), consts in zip(
+    [(i, i) for i in range(4)] + [(i, j) for i in range(4) for j in range(4) if i != j],
+    _hash_constants(0x43B0D7E5, 0x931E8875, 16)))
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _pcg64_states(seeds: bytes) -> list[tuple[int, int]]:
+    """The (state, inc) of np.random.PCG64(s).state for each 8-byte
+    little-endian seed s in seeds, all seeds hashed at once.
+
+    PCG64(s) runs SeedSequence(s): s's 32-bit words fill a four-word pool
+    (words past the entropy hash 0, so one-word seeds below 2**32 need no case
+    of their own), twelve hash-and-mix steps spread every word over the pool,
+    and eight hashes of the pool give the 128-bit LCG seed and increment, which
+    PCG64 then steps twice. Here each seed's uint32 word sits in its own 64-bit
+    lane of one Python int: a word times a 32-bit constant stays inside its
+    lane, so each step is a few whole-int operations, masked back to 32 bits
+    per lane, whatever the number of seeds.
+    """
+    n = len(seeds) // 8
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in every lane
+    low = ones * _MASK32
+    packed = int.from_bytes(seeds, "little")
+    pool = [packed & low, packed >> 32 & low, 0, 0]
+    for src, dst, xor, mul in _POOL_STEPS:
+        word = (pool[src] ^ xor * ones) * mul & low
+        word = (word ^ word >> 16) & low
+        if src != dst:  # L * pool[dst] - R * word, mod 2**32
+            word = (_MIX_MULT_L * pool[dst] & low) + _MIX_MULT_MINUS_R * word & low
+            word = (word ^ word >> 16) & low
+        pool[dst] = word
+    words = []
+    for i, (xor, mul) in enumerate(_STATE_HASHES):
+        word = (pool[i % 4] ^ xor * ones) * mul & low
+        words.append((word ^ word >> 16) & low)
+    seed_hi, seed_lo, inc_hi, inc_lo = (  # uint64 k is uint32 words 2k and 2k + 1
+        array("Q", (words[k] | words[k + 1] << 32).to_bytes(8 * n, sys.byteorder))
+        for k in range(0, 8, 2))
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
 
 class MockEncoder:
     """Deterministic stand-in for a sentence encoder.
@@ -95,18 +157,35 @@ class MockEncoder:
             raise ValueError("encoder dim must be positive")
         self.dim = dim
         self.seed = seed
+        self._bits = np.random.PCG64(0)
+        self._draws = np.random.Generator(self._bits)
+        self._lock = threading.Lock()  # one generator, re-seeded per token
+
+    def _draw_tokens(self, tokens: list[str], out: np.ndarray) -> None:
+        """out[i] = the standard normal draw of np.random.PCG64(s) for the seed s
+        hashed from tokens[i]: each token's PCG64 state is computed in one pass
+        and set on one reused generator, so no PCG64 is built per token."""
+        seeds = b"".join(hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"),
+                                         digest_size=8).digest() for token in tokens)
+        with self._lock:
+            for row, (state, inc) in zip(out, _pcg64_states(seeds)):
+                self._bits.state = {"bit_generator": "PCG64",
+                                    "state": {"state": state, "inc": inc},
+                                    "has_uint32": 0, "uinteger": 0}
+                self._draws.standard_normal(out=row)
 
     def _token_vector(self, token: str) -> np.ndarray:
-        digest = hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"), digest_size=8).digest()
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-        return rng.standard_normal(self.dim)
+        out = np.empty((1, self.dim))
+        self._draw_tokens([token], out)
+        return out[0]
 
     def encode(self, texts: list[str]) -> np.ndarray:
-        # Each distinct token is drawn once per call into one table whose last
-        # row is zero. Blocks of texts become (texts, longest) tables of token
-        # rows, padded with the zero row, summed one token position at a time
-        # from 0.0: each text's sum adds its tokens in text order, as a
-        # per-token loop would, and adding +0.0 to it changes no bit.
+        # Each distinct token is drawn once per call, all in one _draw_tokens
+        # pass, into one table whose last row is zero. Blocks of texts become
+        # (texts, longest) tables of token rows, padded with the zero row,
+        # summed one token position at a time from 0.0: each text's sum adds
+        # its tokens in text order, as a per-token loop would, and adding +0.0
+        # to it changes no bit.
         index: defaultdict[str, int] = defaultdict()
         index.default_factory = index.__len__  # a new token gets the next row
         token_rows = array("q")  # every text's token rows, in text order
@@ -119,8 +198,7 @@ class MockEncoder:
             ends.append(len(token_rows))
         out = np.zeros((len(texts), self.dim))
         table = np.zeros((len(index) + 1, self.dim))
-        for token, row in index.items():
-            table[row] = self._token_vector(token)
+        self._draw_tokens(list(index), table[:-1])
         token_rows, ends = np.frombuffer(token_rows, np.int64), np.frombuffer(ends, np.int64)
         for lo in range(0, len(texts), ENCODE_BLOCK):
             bounds = ends[lo:lo + ENCODE_BLOCK + 1]
@@ -280,6 +358,9 @@ class RemoteLLM:
         self._key = key
 
     def complete(self, prompt: str) -> str:
+        import urllib.error  # here, so that only a remote run loads http, email and ssl
+        import urllib.request
+
         body = json.dumps({"model": self.model, "prompt": prompt}).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint, data=body, method="POST",

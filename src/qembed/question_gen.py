@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,7 +33,12 @@ from .providers import Encoder, LLMProvider, ProviderError
 
 logger = logging.getLogger(__name__)
 
-COSINE_SLACK = 1e-9  # dedup similarities this close to theta are re-checked exactly
+# unit roundoffs of float32 and float64
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+# raw vector norms whose unit vectors the dedup screen's bound covers: their
+# squares neither overflow nor lose bits to underflow
+_SCREEN_NORMS = (2.0 ** -200, 2.0 ** 200)
 
 
 class SamplingError(ValueError):
@@ -237,34 +243,73 @@ def probe_question(q: CandidateQuestion, model: ClusterModel, texts: dict[str, s
                         quality=quality_score(pos_yes, len(pos_probes), neg_yes, p_neg))
 
 
-class _AdmittedSet:
-    """Greedy dedup at theta: a candidate is a duplicate iff its cosine to some
-    admitted vector strictly exceeds theta (equality admits).
+def _gamma(n: int, u: float) -> float:
+    """n u / (1 - n u), inf from n u = 1: bounds the relative error of an
+    n-term dot product in any summation order (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3)."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
 
-    Admitted unit vectors sit in a preallocated matrix, so one matvec screens a
-    candidate. Similarities within COSINE_SLACK of theta are re-decided by the
-    exact pairwise cosine, so every decision equals the pairwise rule.
+
+def _screen_margin(dim: int) -> float:
+    """M of _AdmittedSet's float32 screen for vectors of dim entries."""
+    if dim * _U32 > 0.25:
+        return math.inf
+    return (_gamma(dim, _U32) + 2.0 * _U32 + 4.0 * (dim + 4) * _U64
+            + (dim + 1) * 2.0 ** -148) * (1.0 + 2.0 ** -20)
+
+
+class _AdmittedSet:
+    """Greedy dedup at theta: a candidate is a duplicate iff its pairwise cosine
+    to some admitted vector, u . v / (||u|| ||v||) in float64 (0 for a zero
+    denominator), strictly exceeds theta (equality admits).
+
+    Admitted unit vectors are mirrored in float32, so one float32 matvec s'
+    screens a candidate against all of them. For unit vectors x and v of d
+    entries, |s' - pairwise cosine| <= M = _screen_margin(d):
+    - rounding x and v to float32 moves x . v by at most 2 u32 ||x|| ||v||,
+      plus 2**-150 per entry in float32's subnormal range;
+    - the float32 dot product errs by gamma_d^32 ||fl32(x)|| ||fl32(v)|| in any
+      summation order, plus 2**-150 per underflowed product;
+    - x and v lie within (d/2 + 3) u64 of unit norm, and the float64 dot
+      product, norms and quotient of the pairwise cosine move it by at most
+      (3d + 13) u64 from x . v; M takes 4 (d + 4) u64;
+    - the subnormal terms sum to at most (d + 1) 2**-148, and a factor
+      1 + 2**-20 covers the second-order terms and the rounding of M and of
+      theta +- M (for |theta| <= 256; further out, no cosine comes near it).
+    So s' > theta + M proves a duplicate and s' < theta - M proves none; only
+    rows in between are decided by the exact pairwise check, and every decision
+    equals the pairwise rule. The unit-norm premise holds for a vector whose
+    raw norm lies in _SCREEN_NORMS; any other vector (zero, NaN, or with squares
+    that overflow or underflow) is screened as NaN, so each comparison with it
+    is exact. So is every comparison where d u32 > 1/4 and M is inf.
     """
 
     def __init__(self, capacity: int, dim: int, theta: float):
-        self._rows = np.empty((capacity, dim), dtype=np.float64)
-        self._count = 0
-        self._theta = theta
+        self._mirror = np.empty((capacity, dim), dtype=np.float32)
+        self._nan = np.full(dim, np.nan, dtype=np.float32)
+        self._units: list[np.ndarray] = []
+        margin = _screen_margin(dim)
+        self._theta, self._above, self._below = theta, theta + margin, theta - margin
 
     def admit(self, vec: np.ndarray) -> np.ndarray | None:
         """vec's unit vector, now admitted, or None if it duplicates an admitted one."""
-        norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's arithmetic
         unit = vec / norm if norm else vec
-        sims = self._rows[:self._count] @ unit
-        if np.any(sims > self._theta + COSINE_SLACK):
+        low, high = _SCREEN_NORMS
+        probe = unit.astype(np.float32) if low <= norm <= high else self._nan
+        count = len(self._units)
+        sims = self._mirror[:count] @ probe
+        top = float(sims.max(initial=-math.inf))
+        if top > self._above:
             return None
-        for j in np.flatnonzero(sims >= self._theta - COSINE_SLACK):
-            other = self._rows[j]
-            denom = float(np.linalg.norm(unit) * np.linalg.norm(other))
-            if (float(unit @ other) / denom if denom else 0.0) > self._theta:
-                return None
-        self._rows[self._count] = unit
-        self._count += 1
+        if not top < self._below:  # a row in the band, or a NaN
+            for j in np.flatnonzero(~(sims.astype(np.float64) < self._below)):
+                other = self._units[j]
+                denom = float(np.linalg.norm(unit) * np.linalg.norm(other))
+                if (float(unit @ other) / denom if denom else 0.0) > self._theta:
+                    return None
+        self._mirror[count] = probe
+        self._units.append(unit)
         return unit
 
 

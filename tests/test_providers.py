@@ -1,11 +1,16 @@
 import hashlib
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qembed
 from oracle import dumped_answer_lines, per_token_encode
 from qembed.providers import (
     ENCODE_BLOCK,
@@ -19,6 +24,7 @@ from qembed.providers import (
     RemoteLLM,
     ScriptedLLM,
     UnscriptedPromptError,
+    _pcg64_states,
     prompt_fingerprint,
 )
 
@@ -78,11 +84,18 @@ class TestMockEncoder:
         def opposed(token):  # "down" is exactly minus "up", so "up down" sums to 0
             return -token_draw(0, 6, "up") if token == "down" else token_draw(0, 6, token)
 
+        drawn = []
+
+        def draw_opposed(tokens, out):  # the bulk draw hook, one opposed draw per token
+            drawn.extend(tokens)
+            out[:] = [opposed(token) for token in tokens]
+
         enc = MockEncoder(dim=6, seed=0)
-        monkeypatch.setattr(enc, "_token_vector", opposed)
+        monkeypatch.setattr(enc, "_draw_tokens", draw_opposed)
         texts = ["up down", "up", "down up up", "down down up up"]
         rows = enc.encode(texts)
         assert np.array_equal(rows, per_token_encode(texts, 6, opposed))
+        assert drawn[-1] == "<zero>"
         assert np.array_equal(rows[0], rows[3])  # both fell back to the "<zero>" draw
 
     @pytest.mark.parametrize("dim", [7, 256])
@@ -98,10 +111,46 @@ class TestMockEncoder:
         assert enc.encode([]).shape == (0, dim)
         assert enc.encode(texts[:3]).tobytes() == expected[:3].tobytes()  # no token at all
 
+    def test_token_vector_is_the_token_draw(self):
+        enc = MockEncoder(dim=256, seed=9)
+        for token in ["star", "<zero>", "日本語", ""]:
+            assert enc._token_vector(token).tobytes() == token_draw(9, 256, token).tobytes()
+
     def test_batch_equals_stacked_single_calls(self):
         enc = MockEncoder(dim=32, seed=2)
         a, b = "red fish blue fish", "one fish two fish red"
         assert np.array_equal(enc.encode([a, b]), np.vstack([enc.encode([a]), enc.encode([b])]))
+
+
+def pcg64_state(seed):
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestBulkSeeding:
+    """_pcg64_states reproduces np.random.PCG64(seed).state for many seeds at once."""
+
+    def test_edge_seeds(self):
+        # one entropy word below 2**32, two from there on
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        states = _pcg64_states(b"".join(s.to_bytes(8, "little") for s in seeds))
+        assert states == [pcg64_state(s) for s in seeds]
+
+    def test_blake2b_derived_seeds(self):
+        digests = [hashlib.blake2b(f"3:token{i}".encode(), digest_size=8).digest()
+                   for i in range(10_000)]
+        states = _pcg64_states(b"".join(digests))
+        assert states == [pcg64_state(int.from_bytes(d, "little")) for d in digests]
+
+
+def test_importing_the_pipeline_leaves_the_network_stack_unloaded():
+    code = ("import sys, qembed.cli, qembed.pipeline; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qembed.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestScriptedLLM:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -353,12 +354,10 @@ def ulp_steps(x, toward, count):
 NEAR_THETA = 0.8
 
 
-def near_theta_pairs(theta=NEAR_THETA, dim=40):
-    """(anchor, partner) texts and vectors; each partner sits at cosine theta,
-    theta +- 1..4 ulp or theta +- 1e-10 to its anchor, in a rotated plane of its own."""
+def near_theta_pairs(cosines, dim):
+    """(anchor, partner) texts and vectors, each partner at the given cosine to
+    its anchor in a rotated plane of its own, plus spare, zero and NaN rows."""
     basis, _ = np.linalg.qr(rng(11).standard_normal((dim, dim)))
-    cosines = ([theta] + ulp_steps(theta, 2.0, 4) + ulp_steps(theta, -2.0, 4)
-               + [theta + 1e-10, theta - 1e-10])
     pairs = []
     for i, c in enumerate(cosines):
         a, b = basis[:, 2 * i], basis[:, 2 * i + 1]
@@ -366,34 +365,107 @@ def near_theta_pairs(theta=NEAR_THETA, dim=40):
                       (f"Is it partner {i}?", c * a + np.sqrt(1.0 - c * c) * b)))
     spare = [(f"Is it spare {j}?", basis[:, 2 * len(cosines) + j]) for j in range(5)]
     zeros = [(f"Is it void {j}?", np.zeros(dim)) for j in range(2)]
-    return pairs, spare, zeros
+    nans = [(f"Is it undefined {j}?", np.full(dim, np.nan)) for j in range(2)]
+    return pairs, spare, zeros, nans
+
+
+def select_near_theta(cosines, dim, encoder_factory):
+    """The bank select_question_bank keeps, at NEAR_THETA and t = 2, and the
+    pairwise greedy rule's texts. Zero and NaN rows come first, so that every
+    later candidate is compared with them."""
+    pairs, spare, zeros, nans = near_theta_pairs(cosines, dim)
+    candidates = [scored(text, 0, 0.5, ordinal=j) for j, (text, _) in enumerate(zeros)]
+    candidates += [scored(text, 1, 0.5, ordinal=j) for j, (text, _) in enumerate(nans)]
+    table = dict(zeros + nans)
+    for i, ((anchor, a), (partner, p)) in enumerate(pairs, start=2):
+        candidates += [scored(anchor, i, 0.9, ordinal=0), scored(partner, i, 0.5, ordinal=1)]
+        table.update({anchor: a, partner: p})
+    candidates += [scored(text, len(pairs) + 2, 0.9 - j / 10, ordinal=j)
+                   for j, (text, _) in enumerate(spare)]  # 5 candidates, cap 2
+    table.update(spare)
+    encoder = encoder_factory(table)
+    bank = select_question_bank(candidates[::-1], encoder, theta=NEAR_THETA, t=2)
+    texts = [s.question.text for s in candidates]  # already in greedy order
+    expected = pairwise_greedy(texts, encoder.encode(texts), NEAR_THETA,
+                               clusters=[s.question.origin_cluster for s in candidates], t=2)
+    assert sum(text.startswith("Is it spare") for text in expected) == 2
+    assert all(text in expected for text, _ in zeros + nans)
+    return bank.texts(), expected
 
 
 class TestDedupMatchesPairwiseRule:
     def test_select_question_bank(self, fixed_encoder_factory):
-        pairs, spare, zeros = near_theta_pairs()
-        candidates, table = [], {}
-        for i, ((anchor, a), (partner, p)) in enumerate(pairs):
-            candidates += [scored(anchor, i, 0.9, ordinal=0), scored(partner, i, 0.5, ordinal=1)]
-            table.update({anchor: a, partner: p})
-        spare_cluster, zero_cluster = len(pairs), len(pairs) + 1
-        candidates += [scored(text, spare_cluster, 0.9 - j / 10, ordinal=j)
-                       for j, (text, _) in enumerate(spare)]  # 5 candidates, cap 2
-        candidates += [scored(text, zero_cluster, 0.5, ordinal=j)
-                       for j, (text, _) in enumerate(zeros)]
-        table.update(spare + zeros)
-        encoder = fixed_encoder_factory(table)
-        bank = select_question_bank(candidates[::-1], encoder, theta=NEAR_THETA, t=2)
-
-        texts = [s.question.text for s in candidates]  # already in greedy order
-        expected = pairwise_greedy(texts, encoder.encode(texts), NEAR_THETA,
-                                   clusters=[s.question.origin_cluster for s in candidates],
-                                   t=2)
-        assert bank.texts() == expected
+        cosines = ([NEAR_THETA] + ulp_steps(NEAR_THETA, 2.0, 4) + ulp_steps(NEAR_THETA, -2.0, 4)
+                   + [NEAR_THETA + 1e-10, NEAR_THETA - 1e-10])
+        kept, expected = select_near_theta(cosines, 40, fixed_encoder_factory)
+        assert kept == expected
         assert "Is it partner 9?" not in expected  # theta + 1e-10
         assert "Is it partner 10?" in expected     # theta - 1e-10
-        assert sum(text.startswith("Is it spare") for text in expected) == 2
-        assert all(text in expected for text, _ in zeros)
+
+    def test_at_the_workload_width_inside_and_outside_the_band(self, fixed_encoder_factory):
+        """At d = 256, partners at theta +- M/2 fall inside the float32 screen's
+        band, so the exact check decides them; at theta +- 2M the screen does."""
+        dim = 256
+        margin = question_gen._screen_margin(dim)
+        cosines = [NEAR_THETA + margin / 2, NEAR_THETA - margin / 2,
+                   NEAR_THETA + 2 * margin, NEAR_THETA - 2 * margin]
+        pairs, *_ = near_theta_pairs(cosines, dim)
+        for c, ((_, a), (_, p)) in zip(cosines, pairs):
+            screened = float(a.astype(np.float32) @ (p / np.linalg.norm(p)).astype(np.float32))
+            inside = abs(c - NEAR_THETA) < margin
+            assert (abs(screened - NEAR_THETA) <= margin) == inside
+        kept, expected = select_near_theta(cosines, dim, fixed_encoder_factory)
+        assert kept == expected
+        assert [f"Is it partner {i}?" in expected for i in range(4)] == [
+            False, True, False, True]
+
+    def test_vectors_outside_the_screened_norms_are_decided_exactly(self):
+        """A vector whose raw norm lies outside the screened range, or that is
+        zero or NaN, is screened as NaN; the exact check still finds its
+        duplicates."""
+        dim = 256
+        basis, _ = np.linalg.qr(rng(5).standard_normal((dim, dim)))
+        a, b, c = basis[:, 0], basis[:, 1], basis[:, 2]
+        near = 0.9 * a + np.sqrt(0.19) * b
+        far, other_far = 0.7 * a + np.sqrt(0.51) * b, 0.7 * a + np.sqrt(0.51) * c
+        vectors = [a, 1e-160 * near, 1e-100 * far, 1e-100 * near, 1e100 * near,
+                   np.zeros(dim), np.full(dim, np.nan), 1e-160 * other_far]
+        texts = [f"v{i}" for i in range(len(vectors))]
+        expected = pairwise_greedy(texts, vectors, NEAR_THETA, clusters=texts, t=1)
+        dedup = question_gen._AdmittedSet(len(vectors), dim, NEAR_THETA)
+        assert [text for text, vec in zip(texts, vectors) if dedup.admit(vec) is not None] == (
+            expected)
+        assert not {"v1", "v3", "v4"} & set(expected)  # cosine 0.9 at any scale
+        assert "v2" in expected and "v7" in expected          # cosines 0.7 and 0.49
+
+
+def test_select_bank_shaped_bank_keeps_its_pinned_bytes():
+    """150 clusters of 10 distinct candidates at d = 256, theta 0.8 and t 4:
+    the bank's texts, fingerprint and embedding bytes are pinned."""
+    generator = rng(23)
+    candidates, seen = [], set()
+    for cluster in range(150):
+        own = generator.choice(600, 4, replace=False)
+        ordinal = 0
+        while ordinal < 10:
+            a, b = generator.choice(own, 2, replace=False)
+            other = int(generator.integers(600))
+            verb = ("mention", "describe")[int(generator.integers(2))]
+            text = f"Does the text {verb} term{a} term{b} or term{other}?"
+            if text in seen:
+                continue
+            seen.add(text)
+            pos, neg = int(generator.integers(0, 6)), int(generator.integers(0, 6))
+            candidates.append(scored(text, cluster, quality_score(pos, 5, neg, 5), ordinal))
+            ordinal += 1
+    bank = select_question_bank(candidates, MockEncoder(dim=256, seed=0), theta=0.8, t=4)
+    texts = hashlib.sha256("\n".join(bank.texts()).encode("utf-8")).hexdigest()
+    embeddings = np.stack([q.embedding for q in bank.questions]).tobytes()
+    assert bank.m == 600
+    assert texts == "96b9746979376a6794b0e496ddc03246430f39cdaad59729a4014a8f51b8e069"
+    assert bank.fingerprint() == "3f3e6f5cd1ce22b0"
+    assert hashlib.sha256(embeddings).hexdigest() == (
+        "5607988b4fa142d73e515d369e47c80b36df469fc2107a2000c4cc98775c2fe4")
 
 
 def test_bank_save_load_roundtrip(tmp_path):
