@@ -112,12 +112,6 @@ class BinaryMatrix:
         """Shared-yes count of rows i and j via packed popcount."""
         return packed_cognitive_load(self.packed[i], self.packed[j])
 
-    def truncate(self, m_prime: int) -> "BinaryMatrix":
-        """Keep the first m_prime columns (bank id order)."""
-        if not 1 <= m_prime <= self.m:
-            raise BinaryMatrixError(f"m'={m_prime} out of range [1, {self.m}]")
-        return BinaryMatrix.from_dense(self.to_dense()[:, :m_prime], self.row_ids)
-
 
 def popcounts(packed: np.ndarray) -> np.ndarray:
     """Yes-count of each packed uint8 row, i.e. its squared norm, as uint64.

@@ -17,11 +17,13 @@ block order heads.bin stores in float32. Init, Adam, the forward pass, save
 and load all work on that matrix. Training holds it in float64; load_heads
 keeps heads.bin's float32 values as they are, in one aligned read-only array.
 
-Only loaded heads, the heads as saved, give bits: embed_vectors and
-evaluate_heldout take them from _embedding_bits, a float32 first layer with
-a rigorous forward-error bound per (row, head) (see _bound_constants); the
-float64 forward_logits recomputes the few bits the bound cannot settle, so
-every bit equals sigmoid(forward_logits(...)) > tau.
+Only loaded heads, the heads as saved, give bits, and only embedding_bits
+computes them: embed_vectors and evaluate_heldout at one tau, the ablate
+stage at all of its taus in one pass. It runs a float32 first layer with a
+rigorous forward-error bound per (row, head) (see _bound_constants) once,
+thresholds it at every tau, and recomputes the few heads the bound cannot
+settle at some tau once, with the float64 forward_logits. So every bit
+equals sigmoid(forward_logits(...)) > tau.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # rows per forward GEMM; bounds the (m, h, rows) hidden-layer temporary
 FORWARD_CHUNK = 32
-# bytes of one float64 block of heads in forward_logits; float32 heads are
-# upcast one such block at a time
+# bytes of one block of heads in forward_logits: its gathered rows and their
+# float64 upcast together, 12 bytes a parameter of float32 heads
 FORWARD_HEAD_BYTES = 4 * 1024 * 1024
 # bytes of one (rows, P) float64 array of a training chunk of heads; the six
 # such arrays of a chunk then stay near a 2 MB L2 cache
@@ -159,23 +161,23 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def forward_logits(heads: QuestionHeads, embeddings: np.ndarray,
-                   question_ids: np.ndarray | None = None) -> np.ndarray:
-    """Logits (n, q) of all heads, or the question_ids subset, on an (n, d) batch.
+                   question_ids: np.ndarray) -> np.ndarray:
+    """Logits (n, q) of the question_ids heads on an (n, d) batch.
 
-    Runs in float64 on either params dtype: float32 heads are upcast,
-    exactly, one block of FORWARD_HEAD_BYTES at a time. A head's logit on a
-    row depends only on that head and the row's chunk of FORWARD_CHUNK rows,
-    so a subset of heads gives, bit for bit, the full forward's columns.
+    Runs in float64 on either params dtype: a block of heads is gathered and
+    upcast, exactly, the two copies together within FORWARD_HEAD_BYTES. A
+    head's logit on a row depends only on that head and the row's chunk of
+    FORWARD_CHUNK rows, so any subset of heads gives, bit for bit, the
+    columns of all heads.
     """
     rows = np.asarray(embeddings, dtype=np.float64)
-    ids = None if question_ids is None else np.asarray(question_ids, dtype=np.intp)
+    ids = np.asarray(question_ids, dtype=np.intp)
     params = heads.params
-    out = np.empty((len(rows), len(params) if ids is None else len(ids)))
-    step = max(1, FORWARD_HEAD_BYTES // (8 * params.shape[1]))
-    for qlo in range(0, out.shape[1], step):
-        at = slice(qlo, qlo + step) if ids is None else ids[qlo:qlo + step]
-        _forward_block(params[at].astype(np.float64, copy=False), heads.h, heads.d, rows,
-                       out[:, qlo:qlo + step])
+    out = np.empty((len(rows), len(ids)))
+    step = max(1, FORWARD_HEAD_BYTES // (12 * params.shape[1]))
+    for qlo in range(0, len(ids), step):
+        _forward_block(params[ids[qlo:qlo + step]].astype(np.float64, copy=False), heads.h,
+                       heads.d, rows, out[:, qlo:qlo + step])
     return out
 
 
@@ -602,28 +604,6 @@ def _check_losses(terms, slots, steps, order, sizes, answer_qid) -> None:
                                 f"question ids {answer_qid[step_slots[lo:hi]].tolist()}")
 
 
-def binarize(probabilities: np.ndarray, tau: float) -> np.ndarray:
-    """Bit i is 1 iff probability i strictly exceeds tau."""
-    if not 0.0 < tau < 1.0:
-        raise TrainingError(f"tau must be in (0, 1), got {tau}")
-    return (np.asarray(probabilities) > tau).astype(np.uint8)
-
-
-def _head_inputs(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
-    """embeddings as float64 (n, heads.d) rows for non-empty heads, else TrainingError."""
-    if heads.m == 0:
-        raise TrainingError("heads are empty")
-    e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 2 or e.shape[1] != heads.d:
-        raise TrainingError(f"embeddings of shape {e.shape} for heads of width {heads.d}")
-    return e
-
-
-def answer_probabilities(heads: QuestionHeads, embeddings: np.ndarray) -> np.ndarray:
-    """(n, m) probability that each head answers yes, for (n, d) encoder vectors."""
-    return sigmoid(forward_logits(heads, _head_inputs(heads, embeddings)))
-
-
 def _bound_constants(heads: QuestionHeads) -> np.ndarray:
     """(2, m) per-head constants (a, b) of the certified forward's error bound.
 
@@ -715,38 +695,47 @@ def _float32_logits(heads: QuestionHeads, chunk: np.ndarray) -> tuple[np.ndarray
     return z, bound
 
 
-def _embedding_bits(heads: QuestionHeads, embeddings: np.ndarray, tau: float) -> np.ndarray:
-    """(n, m) uint8 bits sigmoid(forward_logits(heads, embeddings)) > tau.
+def embedding_bits(heads: QuestionHeads, embeddings: np.ndarray,
+                   taus: list[float]) -> np.ndarray:
+    """(len(taus), n, m) uint8 bits: bits[k] is sigmoid(forward_logits(heads,
+    embeddings, every head id)) > taus[k].
 
     Each chunk of FORWARD_CHUNK rows runs the certified forward
-    (_float32_logits). A bit is decided there when its logit lies farther from
-    logit(tau) than the bound plus the slack of _logit_threshold. Every other
-    (row, head) pair, NaN and inf included, is recomputed by forward_logits on
-    just those heads over the same chunk; an infinite bound or slack sends
-    every pair there. Heads without load_heads' bounds raise TrainingError.
+    (_float32_logits) once. A bit is decided there when its logit lies
+    farther from logit(tau) than the bound plus that tau's slack
+    (_logit_threshold). Every head with an undecided (row, head) pair at any
+    tau, NaN and inf included, is recomputed once by forward_logits over the
+    same chunk, and each tau takes its undecided bits from that one
+    recompute; an infinite bound or slack sends every pair there. Heads without
+    load_heads' bounds raise TrainingError.
     """
-    if not 0.0 < tau < 1.0:
-        raise TrainingError(f"tau must be in (0, 1), got {tau}")
-    e = _head_inputs(heads, embeddings)
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise TrainingError(f"tau must be in (0, 1), got {tau}")
+    if heads.m == 0:
+        raise TrainingError("heads are empty")
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] != heads.d:
+        raise TrainingError(f"embeddings of shape {e.shape} for heads of width {heads.d}")
     if heads.bounds is None:
         raise TrainingError("only heads loaded by load_heads give embedding bits")
-    threshold, slack = _logit_threshold(tau)
-
-    bits = np.empty((len(e), heads.m), dtype=np.uint8)
+    # tau, logit(tau) and slack, each (len(taus), 1, 1) against a chunk's (rows, m)
+    limits = np.reshape([(tau, *_logit_threshold(tau)) for tau in taus], (-1, 3))
+    cut, threshold, slack = limits.T[..., None, None]
+    bits = np.empty((len(taus), len(e), heads.m), dtype=np.uint8)
     for lo in range(0, len(e), FORWARD_CHUNK):
         chunk = e[lo:lo + FORWARD_CHUNK]
+        out = bits[:, lo:lo + len(chunk)]
         z, bound = _float32_logits(heads, chunk)
-        z -= threshold  # rounding is monotone: fl(z - t) > bound implies z - t > bound
-        bound += slack
-        undecided = ~(np.abs(z) > bound)  # so NaN in z or the bound is undecided
-        out = bits[lo:lo + len(chunk)]
+        z = z - threshold  # rounding is monotone: fl(z - t) > bound implies z - t > bound
         np.greater(z, 0.0, out=out)
-        if undecided.any():
-            qs = np.flatnonzero(undecided.any(axis=0))
-            redo = undecided[:, qs]
-            cols = out[:, qs]
-            cols[redo] = sigmoid(forward_logits(heads, chunk, qs))[redo] > tau
-            out[:, qs] = cols
+        undecided = ~(np.abs(z) > bound + slack)  # so NaN in z or a bound is undecided
+        qs = np.flatnonzero(undecided.any(axis=(0, 1)))
+        if qs.size:
+            redo = undecided[:, :, qs]
+            cols = out[:, :, qs]
+            cols[redo] = (sigmoid(forward_logits(heads, chunk, qs)) > cut)[redo]
+            out[:, :, qs] = cols
     return bits
 
 
@@ -754,7 +743,7 @@ def embed_vectors(embeddings: np.ndarray, heads: QuestionHeads, tau: float | Non
                   row_ids: list[str] | None = None) -> BinaryMatrix:
     """Binary embeddings of (n, d) encoder vectors, columns in bank id order."""
     tau = heads.tau_default if tau is None else tau
-    return BinaryMatrix.from_dense(_embedding_bits(heads, embeddings, tau), row_ids)
+    return BinaryMatrix.from_dense(embedding_bits(heads, embeddings, [tau])[0], row_ids)
 
 
 def embed_documents(doc_texts: list[str], encoder: Encoder, heads: QuestionHeads,
@@ -821,14 +810,17 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray) -> Classificat
 
 
 def evaluate_heldout(heads: QuestionHeads, embeddings: np.ndarray,
-                     examples: list[TrainingExample], tau: float = 0.5) -> ClassificationReport:
-    """Held-out answer agreement: predicted bits vs LLM answers over all pairs.
+                     examples: list[TrainingExample],
+                     tau: float | None = None) -> ClassificationReport:
+    """Held-out answer agreement: predicted bits vs LLM answers over all pairs,
+    at tau, or heads.tau_default if None, as in embed_vectors.
 
     embeddings is (n, d), row i the encoder vector of examples[i]'s document.
     """
     if not examples:
         raise TrainingError("held-out set is empty")
-    bits = _embedding_bits(heads, _example_rows(embeddings, examples), tau)
+    tau = heads.tau_default if tau is None else tau
+    bits = embedding_bits(heads, _example_rows(embeddings, examples), [tau])[0]
     pairs = np.asarray([(row, qid, answer) for row, ex in enumerate(examples)
                         for qid, answer in sorted(ex.answers.items())], dtype=np.int64)
     rows, qids, trues = pairs.T

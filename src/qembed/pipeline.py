@@ -23,9 +23,8 @@ from .cost import comparison_rows, cost_rows_jsonl, render_cost_table
 from .evaluation import (clustering_evaluate, explain_pair, load_clustering_task,
                          load_retrieval_task, load_sts_task, mean_cognitive_load,
                          retrieval_evaluate, sts_evaluate)
-from .heads import (TrainingError, TrainingExample, answer_probabilities, binarize,
-                    embed_documents, embed_vectors, evaluate_heldout, load_heads,
-                    save_heads, train_heads)
+from .heads import (TrainingError, TrainingExample, embed_documents, embed_vectors,
+                    embedding_bits, evaluate_heldout, load_heads, save_heads, train_heads)
 from . import jsonl
 from .metrics import MetricError
 from .providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore, RemoteLLM, ScriptedLLM
@@ -386,27 +385,21 @@ def _stage_ablate(ctx: StageContext) -> dict:
     taus = parse_float_list(ctx.cfg.eval.ablate_taus)
     dims = parse_int_list(ctx.cfg.eval.ablate_dims)
     texts = task.texts()
-    probabilities = answer_probabilities(heads, ctx.encoder.encode(texts))
     row_ids = [content_id(t) for t in texts]
-
-    def matrix_at(tau: float) -> BinaryMatrix:
-        return BinaryMatrix.from_dense(binarize(probabilities, tau), row_ids)
-
+    # every tau's bits, and the training tau's last, from one certified forward
+    bits = embedding_bits(heads, ctx.encoder.encode(texts), [*taus, ctx.cfg.training.tau])
     rows = []
-    for tau in taus:
-        rho, load = _sts_numbers(task, matrix_at(tau))
+    for tau, dense in zip(taus, bits):
+        rho, load = _sts_numbers(task, BinaryMatrix.from_dense(dense, row_ids))
         rows.append({"parameter": "tau", "value": tau, "spearman": rho,
                      "mean_load": load.exact})
-    if dims:
-        base = matrix_at(ctx.cfg.training.tau)
-        for m_prime in dims:
-            if not 1 <= m_prime <= base.m:
-                logger.warning("skipping ablation width %d outside [1, %d]",
-                               m_prime, base.m)
-                continue
-            rho, load = _sts_numbers(task, base.truncate(m_prime))
-            rows.append({"parameter": "dims", "value": m_prime, "spearman": rho,
-                         "mean_load": load.exact})
+    for m_prime in dims:
+        if not 1 <= m_prime <= heads.m:
+            logger.warning("skipping ablation width %d outside [1, %d]", m_prime, heads.m)
+            continue
+        rho, load = _sts_numbers(task, BinaryMatrix.from_dense(bits[-1][:, :m_prime], row_ids))
+        rows.append({"parameter": "dims", "value": m_prime, "spearman": rho,
+                     "mean_load": load.exact})
     jsonl.write(ctx.ws.path("ablation_report"), [{"provenance": ctx.provenance()}, *rows],
                 sort_keys=True)
     lines = [f"{'parameter':>10}  {'value':>8}  {'spearman':>9}  {'mean load':>10}"]

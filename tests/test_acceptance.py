@@ -32,12 +32,13 @@ from qembed.question_gen import (ProbeOutcome, ScoredQuestion, quality_score,
 from qembed.workspace import Workspace
 
 GOLDEN = Path(__file__).parent / "golden"
-# sha256 of the seed-0 demo's heads.bin and embeddings.bin, taken from the float64
-# embedding forward (x86-64, OpenBLAS): the certified float32 forward must give
-# every bit it gave
+# sha256 of the seed-0 demo's heads.bin, embeddings.bin and reports/ablate.jsonl,
+# taken from the float64 embedding forward (x86-64, OpenBLAS): the certified
+# float32 forward must give every bit it gave, at every ablate tau
 DEMO_DIGESTS = {
     "heads": "8546295e126c1f31e4686472e97a02e58999e4fd27bf43f034e8cb2b4d01f73f",
     "matrix": "8653c4f86dfd19d8c38879aec3ef149030679887a987f520727f1cea50475833",
+    "ablation_report": "31737b32798e7079a568cb16a95ce3729d61497278ccbac94bbda9cf0af89df0",
 }
 
 

@@ -138,15 +138,6 @@ class TestRowPopcounts:
         assert loaded.row_popcounts.tolist() == popcounts(loaded.packed).tolist()
         assert loaded.row_popcounts.tolist() == dense.sum(axis=1).tolist()
 
-    def test_after_truncate(self):
-        dense = random_dense(np.random.Generator(np.random.PCG64(7)), 12, 64, p=0.5)
-        matrix = BinaryMatrix.from_dense(dense)
-        matrix.row_popcounts  # counted before the cut: the cut counts its own
-        for m_prime in (64, 33, 8, 1):
-            cut = matrix.truncate(m_prime)
-            assert cut.row_popcounts.tolist() == popcounts(cut.packed).tolist()
-            assert cut.row_popcounts.tolist() == dense[:, :m_prime].sum(axis=1).tolist()
-
     def test_packed_rows_are_read_only(self, tmp_path):
         matrix = BinaryMatrix.from_dense(np.eye(9, dtype=np.uint8))
         save_binary_matrix(matrix, tmp_path / "m.bin")
@@ -188,38 +179,6 @@ class TestCognitiveLoadPacked:
     def test_packed_length_mismatch_rejected(self):
         with pytest.raises(BinaryMatrixError):
             packed_cognitive_load(np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8))
-
-
-class TestTruncate:
-    def test_identity_when_full_width(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        dense = random_dense(rng, 6, 20)
-        matrix = BinaryMatrix.from_dense(dense)
-        same = matrix.truncate(20)
-        np.testing.assert_array_equal(same.to_dense(), dense)
-
-    def test_single_column(self):
-        dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        cut = BinaryMatrix.from_dense(dense).truncate(1)
-        assert cut.m == 1
-        np.testing.assert_array_equal(cut.to_dense(), dense[:, :1])
-
-    def test_load_monotone_under_truncation(self):
-        rng = np.random.Generator(np.random.PCG64(4))
-        dense = random_dense(rng, 8, 64, p=0.5)
-        matrix = BinaryMatrix.from_dense(dense)
-        for m_prime in (64, 32, 16, 8, 1):
-            cut = matrix.truncate(m_prime)
-            for i in range(8):
-                for j in range(i + 1, 8):
-                    assert cut.pair_load(i, j) <= matrix.pair_load(i, j)
-
-    def test_out_of_range_rejected(self):
-        matrix = BinaryMatrix.from_dense(np.zeros((1, 4), dtype=np.uint8))
-        with pytest.raises(BinaryMatrixError):
-            matrix.truncate(0)
-        with pytest.raises(BinaryMatrixError):
-            matrix.truncate(5)
 
 
 class TestPersistence:

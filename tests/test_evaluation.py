@@ -412,24 +412,6 @@ class TestMeanCognitiveLoad:
             mean_cognitive_load(task, matrix)
 
 
-class TestTruncateDimensions:
-    def test_identity_at_full_width(self):
-        g = rng(1)
-        dense = (g.random((6, 20)) > 0.5).astype(np.uint8)
-        matrix = BinaryMatrix.from_dense(dense)
-        out = matrix.truncate(20)
-        assert np.array_equal(out.to_dense(), dense)
-
-    def test_load_monotone_under_truncation(self):
-        g = rng(2)
-        dense = (g.random((10, 48)) > 0.4).astype(np.uint8)
-        matrix = BinaryMatrix.from_dense(dense)
-        full = [matrix.pair_load(i, j) for i in range(10) for j in range(i)]
-        cut = matrix.truncate(17)
-        small = [cut.pair_load(i, j) for i in range(10) for j in range(i)]
-        assert all(s <= f for s, f in zip(small, full))
-
-
 class TestExplainPair:
     def test_identical_rows(self):
         bank = make_bank([f"Is it {i}?" for i in range(5)])

@@ -30,12 +30,11 @@ from qembed.heads import (
     _bound_constants,
     _float32_logits,
     _logit_threshold,
-    answer_probabilities,
-    binarize,
     classification_report,
     compute_pos_weight,
     embed_documents,
     embed_vectors,
+    embedding_bits,
     evaluate_heldout,
     forward_logits,
     init_heads,
@@ -86,7 +85,7 @@ class TestForward:
     def test_forward_logits_agrees_with_per_head(self):
         heads = init_heads(m=5, d=6, h=4, seed=3)
         e = np.random.default_rng(0).standard_normal((1, 6))
-        all_logits = forward_logits(heads, e)
+        all_logits = forward_logits(heads, e, np.arange(5))
         assert all_logits.shape == (1, 5)
         for i in range(5):
             assert all_logits[0, i] == pytest.approx(head_forward(heads, e[0], i), abs=1e-12)
@@ -180,29 +179,48 @@ class TestPosWeight:
             compute_pos_weight([TrainingExample("a", {0: 1})])
 
 
+def constant_heads(tmp_path, probabilities, tau=TrainingSection.tau):
+    """Loaded heads (d=4) whose head q answers yes with probabilities[q] on
+    every row: all weights zero, and b2 the logit of that probability."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    heads = init_heads(m=len(p), d=4, h=2, seed=0, tau=tau)
+    heads.params[:] = 0.0
+    heads.b2[:] = np.log(p) - np.log1p(-p)
+    return loaded(heads, tmp_path)
+
+
 class TestBinarize:
-    def test_boundary_is_strict(self):
-        assert binarize(np.array([0.5]), 0.5)[0] == 0
+    """embedding_bits thresholds at each tau: bit 1 iff the probability
+    strictly exceeds tau."""
 
-    def test_basic(self):
-        np.testing.assert_array_equal(binarize(np.array([0.9, 0.1]), 0.5), [1, 0])
+    def test_boundary_is_strict(self, tmp_path):
+        heads = constant_heads(tmp_path, [0.5])  # logit 0 exactly
+        bits = embedding_bits(heads, np.ones((1, 4)), [0.5, 0.5 - 2.0 ** -40])
+        assert bits[:, 0, 0].tolist() == [0, 1]
 
-    def test_high_threshold_zeroes_everything(self):
-        probs = np.linspace(0.0, 0.98, 20)
-        assert binarize(probs, 0.99).sum() == 0
+    def test_basic(self, tmp_path):
+        heads = constant_heads(tmp_path, [0.9, 0.1])
+        np.testing.assert_array_equal(embedding_bits(heads, np.ones((2, 4)), [0.5]),
+                                      [[[1, 0], [1, 0]]])
 
-    def test_monotone_in_tau(self):
+    def test_high_threshold_zeroes_everything(self, tmp_path):
+        heads = constant_heads(tmp_path, np.linspace(0.01, 0.98, 20))
+        assert embedding_bits(heads, np.ones((3, 4)), [0.99]).sum() == 0
+
+    def test_monotone_in_tau(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(4))
-        probs = rng.random(64)
-        prev = binarize(probs, 0.1)
-        for tau in (0.2, 0.4, 0.5, 0.7, 0.9):
-            cur = binarize(probs, tau)
-            assert np.all(cur <= prev)  # raising tau never flips 0 -> 1
-            prev = cur
+        fresh = init_heads(m=64, d=8, h=4, seed=4)
+        fresh.b2[:] += rng.normal(0.0, 2.0, size=64)
+        taus = [0.1, 0.2, 0.4, 0.5, 0.7, 0.9]
+        bits = embedding_bits(loaded(fresh, tmp_path), rng.standard_normal((40, 8)), taus)
+        assert 0 < bits[-1].sum() < bits[0].sum()
+        assert np.all(bits[1:] <= bits[:-1])  # raising tau never flips 0 -> 1
 
-    def test_tau_range_validated(self):
-        with pytest.raises(TrainingError):
-            binarize(np.array([0.5]), 0.0)
+    def test_tau_range_validated(self, tmp_path):
+        heads = constant_heads(tmp_path, [0.5])
+        for taus in ([0.0], [0.5, 1.0], [-0.1, 0.5], [float("nan")]):
+            with pytest.raises(TrainingError, match=r"tau must be in \(0, 1\)"):
+                embedding_bits(heads, np.ones((1, 4)), taus)
 
 
 def hyperplane_data(encoder, n_docs, m, seed, margin_quantile=0.0):
@@ -301,6 +319,17 @@ class TestTraining:
                         cfg=TrainingSection(steps=1, hidden=2, pos_weight="none"), seed=0)
         with pytest.raises(TrainingError, match="one row per example"):
             evaluate_heldout(init_heads(1, 8, 2, seed=0), np.zeros(8), examples)
+
+    def test_heldout_tau_defaults_to_the_heads_tau(self, tmp_path):
+        """evaluate_heldout without tau scores at heads.tau_default, as
+        embed_vectors embeds: yes-probability 0.4 is a yes at 0.3, a no at 0.5."""
+        heads = constant_heads(tmp_path, [0.4], tau=0.3)
+        assert heads.tau_default == 0.3
+        examples = [TrainingExample("d", {0: 1})]
+        E = np.ones((1, 4))
+        assert evaluate_heldout(heads, E, examples).accuracy == 1.0
+        assert evaluate_heldout(heads, E, examples, tau=0.5).accuracy == 0.0
+        assert embed_vectors(E, heads).row(0).tolist() == [1]
 
     def test_empty_answers_rejected_at_construction(self):
         with pytest.raises(TrainingError):
@@ -796,7 +825,7 @@ class TestEmbedDocuments:
             np.testing.assert_array_equal(matrix.row(i), expected)
 
         subset = np.array([4, 1, 3])
-        full = forward_logits(heads, encoder.encode(docs))
+        full = forward_logits(heads, encoder.encode(docs), np.arange(heads.m))
         np.testing.assert_allclose(full, oracle, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(forward_logits(heads, encoder.encode(docs), subset),
                                       full[:, subset])
@@ -835,23 +864,18 @@ def expected_bits(heads, embeddings, tau):
 
 
 class RecomputeSpy:
-    """Records the forward_logits calls embed_vectors makes: (rows, heads) for
-    a subset of heads, (rows, None) for all of them."""
+    """Records the recomputes embedding_bits makes: (rows, heads) per
+    forward_logits call."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         real = heads_module.forward_logits
 
-        def spy(heads, embeddings, question_ids=None):
-            ids = None if question_ids is None else len(question_ids)
-            self.calls.append((len(np.atleast_2d(embeddings)), ids))
+        def spy(heads, embeddings, question_ids):
+            self.calls.append((len(embeddings), len(question_ids)))
             return real(heads, embeddings, question_ids)
 
         monkeypatch.setattr(heads_module, "forward_logits", spy)
-
-    @property
-    def full(self):
-        return sum(ids is None for _, ids in self.calls)
 
 
 class TestForwardSubsets:
@@ -861,30 +885,32 @@ class TestForwardSubsets:
     @pytest.mark.parametrize("rows", [1, 4, 31, 32, 33, 65])
     def test_subset_columns_are_bit_identical(self, tmp_path, rows):
         heads = loaded(init_heads(m=40, d=256, h=64, seed=4), tmp_path)
-        # float32 heads are upcast in blocks: 40 heads take two of them
-        assert FORWARD_HEAD_BYTES // (8 * heads.params.shape[1]) < heads.m
+        # float32 heads are upcast in blocks: 40 heads take several of them
+        assert FORWARD_HEAD_BYTES // (12 * heads.params.shape[1]) < heads.m
         rng = np.random.default_rng(rows)
         E = rng.standard_normal((rows, 256))
-        full = forward_logits(heads, E)
+        full = forward_logits(heads, E, np.arange(40))
         assert np.array_equal(full, reference_forward_logits(heads, E))
         for subset in ([7], [39, 0, 12], [5, 5, 30, 1, 5], rng.permutation(40),
                        rng.integers(0, 40, size=50), np.arange(40)[::-1]):
             subset = np.asarray(subset)
             assert np.array_equal(forward_logits(heads, E, subset), full[:, subset])
 
-    def test_probabilities_upcast_one_block_at_a_time(self, tmp_path):
-        """Bound: one FORWARD_HEAD_BYTES float64 block and small temporaries,
-        well under the 13 MB a float64 copy of all 100 heads would take."""
+    def test_every_head_upcasts_one_block_at_a_time(self, tmp_path):
+        """A recompute of every head, its worst case, holds one gathered and
+        upcast block of FORWARD_HEAD_BYTES and small temporaries: well under
+        the 13 MB a float64 copy of all 100 heads would take."""
         heads = loaded(init_heads(m=100, d=256, h=64, seed=1), tmp_path)
         E = np.random.default_rng(0).standard_normal((4, 256))
+        every = np.arange(heads.m)
         tracemalloc.start()
         try:
-            probabilities = answer_probabilities(heads, E)
+            logits = forward_logits(heads, E, every)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < FORWARD_HEAD_BYTES + 512 * 1024 < 2 * heads.params.nbytes
-        assert np.array_equal(probabilities, sigmoid(reference_forward_logits(heads, E)))
+        assert np.array_equal(logits, reference_forward_logits(heads, E))
 
 
 class TestLoadedHeads:
@@ -911,11 +937,8 @@ class TestLoadedHeads:
     @pytest.mark.parametrize("shape", [(3, 8), (3, 16), (12,), (1, 3, 12)])
     def test_rows_of_another_width_are_a_training_error(self, tmp_path, shape):
         heads = loaded(init_heads(m=5, d=12, h=3, seed=0), tmp_path)
-        E = np.ones(shape)
-        for embed in (lambda: embed_vectors(E, heads, 0.5),
-                      lambda: answer_probabilities(heads, E)):
-            with pytest.raises(TrainingError, match=re.escape(f"shape {shape} for heads of width 12")):
-                embed()
+        with pytest.raises(TrainingError, match=re.escape(f"shape {shape} for heads of width 12")):
+            embed_vectors(np.ones(shape), heads, 0.5)
 
 
 def boundary_rows(heads, tau, q, e0, ulps=3):
@@ -975,6 +998,46 @@ class TestCertifiedBits:
                                       expected_bits(heads, E, tau))
         assert spy.calls == [(FORWARD_CHUNK, 6), (5, 6)]
 
+    def test_taus_share_one_recompute_per_chunk(self, tmp_path, monkeypatch):
+        """A finite-slack tau beside an infinite-slack one, and a repeated tau:
+        each tau's bits are its own, and each chunk recomputes the union of
+        their undecided heads, every head here, once."""
+        taus = [0.5, 1e-12, 0.5]
+        assert _logit_threshold(0.5)[1] < np.inf == _logit_threshold(1e-12)[1]
+        rng = np.random.default_rng(13)
+        fresh = init_heads(m=7, d=16, h=4, seed=9)
+        fresh.b2[:] += rng.normal(0.0, 3.0, size=7)
+        heads = loaded(fresh, tmp_path)
+        E = rng.standard_normal((FORWARD_CHUNK + 5, 16))
+        spy = RecomputeSpy(monkeypatch)
+        bits = embedding_bits(heads, E, taus)
+        monkeypatch.undo()
+        assert bits.shape == (3, len(E), 7)
+        for tau, tau_bits in zip(taus, bits):
+            np.testing.assert_array_equal(tau_bits, expected_bits(heads, E, tau))
+        assert spy.calls == [(FORWARD_CHUNK, 7), (5, 7)]
+
+    def test_one_call_over_many_taus_equals_one_call_each(self, tmp_path):
+        """Taus in any order, repeated, at the margin and past it: each tau's
+        bits from one call equal embed_vectors' at that tau alone."""
+        encoder = MockEncoder(dim=16, seed=0)
+        texts, examples = hyperplane_data(encoder, n_docs=60, m=6, seed=8)
+        cfg = TrainingSection(learning_rate=1e-2, steps=2000, hidden=8)
+        heads = loaded(train_heads(examples, vectors(encoder, texts, examples), toy_bank(6),
+                                   cfg=cfg, seed=1), tmp_path)
+        E = encoder.encode([f"held-out text {i} on topic {i % 5}" for i in range(70)])
+        taus = [0.9, 0.1, 0.5, 2.0 ** -30, 0.1, 1 - 2.0 ** -31, 0.3]
+        bits = embedding_bits(heads, E, taus)
+        for tau, tau_bits in zip(taus, bits):
+            np.testing.assert_array_equal(tau_bits, embed_vectors(E, heads, tau).to_dense())
+
+    def test_no_rows_or_no_taus(self, tmp_path, monkeypatch):
+        heads = loaded(init_heads(m=5, d=12, h=3, seed=0), tmp_path)
+        spy = RecomputeSpy(monkeypatch)
+        assert embedding_bits(heads, np.zeros((0, 12)), [0.5, 0.7]).shape == (2, 0, 5)
+        assert embedding_bits(heads, np.ones((3, 12)), []).shape == (0, 3, 5)
+        assert spy.calls == []
+
     @pytest.mark.parametrize("u32", [2.0 ** -6, 2.0 ** -5, 2.0 ** -4])
     def test_too_wide_for_the_bound_recomputes_every_pair(self, tmp_path, monkeypatch, u32):
         """Where d u32 > 1/4, every head's bound is infinite, also from d u32 = 1
@@ -999,7 +1062,7 @@ class TestCertifiedBits:
         bits = embed_vectors(rows, heads, tau).to_dense()
         monkeypatch.undo()
         np.testing.assert_array_equal(bits, expected_bits(heads, rows, tau))
-        assert spy.calls and spy.full == 0  # 24 rows: one chunk, whose flips are recomputed
+        assert [rows for rows, _ in spy.calls] == [24]  # one chunk, one recompute
         for q, at in ((0, 0), (3, 8), (7, 16)):  # each flip is in the rows
             assert len(set(bits[at:at + 8, q].tolist())) == 2
 
@@ -1022,7 +1085,7 @@ class TestCertifiedBits:
                 bits = embed_vectors(E, stored, tau).to_dense()
             monkeypatch.undo()
             np.testing.assert_array_equal(bits, expected_bits(stored, E, tau))
-            assert spy.calls and spy.full == 0
+            assert [rows for rows, _ in spy.calls] == [len(E)]
         # every bit of a NaN or inf row, or one past the norm limit, is recomputed
         z, bound = _float32_logits(stored, E)
         assert (~(np.abs(z) > bound))[5:].all()

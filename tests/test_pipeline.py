@@ -19,7 +19,7 @@ import pytest
 
 import qembed
 from qembed import config, jsonl
-from qembed.binary import save_binary_matrix
+from qembed.binary import BinaryMatrix, save_binary_matrix
 from qembed.config import ConfigError, config_hash, load_config, with_seed
 from qembed.corpus import content_id, load_corpus
 from qembed.evaluation import load_sts_task, mean_cognitive_load, sts_evaluate
@@ -273,10 +273,48 @@ def test_ablate_rows_match_re_embedding_at_each_tau(mini):
     rows = [json.loads(line)
             for line in ws.path("ablation_report").read_text().splitlines()[1:]]
     assert {r["parameter"] for r in rows} == {"tau", "dims"}
-    base = embed(cfg.training.tau)
+    base = embed(cfg.training.tau).to_dense()
     for r in rows:
-        matrix = embed(r["value"]) if r["parameter"] == "tau" else base.truncate(r["value"])
+        matrix = (embed(r["value"]) if r["parameter"] == "tau"
+                  else BinaryMatrix.from_dense(base[:, :r["value"]], [content_id(t) for t in texts]))
         assert (r["spearman"], r["mean_load"]) == numbers(matrix), r
+
+
+def test_ablate_takes_every_tau_from_one_bits_call(mini_copy, monkeypatch):
+    """The sweep's taus and the training tau, which the width rows cut, come
+    from one embedding_bits call on the heads as saved."""
+    cfg_path, cfg, ws = mini_copy
+    calls = []
+    real = qembed.pipeline.embedding_bits
+
+    def spy(heads, embeddings, taus):
+        calls.append(list(taus))
+        return real(heads, embeddings, taus)
+
+    monkeypatch.setattr(qembed.pipeline, "embedding_bits", spy)
+    report = ws.path("ablation_report").read_bytes()
+    run_stage("ablate", cfg, ws, cfg_path.parent, force=True)
+    assert calls == [[*config.parse_float_list(cfg.eval.ablate_taus), cfg.training.tau]]
+    assert ws.path("ablation_report").read_bytes() == report
+
+
+def test_ablate_widths_alone_skip_those_past_the_bank(mini_copy, caplog):
+    """With no tau sweep, ablate still cuts the training tau's bits; a width
+    past the bank's m is skipped with a warning."""
+    cfg_path, cfg, ws = mini_copy
+    cfg = dataclasses.replace(cfg, eval=dataclasses.replace(cfg.eval, ablate_taus="",
+                                                           ablate_dims="3,999"))
+    run_stage("ablate", cfg, ws, cfg_path.parent, force=True)
+    rows = [json.loads(line)
+            for line in ws.path("ablation_report").read_text().splitlines()[1:]]
+    assert [(r["parameter"], r["value"]) for r in rows] == [("dims", 3)]
+    assert "skipping ablation width 999" in caplog.text
+    task = load_sts_task(cfg_path.parent / cfg.eval.sts)
+    texts = task.texts()
+    full = embed_documents(texts, _fresh_encoder(cfg), load_heads(ws.path("heads")),
+                           tau=cfg.training.tau, row_ids=[content_id(t) for t in texts])
+    cut = BinaryMatrix.from_dense(full.to_dense()[:, :3], full.row_ids)
+    assert rows[0]["mean_load"] == mean_cognitive_load(task, cut).exact
 
 
 def test_no_corpus_text_is_encoded_after_the_encode_stage(tmp_path, monkeypatch):
@@ -434,7 +472,8 @@ def test_demos_opening_an_answer_cache_leave_no_resource_warning(demo):
 
 # sha256 of a build_scale-shaped build's artifacts (seed 1, 1,200 documents,
 # d=256, k=30, the default generation, probe and collection pools), taken
-# from the np.add.at k-means, the per-token encoder and per-record answer lines
+# from the np.add.at k-means, the per-token encoder and per-record answer lines;
+# reports/ablate.jsonl from the float64 probabilities thresholded at each tau
 BUILD_SCALE_DIGESTS = {
     "cluster.model": "61c388445d957871be61b77cc0cc73012561c083edee9b0810f13642f21fce02",
     "bank.jsonl": "a05eee0fbe7d041c2b1965df69a8d40cda29010540df44ee8e20672782c099d2",
@@ -443,6 +482,8 @@ BUILD_SCALE_DIGESTS = {
     "embeddings.bin": "3ff4b0957485846bd43e971bac292bccfdbd395ae51373c65d63fb012e52bfb2",
     "reports/clustering.json":
         "8fb70e5bdb5f868fbd1b524bebae660484193a4240c2b4ad364cc5be82e28261",
+    "reports/ablate.jsonl":
+        "a8ff53ed25135c66e8911ab78483e4f349e23f02ccfb51755c9b97dc78979282",
 }
 
 
