@@ -72,8 +72,6 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
     if bank.m == 0:
         raise ValueError("question bank is empty")
     all_docs = sorted(texts)
-    if not all_docs:
-        raise ValueError("no document texts supplied")
 
     wanted: dict[str, list[int]] = {}  # doc id -> question ids, bank order
     requested = 0

@@ -152,14 +152,12 @@ def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
 
 def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
                max_iters: int = ClusterSection.max_iters, tol: float = ClusterSection.tol,
-               doc_ids: list[str] | None = None,
-               check_unit: bool = True) -> ClusterModel:
+               doc_ids: list[str] | None = None) -> ClusterModel:
     """Fit k-means with k-means++ init; deterministic for a fixed seed.
 
     Empty clusters are re-seeded from the point currently farthest from its
     centroid. Stops when the max centroid shift drops below tol (then runs a
     final assignment pass so labels are exact argmins) or after max_iters.
-    check_unit enforces the unit-row precondition; binary/count rows may opt out.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
@@ -171,11 +169,6 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
         raise ClusterError(f"k must be positive, got {k}")
     if n < k:
         raise ClusterError(f"need at least k={k} rows, got {n}")
-    if check_unit:
-        norms = np.linalg.norm(x, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
-        if bad.size:
-            raise ClusterError(f"row {bad[0]} is not unit-norm (|x|={norms[bad[0]]:.6f})")
     if doc_ids is None:
         doc_ids = [str(i) for i in range(n)]
     elif len(doc_ids) != n:

@@ -216,7 +216,7 @@ def clustering_evaluate(matrix: BinaryMatrix, labels, seed: int) -> float:
         raise TaskError(f"{len(labels)} labels for {matrix.n} rows")
     k = len(set(labels))
     rows = matrix.to_dense().astype(np.float64)
-    model = kmeans_fit(rows, k=k, seed=seed, check_unit=False)
+    model = kmeans_fit(rows, k=k, seed=seed)
     return v_measure(labels, model.labels)
 
 

@@ -15,15 +15,16 @@ import numpy as np
 
 from .answering import collect_answers, split_examples
 from .binary import BinaryMatrix, save_binary_matrix
-from .cluster import effective_k, kmeans_fit, load_cluster_model, save_cluster_model
+from .cluster import ClusterModel, effective_k, kmeans_fit, load_cluster_model, save_cluster_model
 from .config import (ConfigError, PipelineConfig, config_hash, dump_config,
                      parse_float_list, parse_int_list)
-from .corpus import content_id, exact_dedup, ingest, load_corpus, save_corpus, split_heldout
+from .corpus import (Corpus, Split, content_id, exact_dedup, ingest, load_corpus, save_corpus,
+                     split_heldout)
 from .cost import comparison_rows, cost_rows_jsonl, render_cost_table
 from .evaluation import (clustering_evaluate, explain_pair, load_clustering_task,
                          load_retrieval_task, load_sts_task, mean_cognitive_load,
                          retrieval_evaluate, sts_evaluate)
-from .heads import (TrainingError, TrainingExample, embed_documents, embed_vectors,
+from .heads import (TrainingExample, embed_documents, embed_vectors,
                     embedding_bits, evaluate_heldout, load_heads, save_heads, train_heads)
 from . import jsonl
 from .metrics import MetricError
@@ -127,31 +128,16 @@ def _stage_ingest(ctx: StageContext) -> dict:
             "skipped_records": corpus.skipped_records}
 
 
-def _stage_encode(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
+def _stage_encode(ctx: StageContext, corpus) -> dict:
     embeddings = ctx.encoder.encode(corpus.texts())
     with jsonl.replacing(ctx.ws.path("doc_embeddings"), "wb") as fh:
         np.save(fh, embeddings)
     return {"documents": len(corpus), "dim": int(embeddings.shape[1])}
 
 
-def _load_doc_embeddings(path: Path, rows: int) -> np.ndarray:
-    """The encode stage's (documents, dim) matrix; a torn file raises CorruptFileError."""
-    try:
-        embeddings = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise jsonl.CorruptFileError(f"corrupt file {path}: {exc}") from exc
-    if embeddings.ndim != 2 or len(embeddings) != rows:
-        raise jsonl.CorruptFileError(f"corrupt file {path}: shape {embeddings.shape}, "
-                                     f"expected {rows} rows, one per document")
-    return embeddings
-
-
-def _stage_cluster(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
-    embeddings = _load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus))
+def _stage_cluster(ctx: StageContext, corpus, doc_embeddings) -> dict:
     k = effective_k(ctx.cfg.cluster.k, len(corpus))
-    model = kmeans_fit(embeddings, k=k, seed=stage_seed(ctx.seed, "cluster"),
+    model = kmeans_fit(doc_embeddings, k=k, seed=stage_seed(ctx.seed, "cluster"),
                        max_iters=ctx.cfg.cluster.max_iters, tol=ctx.cfg.cluster.tol,
                        doc_ids=corpus.ids())
     save_cluster_model(model, ctx.ws.path("cluster_model"))
@@ -159,47 +145,35 @@ def _stage_cluster(ctx: StageContext) -> dict:
             "inertia": round(model.inertia, 6)}
 
 
-def _stage_generate(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
-    model = load_cluster_model(ctx.ws.path("cluster_model"))
+def _stage_generate(ctx: StageContext, corpus, cluster_model) -> dict:
     texts = corpus.text_by_id()
     rng = _rng(ctx.seed, "generate")
     candidates = []
-    for c in range(model.k):
-        sample = sample_contrastive(model, c, ctx.cfg.generation, rng)
+    for c in range(cluster_model.k):
+        sample = sample_contrastive(cluster_model, c, ctx.cfg.generation, rng)
         candidates.extend(generate_cluster_questions(sample, texts, ctx.llm))
     jsonl.write(ctx.ws.path("candidates"), map(asdict, candidates), sort_keys=True)
-    return {"clusters": model.k, "candidates": len(candidates)}
+    return {"clusters": cluster_model.k, "candidates": len(candidates)}
 
 
-def _stage_probe(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
-    model = load_cluster_model(ctx.ws.path("cluster_model"))
+def _stage_probe(ctx: StageContext, corpus, cluster_model, candidates) -> dict:
     texts = corpus.text_by_id()
     rng = _rng(ctx.seed, "probe")
-    candidates = list(jsonl.read(ctx.ws.path("candidates"),
-                                 lambda rec: CandidateQuestion(**rec)))
     probes = []
     for cand in candidates:
-        outcome = probe_question(cand, model, texts, ctx.llm, ctx.cfg.probe, rng)
+        outcome = probe_question(cand, cluster_model, texts, ctx.llm, ctx.cfg.probe, rng)
         if outcome is not None:
             probes.append({**asdict(cand), **asdict(outcome)})
     jsonl.write(ctx.ws.path("probes"), probes, sort_keys=True)
     return {"probed": len(probes), "dropped": len(candidates) - len(probes)}
 
 
-def _scored(rec: dict) -> ScoredQuestion:
-    question = CandidateQuestion(**{f: rec.pop(f) for f in ("text", "origin_cluster", "ordinal")})
-    return ScoredQuestion(question=question, probe=ProbeOutcome(**rec))
-
-
-def _stage_select(ctx: StageContext) -> dict:
-    scored = list(jsonl.read(ctx.ws.path("probes"), _scored))
-    bank = select_question_bank(scored, ctx.encoder,
+def _stage_select(ctx: StageContext, probes) -> dict:
+    bank = select_question_bank(probes, ctx.encoder,
                                 theta=ctx.cfg.selection.dedup_threshold,
                                 t=ctx.cfg.selection.per_cluster_cap)
     save_question_bank(bank, ctx.ws.path("bank"))
-    return {"candidates": len(scored), "bank_size": bank.m,
+    return {"candidates": len(probes), "bank_size": bank.m,
             "bank_fingerprint": bank.fingerprint()}
 
 
@@ -209,23 +183,11 @@ def _write_examples(path: Path, examples: list[TrainingExample]) -> None:
                        for ex in examples), sort_keys=True)
 
 
-def _read_examples(path: Path) -> list[TrainingExample]:
-    return list(jsonl.read(path, lambda rec: TrainingExample(
-        document_id=rec["document_id"],
-        answers={int(q): int(a) for q, a in rec["answers"].items()})))
-
-
-def _stage_collect(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
-    model = load_cluster_model(ctx.ws.path("cluster_model"))
-    bank = load_question_bank(ctx.ws.path("bank"))
-    split_path = ctx.ws.path("split")
-    split = jsonl.parse(split_path.read_bytes(), split_path)
+def _stage_collect(ctx: StageContext, corpus, split, cluster_model, bank) -> dict:
     with AnswerCache(ctx.ws.path("answers")) as cache:
-        result = collect_answers(bank, model, corpus.text_by_id(), ctx.llm, cache,
+        result = collect_answers(bank, cluster_model, corpus.text_by_id(), ctx.llm, cache,
                                  _rng(ctx.seed, "collect"), ctx.cfg.collection)
-    train, heldout = split_examples(result.examples,
-                                    frozenset(split["heldout_ids"]))
+    train, heldout = split_examples(result.examples, split.heldout_ids)
     _write_examples(ctx.ws.path("train_examples"), train)
     _write_examples(ctx.ws.path("heldout_examples"), heldout)
     return {"pairs": result.requested_pairs, "llm_calls": result.llm_calls,
@@ -233,32 +195,19 @@ def _stage_collect(ctx: StageContext) -> dict:
             "train_docs": len(train), "heldout_docs": len(heldout)}
 
 
-def _example_embeddings(ctx: StageContext, corpus,
-                        *example_sets: list[TrainingExample]) -> list[np.ndarray]:
-    """The encode stage's vectors of each example set's documents, rows in example order."""
-    embeddings = _load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus))
-    row = {doc_id: i for i, doc_id in enumerate(corpus.ids())}
-    missing = [ex.document_id for examples in example_sets for ex in examples
-               if ex.document_id not in row]
-    if missing:
-        raise TrainingError(f"example document {missing[0]} is not in the corpus")
-    return [embeddings[[row[ex.document_id] for ex in examples]] for examples in example_sets]
-
-
-def _stage_train(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
-    bank = load_question_bank(ctx.ws.path("bank"))
-    train = _read_examples(ctx.ws.path("train_examples"))
-    heldout = _read_examples(ctx.ws.path("heldout_examples"))
+def _stage_train(ctx: StageContext, corpus, doc_embeddings, bank, train_examples,
+                 heldout_examples) -> dict:
     tcfg = ctx.cfg.training
-    train_vectors, heldout_vectors = _example_embeddings(ctx, corpus, train, heldout)
-    save_heads(train_heads(train, train_vectors, bank, cfg=tcfg,
+    row = {doc_id: i for i, doc_id in enumerate(corpus.ids())}  # doc_embeddings row by id
+    train_vectors, heldout_vectors = (doc_embeddings[[row[ex.document_id] for ex in examples]]
+                                      for examples in (train_examples, heldout_examples))
+    save_heads(train_heads(train_examples, train_vectors, bank, cfg=tcfg,
                            seed=stage_seed(ctx.seed, "train")), ctx.ws.path("heads"))
-    payload = {"provenance": ctx.provenance(), "train_docs": len(train),
-               "heldout_docs": len(heldout), "accuracy": None, "report": None}
-    if heldout:  # scored on the heads as saved, which every later stage loads
-        report = evaluate_heldout(load_heads(ctx.ws.path("heads")), heldout_vectors, heldout,
-                                  tau=tcfg.tau)
+    payload = {"provenance": ctx.provenance(), "train_docs": len(train_examples),
+               "heldout_docs": len(heldout_examples), "accuracy": None, "report": None}
+    if heldout_examples:  # scored on the heads as saved, which every later stage loads
+        report = evaluate_heldout(load_heads(ctx.ws.path("heads")), heldout_vectors,
+                                  heldout_examples, tau=tcfg.tau)
         payload["accuracy"] = report.accuracy
         payload["report"] = report.as_dict()
     jsonl.write_json(ctx.ws.path("heldout_report"), payload)
@@ -266,11 +215,8 @@ def _stage_train(ctx: StageContext) -> dict:
             "heldout_accuracy": payload["accuracy"]}
 
 
-def _stage_embed(ctx: StageContext) -> dict:
-    corpus = load_corpus(ctx.ws.path("corpus"))
-    heads = load_heads(ctx.ws.path("heads"))
-    matrix = embed_vectors(_load_doc_embeddings(ctx.ws.path("doc_embeddings"), len(corpus)),
-                           heads, tau=ctx.cfg.training.tau, row_ids=corpus.ids())
+def _stage_embed(ctx: StageContext, corpus, doc_embeddings, heads) -> dict:
+    matrix = embed_vectors(doc_embeddings, heads, tau=ctx.cfg.training.tau, row_ids=corpus.ids())
     save_binary_matrix(matrix, ctx.ws.path("matrix"))
     meta = {"provenance": ctx.provenance(), "bank_fingerprint": heads.bank_fingerprint,
             "tau": ctx.cfg.training.tau, "documents": matrix.n, "questions": matrix.m,
@@ -288,9 +234,8 @@ def _embed_texts(ctx: StageContext, heads, texts: list[str], tau: float | None =
                            row_ids=[content_id(t) for t in texts])
 
 
-def _stage_eval_sts(ctx: StageContext) -> dict:
+def _stage_eval_sts(ctx: StageContext, heads) -> dict:
     task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-    heads = load_heads(ctx.ws.path("heads"))
     rho, load = _sts_numbers(task, _embed_texts(ctx, heads, task.texts(),
                                                 tau=ctx.cfg.training.tau))
     rho_x100 = None if rho is None else 100.0 * rho
@@ -308,11 +253,10 @@ def _stage_eval_sts(ctx: StageContext) -> dict:
     return {"spearman": rho, "mean_load": load.exact}
 
 
-def _stage_eval_retrieval(ctx: StageContext) -> dict:
+def _stage_eval_retrieval(ctx: StageContext, heads) -> dict:
     ev = ctx.cfg.eval
     task = load_retrieval_task(ctx.resolve(ev.queries), ctx.resolve(ev.corpus),
                                ctx.resolve(ev.qrels))
-    heads = load_heads(ctx.ws.path("heads"))
     qids = sorted(task.queries)
     dids = sorted(task.corpus)
     qmat = embed_documents([task.queries[q] for q in qids], ctx.encoder, heads,
@@ -330,9 +274,8 @@ def _stage_eval_retrieval(ctx: StageContext) -> dict:
     return {"mean_ndcg": result.mean_ndcg}
 
 
-def _stage_eval_clustering(ctx: StageContext) -> dict:
+def _stage_eval_clustering(ctx: StageContext, heads) -> dict:
     task = load_clustering_task(ctx.resolve(ctx.cfg.eval.clustering))
-    heads = load_heads(ctx.ws.path("heads"))
     matrix = embed_documents(list(task.texts), ctx.encoder, heads,
                              tau=ctx.cfg.training.tau,
                              row_ids=[f"r{i}" for i in range(len(task.texts))])
@@ -347,10 +290,8 @@ def _stage_eval_clustering(ctx: StageContext) -> dict:
     return {"v_measure": score}
 
 
-def _stage_explain(ctx: StageContext) -> dict:
+def _stage_explain(ctx: StageContext, heads, bank) -> dict:
     task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-    heads = load_heads(ctx.ws.path("heads"))
-    bank = load_question_bank(ctx.ws.path("bank"))
     n = min(ctx.cfg.eval.explain_pairs, len(task.pairs))
     reports = []
     for pair in task.pairs[:n]:
@@ -379,9 +320,8 @@ def _sts_numbers(task, matrix: BinaryMatrix):
     return rho, mean_cognitive_load(task, matrix)
 
 
-def _stage_ablate(ctx: StageContext) -> dict:
+def _stage_ablate(ctx: StageContext, heads) -> dict:
     task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-    heads = load_heads(ctx.ws.path("heads"))
     taus = parse_float_list(ctx.cfg.eval.ablate_taus)
     dims = parse_int_list(ctx.cfg.eval.ablate_dims)
     texts = task.texts()
@@ -434,6 +374,97 @@ class Stage:
     @property
     def outputs(self) -> tuple[str, ...]:
         return tuple(a for a, (_, producer) in ARTIFACTS.items() if producer == self.name)
+
+
+# One reader per artifact that a stage reads, run in Stage.inputs order with
+# the inputs read so far (got), so that it may check its file against them. A
+# failure raises CorruptFileError naming the file, and the other file of a
+# mismatch between two. A reader calls its module's load function by name as it
+# runs, so that a wrapper patched over the name sees the call.
+
+def _corrupt(path: Path, problem) -> jsonl.CorruptFileError:
+    return jsonl.CorruptFileError(f"corrupt file {path}: {problem}")
+
+
+def _check_keys(path: Path, keys: list, what: str, corpus: Corpus | None = None) -> None:
+    """keys are distinct and, given a corpus, ids of its documents."""
+    known, seen = set(corpus.ids()) if corpus else None, set()
+    for key in keys:
+        if key in seen or (known is not None and key not in known):
+            raise _corrupt(path, f"{what} {key!r} " + ("repeats" if key in seen else
+                           f"is not in the corpus ({ARTIFACTS['corpus'][0]})"))
+        seen.add(key)
+
+
+def _read_corpus(path: Path, got: dict) -> Corpus:
+    corpus = load_corpus(path)
+    if not corpus.documents:
+        raise _corrupt(path, "no documents")
+    _check_keys(path, corpus.ids(), "document id")
+    return corpus
+
+
+def _read_doc_embeddings(path: Path, got: dict) -> np.ndarray:
+    try:
+        rows = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise _corrupt(path, exc) from exc
+    if rows.ndim != 2 or len(rows) != len(got["corpus"]):
+        raise _corrupt(path, f"shape {rows.shape} for {ARTIFACTS['corpus'][0]}'s "
+                             f"{len(got['corpus'])} documents")
+    with np.errstate(all="ignore"):  # so a row that is not finite, or overflows, fails
+        off = np.flatnonzero(~(np.abs(np.einsum("ij,ij->i", rows, rows) - 1.0) <= 2e-6))
+    if off.size:
+        raise _corrupt(path, f"row {off[0]} is not a finite unit vector")
+    return rows
+
+
+def _read_split(path: Path, got: dict) -> Split:
+    split = jsonl.parse(path.read_bytes(), path, convert=lambda rec: Split(
+        frozenset(rec["train_ids"]), frozenset(rec["heldout_ids"]), int(rec["seed"])))
+    _check_keys(path, [*split.train_ids, *split.heldout_ids], "document", got["corpus"])
+    return split
+
+
+def _read_cluster_model(path: Path, got: dict) -> ClusterModel:
+    model = load_cluster_model(path)
+    _check_keys(path, model.doc_ids, "document", got["corpus"])
+    return model
+
+
+def _read_questions(path: Path, convert) -> list:
+    """candidates.jsonl or probes.jsonl: one record per (origin_cluster, ordinal)."""
+    items = list(jsonl.read(path, convert))
+    _check_keys(path, [(q.origin_cluster, q.ordinal) for q in
+                       (getattr(item, "question", item) for item in items)], "question")
+    return items
+
+
+def _read_examples(path: Path, got: dict, required: bool = False) -> list[TrainingExample]:
+    examples = list(jsonl.read(path, lambda rec: TrainingExample(
+        rec["document_id"], {int(q): int(a) for q, a in rec["answers"].items()})))
+    if required and not examples:
+        raise _corrupt(path, "no training examples")
+    _check_keys(path, [ex.document_id for ex in examples], "document", got["corpus"])
+    if any(not 0 <= q < got["bank"].m for ex in examples for q in ex.answers):
+        raise _corrupt(path, f"a question id is not one of {ARTIFACTS['bank'][0]}'s")
+    return examples
+
+
+READERS = {  # artifact -> reader(path, got)
+    "corpus": _read_corpus,
+    "split": _read_split,
+    "doc_embeddings": _read_doc_embeddings,
+    "cluster_model": _read_cluster_model,
+    "candidates": lambda path, got: _read_questions(path, lambda rec: CandidateQuestion(**rec)),
+    "probes": lambda path, got: _read_questions(path, lambda rec: ScoredQuestion(
+        CandidateQuestion(**{f: rec.pop(f) for f in ("text", "origin_cluster", "ordinal")}),
+        ProbeOutcome(**rec))),
+    "bank": lambda path, got: load_question_bank(path),
+    "train_examples": lambda path, got: _read_examples(path, got, required=True),
+    "heldout_examples": _read_examples,
+    "heads": lambda path, got: load_heads(path),
+}
 
 
 _STS = (("sts_task", "sts"),)
@@ -507,7 +538,10 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
         return StageResult(stage=name, skipped=True, summary={})
     started = time.perf_counter()
     try:
-        summary = stage.func(ctx)
+        inputs: dict = {}
+        for artifact in stage.inputs:
+            inputs[artifact] = READERS[artifact](ws.path(artifact), inputs)
+        summary = stage.func(ctx, **inputs)
     finally:
         ctx.close()
     elapsed = round(time.perf_counter() - started, 3)

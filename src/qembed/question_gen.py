@@ -36,8 +36,8 @@ logger = logging.getLogger(__name__)
 # unit roundoffs of float32 and float64
 _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
-# raw vector norms whose unit vectors the dedup screen's bound covers: their
-# squares neither overflow nor lose bits to underflow
+# vector norms whose unit vectors the dedup screen's bound covers: their squares
+# neither overflow nor lose bits to underflow
 _SCREEN_NORMS = (2.0 ** -200, 2.0 ** 200)
 
 
@@ -278,10 +278,10 @@ class _AdmittedSet:
       theta +- M (for |theta| <= 256; further out, no cosine comes near it).
     So s' > theta + M proves a duplicate and s' < theta - M proves none; only
     rows in between are decided by the exact pairwise check, and every decision
-    equals the pairwise rule. The unit-norm premise holds for a vector whose
-    raw norm lies in _SCREEN_NORMS; any other vector (zero, NaN, or with squares
-    that overflow or underflow) is screened as NaN, so each comparison with it
-    is exact. So is every comparison where d u32 > 1/4 and M is inf.
+    equals the pairwise rule. A finite vector whose squares overflow is first
+    divided by its largest |entry|. Where the norm then lies in _SCREEN_NORMS,
+    the unit-norm premise holds; any other vector (zero, NaN, or with squares
+    that underflow) is screened as NaN, so compared exactly, as all are if M = inf.
     """
 
     def __init__(self, capacity: int, dim: int, theta: float):
@@ -294,6 +294,9 @@ class _AdmittedSet:
     def admit(self, vec: np.ndarray) -> np.ndarray | None:
         """vec's unit vector, now admitted, or None if it duplicates an admitted one."""
         norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's arithmetic
+        if norm == math.inf and (top := float(np.abs(vec).max())) < math.inf:
+            vec = vec / top  # the squares overflowed: scale first, as LAPACK dnrm2 does
+            norm = math.sqrt(vec.dot(vec))
         unit = vec / norm if norm else vec
         low, high = _SCREEN_NORMS
         probe = unit.astype(np.float32) if low <= norm <= high else self._nan
@@ -334,17 +337,18 @@ def select_question_bank(candidates: list[ScoredQuestion], encoder: Encoder,
     admitted: list[BankQuestion] = []
     dedup = _AdmittedSet(*embeddings.shape, theta)
     per_cluster: dict[int, int] = {}
-    for cand, vec in zip(ordered, embeddings):
-        cluster = cand.question.origin_cluster
-        if per_cluster.get(cluster, 0) >= t:
-            continue
-        unit = dedup.admit(vec)
-        if unit is None:
-            continue
-        admitted.append(BankQuestion(id=len(admitted), text=cand.question.text,
-                                     origin_cluster=cluster, quality=cand.quality,
-                                     embedding=unit))
-        per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
+    with np.errstate(over="ignore"):  # admit rescales a vector whose squares overflow
+        for cand, vec in zip(ordered, embeddings):
+            cluster = cand.question.origin_cluster
+            if per_cluster.get(cluster, 0) >= t:
+                continue
+            unit = dedup.admit(vec)
+            if unit is None:
+                continue
+            admitted.append(BankQuestion(id=len(admitted), text=cand.question.text,
+                                         origin_cluster=cluster, quality=cand.quality,
+                                         embedding=unit))
+            per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
 
     if not admitted:
         logger.warning("selection produced an empty question bank")

@@ -65,6 +65,13 @@ def file_fingerprint(path: str | Path) -> str:
     return h.hexdigest()[:16]
 
 
+def _checked_state(state: dict) -> dict:
+    if not all(isinstance(rec["config"], str) and isinstance(rec["inputs"], dict)
+               and isinstance(rec["outputs"], dict) for rec in state["stages"].values()):
+        raise TypeError("a stage record needs a config hash and inputs and outputs maps")
+    return state
+
+
 @dataclass
 class StageRecord:
     config: str
@@ -90,7 +97,7 @@ class Workspace:
         state_path = self.root / _STATE_FILE
         if not state_path.exists():
             return {"stages": {}}
-        return parse(state_path.read_bytes(), state_path)
+        return parse(state_path.read_bytes(), state_path, convert=_checked_state)
 
     def _save_state(self, state: dict) -> None:
         write_json(self.root / _STATE_FILE, state)

@@ -9,9 +9,9 @@ import pytest
 
 from qembed.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, _print_demo_summary,
                         main)
-from qembed.pipeline import write_demo_workspace
+from qembed.pipeline import STAGES, write_demo_workspace
 from qembed.providers import AnswerCache
-from qembed.workspace import Workspace
+from qembed.workspace import ARTIFACTS, Workspace
 
 MINI = dict(n_per_topic=16, steps=2500, hidden=8, dim=64, sts_pairs=60)
 
@@ -172,6 +172,101 @@ def test_corrupt_workspace_file_is_dependency_error(mini_ws, tmp_path, capsys, n
     err = capsys.readouterr().err
     assert code == EXIT_DEPENDENCY
     assert err.startswith("error:") and name in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _at_middle(raw, new_byte):
+    """raw with new_byte(old byte) in place of its middle byte."""
+    mid = len(raw) // 2
+    return raw[:mid] + new_byte(raw[mid]) + raw[mid + 1:]
+
+
+DAMAGES = {
+    "empty": lambda raw: b"",
+    "cut-20": lambda raw: raw[:-20],
+    "cut-half": lambda raw: raw[:len(raw) // 2],
+    "xor-mid": lambda raw: _at_middle(raw, lambda b: bytes([b ^ 1])),
+    "garbage": lambda raw: b"garbage\n",
+    "object": lambda raw: b"{}\n",
+    "array": lambda raw: b"[1, 2, 3]\n",
+    "insert-mid": lambda raw: _at_middle(raw, lambda b: bytes([b]) + b"x"),
+    "first-line-twice": lambda raw: raw[:raw.index(b"\n") + 1] + raw,
+    "bad-utf8": lambda raw: b"\xff\xfe" + raw,
+}
+
+# Every stage that declares a file as an input reads it; collect also replays
+# its answer cache, and every stage run records itself in state.json.
+CONSUMERS = [(ARTIFACTS[a][0], s.name) for s in STAGES.values() for a in s.inputs] + [
+    ("answers.jsonl", "collect"), ("state.json", "embed"), ("state.json", "cost")]
+
+_ID_CHANGED = "one document id changes, and these stages read no other file naming documents"
+_TEXT_CHANGED = "one character of a question's text changes: still a valid question"
+_FLOAT_FLIPPED = "a low bit of one float changes; only a stored checksum would show it"
+_TORN_ANSWER = "the answer cache drops its torn final record with a warning and asks again"
+_FINGERPRINT_CHANGED = ("one character of a recorded fingerprint changes; --force skips "
+                        "the fingerprint check, and the run records fresh ones")
+# (file, damage) -> (stages where exit 0 is right, why)
+ACCEPTED = {
+    ("corpus.jsonl", "xor-mid"): (("encode", "cluster", "embed"), _ID_CHANGED),
+    ("corpus.jsonl", "insert-mid"): (("encode", "cluster", "embed"), _ID_CHANGED),
+    ("doc_embeddings.npy", "xor-mid"): (("cluster", "train", "embed"), _FLOAT_FLIPPED),
+    ("heads.bin", "xor-mid"): (("embed", "eval-sts", "eval-retrieval", "eval-clustering",
+                                "explain", "ablate"), _FLOAT_FLIPPED),
+    ("candidates.jsonl", "empty"): (("probe",), "generate writes none when no questions parse"),
+    ("candidates.jsonl", "xor-mid"): (("probe",), _TEXT_CHANGED),
+    ("candidates.jsonl", "insert-mid"): (("probe",), _TEXT_CHANGED),
+    ("probes.jsonl", "empty"): (("select",), "probe writes none when every probe fails"),
+    ("probes.jsonl", "xor-mid"): (("select",), _TEXT_CHANGED),
+    ("probes.jsonl", "insert-mid"): (("select",), _TEXT_CHANGED),
+    ("bank.jsonl", "xor-mid"): (("collect", "train", "explain"), "one digit of a question's "
+                                "stored embedding changes; no stage and no fingerprint reads it"),
+    ("heldout_examples.jsonl", "empty"): (("train",), "a run may hold no held-out document; "
+                                          "train then reports no accuracy"),
+    ("answers.jsonl", "empty"): (("collect",), "an empty answer cache is a valid cache"),
+    ("answers.jsonl", "cut-20"): (("collect",), _TORN_ANSWER),
+    ("answers.jsonl", "cut-half"): (("collect",), _TORN_ANSWER),
+    ("answers.jsonl", "first-line-twice"): (("collect",), "a repeated answer: the last wins"),
+    ("state.json", "xor-mid"): (("embed", "cost"), _FINGERPRINT_CHANGED),
+    ("state.json", "insert-mid"): (("embed", "cost"), _FINGERPRINT_CHANGED),
+}
+
+
+@pytest.mark.parametrize("name, stage, damage",
+                         [(name, stage, d) for name, stage in CONSUMERS for d in DAMAGES],
+                         ids=lambda value: value)
+def test_damaged_input_stops_its_stage_naming_the_file(mini_ws, tmp_path, capsys, name,
+                                                       stage, damage):
+    """Each damage of each file a stage reads: exit 2 or 3 and one error line
+    naming the file, except where ACCEPTED says why the damage is valid."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy, copy_function=shutil.copyfile)  # never damage the fixture
+    path = copy / name
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", stage, "--force"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if stage in ACCEPTED.get((name, damage), ((), ""))[0]:
+        assert code == EXIT_OK
+    else:
+        assert code in (EXIT_CONFIG, EXIT_DEPENDENCY)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and name in errors[0]
+
+
+@pytest.mark.parametrize("state", ['{}', '{"stages": []}', '{"stages": {"ingest": 1}}',
+                                   '{"stages": {"ingest": {"config": "c", "inputs": {}}}}'])
+def test_state_json_of_another_shape_is_dependency_error(mini_ws, tmp_path, capsys, state):
+    """A plain run, with no --stage, reads state.json before its first stage."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    (copy / "state.json").write_text(state)
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error: corrupt file") and "state.json" in err
     assert len(err.strip().splitlines()) == 1
 
 

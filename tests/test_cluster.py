@@ -82,17 +82,10 @@ class TestKmeansFit:
         with pytest.raises(ClusterError):
             kmeans_fit(x, k=4, seed=0)
 
-    def test_rejects_non_unit_rows_unless_opted_out(self):
-        x = np.asarray([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0], [0.5, 0.5]])
-        with pytest.raises(ClusterError, match="unit-norm"):
-            kmeans_fit(x, k=2, seed=0)
-        model = kmeans_fit(x, k=2, seed=0, check_unit=False)
-        assert model.k == 2
-
     def test_rejects_non_finite(self):
         x = np.asarray([[1.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ClusterError, match="non-finite"):
-            kmeans_fit(x, k=1, seed=0, check_unit=False)
+            kmeans_fit(x, k=1, seed=0)
 
     def test_duplicate_points_with_k_equal_distinct_still_fits(self):
         x = unit([[1, 0], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1]])
@@ -130,30 +123,29 @@ class TestKmeansFit:
 
 
 def _fit_cases():
-    """(name, rows, k, check_unit) for the comparison with the np.add.at fit."""
+    """(name, rows, k) for the comparison with the np.add.at fit."""
     rng = np.random.Generator(np.random.PCG64(21))
     corpus = unit(rng.standard_normal((300, 96)))
     duplicated = unit(np.repeat(rng.standard_normal((6, 16)), 5, axis=0))
-    yield "k=1", corpus[:120], 1, True
-    yield "k=n", corpus[:24], 24, True
-    yield "k=4, d=7", unit(rng.standard_normal((90, 7))), 4, True
-    yield "k=17, d=224", unit(rng.standard_normal((200, 224))), 17, True
-    yield "k=30, n=300", corpus, 30, True
-    yield "blobs", blobs(rng, np.eye(8)[:5], per=25, spread=0.3), 5, True
+    yield "k=1", corpus[:120], 1
+    yield "k=n", corpus[:24], 24
+    yield "k=4, d=7", unit(rng.standard_normal((90, 7))), 4
+    yield "k=17, d=224", unit(rng.standard_normal((200, 224))), 17
+    yield "k=30, n=300", corpus, 30
+    yield "blobs", blobs(rng, np.eye(8)[:5], per=25, spread=0.3), 5
     yield "one long cluster", np.vstack([corpus[:3], unit(np.ones((150, 96)) + 0.01
-                                         * rng.standard_normal((150, 96)))]), 4, True
-    yield "duplicate rows", duplicated, 4, True
+                                         * rng.standard_normal((150, 96)))]), 4
+    yield "duplicate rows", duplicated, 4
     # cubed normals: one cluster of this fit empties once and is re-seeded
-    yield "reseeded", np.random.Generator(np.random.PCG64(2606)).standard_normal((23, 2)) ** 3, \
-        9, False
-    yield "binary rows", (rng.random((150, 40)) < 0.3).astype(np.float64), 4, False
-    yield "binary rows, k=12", (rng.random((150, 40)) < 0.5).astype(np.float64), 12, False
-    yield "signed zeros", -(rng.random((120, 24)) < 0.2).astype(np.float64), 6, False
+    yield "reseeded", np.random.Generator(np.random.PCG64(2606)).standard_normal((23, 2)) ** 3, 9
+    yield "binary rows", (rng.random((150, 40)) < 0.3).astype(np.float64), 4
+    yield "binary rows, k=12", (rng.random((150, 40)) < 0.5).astype(np.float64), 12
+    yield "signed zeros", -(rng.random((120, 24)) < 0.2).astype(np.float64), 6
 
 
-@pytest.mark.parametrize("name, x, k, check_unit", list(_fit_cases()),
+@pytest.mark.parametrize("name, x, k", list(_fit_cases()),
                          ids=[case[0] for case in _fit_cases()])
-def test_fit_matches_the_add_at_fit_bit_for_bit(name, x, k, check_unit, monkeypatch):
+def test_fit_matches_the_add_at_fit_bit_for_bit(name, x, k, monkeypatch):
     reseeds = []
     reseed = qembed.cluster._reseed_empty
 
@@ -163,7 +155,7 @@ def test_fit_matches_the_add_at_fit_bit_for_bit(name, x, k, check_unit, monkeypa
 
     monkeypatch.setattr(qembed.cluster, "_reseed_empty", counted)
     for seed in (0, 5):
-        fit = kmeans_fit(x, k=k, seed=seed, check_unit=check_unit)
+        fit = kmeans_fit(x, k=k, seed=seed)
         ref = reference_kmeans_fit(x, k=k, seed=seed)
         assert fit.centroids.tobytes() == ref.centroids.tobytes()
         assert fit.labels.tobytes() == ref.labels.tobytes()
@@ -183,7 +175,7 @@ def test_fewer_distinct_rows_than_clusters_converge(x, k):
     distinct = np.unique(x, axis=0, return_inverse=True)[1].ravel()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = kmeans_fit(x, k=k, seed=0, check_unit=False)
+        fit = kmeans_fit(x, k=k, seed=0)
     assert fit.iterations == 1 and fit.inertia == 0.0
     assert len(np.unique(fit.labels)) == distinct.max() + 1
     assert (np.unique(np.stack([fit.labels, distinct]), axis=1).shape[1]

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -21,11 +22,12 @@ import qembed
 from qembed import config, jsonl
 from qembed.binary import BinaryMatrix, save_binary_matrix
 from qembed.config import ConfigError, config_hash, load_config, with_seed
-from qembed.corpus import content_id, load_corpus
+from qembed.cluster import kmeans_fit
+from qembed.corpus import Corpus, Document, content_id, load_corpus
 from qembed.evaluation import load_sts_task, mean_cognitive_load, sts_evaluate
 from qembed.heads import TrainingExample, embed_documents, load_heads, save_heads, train_heads
 from qembed.metrics import MetricError
-from qembed.pipeline import (STAGE_ORDER, STAGES, StageContext, run_all, run_stage,
+from qembed.pipeline import (READERS, STAGE_ORDER, STAGES, StageContext, run_all, run_stage,
                              stage_seed, write_demo_workspace)
 from qembed.providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore
 from qembed.synthetic import TopicOracleLLM
@@ -330,9 +332,9 @@ def test_no_corpus_text_is_encoded_after_the_encode_stage(tmp_path, monkeypatch)
 
     monkeypatch.setattr(MockEncoder, "encode", counted)
     for name, stage in STAGES.items():
-        def func(ctx, name=name, inner=stage.func):
+        def func(ctx, name=name, inner=stage.func, **inputs):
             running.append(name)
-            return inner(ctx)
+            return inner(ctx, **inputs)
         monkeypatch.setitem(STAGES, name, dataclasses.replace(stage, func=func))
     cfg_path = write_demo_workspace(tmp_path, seed=0, **{**MINI, "steps": 100})
     cfg = load_config(cfg_path)
@@ -612,6 +614,30 @@ def test_demo_workspace_files_written(tmp_path):
         assert (tmp_path / "demo" / fname).exists(), fname
     assert cfg_path.name == "demo.ini"
     load_config(cfg_path)  # parses cleanly
+
+
+def test_every_input_has_one_reader_and_each_stage_takes_its_inputs():
+    """READERS reads exactly the artifacts some stage declares as inputs, and a
+    stage function takes them, after ctx, as parameters of the same names in
+    Stage.inputs order."""
+    assert set(READERS) == {a for s in STAGES.values() for a in s.inputs}
+    for stage in STAGES.values():
+        assert list(inspect.signature(stage.func).parameters) == ["ctx", *stage.inputs], \
+            stage.name
+
+
+def test_doc_embeddings_reader_rejects_rows_that_are_not_unit(tmp_path):
+    """cluster, train and embed need unit rows; the doc_embeddings reader checks
+    them for all three, and kmeans_fit itself takes any finite rows."""
+    x = np.asarray([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0], [0.5, 0.5]])
+    got = {"corpus": Corpus([Document(id=f"d{i}", text=f"text {i}") for i in range(len(x))])}
+    path = tmp_path / "doc_embeddings.npy"
+    np.save(path, x)
+    with pytest.raises(jsonl.CorruptFileError, match="doc_embeddings.npy: row 0 is not a finite"):
+        READERS["doc_embeddings"](path, got)
+    np.save(path, x / np.linalg.norm(x, axis=1, keepdims=True))
+    assert READERS["doc_embeddings"](path, got).shape == (4, 2)
+    assert kmeans_fit(x, k=2, seed=0).k == 2
 
 
 def test_stage_registry_is_consistent():

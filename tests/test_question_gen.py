@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +439,25 @@ class TestDedupMatchesPairwiseRule:
             expected)
         assert not {"v1", "v3", "v4"} & set(expected)  # cosine 0.9 at any scale
         assert "v2" in expected and "v7" in expected          # cosines 0.7 and 0.49
+
+    @pytest.mark.parametrize("big_first", [False, True])
+    def test_a_vector_whose_squares_overflow_duplicates_its_unit_twin(self, big_first):
+        """1e250 a squares to inf: admit divides it by its largest |entry| first,
+        as LAPACK's dnrm2 does, so it is a's duplicate in either order, and no
+        overflow warning is raised."""
+        a = np.linalg.qr(rng(5).standard_normal((256, 256)))[0][:, 0]
+        rows = {"Is it first?": 1e250 * a if big_first else a,
+                "Is it second?": a if big_first else 1e250 * a}
+        encoder = types.SimpleNamespace(  # raw rows, as an encoder may return them
+            dim=256, encode=lambda texts: np.stack([rows[t] for t in texts]),
+            fingerprint=lambda: "raw")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank = select_question_bank([scored("Is it first?", 0, 0.9, ordinal=0),
+                                         scored("Is it second?", 1, 0.9, ordinal=0)],
+                                        encoder, theta=NEAR_THETA, t=4)
+        assert bank.texts() == ["Is it first?"]
+        np.testing.assert_allclose(bank.questions[0].embedding, a, rtol=0, atol=1e-15)
 
 
 def test_select_bank_shaped_bank_keeps_its_pinned_bytes():
