@@ -19,10 +19,11 @@ keeps heads.bin's float32 values as they are, in one aligned read-only array.
 
 Only loaded heads, the heads as saved, give bits, and only embedding_bits
 computes them: embed_vectors and evaluate_heldout at one tau, the ablate
-stage at all of its taus in one pass. It runs a float32 first layer with a
-rigorous forward-error bound per (row, head) (see _bound_constants) once,
-thresholds it at every tau, and recomputes the few heads the bound cannot
-settle at some tau once, with the float64 forward_logits. So every bit
+stage at all of its taus in one pass. It runs the whole forward in float32
+but for the last +b2, with a rigorous forward-error bound per (row, head)
+(see _bound_constants), once per screen of rows, thresholds it at every tau,
+and recomputes the few heads the bound cannot settle at some tau once per
+FORWARD_CHUNK block of rows, with the float64 forward_logits. So every bit
 equals sigmoid(forward_logits(...)) > tau.
 """
 
@@ -50,8 +51,13 @@ from .question_gen import _U32, _U64, QuestionBank, _gamma
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# rows per forward GEMM; bounds the (m, h, rows) hidden-layer temporary
+# rows per float64 forward GEMM, which bounds its (m, h, rows) hidden-layer
+# temporary; a row's logits depend on its block of FORWARD_CHUNK rows, so the
+# certified forward screens whole blocks and recomputes block by block
 FORWARD_CHUNK = 32
+# bytes of the certified forward's largest per-screen temporary (see _screen_rows):
+# 64 rows at m=512, h=128, the whole matrix at the demo and build shapes
+_SCREEN_BYTES = 16 * 1024 * 1024
 # bytes of one block of heads in forward_logits: its gathered rows and their
 # float64 upcast together, 12 bytes a parameter of float32 heads
 FORWARD_HEAD_BYTES = 4 * 1024 * 1024
@@ -79,8 +85,10 @@ _TAU_MARGIN = 2.0 ** -30
 # largest row norm, and hidden-unit weight norm, the certified forward takes:
 # their product stays far below the float32 overflow threshold 2**128
 _NORM_LIMIT = 2.0 ** 60
-# largest per-head sum the certified forward takes: no float64 sum overflows
-_SUM_LIMIT = 2.0 ** 900
+# largest sum_j |w2_j| n_j, and sum_j |w2_j| |b1_j| and |b1_j|, of a head the
+# certified forward takes: with the norms above, no float32 step overflows
+_WEIGHT_LIMIT = 2.0 ** 65
+_BIAS_LIMIT = 2.0 ** 125
 
 
 class TrainingError(RuntimeError):
@@ -607,46 +615,68 @@ def _check_losses(terms, slots, steps, order, sizes, answer_qid) -> None:
 def _bound_constants(heads: QuestionHeads) -> np.ndarray:
     """(2, m) per-head constants (a, b) of the certified forward's error bound.
 
-    The certified forward takes z' = w2 . relu(fl32(W1 fl32(e)) + b1) + b2,
-    the first layer one float32 GEMM and the rest float64; forward_logits
-    takes z in float64 from the same float32 parameters. Per row e and head q,
+    The certified forward takes z' = fl64(fl32(w2 . relu(fl32(W1 fl32(e)) + b1))
+    + b2): every step in float32 but the last +b2, which is float64 on the
+    upcast sum; forward_logits takes z in float64 from the same float32
+    parameters. Per row e and head q,
 
         |z' - z| <= a_q ||e||_2 + b_q.
 
-    Per hidden unit j, with n_j >= ||W1_qj||_2:
-    - the float32 dot product errs by gamma_d^32 n_j ||fl32(e)||_2
-      <= gamma_d^32 (1 + u32) n_j ||e||_2, and rounding e to float32 by
-      u32 n_j ||e||_2 (Cauchy-Schwarz);
-    - both paths' float64 steps err by u64 for +b1 and gamma_(d+1)^64 and
-      gamma_(h+2)^64 for their dot products, relative to n_j ||e||_2 + |b1_j|;
-    - ReLU is 1-Lipschitz, and the second layer weighs unit j by |w2_qj|.
-    Summed: a_q = alpha * sum_j |w2_qj| n_j, and b_q = beta * sum_j |w2_qj| |b1_qj|
-    + |b2_q| plus sqrt(d) 2**-64 sum_j |w2_qj| for float32 underflow. alpha and
-    beta carry a factor 1 + 2**-20 for second-order terms and the rounding of
-    the bound itself.
+    With u = u32, g_n = gamma_n^32, N_j = n_j ||e||_2 for n_j >= ||W1_qj||_2
+    and B_j = |b1_qj|, hidden unit j's float32 pre-activation errs by at most
+    c N_j + u B_j, c = u + g_d (1 + u) + u (1 + g_d)(1 + u):
+    - rounding e to float32 errs by u N_j and the dot product by
+      g_d (1 + u) N_j (Cauchy-Schwarz on fl32(e));
+    - the +b1 sum errs by u (|its dot product| + B_j), at most
+      u ((1 + g_d)(1 + u) N_j + B_j).
+    ReLU is 1-Lipschitz, so relu_j errs as much and |relu_j| <= N_j + B_j plus
+    that error. The w2 dot errs by g_h sum_j |w2_qj| |relu_j|, and the +b2 sum by
+    u64 (|that dot| + |b2_q|); both together by t sum_j |w2_qj| |relu_j| +
+    u64 |b2_q|, t = g_h + u64 (1 + g_h). forward_logits' float64 steps,
+    gamma_(d+1)^64 and gamma_(h+2)^64 for its dot products and u64 for each
+    sum, relative to N_j + B_j and |b2_q|, are within float64_steps. Summed:
+
+        a_q = alpha sum_j |w2_qj| n_j,     alpha = c + t (1 + c) + float64_steps,
+        b_q = beta sum_j |w2_qj| B_j + float64_steps |b2_q|
+              + sqrt(d) 2**-64 sum_j |w2_qj| + h 2**-148,
+                                           beta = u + t (1 + u) + float64_steps.
+
+    The last two terms of b_q cover float32 underflow, in the first layer and
+    in the w2 products. The coefficients carry a factor 1 + 2**-20 for the
+    second-order terms of the float64 steps and the rounding of the bound itself.
 
     n_j is a float32 einsum of squares inflated by its own rounding (gamma_d
     for the sum, u32 for the square root), plus sqrt(d) 2**-62 for underflowed
-    squares. a = inf, so each bit is recomputed, for a head with n_j above
-    _NORM_LIMIT, a sum above _SUM_LIMIT or a NaN, and for all when d u32 > 1/4.
+    squares. a = inf, so each bit is recomputed, for a head on which a float32
+    step could overflow: n_j above _NORM_LIMIT, sum_j |w2_qj| n_j above
+    _WEIGHT_LIMIT, |b1_qj| or sum_j |w2_qj| |b1_qj| above _BIAS_LIMIT, or a NaN.
+    On a row of norm up to _NORM_LIMIT, every partial sum of the other heads
+    stays below 2**127. And a = inf for all heads when d u32 or h u32 > 1/4.
     """
     W1, h, d = heads.W1, heads.h, heads.d
     root_d = math.sqrt(d)
+    g_d, g_h = _gamma(d, _U32), _gamma(h, _U32)
+    first = _U32 + g_d * (1.0 + _U32) + _U32 * (1.0 + g_d) * (1.0 + _U32)
+    tail = g_h + _U64 * (1.0 + g_h)
     float64_steps = _gamma(d + 1, _U64) + 2.0 * _gamma(h + 2, _U64) + 2.0 * _U64
-    alpha = (_gamma(d, _U32) * (1.0 + _U32) + _U32 + float64_steps) * (1.0 + 2.0 ** -20)
-    beta = float64_steps * (1.0 + 2.0 ** -20)
+    scale = 1.0 + 2.0 ** -20
+    alpha = (first + tail * (1.0 + first) + float64_steps) * scale
+    beta = (_U32 + tail * (1.0 + _U32) + float64_steps) * scale
+    beta_b2 = float64_steps * scale
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("qhd,qhd->qh", W1, W1), dtype=np.float64)
-        norms *= 1.0 + 2.0 * (_gamma(d, _U32) + _U32)
+        norms *= 1.0 + 2.0 * (g_d + _U32)
         norms += root_d * 2.0 ** -62
         w2 = np.abs(np.asarray(heads.w2, dtype=np.float64))
+        b1 = np.abs(np.asarray(heads.b1, dtype=np.float64))
         weighted_norms = np.einsum("qh,qh->q", w2, norms)
-        weighted_b1 = np.einsum("qh,qh->q", w2, np.abs(np.asarray(heads.b1, dtype=np.float64)))
-        weighted_b1 += np.abs(np.asarray(heads.b2, dtype=np.float64))
-        fits = ((d * _U32 <= 0.25) & (norms.max(axis=1, initial=0.0) <= _NORM_LIMIT)
-                & (weighted_norms <= _SUM_LIMIT) & (weighted_b1 <= _SUM_LIMIT))
+        weighted_b1 = np.einsum("qh,qh->q", w2, b1)
+        fits = ((max(d, h) * _U32 <= 0.25) & (norms.max(axis=1, initial=0.0) <= _NORM_LIMIT)
+                & (weighted_norms <= _WEIGHT_LIMIT) & (b1.max(axis=1, initial=0.0) <= _BIAS_LIMIT)
+                & (weighted_b1 <= _BIAS_LIMIT))
         bounds = np.stack([np.where(fits, alpha * weighted_norms, np.inf),
-                           beta * weighted_b1 + root_d * 2.0 ** -64 * w2.sum(axis=1)])
+                           beta * weighted_b1 + beta_b2 * np.abs(heads.b2.astype(np.float64))
+                           + root_d * 2.0 ** -64 * w2.sum(axis=1) + h * 2.0 ** -148])
     return bounds
 
 
@@ -673,26 +703,37 @@ def _logit_threshold(tau: float) -> tuple[float, float]:
 
 def _float32_logits(heads: QuestionHeads, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The certified forward of loaded heads on (rows, d) float64 rows: logits
-    z' (rows, m), the first layer one float32 batched matmul and the rest
-    float64, and the bound (rows, m) of heads.bounds with
-    |z' - forward_logits| <= bound.
+    z' (rows, m), every step in float32 (a batched matmul per layer, +b1 and
+    ReLU in place on the first one's output) but the last +b2 in float64, and
+    the bound (rows, m) of heads.bounds with |z' - forward_logits| <= bound.
 
     A row whose norm exceeds _NORM_LIMIT or is not finite gets an infinite or
-    NaN bound. Runs under np.errstate, so such rows raise no warnings.
+    NaN bound, as does every row on a head whose float32 steps could overflow.
+    Runs under np.errstate, so such rows and heads raise no warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("nd,nd->n", chunk, chunk))
         norms *= 1.0 + 2.0 * _gamma(heads.d + 2, _U64)  # its own rounding
         norms += 2.0 ** -500  # underflowed squares
         norms[~(norms <= _NORM_LIMIT)] = np.inf
-        hidden = np.matmul(heads.W1, chunk.astype(np.float32).T).astype(np.float64)
-        hidden += np.asarray(heads.b1, dtype=np.float64)[:, :, None]
+        # (m, rows, h), so that +b1 runs along its contiguous last axis
+        hidden = np.matmul(chunk.astype(np.float32), heads.W1.transpose(0, 2, 1))
+        hidden += heads.b1[:, None, :]
         np.maximum(hidden, 0.0, out=hidden)
-        z = np.einsum("qh,qhn->nq", np.asarray(heads.w2, dtype=np.float64), hidden)
+        z = np.matmul(hidden, heads.w2[:, :, None])[:, :, 0].T.astype(np.float64)
         z += heads.b2
         bound = np.multiply.outer(norms, heads.bounds[0])
         bound += heads.bounds[1]
     return z, bound
+
+
+def _screen_rows(heads: QuestionHeads, n_taus: int) -> int:
+    """Rows per certified-forward screen at n_taus taus: the most whole
+    FORWARD_CHUNK blocks, at least one, whose larger temporary fits in
+    _SCREEN_BYTES, the (m, rows, h) float32 hidden layer or an
+    (n_taus, rows, m) float64 array of logits."""
+    block_bytes = 4 * heads.m * max(heads.h, 2 * n_taus) * FORWARD_CHUNK
+    return FORWARD_CHUNK * max(1, _SCREEN_BYTES // max(1, block_bytes))
 
 
 def embedding_bits(heads: QuestionHeads, embeddings: np.ndarray,
@@ -700,13 +741,15 @@ def embedding_bits(heads: QuestionHeads, embeddings: np.ndarray,
     """(len(taus), n, m) uint8 bits: bits[k] is sigmoid(forward_logits(heads,
     embeddings, every head id)) > taus[k].
 
-    Each chunk of FORWARD_CHUNK rows runs the certified forward
+    Each screen of _screen_rows rows runs the certified forward
     (_float32_logits) once. A bit is decided there when its logit lies
     farther from logit(tau) than the bound plus that tau's slack
-    (_logit_threshold). Every head with an undecided (row, head) pair at any
-    tau, NaN and inf included, is recomputed once by forward_logits over the
-    same chunk, and each tau takes its undecided bits from that one
-    recompute; an infinite bound or slack sends every pair there. Heads without
+    (_logit_threshold). In each FORWARD_CHUNK block of the screen's rows,
+    every head with an undecided (row, head) pair at any tau, NaN and inf
+    included, is recomputed once by forward_logits over the block, and each
+    tau takes its undecided bits from that one recompute; an infinite bound
+    or slack sends every pair there. Screens are whole blocks, so a block's
+    rows are the rows forward_logits groups in one GEMM. Heads without
     load_heads' bounds raise TrainingError.
     """
     for tau in taus:
@@ -719,23 +762,28 @@ def embedding_bits(heads: QuestionHeads, embeddings: np.ndarray,
         raise TrainingError(f"embeddings of shape {e.shape} for heads of width {heads.d}")
     if heads.bounds is None:
         raise TrainingError("only heads loaded by load_heads give embedding bits")
-    # tau, logit(tau) and slack, each (len(taus), 1, 1) against a chunk's (rows, m)
+    # tau, logit(tau) and slack, each (len(taus), 1, 1) against a screen's (rows, m)
     limits = np.reshape([(tau, *_logit_threshold(tau)) for tau in taus], (-1, 3))
     cut, threshold, slack = limits.T[..., None, None]
     bits = np.empty((len(taus), len(e), heads.m), dtype=np.uint8)
-    for lo in range(0, len(e), FORWARD_CHUNK):
-        chunk = e[lo:lo + FORWARD_CHUNK]
+    screen = _screen_rows(heads, len(taus))
+    for lo in range(0, len(e), screen):
+        chunk = e[lo:lo + screen]
         out = bits[:, lo:lo + len(chunk)]
         z, bound = _float32_logits(heads, chunk)
         z = z - threshold  # rounding is monotone: fl(z - t) > bound implies z - t > bound
         np.greater(z, 0.0, out=out)
         undecided = ~(np.abs(z) > bound + slack)  # so NaN in z or a bound is undecided
-        qs = np.flatnonzero(undecided.any(axis=(0, 1)))
-        if qs.size:
-            redo = undecided[:, :, qs]
-            cols = out[:, :, qs]
-            cols[redo] = (sigmoid(forward_logits(heads, chunk, qs)) > cut)[redo]
-            out[:, :, qs] = cols
+        # the heads with an undecided pair at any tau, block by block
+        starts = np.arange(0, len(chunk), FORWARD_CHUNK)
+        redo_heads = np.logical_or.reduceat(undecided.any(axis=0), starts, axis=0)
+        for block in np.flatnonzero(redo_heads.any(axis=1)):
+            rows = slice(starts[block], starts[block] + FORWARD_CHUNK)
+            qs = np.flatnonzero(redo_heads[block])
+            redo = undecided[:, rows, qs]
+            cols = out[:, rows, qs]
+            cols[redo] = (sigmoid(forward_logits(heads, chunk[rows], qs)) > cut)[redo]
+            out[:, rows, qs] = cols
     return bits
 
 

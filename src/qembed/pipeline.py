@@ -34,7 +34,7 @@ from .question_gen import (CandidateQuestion, ProbeOutcome, ScoredQuestion,
                            probe_question, sample_contrastive,
                            save_question_bank, select_question_bank)
 from .synthetic import TopicOracleLLM
-from .workspace import ARTIFACTS, Workspace, file_fingerprint
+from .workspace import ARTIFACTS, DependencyError, Workspace, file_fingerprint
 
 logger = logging.getLogger(__name__)
 
@@ -184,6 +184,9 @@ def _write_examples(path: Path, examples: list[TrainingExample]) -> None:
 
 
 def _stage_collect(ctx: StageContext, corpus, split, cluster_model, bank) -> dict:
+    if not bank.m:  # select writes such a bank when no candidate survives probing
+        raise DependencyError(f"stage 'collect' needs questions; {ctx.ws.path('bank').name} "
+                              f"holds none, as stage 'select' admitted no candidate")
     with AnswerCache(ctx.ws.path("answers")) as cache:
         result = collect_answers(bank, cluster_model, corpus.text_by_id(), ctx.llm, cache,
                                  _rng(ctx.seed, "collect"), ctx.cfg.collection)
@@ -199,8 +202,12 @@ def _stage_train(ctx: StageContext, corpus, doc_embeddings, bank, train_examples
                  heldout_examples) -> dict:
     tcfg = ctx.cfg.training
     row = {doc_id: i for i, doc_id in enumerate(corpus.ids())}  # doc_embeddings row by id
-    train_vectors, heldout_vectors = (doc_embeddings[[row[ex.document_id] for ex in examples]]
-                                      for examples in (train_examples, heldout_examples))
+    # the call holds doc_embeddings until the stage returns, so the examples'
+    # rows are gathered to its front in place rather than copied beside it
+    order = [row[ex.document_id] for ex in (*train_examples, *heldout_examples)]
+    doc_embeddings[:len(order)] = doc_embeddings[order]
+    train_vectors = doc_embeddings[:len(train_examples)]
+    heldout_vectors = doc_embeddings[len(train_examples):len(order)]
     save_heads(train_heads(train_examples, train_vectors, bank, cfg=tcfg,
                            seed=stage_seed(ctx.seed, "train")), ctx.ws.path("heads"))
     payload = {"provenance": ctx.provenance(), "train_docs": len(train_examples),
@@ -405,10 +412,15 @@ def _read_corpus(path: Path, got: dict) -> Corpus:
 
 
 def _read_doc_embeddings(path: Path, got: dict) -> np.ndarray:
-    try:
-        rows = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise _corrupt(path, exc) from exc
+    with open(path, "rb") as fh:
+        magic = np.lib.format.MAGIC_PREFIX
+        if fh.read(len(magic)) != magic:
+            raise _corrupt(path, "not a .npy array: it does not start with the .npy magic")
+        fh.seek(0)
+        try:
+            rows = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise _corrupt(path, exc) from exc
     if rows.ndim != 2 or len(rows) != len(got["corpus"]):
         raise _corrupt(path, f"shape {rows.shape} for {ARTIFACTS['corpus'][0]}'s "
                              f"{len(got['corpus'])} documents")

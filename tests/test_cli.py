@@ -205,6 +205,9 @@ _FLOAT_FLIPPED = "a low bit of one float changes; only a stored checksum would s
 _TORN_ANSWER = "the answer cache drops its torn final record with a warning and asks again"
 _FINGERPRINT_CHANGED = ("one character of a recorded fingerprint changes; --force skips "
                         "the fingerprint check, and the run records fresh ones")
+# (file, damage) -> what its error line says, where the damage has one clear cause
+MESSAGES = {("doc_embeddings.npy", damage): "not a .npy array"
+            for damage in ("empty", "garbage", "object", "array", "bad-utf8")}
 # (file, damage) -> (stages where exit 0 is right, why)
 ACCEPTED = {
     ("corpus.jsonl", "xor-mid"): (("encode", "cluster", "embed"), _ID_CHANGED),
@@ -253,6 +256,24 @@ def test_damaged_input_stops_its_stage_naming_the_file(mini_ws, tmp_path, capsys
         assert code in (EXIT_CONFIG, EXIT_DEPENDENCY)
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and name in errors[0]
+        assert MESSAGES.get((name, damage), "") in errors[0]
+
+
+def test_collect_on_a_bank_without_questions_is_dependency_error(mini_ws, tmp_path, capsys):
+    """select writes a header-only bank when no candidate survives probing;
+    collect then has nothing to ask and says so, naming bank.jsonl."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    bank = copy / "bank.jsonl"
+    header = json.loads(bank.read_text().splitlines()[0])
+    bank.write_text(json.dumps({**header, "m": 0}) + "\n")
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "collect", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and "bank.jsonl holds none" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("state", ['{}', '{"stages": []}', '{"stages": {"ingest": 1}}',

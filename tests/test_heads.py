@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,12 @@ from qembed.heads import (
     TRAIN_CHUNK_BYTES,
     ClassificationReport,
     TrainingError,
+    QuestionHeads,
     TrainingExample,
     _bound_constants,
     _float32_logits,
     _logit_threshold,
+    _screen_rows,
     classification_report,
     compute_pos_weight,
     embed_documents,
@@ -1091,6 +1094,90 @@ class TestCertifiedBits:
         assert (~(np.abs(z) > bound))[5:].all()
         assert np.isfinite(bound[:5]).all()
 
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9, 1e-6])
+    def test_rows_within_ulps_of_the_threshold_at_the_paper_width(self, tmp_path, monkeypatch,
+                                                                   tau):
+        """As above at h=128, d=256, where the float32 tail's bound term is as
+        large as the first layer's."""
+        rng = np.random.default_rng(21)
+        e0 = rng.standard_normal(256)
+        e0 /= np.linalg.norm(e0)
+        heads = loaded(heads_at_threshold(m=4, d=256, h=128, seed=8, tau=tau, e0=e0), tmp_path)
+        rows = np.concatenate([boundary_rows(heads, tau, q, e0) for q in (0, 3)])
+        spy = RecomputeSpy(monkeypatch)
+        bits = embed_vectors(rows, heads, tau).to_dense()
+        monkeypatch.undo()
+        np.testing.assert_array_equal(bits, expected_bits(heads, rows, tau))
+        assert [rows for rows, _ in spy.calls] == [16]
+        # every boundary row lies within the bound of the threshold, so the
+        # screen leaves it to the recompute
+        z, bound = _float32_logits(heads, rows)
+        threshold = _logit_threshold(tau)[0]
+        for q, at in ((0, 0), (3, 8)):
+            assert (np.abs(z[at:at + 8, q] - threshold) <= bound[at:at + 8, q]).all()
+
+    def test_heads_whose_float32_tail_could_overflow_are_recomputed(self, tmp_path,
+                                                                   monkeypatch):
+        """w2 or b1 near the float32 maximum: those heads' bounds are infinite, so
+        every pair of them goes to the recompute, with no warning, while the
+        float32 tail gives inf or NaN logits for some of them."""
+        fresh = init_heads(m=6, d=16, h=8, seed=12)
+        fresh.w2[1] = 3e38 * np.sign(fresh.w2[1])
+        fresh.b1[2] = 3e38
+        fresh.b1[3] = -3e38
+        fresh.w2[4] = 3e38
+        fresh.b1[4] = 1e38
+        heads = loaded(fresh, tmp_path)
+        assert (heads.bounds[0, 1:5] == np.inf).all()
+        assert np.isfinite(heads.bounds[:, [0, 5]]).all()
+        E = np.random.default_rng(6).standard_normal((FORWARD_CHUNK + 3, 16))
+        spy = RecomputeSpy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, bound = _float32_logits(heads, E)
+            bits = embedding_bits(heads, E, [0.1, 0.5])
+        monkeypatch.undo()
+        assert not np.isfinite(z[:, [2, 4]]).all() and (bound[:, 1:5] == np.inf).all()
+        for tau, tau_bits in zip((0.1, 0.5), bits):
+            np.testing.assert_array_equal(tau_bits, expected_bits(heads, E, tau))
+        assert [rows for rows, _ in spy.calls] == [FORWARD_CHUNK, 3]
+
+    def test_screens_are_whole_blocks_sized_by_bytes(self):
+        """64 rows at the paper shape, the whole of ablate's rows at the demo
+        shape, and fewer where many taus' logits outweigh a narrow hidden layer."""
+        def shaped(m, h):  # the screen does not depend on d
+            params = np.empty((m, 3 * h + 1), dtype=np.float32)
+            return QuestionHeads(params=params, h=h, d=1, seed=0, tau_default=0.5,
+                                 bank_fingerprint="")
+
+        assert _screen_rows(shaped(512, 128), 1) == 2 * FORWARD_CHUNK
+        assert _screen_rows(shaped(16, 16), 7) >= 4096
+        assert _screen_rows(shaped(512, 1), 64) == 2 * FORWARD_CHUNK
+        assert _screen_rows(shaped(1024, 256), 1) == FORWARD_CHUNK  # at least one block
+        for args in ((shaped(40, 8), 1), (shaped(512, 128), 3)):
+            assert _screen_rows(*args) % FORWARD_CHUNK == 0
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 63, 64, 65, 129])
+    def test_recompute_runs_per_block_under_a_larger_screen(self, tmp_path, monkeypatch, n):
+        """With screens of two blocks, every recompute still covers one
+        FORWARD_CHUNK-aligned block of rows, and the bits are the float64 forward's."""
+        rng = np.random.default_rng(n)
+        fresh = init_heads(m=6, d=16, h=4, seed=3)
+        fresh.b2[:] += rng.normal(0.0, 3.0, size=6)
+        heads = loaded(fresh, tmp_path)
+        monkeypatch.setattr(heads_module, "_SCREEN_BYTES", 2 * 4 * 6 * 4 * FORWARD_CHUNK)
+        assert _screen_rows(heads, 1) == 2 * FORWARD_CHUNK
+        E = rng.standard_normal((n, 16))
+        spy = RecomputeSpy(monkeypatch)
+        np.testing.assert_array_equal(embed_vectors(E, heads, 1e-12).to_dense(),
+                                      expected_bits(heads, E, 1e-12))
+        assert spy.calls == [(min(FORWARD_CHUNK, n - lo), 6)
+                             for lo in range(0, n, FORWARD_CHUNK)]
+        spy.calls.clear()
+        np.testing.assert_array_equal(embed_vectors(E, heads, 0.5).to_dense(),
+                                      expected_bits(heads, E, 0.5))
+        assert all(rows in (FORWARD_CHUNK, n % FORWARD_CHUNK) for rows, _ in spy.calls)
+
     def test_trained_heads(self, tmp_path):
         encoder = MockEncoder(dim=16, seed=0)
         texts, examples = hyperplane_data(encoder, n_docs=60, m=6, seed=8)
@@ -1126,6 +1213,32 @@ class TestCertifiedBits:
                 chunk = E[lo:lo + FORWARD_CHUNK]
                 z, bound = _float32_logits(heads, chunk)
                 assert (np.abs(z - reference_forward_logits(heads, chunk)) <= bound).all()
+
+    def test_bound_constants_cover_both_float32_dot_products(self, tmp_path):
+        """a and b are at least the first-order worst case (Higham, ch. 3) of the
+        two float32 dot products, gamma_d^32 for W1 e and gamma_h^32 for
+        w2 . relu, which no test data of random rows comes near."""
+        heads = loaded(init_heads(m=5, d=256, h=128, seed=1), tmp_path)
+        gamma = lambda n: n * 2.0 ** -24 / (1.0 - n * 2.0 ** -24)  # noqa: E731
+        w2 = np.abs(heads.w2.astype(np.float64))
+        norms = np.linalg.norm(heads.W1.astype(np.float64), axis=2)
+        a, b = heads.bounds
+        assert (a >= (gamma(256) + gamma(128)) * np.einsum("qh,qh->q", w2, norms)).all()
+        assert (b >= gamma(128) * np.einsum("qh,qh->q", w2, np.abs(heads.b1))).all()
+
+    def test_bound_covers_the_float32_tail(self, tmp_path):
+        """With W1 = 0 the first layer is exact, so the float32 w2 dot's rounding
+        is all the error."""
+        rng = np.random.default_rng(14)
+        fresh = init_heads(m=16, d=32, h=128, seed=4)
+        fresh.W1[:] = 0.0
+        fresh.b1[:] = rng.uniform(1.0, 2.0, size=fresh.b1.shape) * 1e3
+        fresh.w2[:] = rng.standard_normal(fresh.w2.shape)
+        heads = loaded(fresh, tmp_path)
+        E = rng.standard_normal((8, 32))
+        z, bound = _float32_logits(heads, E)
+        err = np.abs(z - reference_forward_logits(heads, E))
+        assert (err <= bound).all() and err.max() > 0.0
 
 
 class TestClassificationReport:
