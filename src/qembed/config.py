@@ -11,6 +11,7 @@ take the sections themselves as their parameters.
 import configparser
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -80,6 +81,11 @@ class LlmSection:
     def __post_init__(self):
         _require(self.kind in ("scripted", "oracle", "remote"),
                  f"[llm] kind must be scripted, oracle, or remote, got {self.kind!r}")
+        _require(self.kind != "remote" or bool(self.endpoint),
+                 "[llm] endpoint is required when kind = remote")
+        _at_least("llm", 1, self, "max_parallel")
+        _require(0 < self.timeout < math.inf,
+                 f"[llm] timeout must be a finite number > 0, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,12 @@ class TrainingSection:
         _at_least("training", 1, self, "steps", "hidden")
         _require(0 < self.tau < 1, f"[training] tau must be in (0, 1), got {self.tau}")
         try:
-            self.fixed_pos_weight()
+            weight = self.fixed_pos_weight()
         except ValueError:
-            raise ConfigError(f"[training] pos_weight must be auto, none, or a number, "
-                              f"got {self.pos_weight!r}") from None
+            weight = math.nan
+        _require(weight is None or 0 < weight < math.inf,
+                 f"[training] pos_weight must be auto, none, or a finite number > 0, "
+                 f"got {self.pos_weight!r}")
 
     def fixed_pos_weight(self) -> float | None:
         """The loss weight of yes answers; None for auto, computed from the answers."""
@@ -243,13 +251,7 @@ class PipelineConfig:
     cost: CostSection = field(default_factory=CostSection)
 
 
-_SECTION_TYPES = {
-    "pipeline": PipelineSection, "corpus": CorpusSection, "encoder": EncoderSection,
-    "llm": LlmSection, "cluster": ClusterSection, "generation": GenerationSection,
-    "probe": ProbeSection, "selection": SelectionSection,
-    "collection": CollectionSection, "training": TrainingSection,
-    "eval": EvalSection, "cost": CostSection,
-}
+_SECTION_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def _coerce(section: str, key: str, raw: str, target_type):
@@ -328,10 +330,7 @@ def config_from_parser(parser: configparser.ConfigParser,
                 raise ConfigError(
                     f"{origin}: unknown key {key!r} in [{section}]; "
                     f"known: {', '.join(sorted(known))}")
-            # dataclass field types arrive as strings under future annotations
-            target = {"int": int, "float": float, "str": str}[
-                known[key] if isinstance(known[key], str) else known[key].__name__]
-            values[key] = _coerce(section, key, raw, target)
+            values[key] = _coerce(section, key, raw, known[key])
         kwargs[section] = section_type(**values)
     return PipelineConfig(**kwargs)
 

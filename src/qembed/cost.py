@@ -8,7 +8,7 @@ answer rate chosen so that ten million training pairs cost 31 USD.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .config import CostSection, parse_hours_map, parse_int_list
 from .jsonl import dumps
@@ -64,15 +64,6 @@ class CostRow:
     mbqa_gpu_usd: float
     mbqa_total_usd: float
 
-    def as_dict(self) -> dict:
-        return {
-            "num_questions": self.num_questions,
-            "llm_usd": self.llm_usd,
-            "mbqa_api_usd": self.mbqa_api_usd,
-            "mbqa_gpu_usd": self.mbqa_gpu_usd,
-            "mbqa_total_usd": self.mbqa_total_usd,
-        }
-
 
 def comparison_rows(p: CostSection) -> list[CostRow]:
     """Cost both approaches at each of the section's question-bank sizes."""
@@ -97,4 +88,4 @@ def render_cost_table(rows: list[CostRow], num_docs: int) -> str:
 
 
 def cost_rows_jsonl(rows: list[CostRow], num_docs: int) -> str:
-    return "".join(dumps({"num_docs": num_docs, **r.as_dict()}, sort_keys=True) for r in rows)
+    return "".join(dumps({"num_docs": num_docs, **asdict(r)}, sort_keys=True) for r in rows)

@@ -268,16 +268,6 @@ class ExplanationReport:
                 lines.append(f"- **Q{hit.id}.** {hit.text}")
         return "\n".join(lines)
 
-    def as_dict(self) -> dict:
-        return {
-            "text_a": self.text_a,
-            "text_b": self.text_b,
-            "cognitive_load": self.cognitive_load,
-            "shared_yes": [{"id": h.id, "text": h.text} for h in self.shared_yes],
-            "only_a": [{"id": h.id, "text": h.text} for h in self.only_a],
-            "only_b": [{"id": h.id, "text": h.text} for h in self.only_b],
-        }
-
 
 def explain_pair(a_row, b_row, bank: QuestionBank, text_a: str = "",
                  text_b: str = "", bank_fingerprint: str | None = None

@@ -454,8 +454,10 @@ class _Lockstep:
         return buffers[0, :len(ids)], end
 
 
-def _train_forked(run: _Lockstep, shares: list[list[tuple[int, int]]]) -> None:
+def _train_shares(run: _Lockstep, shares: list[list[tuple[int, int]]]) -> None:
     """Train shares[0] in this process and each other share in a forked child.
+
+    With one share nothing is forked: the whole run trains in this process.
 
     run's params and z are anonymous shared memory, so a child's trained rows
     and logits land where this process reads them. A child leaves by
@@ -516,7 +518,7 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
     Chunks are sized to cache, and to split the touched heads evenly among
     the CPUs this process may run on. One worker per CPU trains a share of
     about equal work: this process one, a forked child each other (see
-    _train_forked). Every worker writes its heads' rows and its touches'
+    _train_shares). Every worker writes its heads' rows and its touches'
     logits in place, into one anonymous shared mapping made before any
     fork. Training stays in this process, with no fork, on one CPU, where
     the platform cannot tell the CPUs, while other threads run, and for
@@ -572,10 +574,7 @@ def train_heads(examples: list[TrainingExample], embeddings: np.ndarray,
                     steps)
     shares = _deal(counts, chunk, workers)
     with np.errstate(all="ignore"):  # divergence is _check_losses' error; children inherit this
-        if len(shares) == 1:
-            run.train_share(shares[0])
-        else:
-            _train_forked(run, shares)
+        _train_shares(run, shares)
         terms = z  # each touch's logit, turned into its loss term in place
         for lo in range(0, len(terms), TERM_BLOCK):
             answers = slots[lo:lo + TERM_BLOCK]
@@ -818,12 +817,6 @@ class ClassificationReport:
     macro: tuple[float, float, float]
     weighted: tuple[float, float, float]
     total: int
-
-    def as_dict(self) -> dict:
-        return {
-            "no": vars(self.no), "yes": vars(self.yes), "accuracy": self.accuracy,
-            "macro": list(self.macro), "weighted": list(self.weighted), "total": self.total,
-        }
 
 
 def classification_report(y_true: np.ndarray, y_pred: np.ndarray) -> ClassificationReport:

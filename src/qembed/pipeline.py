@@ -89,8 +89,6 @@ class StageContext:
                 return ScriptedLLM.from_file(self.resolve(self.cfg.llm.transcript))
             except (jsonl.CorruptFileError, OSError) as exc:
                 raise ConfigError(f"[llm] transcript: {exc}") from exc
-        if not self.cfg.llm.endpoint:
-            raise ConfigError("[llm] endpoint is required when kind = remote")
         remote = RemoteLLM(endpoint=self.cfg.llm.endpoint, model=self.cfg.llm.model,
                            max_parallel=self.cfg.llm.max_parallel,
                            timeout=self.cfg.llm.timeout)
@@ -216,7 +214,7 @@ def _stage_train(ctx: StageContext, corpus, doc_embeddings, bank, train_examples
         report = evaluate_heldout(load_heads(ctx.ws.path("heads")), heldout_vectors,
                                   heldout_examples, tau=tcfg.tau)
         payload["accuracy"] = report.accuracy
-        payload["report"] = report.as_dict()
+        payload["report"] = asdict(report)
     jsonl.write_json(ctx.ws.path("heldout_report"), payload)
     return {"heads": bank.m, "steps": tcfg.steps,
             "heldout_accuracy": payload["accuracy"]}
@@ -310,7 +308,7 @@ def _stage_explain(ctx: StageContext, heads, bank) -> dict:
                                     text_b=pair.text_b,
                                     bank_fingerprint=heads.bank_fingerprint))
     jsonl.write(ctx.ws.path("explanations"),
-                [{"provenance": ctx.provenance()}, *(r.as_dict() for r in reports)],
+                [{"provenance": ctx.provenance()}, *map(asdict, reports)],
                 sort_keys=True)
     jsonl.write_text(ctx.ws.root / "reports" / "explanations.txt",
                 "\n\n".join(r.render_text() for r in reports) or "(no pairs)")

@@ -10,7 +10,6 @@ import fcntl
 import hashlib
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from .jsonl import dumps, parse, write_json
@@ -72,13 +71,6 @@ def _checked_state(state: dict) -> dict:
     return state
 
 
-@dataclass
-class StageRecord:
-    config: str
-    inputs: dict[str, str]
-    outputs: dict[str, str]
-
-
 class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -101,13 +93,6 @@ class Workspace:
 
     def _save_state(self, state: dict) -> None:
         write_json(self.root / _STATE_FILE, state)
-
-    def stage_record(self, stage: str) -> StageRecord | None:
-        rec = self._load_state()["stages"].get(stage)
-        if rec is None:
-            return None
-        return StageRecord(config=rec["config"], inputs=rec["inputs"],
-                           outputs=rec["outputs"])
 
     def record_stage(self, stage: str, config_hash: str,
                      inputs: dict[str, str], outputs: dict[str, str]) -> None:
@@ -150,11 +135,11 @@ class Workspace:
 
     def up_to_date(self, stage: str, config_hash: str,
                    input_fps: dict[str, str]) -> bool:
-        rec = self.stage_record(stage)
-        if rec is None or rec.config != config_hash or rec.inputs != input_fps:
+        rec = self._load_state()["stages"].get(stage)
+        if rec is None or rec["config"] != config_hash or rec["inputs"] != input_fps:
             return False
         # outputs must still exist and match
-        for artifact, fp in rec.outputs.items():
+        for artifact, fp in rec["outputs"].items():
             path = self.path(artifact)
             if not path.exists() or file_fingerprint(path) != fp:
                 return False

@@ -34,11 +34,17 @@ from qembed.workspace import Workspace
 GOLDEN = Path(__file__).parent / "golden"
 # sha256 of the seed-0 demo's heads.bin, embeddings.bin and reports/ablate.jsonl,
 # taken from the float64 embedding forward (x86-64, OpenBLAS): the certified
-# float32 forward must give every bit it gave, at every ablate tau
+# float32 forward must give every bit it gave, at every ablate tau; and of its
+# reports/heldout.json, reports/cost.jsonl and reports/explanations.jsonl, whose
+# rows are written from their dataclasses' fields, so a renamed or added field
+# shows here
 DEMO_DIGESTS = {
     "heads": "8546295e126c1f31e4686472e97a02e58999e4fd27bf43f034e8cb2b4d01f73f",
     "matrix": "8653c4f86dfd19d8c38879aec3ef149030679887a987f520727f1cea50475833",
     "ablation_report": "31737b32798e7079a568cb16a95ce3729d61497278ccbac94bbda9cf0af89df0",
+    "heldout_report": "15890bda873657e4eb2929d625db8a2da8b06514acdd21888d0e29f26c4f6e39",
+    "cost_report": "964d7422e3d615bc954a91de51d708872ed26753b36237b18f2c9682fc257154",
+    "explanations": "a140281fb83482a145b268fea20248cb3dec1eee7cfae6efacd336bbe97dc0d1",
 }
 
 

@@ -391,6 +391,10 @@ def _edit_config(cfg_path, section, **settings):
     "[corpus] heldout_fraction = 0", "[collection] in_cluster = 0, neighbor = 0, random = 0",
     "[eval] ablate_taus = 0.5,1.5", "[eval] ablate_taus = , ablate_dims = ",
     "[cost] question_counts = ", "[cost] question_counts = 3000",
+    "[llm] endpoint = , kind = remote",
+    "[llm] max_parallel = 0, kind = remote, endpoint = http://localhost:1/v1",
+    "[llm] timeout = -1", "[llm] timeout = 0", "[training] pos_weight = nan",
+    "[training] pos_weight = inf", "[training] pos_weight = -1", "[training] pos_weight = 0",
 ])
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting):
     section, assignments = setting[1:].split("] ")
@@ -404,6 +408,7 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting):
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "corpus.jsonl").exists()
     assert not (tmp_path / "run_log.jsonl").exists()  # no stage ran
+    assert not (tmp_path / "state.json").exists()
 
 
 @pytest.mark.parametrize("stage, key", [

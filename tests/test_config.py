@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import pytest
 
 from qembed.config import (
@@ -87,6 +90,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini")
 
+    def test_every_key_is_an_int_float_or_str(self):
+        """The loader coerces a raw value by its field's type: int and float
+        parse it, and any other type keeps the raw string, so a bool or list
+        field would load as text."""
+        types = {f"[{section.name}] {key.name}": key.type for section in fields(PipelineConfig)
+                 for key in fields(section.type)}
+        assert {name: t for name, t in types.items() if t not in (int, float, str)} == {}
+
 
 # (section, values, expected start of the error message)
 OUT_OF_RANGE = [
@@ -96,6 +107,12 @@ OUT_OF_RANGE = [
     (EncoderSection, {"kind": "remote"}, "[encoder] kind"),
     (EncoderSection, {"dim": 0}, "[encoder] dim"),
     (LlmSection, {"kind": "psychic"}, "[llm] kind"),
+    (LlmSection, {"kind": "remote"}, "[llm] endpoint is required when kind = remote"),
+    (LlmSection, {"max_parallel": 0}, "[llm] max_parallel must be >= 1, got 0"),
+    (LlmSection, {"timeout": 0.0}, "[llm] timeout"),
+    (LlmSection, {"timeout": -1.0}, "[llm] timeout"),
+    (LlmSection, {"timeout": math.inf}, "[llm] timeout"),
+    (LlmSection, {"timeout": math.nan}, "[llm] timeout"),
     (ClusterSection, {"k": 0}, "[cluster] k"),
     (GenerationSection, {"positives": 0}, "[generation] positives"),
     (GenerationSection, {"hard_negatives": 0}, "[generation] hard_negatives"),
@@ -122,6 +139,10 @@ OUT_OF_RANGE = [
     (TrainingSection, {"hidden": -3}, "[training] hidden must be >= 1, got -3"),
     (TrainingSection, {"tau": 1.0}, "[training] tau"),
     (TrainingSection, {"pos_weight": "heavy"}, "[training] pos_weight"),
+    (TrainingSection, {"pos_weight": "nan"}, "[training] pos_weight"),
+    (TrainingSection, {"pos_weight": "inf"}, "[training] pos_weight"),
+    (TrainingSection, {"pos_weight": "0"}, "[training] pos_weight"),
+    (TrainingSection, {"pos_weight": "-1"}, "[training] pos_weight"),
     (EvalSection, {"explain_pairs": -1}, "[eval] explain_pairs"),
     (EvalSection, {"ablate_taus": "a,b"}, "[eval] ablate_taus"),
     (EvalSection, {"ablate_taus": "0.5,1.5"}, "[eval] ablate_taus entries must be in (0, 1)"),

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -476,7 +477,7 @@ class TestExplainPair:
                 assert report == want
                 assert report.render_text() == want.render_text()
                 assert report.render_markdown() == want.render_markdown()
-                assert report.as_dict() == want.as_dict()
+                assert asdict(report) == asdict(want)
 
     def test_hits_are_built_once_per_bank(self):
         bank = make_bank(["Is it x?", "Is it y?"])
@@ -517,6 +518,6 @@ class TestExplainPair:
     def test_as_dict_roundtrips_through_json(self):
         bank = make_bank(["Is it x?", "Is it y?"])
         report = explain_pair([1, 1], [1, 0], bank, text_a="a", text_b="b")
-        data = json.loads(json.dumps(report.as_dict()))
+        data = json.loads(json.dumps(asdict(report)))
         assert data["cognitive_load"] == 1
         assert data["shared_yes"] == [{"id": 0, "text": "Is it x?"}]
