@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterModel, nearest_clusters
+from .cluster import ClusterModel
 from .config import CollectionSection
 from .heads import TrainingExample
 from .prompts import parse_answers, render_answer_prompt
 from .providers import AnswerCache, AnswerRecord, LLMProvider, prompt_fingerprint
-from .question_gen import QuestionBank
+from .question_gen import QuestionBank, _negative_pools
 
 logger = logging.getLogger(__name__)
 
@@ -50,12 +50,7 @@ def _question_documents(bank_question_cluster: int, model: ClusterModel,
             picked_set.add(pool[int(i)])
 
     take(model.members(bank_question_cluster), pools.in_cluster)
-    j = min(pools.neighbor_clusters, model.k - 1)
-    neighbor_pool: list[str] = []
-    if j >= 1:
-        for nc in nearest_clusters(model, bank_question_cluster, j):
-            neighbor_pool.extend(model.members(nc))
-    take(neighbor_pool, pools.neighbor)
+    take(_negative_pools(model, bank_question_cluster, pools.neighbor_clusters)[0], pools.neighbor)
     take(all_docs, pools.random)
     return picked
 

@@ -144,7 +144,7 @@ class CollectionSection:
     group: int = 20
 
     def __post_init__(self):
-        _at_least("collection", 0, self, "in_cluster", "neighbor", "random")
+        _at_least("collection", 0, self, "in_cluster", "neighbor", "neighbor_clusters", "random")
         _require(self.in_cluster + self.neighbor + self.random >= 1,
                  "[collection] in_cluster + neighbor + random must be >= 1, got 0")
         _require(1 <= self.group <= QUESTIONS_PER_ANSWER_PROMPT,

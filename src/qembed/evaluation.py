@@ -1,8 +1,8 @@
 """Task harnesses over binary embeddings: STS, retrieval, clustering, explanations.
 
-Row lookup conventions: STS and clustering tasks carry raw texts, so their
-matrices are keyed by ``corpus.content_id(text)``.  Retrieval tasks carry
-explicit ids, so query/corpus matrices are keyed by those ids directly.
+Row lookup conventions: STS tasks carry raw texts, so their matrices are keyed
+by ``corpus.content_id(text)``.  Retrieval tasks carry explicit ids, which key
+query/corpus matrices directly.  Clustering reads rows in task order, any ids.
 """
 
 import math

@@ -33,7 +33,8 @@ from .question_gen import (CandidateQuestion, ProbeOutcome, ScoredQuestion,
                            generate_cluster_questions, load_question_bank,
                            probe_question, sample_contrastive,
                            save_question_bank, select_question_bank)
-from .synthetic import TopicOracleLLM
+from .synthetic import (TopicOracleLLM, synthetic_clustering_task, synthetic_corpus,
+                        synthetic_retrieval_task, synthetic_sts_task)
 from .workspace import ARTIFACTS, DependencyError, Workspace, file_fingerprint
 
 logger = logging.getLogger(__name__)
@@ -251,7 +252,7 @@ def _stage_eval_sts(ctx: StageContext, heads) -> dict:
                "tau": ctx.cfg.training.tau}
     jsonl.write_json(ctx.ws.path("sts_report"), payload)
     rho_text = "n/a" if rho is None else f"{rho:.4f}  (x100: {rho_x100:.2f})"
-    jsonl.write_text(ctx.ws.root / "reports" / "sts.txt",
+    jsonl.write_text(ctx.ws.path("sts_text"),
                 f"semantic similarity over {len(task.pairs)} pairs\n"
                 f"spearman        {rho_text}\n"
                 f"cognitive load  {load.exact:.2f}  (rounded: {load.rounded})")
@@ -273,7 +274,7 @@ def _stage_eval_retrieval(ctx: StageContext, heads) -> dict:
                "mean_ndcg": result.mean_ndcg, "per_query": result.per_query,
                "queries": len(qids), "documents": len(dids)}
     jsonl.write_json(ctx.ws.path("retrieval_report"), payload)
-    jsonl.write_text(ctx.ws.root / "reports" / "retrieval.txt",
+    jsonl.write_text(ctx.ws.path("retrieval_text"),
                 f"retrieval over {len(qids)} queries, {len(dids)} documents\n"
                 f"mean nDCG@{result.k}  {result.mean_ndcg:.4f}")
     return {"mean_ndcg": result.mean_ndcg}
@@ -289,7 +290,7 @@ def _stage_eval_clustering(ctx: StageContext, heads) -> dict:
     payload = {"provenance": ctx.provenance(), "v_measure": score,
                "texts": len(task.texts), "k": len(set(task.labels))}
     jsonl.write_json(ctx.ws.path("clustering_report"), payload)
-    jsonl.write_text(ctx.ws.root / "reports" / "clustering.txt",
+    jsonl.write_text(ctx.ws.path("clustering_text"),
                 f"clustering over {len(task.texts)} texts into "
                 f"{len(set(task.labels))} groups\nv-measure  {score:.4f}")
     return {"v_measure": score}
@@ -297,11 +298,11 @@ def _stage_eval_clustering(ctx: StageContext, heads) -> dict:
 
 def _stage_explain(ctx: StageContext, heads, bank) -> dict:
     task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-    n = min(ctx.cfg.eval.explain_pairs, len(task.pairs))
+    pairs = task.pairs[:ctx.cfg.eval.explain_pairs]
+    texts = list(dict.fromkeys(t for pair in pairs for t in (pair.text_a, pair.text_b)))
+    matrix = _embed_texts(ctx, heads, texts, tau=ctx.cfg.training.tau)
     reports = []
-    for pair in task.pairs[:n]:
-        matrix = _embed_texts(ctx, heads, list(dict.fromkeys([pair.text_a, pair.text_b])),
-                              tau=ctx.cfg.training.tau)
+    for pair in pairs:
         a = matrix.row(matrix.row_index(content_id(pair.text_a)))
         b = matrix.row(matrix.row_index(content_id(pair.text_b)))
         reports.append(explain_pair(a, b, bank, text_a=pair.text_a,
@@ -310,9 +311,9 @@ def _stage_explain(ctx: StageContext, heads, bank) -> dict:
     jsonl.write(ctx.ws.path("explanations"),
                 [{"provenance": ctx.provenance()}, *map(asdict, reports)],
                 sort_keys=True)
-    jsonl.write_text(ctx.ws.root / "reports" / "explanations.txt",
+    jsonl.write_text(ctx.ws.path("explanations_text"),
                 "\n\n".join(r.render_text() for r in reports) or "(no pairs)")
-    jsonl.write_text(ctx.ws.root / "reports" / "explanations.md",
+    jsonl.write_text(ctx.ws.path("explanations_md"),
                 "\n\n".join(r.render_markdown() for r in reports) or "_no pairs_")
     return {"pairs_explained": len(reports)}
 
@@ -352,7 +353,7 @@ def _stage_ablate(ctx: StageContext, heads) -> dict:
         rho = "n/a" if r["spearman"] is None else f"{r['spearman']:.4f}"
         lines.append(f"{r['parameter']:>10}  {r['value']:>8}  {rho:>9}  "
                      f"{r['mean_load']:>10.2f}")
-    jsonl.write_text(ctx.ws.root / "reports" / "ablate.txt", "\n".join(lines))
+    jsonl.write_text(ctx.ws.path("ablation_text"), "\n".join(lines))
     return {"settings": len(rows)}
 
 
@@ -361,7 +362,7 @@ def _stage_cost(ctx: StageContext) -> dict:
     rows = comparison_rows(cc)
     jsonl.write_text(ctx.ws.path("cost_report"), jsonl.dumps(
         {"provenance": ctx.provenance()}, sort_keys=True) + cost_rows_jsonl(rows, cc.num_docs))
-    jsonl.write_text(ctx.ws.root / "reports" / "cost.txt",
+    jsonl.write_text(ctx.ws.path("cost_text"),
                 render_cost_table(rows, cc.num_docs))
     return {"rows": len(rows)}
 
@@ -514,7 +515,7 @@ def _unset_task(stage: Stage, cfg: PipelineConfig) -> str | None:
     return next((key for _, key in stage.tasks if not getattr(cfg.eval, key)), None)
 
 
-def _config_files(stage: Stage, cfg: PipelineConfig) -> dict[str, str]:
+def _config_files(stage: Stage, cfg: PipelineConfig, config_dir: Path) -> dict[str, Path]:
     """Configured files a stage reads, by state key, for change detection: its
     task files, ingest's [corpus] input and, in a scripted run, the transcript
     of the stages that call the LLM."""
@@ -523,7 +524,7 @@ def _config_files(stage: Stage, cfg: PipelineConfig) -> dict[str, str]:
         files["file:corpus_input"] = cfg.corpus.input
     if cfg.llm.kind == "scripted" and stage.name in ("generate", "probe", "collect"):
         files["file:transcript"] = cfg.llm.transcript
-    return {key: path for key, path in files.items() if path}
+    return {key: config_dir / path for key, path in files.items() if path}
 
 
 def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
@@ -535,17 +536,13 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
     unset = _unset_task(stage, cfg)
     if unset:
         raise ConfigError(f"[eval] {unset} is not configured; stage '{name}' reads it")
-    input_fps = ws.require_inputs(name, list(stage.inputs))
-    ws.verify_chain(name, input_fps, force=force)
-    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps)
-    for key, path in _config_files(stage, cfg).items():
-        path = ctx.resolve(path)
-        if path.exists():  # a missing file fails inside the stage, with context
-            input_fps[key] = file_fingerprint(path)
     ch = config_hash(cfg)
-    if not force and ws.up_to_date(name, ch, input_fps):
+    input_fps, up_to_date = ws.check(name, stage.inputs, _config_files(stage, cfg, config_dir),
+                                     ch, force=force)
+    if up_to_date:
         ws.log({"stage": name, "status": "skipped"})
         return StageResult(stage=name, skipped=True, summary={})
+    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps)
     started = time.perf_counter()
     try:
         inputs: dict = {}
@@ -555,8 +552,7 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
     finally:
         ctx.close()
     elapsed = round(time.perf_counter() - started, 3)
-    output_fps = ws.fingerprint_outputs(list(stage.outputs))
-    ws.record_stage(name, ch, input_fps, output_fps)
+    ws.record_stage(name, ch, input_fps, {a: file_fingerprint(ws.path(a)) for a in stage.outputs})
     ws.log({"stage": name, "status": "ran", "seconds": elapsed, **summary})
     return StageResult(stage=name, skipped=False, summary=summary)
 
@@ -635,9 +631,6 @@ def write_demo_workspace(root: Path, seed: int = 0, *, n_per_topic: int = 50,
                          sts_pairs: int = 150) -> Path:
     """Write the synthetic corpus, task files, and desk-scale config; return
     the config path. Four latent topics, deterministic rule-based provider."""
-    from .synthetic import (synthetic_clustering_task, synthetic_corpus,
-                            synthetic_retrieval_task, synthetic_sts_task)
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     corpus = synthetic_corpus(n_per_topic=n_per_topic, seed=seed)

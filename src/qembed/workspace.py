@@ -44,11 +44,18 @@ ARTIFACTS: dict[str, tuple[str, str]] = {
     "matrix": ("embeddings.bin", "embed"),
     "embed_meta": ("embed_meta.json", "embed"),
     "sts_report": ("reports/sts.json", "eval-sts"),
+    "sts_text": ("reports/sts.txt", "eval-sts"),
     "retrieval_report": ("reports/retrieval.json", "eval-retrieval"),
+    "retrieval_text": ("reports/retrieval.txt", "eval-retrieval"),
     "clustering_report": ("reports/clustering.json", "eval-clustering"),
+    "clustering_text": ("reports/clustering.txt", "eval-clustering"),
     "explanations": ("reports/explanations.jsonl", "explain"),
+    "explanations_text": ("reports/explanations.txt", "explain"),
+    "explanations_md": ("reports/explanations.md", "explain"),
     "ablation_report": ("reports/ablate.jsonl", "ablate"),
+    "ablation_text": ("reports/ablate.txt", "ablate"),
     "cost_report": ("reports/cost.jsonl", "cost"),
+    "cost_text": ("reports/cost.txt", "cost"),
 }
 
 _STATE_FILE = "state.json"
@@ -66,8 +73,10 @@ def file_fingerprint(path: str | Path) -> str:
 
 def _checked_state(state: dict) -> dict:
     if not all(isinstance(rec["config"], str) and isinstance(rec["inputs"], dict)
-               and isinstance(rec["outputs"], dict) for rec in state["stages"].values()):
-        raise TypeError("a stage record needs a config hash and inputs and outputs maps")
+               and isinstance(rec["outputs"], dict) and rec["outputs"].keys() <= ARTIFACTS.keys()
+               for rec in state["stages"].values()):
+        raise TypeError("a stage record needs a config hash, an inputs map and an outputs "
+                        "map of known artifacts")
     return state
 
 
@@ -80,9 +89,6 @@ class Workspace:
     def path(self, artifact: str) -> Path:
         return self.root / ARTIFACTS[artifact][0]
 
-    def producer(self, artifact: str) -> str:
-        return ARTIFACTS[artifact][1]
-
     # -- stage state ---------------------------------------------------------
 
     def _load_state(self) -> dict:
@@ -91,62 +97,48 @@ class Workspace:
             return {"stages": {}}
         return parse(state_path.read_bytes(), state_path, convert=_checked_state)
 
-    def _save_state(self, state: dict) -> None:
-        write_json(self.root / _STATE_FILE, state)
-
     def record_stage(self, stage: str, config_hash: str,
                      inputs: dict[str, str], outputs: dict[str, str]) -> None:
         state = self._load_state()
         state["stages"][stage] = {"config": config_hash, "inputs": inputs,
                                   "outputs": outputs}
-        self._save_state(state)
+        write_json(self.root / _STATE_FILE, state)
 
-    # -- dependency and staleness checks -------------------------------------
+    def check(self, stage: str, inputs: tuple[str, ...], files: dict[str, Path],
+              config_hash: str, force: bool = False) -> tuple[dict[str, str], bool]:
+        """Fingerprint what a stage reads, and say whether its record is current.
 
-    def require_inputs(self, stage: str, artifacts: list[str]) -> dict[str, str]:
-        """Fingerprint each input artifact; missing file names its producer."""
+        Each input artifact must exist (else DependencyError naming the stage
+        that writes it) and, unless forced, match what that stage recorded
+        (else FingerprintError). Each configured file that exists is added
+        under its key; a missing one fails inside the stage, with context.
+        The stage is up to date only if not forced and its record holds this
+        config hash, these fingerprints and every recorded output as on disk.
+        """
         fps = {}
-        for artifact in artifacts:
+        for artifact in inputs:
             path = self.path(artifact)
             if not path.exists():
-                raise DependencyError(
-                    f"stage '{stage}' needs {path.name}; "
-                    f"run stage '{self.producer(artifact)}' first")
+                raise DependencyError(f"stage '{stage}' needs {path.name}; "
+                                      f"run stage '{ARTIFACTS[artifact][1]}' first")
             fps[artifact] = file_fingerprint(path)
-        return fps
-
-    def verify_chain(self, stage: str, input_fps: dict[str, str],
-                     force: bool = False) -> None:
-        """Inputs must match what their producing stages recorded as outputs."""
-        if force:
-            return
-        state = self._load_state()["stages"]
-        for artifact, current in input_fps.items():
-            producer = self.producer(artifact)
-            rec = state.get(producer)
-            if rec is None:
-                continue  # produced out of band; nothing recorded to check
-            recorded = rec["outputs"].get(artifact)
-            if recorded is not None and recorded != current:
+        records = self._load_state()["stages"]
+        for artifact, current in fps.items():
+            producer = ARTIFACTS[artifact][1]
+            rec = records.get(producer)  # None: produced out of band, nothing to check
+            recorded = None if rec is None else rec["outputs"].get(artifact)
+            if not force and recorded not in (None, current):
                 raise FingerprintError(
                     f"stage '{stage}': {self.path(artifact).name} changed since "
                     f"stage '{producer}' produced it (recorded {recorded}, "
                     f"found {current}); re-run '{producer}' or pass --force")
-
-    def up_to_date(self, stage: str, config_hash: str,
-                   input_fps: dict[str, str]) -> bool:
-        rec = self._load_state()["stages"].get(stage)
-        if rec is None or rec["config"] != config_hash or rec["inputs"] != input_fps:
-            return False
-        # outputs must still exist and match
-        for artifact, fp in rec["outputs"].items():
-            path = self.path(artifact)
-            if not path.exists() or file_fingerprint(path) != fp:
-                return False
-        return True
-
-    def fingerprint_outputs(self, artifacts: list[str]) -> dict[str, str]:
-        return {a: file_fingerprint(self.path(a)) for a in artifacts}
+        fps.update({key: file_fingerprint(path) for key, path in files.items() if path.exists()})
+        rec = records.get(stage)
+        up_to_date = (not force and rec is not None and rec["config"] == config_hash
+                      and rec["inputs"] == fps
+                      and all(self.path(a).exists() and file_fingerprint(self.path(a)) == fp
+                              for a, fp in rec["outputs"].items()))
+        return fps, up_to_date
 
     # -- run log and lock -----------------------------------------------------
 

@@ -203,8 +203,6 @@ _ID_CHANGED = "one document id changes, and these stages read no other file nami
 _TEXT_CHANGED = "one character of a question's text changes: still a valid question"
 _FLOAT_FLIPPED = "a low bit of one float changes; only a stored checksum would show it"
 _TORN_ANSWER = "the answer cache drops its torn final record with a warning and asks again"
-_FINGERPRINT_CHANGED = ("one character of a recorded fingerprint changes; --force skips "
-                        "the fingerprint check, and the run records fresh ones")
 # (file, damage) -> what its error line says, where the damage has one clear cause
 MESSAGES = {("doc_embeddings.npy", damage): "not a .npy array"
             for damage in ("empty", "garbage", "object", "array", "bad-utf8")}
@@ -229,8 +227,6 @@ ACCEPTED = {
     ("answers.jsonl", "cut-20"): (("collect",), _TORN_ANSWER),
     ("answers.jsonl", "cut-half"): (("collect",), _TORN_ANSWER),
     ("answers.jsonl", "first-line-twice"): (("collect",), "a repeated answer: the last wins"),
-    ("state.json", "xor-mid"): (("embed", "cost"), _FINGERPRINT_CHANGED),
-    ("state.json", "insert-mid"): (("embed", "cost"), _FINGERPRINT_CHANGED),
 }
 
 
@@ -277,7 +273,9 @@ def test_collect_on_a_bank_without_questions_is_dependency_error(mini_ws, tmp_pa
 
 
 @pytest.mark.parametrize("state", ['{}', '{"stages": []}', '{"stages": {"ingest": 1}}',
-                                   '{"stages": {"ingest": {"config": "c", "inputs": {}}}}'])
+                                   '{"stages": {"ingest": {"config": "c", "inputs": {}}}}',
+                                   '{"stages": {"cost": {"config": "c", "inputs": {}, '
+                                   '"outputs": {"cost_reporx": "0"}}}}'])
 def test_state_json_of_another_shape_is_dependency_error(mini_ws, tmp_path, capsys, state):
     """A plain run, with no --stage, reads state.json before its first stage."""
     root, cfg_path = mini_ws
@@ -289,6 +287,24 @@ def test_state_json_of_another_shape_is_dependency_error(mini_ws, tmp_path, caps
     assert code == EXIT_DEPENDENCY
     assert err.startswith("error: corrupt file") and "state.json" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_corrupt_state_json_stops_a_forced_stage_before_it_runs(mini_ws, tmp_path, capsys):
+    """--force skips the upstream check, not the reading of state.json: a
+    corrupt one stops the stage before it writes anything."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    report = copy / "reports" / "cost.jsonl"
+    before = report.stat()
+    (copy / "state.json").write_text("{}")
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "cost", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error: corrupt file") and "state.json" in err
+    after = report.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 @pytest.mark.parametrize("keep", [0, 5, 60, "header", -20, -1])
@@ -388,6 +404,7 @@ def _edit_config(cfg_path, section, **settings):
     "[collection] group = 0", "[collection] group = 25", "[collection] in_cluster = -1",
     "[probe] positives = 0", "[probe] hard_negatives = 0, easy_negatives = 0",
     "[probe] neighbor_clusters = -1", "[generation] hard_neighbor_clusters = -1",
+    "[collection] neighbor_clusters = -1",
     "[corpus] heldout_fraction = 0", "[collection] in_cluster = 0, neighbor = 0, random = 0",
     "[eval] ablate_taus = 0.5,1.5", "[eval] ablate_taus = , ablate_dims = ",
     "[cost] question_counts = ", "[cost] question_counts = 3000",

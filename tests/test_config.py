@@ -128,6 +128,7 @@ OUT_OF_RANGE = [
     (SelectionSection, {"per_cluster_cap": 0}, "[selection] per_cluster_cap"),
     (CollectionSection, {"in_cluster": -1}, "[collection] in_cluster"),
     (CollectionSection, {"neighbor": -1}, "[collection] neighbor"),
+    (CollectionSection, {"neighbor_clusters": -1}, "[collection] neighbor_clusters"),
     (CollectionSection, {"random": -1}, "[collection] random"),
     (CollectionSection, {"in_cluster": 0, "neighbor": 0, "random": 0}, "[collection] in_cluster"),
     (CollectionSection, {"group": 0}, "[collection] group"),

@@ -542,6 +542,20 @@ def test_external_task_edit_reruns_only_consumers(mini_copy):
     assert reran == {"eval-sts", "explain", "ablate"}
 
 
+@pytest.mark.parametrize("artifact", ["sts_text", "retrieval_text", "clustering_text",
+                                      "explanations_text", "explanations_md",
+                                      "ablation_text", "cost_text"])
+def test_deleted_rendering_reruns_only_its_stage(mini_copy, artifact):
+    """The text and markdown renderings are tracked outputs: a deleted one is
+    written again, byte for byte, by its stage alone."""
+    cfg_path, cfg, ws = mini_copy
+    before = ws.path(artifact).read_bytes()
+    ws.path(artifact).unlink()
+    results = run_all(cfg, ws, config_dir=cfg_path.parent)
+    assert [r.stage for r in results if not r.skipped] == [ARTIFACTS[artifact][1]]
+    assert ws.path(artifact).read_bytes() == before
+
+
 def test_force_reruns_despite_clean_state(mini_copy):
     cfg_path, cfg, ws = mini_copy
     result = run_stage("cost", cfg, ws, config_dir=cfg_path.parent, force=True)

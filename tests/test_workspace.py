@@ -52,48 +52,63 @@ class TestFingerprints:
         f.write_text("hello!")
         assert file_fingerprint(f) != a
 
-    def test_require_inputs_names_producer(self, ws):
-        with pytest.raises(DependencyError, match="run stage 'probe' first"):
-            ws.require_inputs("select", ["probes"])
 
-    def test_require_inputs_returns_fps(self, ws):
+class TestCheck:
+    def test_missing_input_names_its_producer(self, ws):
+        with pytest.raises(DependencyError, match="run stage 'probe' first"):
+            ws.check("select", ("probes",), {}, "cfg")
+
+    def test_check_returns_the_fingerprints(self, ws):
         ws.path("probes").write_text("{}\n")
-        fps = ws.require_inputs("select", ["probes"])
+        fps, _ = ws.check("select", ("probes",), {}, "cfg")
         assert fps == {"probes": file_fingerprint(ws.path("probes"))}
 
-    def test_verify_chain_detects_tamper(self, ws):
+    def test_changed_input_is_fingerprint_error_unless_forced(self, ws):
         ws.path("bank").write_text("original\n")
         fp = file_fingerprint(ws.path("bank"))
         ws.record_stage("select", "cfg", {}, {"bank": fp})
         ws.path("bank").write_text("tampered\n")
-        current = {"bank": file_fingerprint(ws.path("bank"))}
-        with pytest.raises(FingerprintError, match="select"):
-            ws.verify_chain("collect", current)
-        ws.verify_chain("collect", current, force=True)  # force bypasses
+        with pytest.raises(FingerprintError, match="bank.jsonl changed since stage 'select'"):
+            ws.check("collect", ("bank",), {}, "cfg")
+        fps, _ = ws.check("collect", ("bank",), {}, "cfg", force=True)  # force bypasses
+        assert fps == {"bank": file_fingerprint(ws.path("bank"))}
 
-    def test_verify_chain_ignores_unrecorded_producers(self, ws):
+    def test_input_of_an_unrecorded_producer_is_not_checked(self, ws):
         ws.path("bank").write_text("out of band\n")
-        ws.verify_chain("collect", {"bank": file_fingerprint(ws.path("bank"))})
+        ws.check("collect", ("bank",), {}, "cfg")
+
+    def test_configured_file_that_does_not_exist_is_left_out(self, ws, tmp_path):
+        task = tmp_path / "sts.jsonl"
+        task.write_text("{}\n")
+        files = {"file:sts_task": task, "file:queries": tmp_path / "missing.jsonl"}
+        fps, _ = ws.check("eval-sts", (), files, "cfg")
+        assert fps == {"file:sts_task": file_fingerprint(task)}
 
 
 class TestUpToDate:
     def test_fresh_stage_not_up_to_date(self, ws):
-        assert not ws.up_to_date("cluster", "cfg", {})
+        assert ws.check("cluster", (), {}, "cfg") == ({}, False)
 
     def test_recorded_stage_up_to_date(self, ws):
+        """A change of config hash or input, or --force, makes the stage stale."""
+        ws.path("corpus").write_text("abc\n")
         ws.path("cluster_model").write_text("model\n")
-        out = {"cluster_model": file_fingerprint(ws.path("cluster_model"))}
-        ws.record_stage("cluster", "cfg", {"corpus": "abc"}, out)
-        assert ws.up_to_date("cluster", "cfg", {"corpus": "abc"})
-        assert not ws.up_to_date("cluster", "cfg2", {"corpus": "abc"})
-        assert not ws.up_to_date("cluster", "cfg", {"corpus": "def"})
+        fps = {"corpus": file_fingerprint(ws.path("corpus"))}
+        ws.record_stage("cluster", "cfg", fps,
+                        {"cluster_model": file_fingerprint(ws.path("cluster_model"))})
+        assert ws.check("cluster", ("corpus",), {}, "cfg") == (fps, True)
+        assert not ws.check("cluster", ("corpus",), {}, "cfg2")[1]
+        assert not ws.check("cluster", ("corpus",), {}, "cfg", force=True)[1]
+        ws.path("corpus").write_text("def\n")
+        assert not ws.check("cluster", ("corpus",), {}, "cfg")[1]
 
     def test_missing_output_not_up_to_date(self, ws):
         ws.path("cluster_model").write_text("model\n")
         out = {"cluster_model": file_fingerprint(ws.path("cluster_model"))}
         ws.record_stage("cluster", "cfg", {}, out)
+        assert ws.check("cluster", (), {}, "cfg")[1]
         ws.path("cluster_model").unlink()
-        assert not ws.up_to_date("cluster", "cfg", {})
+        assert not ws.check("cluster", (), {}, "cfg")[1]
 
 
 class TestLockAndLog:
