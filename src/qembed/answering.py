@@ -3,7 +3,7 @@
 Each bank question draws in-cluster, neighboring-cluster, and corpus-random
 documents; the resulting (question, document) pairs are pivoted per document
 and asked in batches of up to 20 questions. Answers persist in the AnswerCache,
-so an interrupted or re-run collection never re-asks the LLM.
+by question text, so an interrupted or re-run collection never re-asks the LLM.
 """
 
 from __future__ import annotations
@@ -76,28 +76,28 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
         for d in docs:
             wanted.setdefault(d, []).append(q.id)
 
-    question_text = {q.id: q.text for q in bank.questions}
+    text_of = {q.id: q.text for q in bank.questions}
     cache_hits = 0
     llm_calls = 0
     unparsed_total = 0
     for doc in sorted(wanted):
-        pending = [qid for qid in sorted(wanted[doc]) if cache.get(qid, doc) is None]
+        pending = [qid for qid in sorted(wanted[doc]) if cache.get(text_of[qid], doc) is None]
         cache_hits += len(wanted[doc]) - len(pending)
         for start in range(0, len(pending), pools.group):
             chunk = pending[start:start + pools.group]
-            prompt = render_answer_prompt(texts[doc], [question_text[q] for q in chunk])
+            prompt = render_answer_prompt(texts[doc], [text_of[q] for q in chunk])
             raw = llm.complete(prompt)
             llm_calls += 1
             answers, unparsed = parse_answers(raw, expected=len(chunk))
             unparsed_total += unparsed
             fp = prompt_fingerprint(prompt)
-            cache.put(*(AnswerRecord(question_id=qid, document_id=doc, answer=ans,
+            cache.put(*(AnswerRecord(question=text_of[qid], document_id=doc, answer=ans,
                                      prompt_fingerprint=fp)
                         for qid, ans in zip(chunk, answers)))
 
     examples = []
     for doc in sorted(wanted):
-        answers = {qid: int(cache.get(qid, doc)) for qid in sorted(set(wanted[doc]))}
+        answers = {qid: int(cache.get(text_of[qid], doc)) for qid in sorted(set(wanted[doc]))}
         examples.append(TrainingExample(document_id=doc, answers=answers))
     if unparsed_total:
         logger.warning("%d answer lines were unparseable and recorded as 'no'",

@@ -28,8 +28,9 @@ from .heads import (TrainingExample, embed_documents, embed_vectors,
                     embedding_bits, evaluate_heldout, load_heads, save_heads, train_heads)
 from . import jsonl
 from .metrics import MetricError
-from .providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore, RemoteLLM, ScriptedLLM
-from .question_gen import (CandidateQuestion, ProbeOutcome, ScoredQuestion,
+from .providers import (AnswerCache, CachedLLM, MockEncoder, PromptCacheStore, RemoteLLM,
+                        read_transcript)
+from .question_gen import (CandidateQuestion, ProbeOutcome, QuestionBank, ScoredQuestion,
                            generate_cluster_questions, load_question_bank,
                            probe_question, sample_contrastive,
                            save_question_bank, select_question_bank)
@@ -84,10 +85,8 @@ class StageContext:
         if kind == "oracle":
             return TopicOracleLLM()
         if kind == "scripted":
-            if not self.cfg.llm.transcript:
-                raise ConfigError("[llm] transcript is required when kind = scripted")
             try:
-                return ScriptedLLM.from_file(self.resolve(self.cfg.llm.transcript))
+                return CachedLLM(None, read_transcript(self.resolve(self.cfg.llm.transcript)))
             except (jsonl.CorruptFileError, OSError) as exc:
                 raise ConfigError(f"[llm] transcript: {exc}") from exc
         remote = RemoteLLM(endpoint=self.cfg.llm.endpoint, model=self.cfg.llm.model,
@@ -98,7 +97,7 @@ class StageContext:
 
     def close(self) -> None:
         """Close the prompt cache that a remote LLM holds open."""
-        if isinstance(self._llm, CachedLLM):
+        if isinstance(self._llm, CachedLLM) and isinstance(self._llm.store, PromptCacheStore):
             self._llm.store.close()
 
     def provenance(self) -> dict:
@@ -443,12 +442,31 @@ def _read_cluster_model(path: Path, got: dict) -> ClusterModel:
     return model
 
 
-def _read_questions(path: Path, convert) -> list:
-    """candidates.jsonl or probes.jsonl: one record per (origin_cluster, ordinal)."""
-    items = list(jsonl.read(path, convert))
-    _check_keys(path, [(q.origin_cluster, q.ordinal) for q in
-                       (getattr(item, "question", item) for item in items)], "question")
+def _check_origins(path: Path, questions, got: dict) -> None:
+    """Given a cluster model, each question's origin_cluster is one of its clusters."""
+    k = got["cluster_model"].k if "cluster_model" in got else None
+    for q in questions:
+        if k is not None and q.origin_cluster not in range(k):
+            raise _corrupt(path, f"origin_cluster {q.origin_cluster!r} is not a cluster of "
+                                 f"{ARTIFACTS['cluster_model'][0]} (k={k})")
+
+
+def _read_questions(path: Path, got: dict, make) -> list:
+    """candidates.jsonl or probes.jsonl, make(**record) per record: one record
+    per (origin_cluster, ordinal)."""
+    items = list(jsonl.read(path, lambda rec: make(**rec)))
+    questions = [getattr(item, "question", item) for item in items]
+    _check_keys(path, [(q.origin_cluster, q.ordinal) for q in questions], "question")
+    _check_origins(path, questions, got)
     return items
+
+
+def _read_bank(path: Path, got: dict) -> QuestionBank:
+    bank = load_question_bank(path)
+    if [q.id for q in bank.questions] != list(range(bank.m)):
+        raise _corrupt(path, f"question ids are not 0..{bank.m - 1} in order")
+    _check_origins(path, bank.questions, got)
+    return bank
 
 
 def _read_examples(path: Path, got: dict, required: bool = False) -> list[TrainingExample]:
@@ -467,11 +485,11 @@ READERS = {  # artifact -> reader(path, got)
     "split": _read_split,
     "doc_embeddings": _read_doc_embeddings,
     "cluster_model": _read_cluster_model,
-    "candidates": lambda path, got: _read_questions(path, lambda rec: CandidateQuestion(**rec)),
-    "probes": lambda path, got: _read_questions(path, lambda rec: ScoredQuestion(
-        CandidateQuestion(**{f: rec.pop(f) for f in ("text", "origin_cluster", "ordinal")}),
-        ProbeOutcome(**rec))),
-    "bank": lambda path, got: load_question_bank(path),
+    "candidates": lambda path, got: _read_questions(path, got, CandidateQuestion),
+    "probes": lambda path, got: _read_questions(
+        path, got, lambda text, origin_cluster, ordinal, **outcome: ScoredQuestion(
+            CandidateQuestion(text, origin_cluster, ordinal), ProbeOutcome(**outcome))),
+    "bank": _read_bank,
     "train_examples": lambda path, got: _read_examples(path, got, required=True),
     "heldout_examples": _read_examples,
     "heads": lambda path, got: load_heads(path),
@@ -515,6 +533,15 @@ def _unset_task(stage: Stage, cfg: PipelineConfig) -> str | None:
     return next((key for _, key in stage.tasks if not getattr(cfg.eval, key)), None)
 
 
+LLM_STAGES = ("generate", "probe", "collect")
+
+
+def _require_transcript(cfg: PipelineConfig) -> None:
+    """Not at load: a config without [llm] may still run the other stages."""
+    if cfg.llm.kind == "scripted" and not cfg.llm.transcript:
+        raise ConfigError("[llm] transcript is required when kind = scripted")
+
+
 def _config_files(stage: Stage, cfg: PipelineConfig, config_dir: Path) -> dict[str, Path]:
     """Configured files a stage reads, by state key, for change detection: its
     task files, ingest's [corpus] input and, in a scripted run, the transcript
@@ -522,7 +549,7 @@ def _config_files(stage: Stage, cfg: PipelineConfig, config_dir: Path) -> dict[s
     files = {f"file:{key}": getattr(cfg.eval, attr) for key, attr in stage.tasks}
     if stage.name == "ingest":
         files["file:corpus_input"] = cfg.corpus.input
-    if cfg.llm.kind == "scripted" and stage.name in ("generate", "probe", "collect"):
+    if cfg.llm.kind == "scripted" and stage.name in LLM_STAGES:
         files["file:transcript"] = cfg.llm.transcript
     return {key: config_dir / path for key, path in files.items() if path}
 
@@ -536,6 +563,8 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
     unset = _unset_task(stage, cfg)
     if unset:
         raise ConfigError(f"[eval] {unset} is not configured; stage '{name}' reads it")
+    if name in LLM_STAGES:
+        _require_transcript(cfg)
     ch = config_hash(cfg)
     input_fps, up_to_date = ws.check(name, stage.inputs, _config_files(stage, cfg, config_dir),
                                      ch, force=force)
@@ -560,6 +589,7 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
 def run_all(cfg: PipelineConfig, ws: Workspace, config_dir: Path,
             force: bool = False) -> list[StageResult]:
     """Run every applicable stage in order; snapshot the config for provenance."""
+    _require_transcript(cfg)  # before anything is written
     jsonl.write_text(ws.root / "config.ini", dump_config(cfg))
     results = []
     for stage in STAGES.values():

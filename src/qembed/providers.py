@@ -35,34 +35,8 @@ class ProviderError(RuntimeError):
     """Raised when a provider cannot produce a completion or embedding."""
 
 
-class UnscriptedPromptError(ProviderError):
-    """A scripted provider was asked a prompt outside its transcript."""
-
-    def __init__(self, fingerprint: str, known: list[str]):
-        nearest = _nearest_fingerprint(fingerprint, known)
-        msg = f"no scripted response for prompt fingerprint {fingerprint}"
-        if nearest:
-            msg += f" (nearest known: {nearest})"
-        super().__init__(msg)
-        self.fingerprint = fingerprint
-
-
 def prompt_fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
-def _nearest_fingerprint(fp: str, known: list[str]) -> str | None:
-    """Longest common hex prefix, ties by lexical order; debugging aid only."""
-    best, best_len = None, -1
-    for k in sorted(known):
-        n = 0
-        for a, b in zip(fp, k):
-            if a != b:
-                break
-            n += 1
-        if n > best_len:
-            best, best_len = k, n
-    return best
 
 
 class Encoder(Protocol):
@@ -222,27 +196,15 @@ class MockEncoder:
         return f"mock-encoder:dim={self.dim}:seed={self.seed}"
 
 
-class ScriptedLLM:
-    """Replays a frozen transcript of prompt fingerprint -> response.
+def _prompt_response(record: dict) -> tuple[str, str]:
+    return record["prompt_fingerprint"], record["response"]
 
-    Any prompt outside the transcript raises, naming the nearest known
-    fingerprint so a stale transcript is easy to diagnose.
-    """
 
-    def __init__(self, transcript: dict[str, str]):
-        self.transcript = dict(transcript)
-        self.calls = 0
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedLLM":
-        return cls(dict(read(path, lambda r: (r["prompt_fingerprint"], r["response"]))))
-
-    def complete(self, prompt: str) -> str:
-        self.calls += 1
-        fp = prompt_fingerprint(prompt)
-        if fp not in self.transcript:
-            raise UnscriptedPromptError(fp, list(self.transcript))
-        return self.transcript[fp]
+def read_transcript(path: str | Path) -> dict[str, str]:
+    """A file of {prompt_fingerprint, response} records, such as a remote run's
+    prompt cache, as a fingerprint -> response map; later records win. Any bad
+    line raises CorruptFileError."""
+    return dict(read(path, _prompt_response))
 
 
 class PromptCacheStore(AppendStore):
@@ -254,7 +216,7 @@ class PromptCacheStore(AppendStore):
     """
 
     def __init__(self, path: str | Path):
-        super().__init__(path, lambda r: (r["prompt_fingerprint"], r["response"]))
+        super().__init__(path, _prompt_response)
 
     def get(self, fingerprint: str) -> str | None:
         return self.entries.get(fingerprint)
@@ -265,9 +227,10 @@ class PromptCacheStore(AppendStore):
 
 
 class CachedLLM:
-    """Wraps a provider with a persistent prompt cache; hits never reach the inner provider."""
+    """Wraps a provider with a persistent prompt cache; hits never reach the inner provider.
+    With none, the store is a transcript (read_transcript), and a miss raises."""
 
-    def __init__(self, inner: LLMProvider, store: PromptCacheStore):
+    def __init__(self, inner: LLMProvider | None, store: PromptCacheStore | dict[str, str]):
         self.inner = inner
         self.store = store
         self.hits = 0
@@ -279,6 +242,8 @@ class CachedLLM:
         if cached is not None:
             self.hits += 1
             return cached
+        if self.inner is None:
+            raise ProviderError(f"no scripted response for prompt fingerprint {fp}")
         self.misses += 1
         response = self.inner.complete(prompt)
         self.store.put(fp, response)
@@ -287,26 +252,26 @@ class CachedLLM:
 
 @dataclass(frozen=True)
 class AnswerRecord:
-    question_id: int
+    question: str  # the question's text
     document_id: str
     answer: int  # 1 yes, 0 no
     prompt_fingerprint: str
 
 
 class AnswerCache(AppendStore):
-    """Persistent (question_id, document_id) -> yes/no answer store.
+    """Persistent (question text, document_id) -> yes/no answer store.
 
     Json-lines on disk, last write wins, append is locked for thread safety.
-    Distinct from the prompt cache: answers survive re-batching, where prompt
+    Keyed by text, as a new bank gives a question's bank id to another. Distinct
+    from the prompt cache: answers survive re-batching, where prompt
     fingerprints change whenever a question lands in a different chunk.
     """
 
     def __init__(self, path: str | Path):
-        super().__init__(path, lambda r: ((int(r["question_id"]), r["document_id"]),
-                                          int(r["answer"])))
+        super().__init__(path, lambda r: ((r["question"], r["document_id"]), int(r["answer"])))
 
-    def get(self, question_id: int, document_id: str) -> int | None:
-        return self.entries.get((question_id, document_id))
+    def get(self, question: str, document_id: str) -> int | None:
+        return self.entries.get((question, document_id))
 
     def put(self, *records: AnswerRecord) -> None:
         """Store the answers of one LLM call with one locked append.
@@ -315,8 +280,8 @@ class AnswerCache(AppendStore):
         document id and prompt fingerprint, shared by its records, are
         JSON-encoded once each."""
         quote = functools.cache(json.dumps)
-        self.append({(r.question_id, r.document_id): r.answer for r in records}, "".join(
-            f'{{"question_id": {r.question_id:d}, "document_id": {quote(r.document_id)}, '
+        self.append({(r.question, r.document_id): r.answer for r in records}, "".join(
+            f'{{"question": {json.dumps(r.question)}, "document_id": {quote(r.document_id)}, '
             f'"answer": {r.answer:d}, "prompt_fingerprint": {quote(r.prompt_fingerprint)}}}\n'
             for r in records))
 

@@ -9,8 +9,9 @@ import pytest
 
 from qembed.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, _print_demo_summary,
                         main)
-from qembed.pipeline import STAGES, write_demo_workspace
-from qembed.providers import AnswerCache
+from qembed.pipeline import LLM_STAGES, STAGES, StageContext, write_demo_workspace
+from qembed.providers import AnswerCache, CachedLLM, PromptCacheStore
+from qembed.synthetic import TopicOracleLLM
 from qembed.workspace import ARTIFACTS, Workspace
 
 MINI = dict(n_per_topic=16, steps=2500, hidden=8, dim=64, sts_pairs=60)
@@ -203,6 +204,8 @@ _ID_CHANGED = "one document id changes, and these stages read no other file nami
 _TEXT_CHANGED = "one character of a question's text changes: still a valid question"
 _FLOAT_FLIPPED = "a low bit of one float changes; only a stored checksum would show it"
 _TORN_ANSWER = "the answer cache drops its torn final record with a warning and asks again"
+_ANSWER_KEY_CHANGED = ("one character of a cached answer's question text changes: the entry "
+                       "matches no pair collect asks about, so it asks again")
 # (file, damage) -> what its error line says, where the damage has one clear cause
 MESSAGES = {("doc_embeddings.npy", damage): "not a .npy array"
             for damage in ("empty", "garbage", "object", "array", "bad-utf8")}
@@ -227,6 +230,8 @@ ACCEPTED = {
     ("answers.jsonl", "cut-20"): (("collect",), _TORN_ANSWER),
     ("answers.jsonl", "cut-half"): (("collect",), _TORN_ANSWER),
     ("answers.jsonl", "first-line-twice"): (("collect",), "a repeated answer: the last wins"),
+    ("answers.jsonl", "xor-mid"): (("collect",), _ANSWER_KEY_CHANGED),
+    ("answers.jsonl", "insert-mid"): (("collect",), _ANSWER_KEY_CHANGED),
 }
 
 
@@ -269,6 +274,31 @@ def test_collect_on_a_bank_without_questions_is_dependency_error(mini_ws, tmp_pa
     err = capsys.readouterr().err
     assert code == EXIT_DEPENDENCY
     assert err.startswith("error:") and "bank.jsonl holds none" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, field, value, stage", [
+    ("bank.jsonl", "origin_cluster", 99, "collect"),
+    ("bank.jsonl", "origin_cluster", -1, "collect"),
+    ("bank.jsonl", "id", 7, "collect"),
+    ("candidates.jsonl", "origin_cluster", 99, "probe"),
+])
+def test_question_that_names_no_cluster_or_bank_slot_is_dependency_error(
+        mini_ws, tmp_path, capsys, name, field, value, stage):
+    """A bank's ids are its positions 0..m-1, and a question's origin_cluster
+    is a cluster of cluster.model, where the stage reads both."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    lines = (copy / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    first = 1 if name == "bank.jsonl" else 0  # past the bank's header
+    lines[first] = json.dumps({**json.loads(lines[first]), field: value}) + "\n"
+    (copy / name).write_text("".join(lines), encoding="utf-8")
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", stage, "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error:") and name in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -408,7 +438,7 @@ def _edit_config(cfg_path, section, **settings):
     "[corpus] heldout_fraction = 0", "[collection] in_cluster = 0, neighbor = 0, random = 0",
     "[eval] ablate_taus = 0.5,1.5", "[eval] ablate_taus = , ablate_dims = ",
     "[cost] question_counts = ", "[cost] question_counts = 3000",
-    "[llm] endpoint = , kind = remote",
+    "[llm] endpoint = , kind = remote", "[llm] transcript = , kind = scripted",
     "[llm] max_parallel = 0, kind = remote, endpoint = http://localhost:1/v1",
     "[llm] timeout = -1", "[llm] timeout = 0", "[training] pos_weight = nan",
     "[training] pos_weight = inf", "[training] pos_weight = -1", "[training] pos_weight = 0",
@@ -475,6 +505,100 @@ def test_resume_after_torn_answer_cache(mini_ws, tmp_path, capsys, opened, damag
         assert (copy / name).read_bytes() == (root / name).read_bytes()
     resumed, uninterrupted = (opened(AnswerCache(ws / "answers.jsonl")) for ws in (copy, root))
     assert resumed.entries == uninterrupted.entries
+
+
+def test_answer_cache_keyed_by_bank_id_is_dependency_error(mini_ws, tmp_path, capsys):
+    """An answers.jsonl written when answers were keyed by bank id cannot be
+    read: an id names another question once the bank changes."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    path = copy / "answers.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({"question_id": i, **{k: v for k, v in r.items()
+                                                             if k != "question"}}) + "\n"
+                            for i, r in enumerate(records)))
+    code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
+                 "--stage", "collect", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DEPENDENCY
+    assert err.startswith("error: corrupt file") and "answers.jsonl:1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_rerun_under_a_new_seed_equals_a_fresh_workspace(mini_ws, tmp_path, capsys):
+    """A new bank reuses cached answers only for its own questions, so a
+    workspace built at seed 0 and re-run at seed 3 holds what a fresh seed-3
+    build does, except for the answers the seed-0 bank got."""
+    root, cfg_path = mini_ws
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    shutil.copytree(root, rerun)
+    write_demo_workspace(fresh, seed=0, **MINI)
+    for ws in (rerun, fresh):
+        code = main(["run", "--config", str(ws / cfg_path.name), "--workspace", str(ws),
+                     "--seed", "3"])
+        assert code == EXIT_OK
+    capsys.readouterr()
+    names = sorted(p.relative_to(fresh).as_posix() for p in fresh.rglob("*")
+                   if p.is_file() and p.name != "lock")
+    differ = [n for n in names if (rerun / n).read_bytes() != (fresh / n).read_bytes()]
+    assert differ == ["answers.jsonl", "run_log.jsonl", "state.json"]
+
+
+@pytest.mark.parametrize("stage", LLM_STAGES)
+def test_scripted_run_without_a_transcript_stops_before_its_llm_stages(tmp_path, capsys, stage):
+    """The transcript is checked before a stage that calls the LLM, not at
+    load: the stages that do not call it still run."""
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    _edit_config(cfg_path, "llm", kind="scripted")
+    args = ["run", "--config", str(cfg_path), "--workspace", str(tmp_path), "--stage"]
+    assert main([*args, "ingest"]) == EXIT_OK
+    capsys.readouterr()
+    state = (tmp_path / "state.json").read_bytes()
+    code = main([*args, stage])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == "error: [llm] transcript is required when kind = scripted\n"
+    assert (tmp_path / "state.json").read_bytes() == state
+
+
+def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, tmp_path, capsys, monkeypatch):
+    """A prompt cache recorded over the oracle, as a remote run records one,
+    replays as a transcript to the same artifacts; a prompt it lacks stops the
+    stage that asks it, naming the prompt's fingerprint."""
+    root, cfg_path = mini_ws
+    recorded = tmp_path / "recorded"
+    shutil.copytree(root, recorded)
+    (recorded / "answers.jsonl").unlink()  # so that collect asks every prompt again
+    with monkeypatch.context() as patch:
+        patch.setattr(StageContext, "_build_llm", lambda ctx: CachedLLM(
+            TopicOracleLLM(), PromptCacheStore(ctx.ws.root / "prompt_cache.jsonl")))
+        for stage in LLM_STAGES:
+            assert main(["run", "--config", str(recorded / cfg_path.name),
+                         "--workspace", str(recorded), "--stage", stage, "--force"]) == EXIT_OK
+    transcript = recorded / "prompt_cache.jsonl"
+    replay = tmp_path / "replay"
+    replay_cfg = write_demo_workspace(replay, seed=0, **MINI)
+    _edit_config(replay_cfg, "llm", kind="scripted", transcript=str(transcript))
+    assert main(["run", "--config", str(replay_cfg), "--workspace", str(replay)]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("candidates.jsonl", "probes.jsonl", "bank.jsonl", "answers.jsonl",
+                 "train_examples.jsonl", "heldout_examples.jsonl", "heads.bin",
+                 "embeddings.bin"):
+        assert (replay / name).read_bytes() == (root / name).read_bytes(), name
+
+    answers = (replay / "answers.jsonl").read_text().splitlines()
+    missing = json.loads(answers[len(answers) // 2])["prompt_fingerprint"]
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(line for line in transcript.read_text().splitlines(keepends=True)
+                             if json.loads(line)["prompt_fingerprint"] != missing))
+    _edit_config(replay_cfg, "llm", transcript=str(short))
+    (replay / "answers.jsonl").unlink()
+    code = main(["run", "--config", str(replay_cfg), "--workspace", str(replay),
+                 "--stage", "collect", "--force"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PROVIDER
+    assert err == f"error: no scripted response for prompt fingerprint {missing}\n"
 
 
 def test_missing_api_key_is_provider_error(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,7 @@ PINNED = {
     "corpus.jsonl": "f365f09c8396cc2dea79e0750f5ae634993778c6248f8010bfabb0fc23cc01a8",
     "bank.jsonl": "9d9bd74f21362b4fc93b267bd951b693b12380243069e4136ad6b407aff9e564",
     "cluster.model": "9b3bb2e8c6201b721e92c0a7a121ce52ad0e02bac0d98279ff42177a5129535b",
-    "answers.jsonl": "95f8115ac710cfb0a76f375854834af29664f4e955f102e1b3ee890b66615747",
+    "answers.jsonl": "37357a9b93bb4e697c5609bb91b0fe0dc53e534ba9d67ad61af7b48c3e29a8a5",
     "prompt_cache.jsonl": "947c25c69ee2e854dc0a3a5bbf64dd16af8c2e482de2a504a453e9a9f501e2c2",
     "train_examples.jsonl": "81e3b88b03042f2cc97ffa9d4b9f2154118c0aae10f3ee075d9ffdfaf19b264a",
     "run_log.jsonl": "eaca1a63620956a0bd40fb1d65241bfa4b3b21d38958f1b53f788f052ccf5710",
@@ -54,8 +54,8 @@ def write_every_format(root):
                                     seed=3, inertia=0.25, iterations=2),
                        root / "cluster.model")
     with AnswerCache(root / "answers.jsonl") as answers:
-        answers.put(AnswerRecord(7, "café-1", 1, "fp-é"))
-        answers.put(AnswerRecord(2, "d2", 0, "fp"))
+        answers.put(AnswerRecord("Is it about café?", "café-1", 1, "fp-é"))
+        answers.put(AnswerRecord("Naïve?", "d2", 0, "fp"))
     with PromptCacheStore(root / "prompt_cache.jsonl") as prompts:
         prompts.put("fp-é", "1. oui, café")
     _write_examples(root / "train_examples.jsonl",

@@ -65,7 +65,7 @@ def test_failed_write_leaves_previous_file_and_no_temporary(tmp_path):
 
 
 def _answer(i):
-    return AnswerRecord(question_id=i, document_id=f"doc-é{i}", answer=i % 2,
+    return AnswerRecord(question=f"Is it café {i}?", document_id=f"doc-é{i}", answer=i % 2,
                         prompt_fingerprint=f"fp{i}")
 
 
@@ -79,7 +79,7 @@ def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog, op
         with reload(path) as store:
             for i in range(3):
                 store.put(_answer(i))
-        expected = {(i, f"doc-é{i}"): i % 2 for i in (0, 1, 2, 99)}
+        expected = {(f"Is it café {i}?", f"doc-é{i}"): i % 2 for i in (0, 1, 2, 99)}
     else:
         new, reload = ("fp99", "réponse"), PromptCacheStore
         with reload(path) as store:
@@ -102,7 +102,7 @@ def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog, op
         else:
             store.put(*new)
         want = {key: value for key, value in expected.items()
-                if complete or key not in ((2, "doc-é2"), "fp2")}
+                if complete or key not in (("Is it café 2?", "doc-é2"), "fp2")}
         assert opened(reload(path)).entries == want, cut
 
 
@@ -115,7 +115,7 @@ def test_bad_record_before_the_end_is_fatal(tmp_path):
     path.write_bytes(b"\n".join([lines[0][:-5]] + lines[1:]))
     with pytest.raises(CorruptFileError, match=r"answers\.jsonl:1"):
         AnswerCache(path)
-    path.write_bytes(b'{"question_id": 1}\n' + b"\n".join(lines[1:]))
+    path.write_bytes(b'{"question": "Is it?"}\n' + b"\n".join(lines[1:]))
     with pytest.raises(CorruptFileError, match=r"answers\.jsonl:1: KeyError"):
         AnswerCache(path)
 

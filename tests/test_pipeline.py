@@ -474,12 +474,13 @@ def test_demos_opening_an_answer_cache_leave_no_resource_warning(demo):
 
 # sha256 of a build_scale-shaped build's artifacts (seed 1, 1,200 documents,
 # d=256, k=30, the default generation, probe and collection pools), taken
-# from the np.add.at k-means, the per-token encoder and per-record answer lines;
-# reports/ablate.jsonl from the float64 probabilities thresholded at each tau
+# from the np.add.at k-means, the per-token encoder and per-record answer lines
+# (answers.jsonl since its key became the question's text); reports/ablate.jsonl
+# from the float64 probabilities thresholded at each tau
 BUILD_SCALE_DIGESTS = {
     "cluster.model": "61c388445d957871be61b77cc0cc73012561c083edee9b0810f13642f21fce02",
     "bank.jsonl": "a05eee0fbe7d041c2b1965df69a8d40cda29010540df44ee8e20672782c099d2",
-    "answers.jsonl": "56c1a6b4ff2c7029889b4e283a7044db170a7a626fe92ecde6aa63e679799382",
+    "answers.jsonl": "4b6501fc40638bf343302c13687a0ae4cf2cd171c32b3bbba39b2bd8248ed052",
     "heads.bin": "874b27feea3a85f3d3025e67e2bc18fcdcf82b2d3c9f39766b499be71c8b0fa6",
     "embeddings.bin": "3ff4b0957485846bd43e971bac292bccfdbd395ae51373c65d63fb012e52bfb2",
     "reports/clustering.json":

@@ -12,6 +12,7 @@ import pytest
 
 import qembed
 from oracle import dumped_answer_lines, per_token_encode
+from qembed.jsonl import CorruptFileError
 from qembed.providers import (
     ENCODE_BLOCK,
     API_KEY_ENV,
@@ -22,10 +23,9 @@ from qembed.providers import (
     PromptCacheStore,
     ProviderError,
     RemoteLLM,
-    ScriptedLLM,
-    UnscriptedPromptError,
     _pcg64_states,
     prompt_fingerprint,
+    read_transcript,
 )
 
 
@@ -154,24 +154,36 @@ def test_importing_the_pipeline_leaves_the_network_stack_unloaded():
 
 
 class TestScriptedLLM:
+    """A scripted run is a CachedLLM over a transcript, with no provider behind it."""
+
     def test_replays_transcript(self):
         prompt = "Is water wet?"
-        llm = ScriptedLLM({prompt_fingerprint(prompt): "1. yes"})
+        llm = CachedLLM(None, {prompt_fingerprint(prompt): "1. yes"})
         assert llm.complete(prompt) == "1. yes"
-        assert llm.calls == 1
+        assert (llm.hits, llm.misses) == (1, 0)
 
-    def test_unknown_prompt_names_nearest_fingerprint(self):
-        known = prompt_fingerprint("known prompt")
-        llm = ScriptedLLM({known: "ok"})
-        with pytest.raises(UnscriptedPromptError) as err:
+    def test_unknown_prompt_names_its_fingerprint(self):
+        llm = CachedLLM(None, {prompt_fingerprint("known prompt"): "ok"})
+        with pytest.raises(ProviderError) as err:
             llm.complete("never scripted")
-        assert known in str(err.value)
+        assert str(err.value) == ("no scripted response for prompt fingerprint "
+                                  + prompt_fingerprint("never scripted"))
 
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "transcript.jsonl"
         fp = prompt_fingerprint("p")
         path.write_text(json.dumps({"prompt_fingerprint": fp, "response": "r"}) + "\n")
-        assert ScriptedLLM.from_file(path).complete("p") == "r"
+        assert CachedLLM(None, read_transcript(path)).complete("p") == "r"
+
+    @pytest.mark.parametrize("last", [b'{"prompt_fingerprint": "ab", "resp',
+                                      b'{"prompt_fingerprint": "ab"}'])
+    def test_bad_final_line_is_corrupt(self, tmp_path, last):
+        """Unlike the prompt cache, which drops a torn final record, a transcript
+        is read as written: any bad line is an error naming it."""
+        path = tmp_path / "transcript.jsonl"
+        path.write_bytes(b'{"prompt_fingerprint": "00", "response": "r"}\n' + last)
+        with pytest.raises(CorruptFileError, match=r"transcript\.jsonl:2"):
+            read_transcript(path)
 
 
 class CountingLLM:
@@ -216,21 +228,21 @@ class TestAnswerCache:
     def test_roundtrip_and_overwrite(self, tmp_path, opened):
         path = tmp_path / "answers.jsonl"
         with AnswerCache(path) as cache:
-            cache.put(AnswerRecord(3, "doc-a", 1, "fp1"))
-            cache.put(AnswerRecord(3, "doc-a", 0, "fp2"))
-            cache.put(AnswerRecord(4, "doc-b", 1, "fp3"))
+            cache.put(AnswerRecord("Is it red?", "doc-a", 1, "fp1"))
+            cache.put(AnswerRecord("Is it red?", "doc-a", 0, "fp2"))
+            cache.put(AnswerRecord("Is it blue?", "doc-b", 1, "fp3"))
         reloaded = opened(AnswerCache(path))
-        assert reloaded.get(3, "doc-a") == 0
-        assert reloaded.get(4, "doc-b") == 1
-        assert reloaded.get(9, "doc-a") is None
+        assert reloaded.get("Is it red?", "doc-a") == 0
+        assert reloaded.get("Is it blue?", "doc-b") == 1
+        assert reloaded.get("Is it blue?", "doc-a") is None
         assert len(reloaded) == 2
 
     def test_lines_match_one_dumps_per_record(self, tmp_path, opened):
         ids = ['say "yes"', "back\\slash\\", "tab\tnew\nline\x00\x1f\x7f", "café-日本",
                "\u2028sep\x85", "lone \ud800 surrogate", "", "plain"]
-        calls = [[AnswerRecord(q, doc, q % 2, fp) for q in (3, 0, 12)]
+        calls = [[AnswerRecord(q, doc, len(q) % 2, fp) for q in ("Is it?", doc, "Naïve «q»?")]
                  for doc, fp in zip(ids, ["fp-" + doc for doc in reversed(ids)])]
-        calls.append([AnswerRecord(1, "a", 1, "f\"p"), AnswerRecord(2, "b", 0, "fp")])
+        calls.append([AnswerRecord("1", "a", 1, "f\"p"), AnswerRecord("2", "b", 0, "fp")])
         path = tmp_path / "answers.jsonl"
         cache = opened(AnswerCache(path))
         for records in calls:
@@ -244,7 +256,7 @@ class TestAnswerCache:
         path = tmp_path / "answers.jsonl"
         cache = opened(AnswerCache(path))
         for call in range(30):
-            cache.put(*(AnswerRecord(q, f"doc-é{call}", (q + call) % 2, f"fp{call}")
+            cache.put(*(AnswerRecord(f"Is it {q}?", f"doc-é{call}", (q + call) % 2, f"fp{call}")
                         for q in range(call % 4 + 1)))
             with open(path, "rb") as reader:
                 blob = reader.read()
@@ -258,7 +270,7 @@ class TestAnswerCache:
 
         def work(base):
             for i in range(50):
-                cache.put(AnswerRecord(base * 100 + i, f"d{i}", i % 2, "fp"))
+                cache.put(AnswerRecord(f"Is it {base * 100 + i}?", f"d{i}", i % 2, "fp"))
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
         for t in threads:
