@@ -17,7 +17,7 @@ from .cluster import ClusterModel
 from .config import CollectionSection
 from .heads import TrainingExample
 from .prompts import parse_answers, render_answer_prompt
-from .providers import AnswerCache, AnswerRecord, LLMProvider, prompt_fingerprint
+from .providers import AnswerCache, LLMProvider
 from .question_gen import QuestionBank, _negative_pools
 
 logger = logging.getLogger(__name__)
@@ -90,10 +90,7 @@ def collect_answers(bank: QuestionBank, model: ClusterModel,
             llm_calls += 1
             answers, unparsed = parse_answers(raw, expected=len(chunk))
             unparsed_total += unparsed
-            fp = prompt_fingerprint(prompt)
-            cache.put(*(AnswerRecord(question=text_of[qid], document_id=doc, answer=ans,
-                                     prompt_fingerprint=fp)
-                        for qid, ans in zip(chunk, answers)))
+            cache.put(doc, [(text_of[qid], ans) for qid, ans in zip(chunk, answers)])
 
     examples = []
     for doc in sorted(wanted):

@@ -94,7 +94,7 @@ def read(path: str | Path, convert: Callable | None = None) -> Iterator:
 
 class AppendStore:
     """Append-only json-lines map: replayed on open, last write wins, each
-    write one locked append of one or more whole lines. A final line cut short
+    write one locked append of one whole line. A final line cut short
     by a kill is dropped with a warning, so a kill mid-write keeps every
     complete line before it; one that lost only its newline is kept. Either
     way the next append starts a line of its own. Any other bad line raises.
@@ -102,9 +102,10 @@ class AppendStore:
     The store holds the file open from replay to close(); use it as a context
     manager. Each append is one write and one flush, so a reader of the file
     sees whole lines only, and a kill between appends loses none of them.
+    convert gives a record's entries, as a dict or (key, value) pairs.
     """
 
-    def __init__(self, path: str | Path, convert: Callable[[dict], tuple]):
+    def __init__(self, path: str | Path, convert: Callable[[dict], dict | Iterable[tuple]]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self.entries: dict = {}
@@ -112,7 +113,8 @@ class AppendStore:
         try:
             fh.seek(0)
             try:
-                self.entries.update(records(fh, self.path, convert))
+                for entries in records(fh, self.path, convert):
+                    self.entries.update(entries)
             except CorruptFileError as exc:
                 if exc.line.endswith(b"\n"):  # only the final line can lack it
                     raise
@@ -139,9 +141,10 @@ class AppendStore:
     def close(self) -> None:
         self._fh.close()
 
-    def append(self, entries: dict, lines: str) -> None:
-        """Record entries, written as lines (one per entry, in order), in one append."""
+    def append(self, entries: dict, record: dict) -> None:
+        """Record entries, written as one line holding record, in one append."""
+        line = dumps(record, ensure_ascii=False).encode("utf-8")
         with self._lock:
             self.entries.update(entries)
-            self._fh.write(lines.encode("utf-8"))
+            self._fh.write(line)
             self._fh.flush()

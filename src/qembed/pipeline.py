@@ -57,6 +57,7 @@ class StageContext:
     ws: Workspace
     config_dir: Path
     input_fps: dict[str, str] = field(default_factory=dict)
+    transcript: dict[str, str] | None = None  # a scripted run's, read by run_stage
     _encoder: object = None
     _llm: object = None
 
@@ -85,10 +86,7 @@ class StageContext:
         if kind == "oracle":
             return TopicOracleLLM()
         if kind == "scripted":
-            try:
-                return CachedLLM(None, read_transcript(self.resolve(self.cfg.llm.transcript)))
-            except (jsonl.CorruptFileError, OSError) as exc:
-                raise ConfigError(f"[llm] transcript: {exc}") from exc
+            return CachedLLM(None, self.transcript)
         remote = RemoteLLM(endpoint=self.cfg.llm.endpoint, model=self.cfg.llm.model,
                            max_parallel=self.cfg.llm.max_parallel,
                            timeout=self.cfg.llm.timeout)
@@ -99,6 +97,12 @@ class StageContext:
         """Close the prompt cache that a remote LLM holds open."""
         if isinstance(self._llm, CachedLLM) and isinstance(self._llm.store, PromptCacheStore):
             self._llm.store.close()
+
+    def llm_counts(self) -> dict:
+        """The prompt-cache hits and misses of the cached LLM this stage built, if any."""
+        if not isinstance(self._llm, CachedLLM):
+            return {}
+        return {"prompt_cache_hits": self._llm.hits, "prompt_cache_misses": self._llm.misses}
 
     def provenance(self) -> dict:
         return {"config_hash": config_hash(self.cfg), "inputs": dict(self.input_fps)}
@@ -536,10 +540,16 @@ def _unset_task(stage: Stage, cfg: PipelineConfig) -> str | None:
 LLM_STAGES = ("generate", "probe", "collect")
 
 
-def _require_transcript(cfg: PipelineConfig) -> None:
-    """Not at load: a config without [llm] may still run the other stages."""
-    if cfg.llm.kind == "scripted" and not cfg.llm.transcript:
+def _read_transcript(cfg: PipelineConfig, config_dir: Path) -> dict[str, str]:
+    """A scripted run's transcript; an unset key, a missing file or a bad line
+    raises ConfigError. Not at load: a config without [llm] may still run the
+    other stages."""
+    if not cfg.llm.transcript:
         raise ConfigError("[llm] transcript is required when kind = scripted")
+    try:
+        return read_transcript(config_dir / cfg.llm.transcript)
+    except (jsonl.CorruptFileError, OSError) as exc:
+        raise ConfigError(f"[llm] transcript: {exc}") from exc
 
 
 def _config_files(stage: Stage, cfg: PipelineConfig, config_dir: Path) -> dict[str, Path]:
@@ -563,15 +573,16 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
     unset = _unset_task(stage, cfg)
     if unset:
         raise ConfigError(f"[eval] {unset} is not configured; stage '{name}' reads it")
-    if name in LLM_STAGES:
-        _require_transcript(cfg)
+    scripted = cfg.llm.kind == "scripted" and name in LLM_STAGES
+    transcript = _read_transcript(cfg, config_dir) if scripted else None
     ch = config_hash(cfg)
     input_fps, up_to_date = ws.check(name, stage.inputs, _config_files(stage, cfg, config_dir),
                                      ch, force=force)
     if up_to_date:
         ws.log({"stage": name, "status": "skipped"})
         return StageResult(stage=name, skipped=True, summary={})
-    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps)
+    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps,
+                       transcript=transcript)
     started = time.perf_counter()
     try:
         inputs: dict = {}
@@ -582,14 +593,15 @@ def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
         ctx.close()
     elapsed = round(time.perf_counter() - started, 3)
     ws.record_stage(name, ch, input_fps, {a: file_fingerprint(ws.path(a)) for a in stage.outputs})
-    ws.log({"stage": name, "status": "ran", "seconds": elapsed, **summary})
+    ws.log({"stage": name, "status": "ran", "seconds": elapsed, **summary, **ctx.llm_counts()})
     return StageResult(stage=name, skipped=False, summary=summary)
 
 
 def run_all(cfg: PipelineConfig, ws: Workspace, config_dir: Path,
             force: bool = False) -> list[StageResult]:
     """Run every applicable stage in order; snapshot the config for provenance."""
-    _require_transcript(cfg)  # before anything is written
+    if cfg.llm.kind == "scripted":
+        _read_transcript(cfg, config_dir)  # before anything is written
     jsonl.write_text(ws.root / "config.ini", dump_config(cfg))
     results = []
     for stage in STAGES.values():

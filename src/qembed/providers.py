@@ -6,7 +6,6 @@ so transcripts can be replayed and caches survive provider swaps.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -17,14 +16,13 @@ import threading
 import time
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
 from .config import LlmSection
-from .jsonl import AppendStore, dumps, read
+from .jsonl import AppendStore, read
 
 logger = logging.getLogger(__name__)
 
@@ -216,14 +214,14 @@ class PromptCacheStore(AppendStore):
     """
 
     def __init__(self, path: str | Path):
-        super().__init__(path, _prompt_response)
+        super().__init__(path, lambda record: [_prompt_response(record)])
 
     def get(self, fingerprint: str) -> str | None:
         return self.entries.get(fingerprint)
 
     def put(self, fingerprint: str, response: str) -> None:
-        self.append({fingerprint: response}, dumps(
-            {"prompt_fingerprint": fingerprint, "response": response}, ensure_ascii=False))
+        self.append({fingerprint: response},
+                    {"prompt_fingerprint": fingerprint, "response": response})
 
 
 class CachedLLM:
@@ -250,40 +248,28 @@ class CachedLLM:
         return response
 
 
-@dataclass(frozen=True)
-class AnswerRecord:
-    question: str  # the question's text
-    document_id: str
-    answer: int  # 1 yes, 0 no
-    prompt_fingerprint: str
-
-
 class AnswerCache(AppendStore):
     """Persistent (question text, document_id) -> yes/no answer store.
 
-    Json-lines on disk, last write wins, append is locked for thread safety.
-    Keyed by text, as a new bank gives a question's bank id to another. Distinct
-    from the prompt cache: answers survive re-batching, where prompt
-    fingerprints change whenever a question lands in a different chunk.
+    Json-lines on disk, one record {"document_id", "answers": [[question,
+    answer], ...]} per LLM call, its answers in the call's question order;
+    last write wins, append is locked for thread safety. Keyed by text, as a
+    new bank gives a question's bank id to another. Distinct from the prompt
+    cache: answers survive re-batching, where prompt fingerprints change
+    whenever a question lands in a different chunk.
     """
 
     def __init__(self, path: str | Path):
-        super().__init__(path, lambda r: ((r["question"], r["document_id"]), int(r["answer"])))
+        super().__init__(path, lambda r: {(q, r["document_id"]): int(a) for q, a in r["answers"]})
 
     def get(self, question: str, document_id: str) -> int | None:
         return self.entries.get((question, document_id))
 
-    def put(self, *records: AnswerRecord) -> None:
-        """Store the answers of one LLM call with one locked append.
-
-        Each line has the bytes of jsonl.dumps(vars(record)); the call's
-        document id and prompt fingerprint, shared by its records, are
-        JSON-encoded once each."""
-        quote = functools.cache(json.dumps)
-        self.append({(r.question, r.document_id): r.answer for r in records}, "".join(
-            f'{{"question": {json.dumps(r.question)}, "document_id": {quote(r.document_id)}, '
-            f'"answer": {r.answer:d}, "prompt_fingerprint": {quote(r.prompt_fingerprint)}}}\n'
-            for r in records))
+    def put(self, document_id: str, answers: list[tuple[str, int]]) -> None:
+        """Store the (question, answer) pairs of one LLM call about one
+        document as one record, in one locked append."""
+        self.append({(question, document_id): answer for question, answer in answers},
+                    {"document_id": document_id, "answers": answers})
 
 
 def _delta_seconds(value: str | None) -> float | None:

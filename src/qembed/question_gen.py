@@ -78,7 +78,7 @@ class BankQuestion:
     text: str
     origin_cluster: int
     quality: float | None  # probe score; load_question_bank also accepts a null
-    embedding: np.ndarray
+    embedding: np.ndarray | None = None  # select's unit vector; bank.jsonl stores none
 
 
 @dataclass(frozen=True)
@@ -364,13 +364,12 @@ def save_question_bank(bank: QuestionBank, path: str | Path) -> None:
         for q in bank.questions:
             fh.write(dumps({"id": q.id, "text": q.text,
                             "origin_cluster": q.origin_cluster,
-                            "quality": q.quality,
-                            "embedding": [float(x) for x in q.embedding]},
-                           ensure_ascii=False))
+                            "quality": q.quality}, ensure_ascii=False))
 
 
 def load_question_bank(path: str | Path) -> QuestionBank:
-    """Inverse of save_question_bank; a torn or malformed file raises CorruptFileError."""
+    """Inverse of save_question_bank, with no embeddings; a torn or malformed
+    file raises CorruptFileError."""
     with open(path, "rb") as fh:
         m, theta, t, fingerprint = parse(fh.readline(), path, 1, lambda h: (
             int(h["m"]), float(h["theta"]), int(h["t"]), h["encoder_fingerprint"]))
@@ -384,5 +383,4 @@ def _bank_question(rec: dict) -> BankQuestion:
     return BankQuestion(
         id=int(rec["id"]), text=rec["text"],
         origin_cluster=int(rec["origin_cluster"]),
-        quality=None if rec["quality"] is None else float(rec["quality"]),
-        embedding=np.asarray(rec["embedding"], dtype=np.float64))
+        quality=None if rec["quality"] is None else float(rec["quality"]))

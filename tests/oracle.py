@@ -10,11 +10,9 @@ before the in-place Adam step, kept verbatim so trained parameters can be
 compared bit for bit, and reference_forward_logits is the float64 forward as
 it was before heads were loaded as float32, so logits and bits can be.
 reference_kmeans_fit (np.add.at, norms and 2x taken in every distance call),
-sorted_neighbors (a Python sort per call), per_token_encode (one vector add
-per token) and dumped_answer_lines (one json.dumps per record) are the k-means,
-neighbor, encoder and answer-cache code as it was before the sorted centroid
-update, the per-model neighbor order, the padded token sums and the per-call
-encoding of answer lines.
+sorted_neighbors (a Python sort per call) and per_token_encode (one vector add
+per token) are the k-means, neighbor and encoder code as it was before the
+sorted centroid update, the per-model neighbor order and the padded token sums.
 """
 
 import numpy as np
@@ -26,7 +24,6 @@ from qembed.heads import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FORWARD_CHUNK, Quest
                           TrainingError, TrainingExample, _example_rows, _logits_and_grad,
                           _loss_terms, _softplus, _split, compute_pos_weight, forward_logits,
                           init_heads)
-from qembed.jsonl import dumps
 from qembed.metrics import MetricError
 from qembed.question_gen import QuestionBank, QuestionHit
 
@@ -317,8 +314,3 @@ def per_token_encode(texts: list[str], dim: int, draw) -> np.ndarray:
             norm = float(np.linalg.norm(vec))
         rows.append(vec / norm)
     return np.stack(rows) if rows else np.zeros((0, dim))
-
-
-def dumped_answer_lines(records) -> str:
-    """An answer cache append of records: one jsonl.dumps(vars(r)) line each."""
-    return "".join(dumps(vars(r)) for r in records)

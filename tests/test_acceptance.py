@@ -37,14 +37,15 @@ GOLDEN = Path(__file__).parent / "golden"
 # float32 forward must give every bit it gave, at every ablate tau; and of its
 # reports/heldout.json, reports/cost.jsonl and reports/explanations.jsonl, whose
 # rows are written from their dataclasses' fields, so a renamed or added field
-# shows here
+# shows here (heldout.json and explanations.jsonl also record bank.jsonl's
+# fingerprint, so a change to the bank's file format shows here too)
 DEMO_DIGESTS = {
     "heads": "8546295e126c1f31e4686472e97a02e58999e4fd27bf43f034e8cb2b4d01f73f",
     "matrix": "8653c4f86dfd19d8c38879aec3ef149030679887a987f520727f1cea50475833",
     "ablation_report": "31737b32798e7079a568cb16a95ce3729d61497278ccbac94bbda9cf0af89df0",
-    "heldout_report": "15890bda873657e4eb2929d625db8a2da8b06514acdd21888d0e29f26c4f6e39",
+    "heldout_report": "d503c79a6117aeb1af0c086a39ba1d9a28eed6ba9e9ebacac3938f243e2053fa",
     "cost_report": "964d7422e3d615bc954a91de51d708872ed26753b36237b18f2c9682fc257154",
-    "explanations": "a140281fb83482a145b268fea20248cb3dec1eee7cfae6efacd336bbe97dc0d1",
+    "explanations": "23e0fa7c7afa4af643019eb4e4ae275f8d2ccbe04d538c27447790049e13660a",
 }
 
 

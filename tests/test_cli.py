@@ -9,8 +9,10 @@ import pytest
 
 from qembed.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, _print_demo_summary,
                         main)
+from qembed.corpus import load_corpus
 from qembed.pipeline import LLM_STAGES, STAGES, StageContext, write_demo_workspace
-from qembed.providers import AnswerCache, CachedLLM, PromptCacheStore
+from qembed.prompts import render_answer_prompt
+from qembed.providers import AnswerCache, CachedLLM, PromptCacheStore, prompt_fingerprint
 from qembed.synthetic import TopicOracleLLM
 from qembed.workspace import ARTIFACTS, Workspace
 
@@ -75,18 +77,28 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad_line", ['{"prompt_fingerprint": "ab", "resp',
-                                      '{"prompt_fingerprint": "ab"}'])
+                                      '{"prompt_fingerprint": "ab"}',
+                                      pytest.param(None, id="missing-file")])
 def test_malformed_transcript_is_config_error(tmp_path, capsys, bad_line):
+    """A torn transcript, or one that names no file, stops a plain run before
+    it writes config.ini or runs any stage."""
     cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
     good = json.dumps({"prompt_fingerprint": "00", "response": "1. Is it?"})
-    (tmp_path / "transcript.jsonl").write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+    if bad_line is not None:
+        (tmp_path / "transcript.jsonl").write_text(good + "\n" + bad_line + "\n",
+                                                   encoding="utf-8")
     raw = cfg_path.read_text().replace("kind = oracle",
                                        "kind = scripted\ntranscript = transcript.jsonl")
     cfg_path.write_text(raw, encoding="utf-8")
     code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert "transcript.jsonl:2" in err and "Traceback" not in err
+    assert err.startswith("error: [llm] transcript: ") and len(err.splitlines()) == 1
+    assert ("transcript.jsonl:2" if bad_line else "No such file") in err
+    assert "transcript.jsonl" in err and "Traceback" not in err
+    assert not (tmp_path / "config.ini").exists()
+    assert not (tmp_path / "state.json").exists()
+    assert not (tmp_path / "corpus.jsonl").exists()
 
 
 def test_stage_before_dependency(tmp_path, capsys):
@@ -203,7 +215,8 @@ CONSUMERS = [(ARTIFACTS[a][0], s.name) for s in STAGES.values() for a in s.input
 _ID_CHANGED = "one document id changes, and these stages read no other file naming documents"
 _TEXT_CHANGED = "one character of a question's text changes: still a valid question"
 _FLOAT_FLIPPED = "a low bit of one float changes; only a stored checksum would show it"
-_TORN_ANSWER = "the answer cache drops its torn final record with a warning and asks again"
+_TORN_ANSWER = ("the answer cache drops its torn final record, one call's answers, with a "
+                "warning, and collect asks for them again")
 _ANSWER_KEY_CHANGED = ("one character of a cached answer's question text changes: the entry "
                        "matches no pair collect asks about, so it asks again")
 # (file, damage) -> what its error line says, where the damage has one clear cause
@@ -222,8 +235,6 @@ ACCEPTED = {
     ("probes.jsonl", "empty"): (("select",), "probe writes none when every probe fails"),
     ("probes.jsonl", "xor-mid"): (("select",), _TEXT_CHANGED),
     ("probes.jsonl", "insert-mid"): (("select",), _TEXT_CHANGED),
-    ("bank.jsonl", "xor-mid"): (("collect", "train", "explain"), "one digit of a question's "
-                                "stored embedding changes; no stage and no fingerprint reads it"),
     ("heldout_examples.jsonl", "empty"): (("train",), "a run may hold no held-out document; "
                                           "train then reports no accuracy"),
     ("answers.jsonl", "empty"): (("collect",), "an empty answer cache is a valid cache"),
@@ -507,17 +518,21 @@ def test_resume_after_torn_answer_cache(mini_ws, tmp_path, capsys, opened, damag
     assert resumed.entries == uninterrupted.entries
 
 
-def test_answer_cache_keyed_by_bank_id_is_dependency_error(mini_ws, tmp_path, capsys):
-    """An answers.jsonl written when answers were keyed by bank id cannot be
-    read: an id names another question once the bank changes."""
+@pytest.mark.parametrize("key", ["question_id", "question"])
+def test_answer_cache_of_an_older_format_is_dependency_error(mini_ws, tmp_path, capsys, key):
+    """An answers.jsonl of one line per answer cannot be read: neither one
+    keyed by bank id, which names another question once the bank changes,
+    nor one keyed by question text, written before one line held one call."""
     root, cfg_path = mini_ws
     copy = tmp_path / "ws"
     shutil.copytree(root, copy)
     path = copy / "answers.jsonl"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    path.write_text("".join(json.dumps({"question_id": i, **{k: v for k, v in r.items()
-                                                             if k != "question"}}) + "\n"
-                            for i, r in enumerate(records)))
+    calls = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(  # one line per answer, as the older formats held them
+        json.dumps({key: i if key == "question_id" else question,
+                    "document_id": call["document_id"], "answer": answer,
+                    "prompt_fingerprint": "0" * 64}) + "\n"
+        for call in calls for i, (question, answer) in enumerate(call["answers"])))
     code = main(["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy),
                  "--stage", "collect", "--force"])
     err = capsys.readouterr().err
@@ -562,10 +577,22 @@ def test_scripted_run_without_a_transcript_stops_before_its_llm_stages(tmp_path,
     assert (tmp_path / "state.json").read_bytes() == state
 
 
+def _llm_counts(root):
+    """Each stage's (prompt-cache hits, misses) in its last run-log record."""
+    counts = {}
+    for line in (root / "run_log.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        if record["status"] == "ran":
+            counts[record["stage"]] = (record.get("prompt_cache_hits"),
+                                       record.get("prompt_cache_misses"))
+    return counts
+
+
 def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, tmp_path, capsys, monkeypatch):
     """A prompt cache recorded over the oracle, as a remote run records one,
     replays as a transcript to the same artifacts; a prompt it lacks stops the
-    stage that asks it, naming the prompt's fingerprint."""
+    stage that asks it, naming the prompt's fingerprint. The run log counts
+    each LLM stage's prompt-cache hits and misses."""
     root, cfg_path = mini_ws
     recorded = tmp_path / "recorded"
     shutil.copytree(root, recorded)
@@ -587,11 +614,25 @@ def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, tmp_path, capsys, mon
                  "embeddings.bin"):
         assert (replay / name).read_bytes() == (root / name).read_bytes(), name
 
+    asked, replayed = _llm_counts(recorded), _llm_counts(replay)
+    assert sum(asked[stage][1] for stage in LLM_STAGES) == len(transcript.read_bytes().splitlines())
+    for stage in STAGES:
+        if stage in LLM_STAGES:
+            assert replayed[stage] == (sum(asked[stage]), 0), stage
+        else:  # no cached LLM: the record has no counts
+            assert replayed[stage] == (None, None), stage
+    assert _llm_counts(root)["collect"] == (None, None)  # nor has an oracle run's
+
+    # a call's fingerprint rebuilds from its answers.jsonl record
     answers = (replay / "answers.jsonl").read_text().splitlines()
-    missing = json.loads(answers[len(answers) // 2])["prompt_fingerprint"]
+    call = json.loads(answers[len(answers) // 2])
+    text = load_corpus(replay / "corpus.jsonl").text_by_id()[call["document_id"]]
+    missing = prompt_fingerprint(render_answer_prompt(text, [q for q, _ in call["answers"]]))
     short = tmp_path / "short.jsonl"
-    short.write_text("".join(line for line in transcript.read_text().splitlines(keepends=True)
+    lines = transcript.read_text().splitlines(keepends=True)
+    short.write_text("".join(line for line in lines
                              if json.loads(line)["prompt_fingerprint"] != missing))
+    assert len(short.read_text().splitlines()) == len(lines) - 1
     _edit_config(replay_cfg, "llm", transcript=str(short))
     (replay / "answers.jsonl").unlink()
     code = main(["run", "--config", str(replay_cfg), "--workspace", str(replay),

@@ -16,15 +16,15 @@ from qembed.corpus import Corpus, Document, save_corpus
 from qembed.cost import comparison_rows, cost_rows_jsonl
 from qembed.heads import TrainingExample
 from qembed.pipeline import _write_examples, write_demo_workspace
-from qembed.providers import AnswerCache, AnswerRecord, PromptCacheStore
+from qembed.providers import AnswerCache, PromptCacheStore
 from qembed.question_gen import BankQuestion, QuestionBank, save_question_bank
 from qembed.workspace import Workspace
 
 PINNED = {
     "corpus.jsonl": "f365f09c8396cc2dea79e0750f5ae634993778c6248f8010bfabb0fc23cc01a8",
-    "bank.jsonl": "9d9bd74f21362b4fc93b267bd951b693b12380243069e4136ad6b407aff9e564",
+    "bank.jsonl": "8d62958cf015d2c083044e13277b6da224fbafdbe02aabc7d6728b975d26aab4",
     "cluster.model": "9b3bb2e8c6201b721e92c0a7a121ce52ad0e02bac0d98279ff42177a5129535b",
-    "answers.jsonl": "37357a9b93bb4e697c5609bb91b0fe0dc53e534ba9d67ad61af7b48c3e29a8a5",
+    "answers.jsonl": "d9ba8404a63cff8eef41c8cec84a82dafb0996916dc6c781a0f9ac40966b2db2",
     "prompt_cache.jsonl": "947c25c69ee2e854dc0a3a5bbf64dd16af8c2e482de2a504a453e9a9f501e2c2",
     "train_examples.jsonl": "81e3b88b03042f2cc97ffa9d4b9f2154118c0aae10f3ee075d9ffdfaf19b264a",
     "run_log.jsonl": "eaca1a63620956a0bd40fb1d65241bfa4b3b21d38958f1b53f788f052ccf5710",
@@ -46,16 +46,15 @@ def write_every_format(root):
     save_question_bank(QuestionBank(
         questions=[BankQuestion(id=0, text="Is it about café?", origin_cluster=1,
                                 quality=0.5, embedding=np.array([0.6, 0.8])),
-                   BankQuestion(id=1, text="Naïve?", origin_cluster=0, quality=None,
-                                embedding=np.array([1.0, 0.0]))],
+                   BankQuestion(id=1, text="Naïve?", origin_cluster=0, quality=None)],
         theta=0.8, t=4, encoder_fingerprint="encodé:1"), root / "bank.jsonl")
     save_cluster_model(ClusterModel(centroids=np.array([[1.0, 0.0], [0.0, 1.0]]),
                                     doc_ids=["café-1", "d2"], labels=np.array([0, 1]),
                                     seed=3, inertia=0.25, iterations=2),
                        root / "cluster.model")
     with AnswerCache(root / "answers.jsonl") as answers:
-        answers.put(AnswerRecord("Is it about café?", "café-1", 1, "fp-é"))
-        answers.put(AnswerRecord("Naïve?", "d2", 0, "fp"))
+        answers.put("café-1", [("Is it about café?", 1), ("Naïve?", 0)])
+        answers.put("d2", [("Naïve?", 0)])
     with PromptCacheStore(root / "prompt_cache.jsonl") as prompts:
         prompts.put("fp-é", "1. oui, café")
     _write_examples(root / "train_examples.jsonl",

@@ -9,7 +9,7 @@ from qembed import jsonl
 from qembed.cluster import ClusterModel, load_cluster_model, save_cluster_model
 from qembed.corpus import Corpus, Document, load_corpus, save_corpus
 from qembed.jsonl import CorruptFileError
-from qembed.providers import AnswerCache, AnswerRecord, PromptCacheStore
+from qembed.providers import AnswerCache, PromptCacheStore
 
 
 def test_reader_names_file_and_line(tmp_path):
@@ -65,8 +65,13 @@ def test_failed_write_leaves_previous_file_and_no_temporary(tmp_path):
 
 
 def _answer(i):
-    return AnswerRecord(question=f"Is it café {i}?", document_id=f"doc-é{i}", answer=i % 2,
-                        prompt_fingerprint=f"fp{i}")
+    """One LLM call's put: two answers about one document."""
+    return f"doc-é{i}", [(f"Is it café {i}?", i % 2), (f"Naïve {i}?", 1 - i % 2)]
+
+
+def _answer_entries(i):
+    doc, answers = _answer(i)
+    return {(question, doc): answer for question, answer in answers}
 
 
 @pytest.mark.parametrize("kind", ["answers", "prompts"])
@@ -78,14 +83,14 @@ def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog, op
         new, reload = _answer(99), AnswerCache
         with reload(path) as store:
             for i in range(3):
-                store.put(_answer(i))
-        expected = {(f"Is it café {i}?", f"doc-é{i}"): i % 2 for i in (0, 1, 2, 99)}
+                store.put(*_answer(i))
+        expected = [_answer_entries(i) for i in (0, 1, 2, 99)]
     else:
         new, reload = ("fp99", "réponse"), PromptCacheStore
         with reload(path) as store:
             for i in range(3):
                 store.put(f"fp{i}", f"1. oui, café {i}")
-        expected = {f"fp{i}": f"1. oui, café {i}" for i in range(3)} | {"fp99": "réponse"}
+        expected = [{f"fp{i}": f"1. oui, café {i}"} for i in (0, 1, 2)] + [{"fp99": "réponse"}]
     blob = path.read_bytes()
     last = blob.rindex(b"\n", 0, len(blob) - 1) + 1
     for cut in range(last, len(blob)):
@@ -97,12 +102,9 @@ def test_torn_final_record_is_dropped_at_every_offset(tmp_path, kind, caplog, op
         torn = last < cut < len(blob) - 1
         assert ("dropped 1 torn final record" in caplog.text) == torn
         assert (f"{kind}.jsonl" in caplog.text) == torn
-        if kind == "answers":
-            store.put(new)
-        else:
-            store.put(*new)
-        want = {key: value for key, value in expected.items()
-                if complete or key not in (("Is it café 2?", "doc-é2"), "fp2")}
+        store.put(*new)
+        want = {key: value for i, entries in enumerate(expected) if complete or i != 2
+                for key, value in entries.items()}
         assert opened(reload(path)).entries == want, cut
 
 
@@ -110,12 +112,12 @@ def test_bad_record_before_the_end_is_fatal(tmp_path):
     path = tmp_path / "answers.jsonl"
     with AnswerCache(path) as cache:
         for i in range(3):
-            cache.put(_answer(i))
+            cache.put(*_answer(i))
     lines = path.read_bytes().split(b"\n")
     path.write_bytes(b"\n".join([lines[0][:-5]] + lines[1:]))
     with pytest.raises(CorruptFileError, match=r"answers\.jsonl:1"):
         AnswerCache(path)
-    path.write_bytes(b'{"question": "Is it?"}\n' + b"\n".join(lines[1:]))
+    path.write_bytes(b'{"document_id": "d"}\n' + b"\n".join(lines[1:]))
     with pytest.raises(CorruptFileError, match=r"answers\.jsonl:1: KeyError"):
         AnswerCache(path)
 

@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import hashlib
 import inspect
-import itertools
 import json
 import os
 import shutil
@@ -368,23 +367,17 @@ def collected(tmp_path_factory):
 
 
 def test_resume_after_a_kill_inside_a_batched_append(collected, tmp_path, opened):
-    """Each LLM call's answers are one append. answers.jsonl cut at every byte
-    of its last multi-record batch resumes to the uninterrupted examples and cache."""
+    """Each LLM call's answers are one line, written in one append. answers.jsonl
+    cut at every byte of its last line resumes to the uninterrupted examples and cache."""
     cfg_path, cfg, ws = collected
     blob = ws.path("answers").read_bytes()
-    lines = blob.splitlines(keepends=True)
-    starts = [0, *itertools.accumulate(map(len, lines))]
-    call = [json.loads(line)["prompt_fingerprint"] for line in lines]
-    last = max(i for i in range(1, len(lines)) if call[i] == call[i - 1])
-    first = last
-    while call[first - 1] == call[last]:
-        first -= 1
-    assert last - first + 1 == 3
+    start = blob.rindex(b"\n", 0, len(blob) - 1) + 1
+    assert len(json.loads(blob[start:])["answers"]) == 3
     expected = {name: ws.path(name).read_bytes()
                 for name in ("train_examples", "heldout_examples")}
     cache = opened(AnswerCache(ws.path("answers"))).entries
     copy = Workspace(shutil.copytree(ws.root, tmp_path / "ws"))
-    for cut in range(starts[first], starts[last + 1]):
+    for cut in range(start, len(blob)):
         copy.path("answers").write_bytes(blob[:cut])
         run_stage("collect", cfg, copy, config_dir=cfg_path.parent, force=True)
         for name, want in expected.items():
@@ -433,12 +426,21 @@ def test_a_process_killed_mid_collect_resumes_to_the_same_answers(collected, tmp
                            env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == -signal.SIGKILL, child.stderr
     partial = copy.path("answers").read_bytes()
-    fingerprints = {json.loads(line)["prompt_fingerprint"] for line in partial.splitlines()}
-    assert len(fingerprints) == calls // 2  # every call's answers, and only whole lines
+    assert len(partial.splitlines()) == calls // 2  # one line per call, whole lines only
     assert want["answers"].startswith(partial)
     run_stage("collect", cfg, copy, config_dir=cfg_path.parent, force=True)
     for name, blob in want.items():
         assert copy.path(name).read_bytes() == blob, name
+
+
+def test_answer_cache_holds_one_line_per_llm_call(mini):
+    """A fresh workspace's answers.jsonl holds one record per LLM call that
+    collect made, and every answer of the call in it."""
+    cfg_path, cfg, ws, results = mini
+    collect = next(r.summary for r in results if r.stage == "collect")
+    lines = ws.path("answers").read_text(encoding="utf-8").splitlines()
+    assert collect["llm_calls"] > 1 and len(lines) == collect["llm_calls"]
+    assert sum(len(json.loads(line)["answers"]) for line in lines) == collect["pairs"]
 
 
 def test_stages_close_the_caches_they_open(mini_copy, monkeypatch):
@@ -474,13 +476,13 @@ def test_demos_opening_an_answer_cache_leave_no_resource_warning(demo):
 
 # sha256 of a build_scale-shaped build's artifacts (seed 1, 1,200 documents,
 # d=256, k=30, the default generation, probe and collection pools), taken
-# from the np.add.at k-means, the per-token encoder and per-record answer lines
-# (answers.jsonl since its key became the question's text); reports/ablate.jsonl
-# from the float64 probabilities thresholded at each tau
+# from the np.add.at k-means and the per-token encoder; answers.jsonl since it
+# holds one record per LLM call, and bank.jsonl since it stores no embeddings;
+# reports/ablate.jsonl from the float64 probabilities thresholded at each tau
 BUILD_SCALE_DIGESTS = {
     "cluster.model": "61c388445d957871be61b77cc0cc73012561c083edee9b0810f13642f21fce02",
-    "bank.jsonl": "a05eee0fbe7d041c2b1965df69a8d40cda29010540df44ee8e20672782c099d2",
-    "answers.jsonl": "4b6501fc40638bf343302c13687a0ae4cf2cd171c32b3bbba39b2bd8248ed052",
+    "bank.jsonl": "14e26d967b3fdc3a0de32b8cf480e66f97cf32b54d0a8018c6a11069b953b428",
+    "answers.jsonl": "44fda7c7b0bd6de891d89c1e48f67bcc5fd3a647eb7312b1d517ad81bd1c3fc8",
     "heads.bin": "874b27feea3a85f3d3025e67e2bc18fcdcf82b2d3c9f39766b499be71c8b0fa6",
     "embeddings.bin": "3ff4b0957485846bd43e971bac292bccfdbd395ae51373c65d63fb012e52bfb2",
     "reports/clustering.json":

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 import qembed
-from oracle import dumped_answer_lines, per_token_encode
+from oracle import per_token_encode
 from qembed.jsonl import CorruptFileError
 from qembed.providers import (
     ENCODE_BLOCK,
     API_KEY_ENV,
     AnswerCache,
-    AnswerRecord,
     CachedLLM,
     MockEncoder,
     PromptCacheStore,
@@ -228,9 +227,9 @@ class TestAnswerCache:
     def test_roundtrip_and_overwrite(self, tmp_path, opened):
         path = tmp_path / "answers.jsonl"
         with AnswerCache(path) as cache:
-            cache.put(AnswerRecord("Is it red?", "doc-a", 1, "fp1"))
-            cache.put(AnswerRecord("Is it red?", "doc-a", 0, "fp2"))
-            cache.put(AnswerRecord("Is it blue?", "doc-b", 1, "fp3"))
+            cache.put("doc-a", [("Is it red?", 1)])
+            cache.put("doc-a", [("Is it red?", 0)])
+            cache.put("doc-b", [("Is it blue?", 1)])
         reloaded = opened(AnswerCache(path))
         assert reloaded.get("Is it red?", "doc-a") == 0
         assert reloaded.get("Is it blue?", "doc-b") == 1
@@ -238,16 +237,19 @@ class TestAnswerCache:
         assert len(reloaded) == 2
 
     def test_lines_match_one_dumps_per_record(self, tmp_path, opened):
+        """Each put is one record {document_id, answers}, its answers in the
+        order given, written by jsonl.dumps with ensure_ascii=False."""
         ids = ['say "yes"', "back\\slash\\", "tab\tnew\nline\x00\x1f\x7f", "café-日本",
-               "\u2028sep\x85", "lone \ud800 surrogate", "", "plain"]
-        calls = [[AnswerRecord(q, doc, len(q) % 2, fp) for q in ("Is it?", doc, "Naïve «q»?")]
-                 for doc, fp in zip(ids, ["fp-" + doc for doc in reversed(ids)])]
-        calls.append([AnswerRecord("1", "a", 1, "f\"p"), AnswerRecord("2", "b", 0, "fp")])
+               "\u2028sep\x85", "", "plain"]
+        calls = [(doc, [(q, len(q) % 2) for q in ("Naïve «q»?", doc, "Is it?")]) for doc in ids]
+        calls.append(("a", [("2", 0), ("1", 1)]))
         path = tmp_path / "answers.jsonl"
         cache = opened(AnswerCache(path))
-        for records in calls:
-            cache.put(*records)
-        assert path.read_bytes() == "".join(map(dumped_answer_lines, calls)).encode("utf-8")
+        for doc, answers in calls:
+            cache.put(doc, answers)
+        assert path.read_bytes().decode("utf-8") == "".join(
+            json.dumps({"document_id": doc, "answers": [list(pair) for pair in answers]},
+                       ensure_ascii=False) + "\n" for doc, answers in calls)
         with AnswerCache(path) as reloaded:
             assert reloaded.entries == cache.entries
             assert len(reloaded) == len(ids) * 3 + 2
@@ -256,11 +258,11 @@ class TestAnswerCache:
         path = tmp_path / "answers.jsonl"
         cache = opened(AnswerCache(path))
         for call in range(30):
-            cache.put(*(AnswerRecord(f"Is it {q}?", f"doc-é{call}", (q + call) % 2, f"fp{call}")
-                        for q in range(call % 4 + 1)))
+            cache.put(f"doc-é{call}", [(f"Is it {q}?", (q + call) % 2)
+                                       for q in range(call % 4 + 1)])
             with open(path, "rb") as reader:
                 blob = reader.read()
-            assert blob.endswith(b"\n")
+            assert blob.endswith(b"\n") and blob.count(b"\n") == call + 1
             with AnswerCache(path) as second:
                 assert second.entries == cache.entries, call
 
@@ -270,7 +272,7 @@ class TestAnswerCache:
 
         def work(base):
             for i in range(50):
-                cache.put(AnswerRecord(f"Is it {base * 100 + i}?", f"d{i}", i % 2, "fp"))
+                cache.put(f"d{i}", [(f"Is it {base * 100 + i}?", i % 2)])
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
         for t in threads:
