@@ -112,18 +112,28 @@ def _texts_by_id(path: str | Path, kind: str) -> dict[str, str]:
 
 def load_retrieval_task(queries_path: str | Path, corpus_path: str | Path,
                         qrels_path: str | Path) -> RetrievalTask:
+    """Queries and corpus texts by id, each file holding one or more, and
+    qrels with at least one judgment of rel > 0, each naming a query and a
+    doc of the other two files (else a TaskError naming both files)."""
     queries = _texts_by_id(queries_path, "query")
+    if not queries:
+        raise TaskError(f"{queries_path}: retrieval task has no queries")
     corpus = _texts_by_id(corpus_path, "doc")
+    if not corpus:
+        raise TaskError(f"{corpus_path}: retrieval corpus is empty")
     qrels: dict[str, dict[str, float]] = {}
     for i, (qid, did, rel) in enumerate(_records(qrels_path, lambda rec: (
             str(rec["query_id"]), str(rec["doc_id"]), float(rec["rel"]))), start=1):
-        if did not in corpus:
-            raise TaskError(f"{qrels_path}: record {i} references unknown doc {did!r}")
-        if qid not in queries:
-            raise TaskError(f"{qrels_path}: record {i} references unknown query {qid!r}")
+        for key, known, kind, path in ((did, corpus, "doc", corpus_path),
+                                       (qid, queries, "query", queries_path)):
+            if key not in known:
+                raise TaskError(f"{qrels_path}: record {i} references {kind} {key!r}, "
+                                f"which {path} does not hold")
         if rel < 0:
             raise TaskError(f"{qrels_path}: record {i} has negative relevance")
         qrels.setdefault(qid, {})[did] = rel
+    if not any(rel > 0 for judged in qrels.values() for rel in judged.values()):
+        raise TaskError(f"{qrels_path}: no judgment with rel > 0")
     return RetrievalTask(queries=queries, corpus=corpus, qrels=qrels)
 
 
@@ -182,9 +192,8 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
                        corpus_matrix: BinaryMatrix, k: int = 10) -> RetrievalResult:
-    """Macro-averaged nDCG@k; corpus ranked by cosine, ties broken by doc id."""
-    if not task.corpus:
-        raise TaskError("retrieval corpus is empty")
+    """Macro-averaged nDCG@k over a task with queries and a corpus, as
+    load_retrieval_task reads one; corpus ranked by cosine, ties broken by doc id."""
     if query_matrix.m != corpus_matrix.m:
         raise TaskError(f"query rows have m={query_matrix.m} questions but corpus "
                         f"rows have m={corpus_matrix.m}")
@@ -203,8 +212,6 @@ def retrieval_evaluate(task: RetrievalTask, query_matrix: BinaryMatrix,
                              query_matrix.row_popcounts[query_rows]):
         top = _top_k(_cosines(popcounts(docs & q), doc_pops, q_pop), k)
         per_query[qid] = ndcg_at_k([doc_ids[i] for i in top], task.qrels.get(qid, {}), k=k)
-    if not per_query:
-        raise TaskError("retrieval task has no queries")
     mean = float(np.mean(list(per_query.values())))
     return RetrievalResult(mean_ndcg=mean, per_query=per_query, k=k)
 

@@ -55,18 +55,14 @@ def _rng(root_seed: int, stage: str) -> np.random.Generator:
 class StageContext:
     cfg: PipelineConfig
     ws: Workspace
-    config_dir: Path
     input_fps: dict[str, str] = field(default_factory=dict)
-    transcript: dict[str, str] | None = None  # a scripted run's, read by run_stage
+    transcript: dict[str, str] | None = None  # a scripted run's, read by the runner
     _encoder: object = None
     _llm: object = None
 
     @property
     def seed(self) -> int:
         return self.cfg.pipeline.seed
-
-    def resolve(self, path: str) -> Path:
-        return self.config_dir / path  # an absolute path replaces config_dir
 
     @property
     def encoder(self):
@@ -111,13 +107,8 @@ class StageContext:
 # --------------------------------------------------------------------------
 # stage implementations
 
-def _stage_ingest(ctx: StageContext) -> dict:
-    if not ctx.cfg.corpus.input:
-        raise ConfigError("[corpus] input is not configured")
-    source = ctx.resolve(ctx.cfg.corpus.input)
-    if not source.exists():
-        raise ConfigError(f"[corpus] input file not found: {source}")
-    corpus = exact_dedup(ingest(source, format=ctx.cfg.corpus.format))
+def _stage_ingest(ctx: StageContext, corpus_input: Path) -> dict:
+    corpus = exact_dedup(ingest(corpus_input, format=ctx.cfg.corpus.format))
     save_corpus(corpus, ctx.ws.path("corpus"))
     split = split_heldout(corpus, ctx.cfg.corpus.heldout_fraction,
                           seed=stage_seed(ctx.seed, "split"))
@@ -243,12 +234,11 @@ def _embed_texts(ctx: StageContext, heads, texts: list[str], tau: float | None =
                            row_ids=[content_id(t) for t in texts])
 
 
-def _stage_eval_sts(ctx: StageContext, heads) -> dict:
-    task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-    rho, load = _sts_numbers(task, _embed_texts(ctx, heads, task.texts(),
-                                                tau=ctx.cfg.training.tau))
+def _stage_eval_sts(ctx: StageContext, heads, sts_task) -> dict:
+    rho, load = _sts_numbers(sts_task, _embed_texts(ctx, heads, sts_task.texts(),
+                                                    tau=ctx.cfg.training.tau))
     rho_x100 = None if rho is None else 100.0 * rho
-    payload = {"provenance": ctx.provenance(), "pairs": len(task.pairs),
+    payload = {"provenance": ctx.provenance(), "pairs": len(sts_task.pairs),
                "spearman": rho, "spearman_x100": rho_x100,
                "mean_cognitive_load": load.exact,
                "mean_cognitive_load_rounded": load.rounded,
@@ -256,23 +246,20 @@ def _stage_eval_sts(ctx: StageContext, heads) -> dict:
     jsonl.write_json(ctx.ws.path("sts_report"), payload)
     rho_text = "n/a" if rho is None else f"{rho:.4f}  (x100: {rho_x100:.2f})"
     jsonl.write_text(ctx.ws.path("sts_text"),
-                f"semantic similarity over {len(task.pairs)} pairs\n"
+                f"semantic similarity over {len(sts_task.pairs)} pairs\n"
                 f"spearman        {rho_text}\n"
                 f"cognitive load  {load.exact:.2f}  (rounded: {load.rounded})")
     return {"spearman": rho, "mean_load": load.exact}
 
 
-def _stage_eval_retrieval(ctx: StageContext, heads) -> dict:
-    ev = ctx.cfg.eval
-    task = load_retrieval_task(ctx.resolve(ev.queries), ctx.resolve(ev.corpus),
-                               ctx.resolve(ev.qrels))
-    qids = sorted(task.queries)
-    dids = sorted(task.corpus)
-    qmat = embed_documents([task.queries[q] for q in qids], ctx.encoder, heads,
+def _stage_eval_retrieval(ctx: StageContext, heads, retrieval_task) -> dict:
+    qids = sorted(retrieval_task.queries)
+    dids = sorted(retrieval_task.corpus)
+    qmat = embed_documents([retrieval_task.queries[q] for q in qids], ctx.encoder, heads,
                            tau=ctx.cfg.training.tau, row_ids=qids)
-    dmat = embed_documents([task.corpus[d] for d in dids], ctx.encoder, heads,
+    dmat = embed_documents([retrieval_task.corpus[d] for d in dids], ctx.encoder, heads,
                            tau=ctx.cfg.training.tau, row_ids=dids)
-    result = retrieval_evaluate(task, qmat, dmat)
+    result = retrieval_evaluate(retrieval_task, qmat, dmat)
     payload = {"provenance": ctx.provenance(), "k": result.k,
                "mean_ndcg": result.mean_ndcg, "per_query": result.per_query,
                "queries": len(qids), "documents": len(dids)}
@@ -283,25 +270,23 @@ def _stage_eval_retrieval(ctx: StageContext, heads) -> dict:
     return {"mean_ndcg": result.mean_ndcg}
 
 
-def _stage_eval_clustering(ctx: StageContext, heads) -> dict:
-    task = load_clustering_task(ctx.resolve(ctx.cfg.eval.clustering))
-    matrix = embed_documents(list(task.texts), ctx.encoder, heads,
-                             tau=ctx.cfg.training.tau,
-                             row_ids=[f"r{i}" for i in range(len(task.texts))])
-    score = clustering_evaluate(matrix, list(task.labels),
+def _stage_eval_clustering(ctx: StageContext, heads, clustering_task) -> dict:
+    texts, labels = clustering_task.texts, clustering_task.labels
+    matrix = embed_documents(list(texts), ctx.encoder, heads, tau=ctx.cfg.training.tau,
+                             row_ids=[f"r{i}" for i in range(len(texts))])
+    score = clustering_evaluate(matrix, list(labels),
                                 seed=stage_seed(ctx.seed, "eval-clustering"))
     payload = {"provenance": ctx.provenance(), "v_measure": score,
-               "texts": len(task.texts), "k": len(set(task.labels))}
+               "texts": len(texts), "k": len(set(labels))}
     jsonl.write_json(ctx.ws.path("clustering_report"), payload)
     jsonl.write_text(ctx.ws.path("clustering_text"),
-                f"clustering over {len(task.texts)} texts into "
-                f"{len(set(task.labels))} groups\nv-measure  {score:.4f}")
+                f"clustering over {len(texts)} texts into "
+                f"{len(set(labels))} groups\nv-measure  {score:.4f}")
     return {"v_measure": score}
 
 
-def _stage_explain(ctx: StageContext, heads, bank) -> dict:
-    task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
-    pairs = task.pairs[:ctx.cfg.eval.explain_pairs]
+def _stage_explain(ctx: StageContext, heads, bank, sts_task) -> dict:
+    pairs = sts_task.pairs[:ctx.cfg.eval.explain_pairs]
     texts = list(dict.fromkeys(t for pair in pairs for t in (pair.text_a, pair.text_b)))
     matrix = _embed_texts(ctx, heads, texts, tau=ctx.cfg.training.tau)
     reports = []
@@ -329,24 +314,24 @@ def _sts_numbers(task, matrix: BinaryMatrix):
     return rho, mean_cognitive_load(task, matrix)
 
 
-def _stage_ablate(ctx: StageContext, heads) -> dict:
-    task = load_sts_task(ctx.resolve(ctx.cfg.eval.sts))
+def _stage_ablate(ctx: StageContext, heads, sts_task) -> dict:
     taus = parse_float_list(ctx.cfg.eval.ablate_taus)
     dims = parse_int_list(ctx.cfg.eval.ablate_dims)
-    texts = task.texts()
+    texts = sts_task.texts()
     row_ids = [content_id(t) for t in texts]
     # every tau's bits, and the training tau's last, from one certified forward
     bits = embedding_bits(heads, ctx.encoder.encode(texts), [*taus, ctx.cfg.training.tau])
     rows = []
     for tau, dense in zip(taus, bits):
-        rho, load = _sts_numbers(task, BinaryMatrix.from_dense(dense, row_ids))
+        rho, load = _sts_numbers(sts_task, BinaryMatrix.from_dense(dense, row_ids))
         rows.append({"parameter": "tau", "value": tau, "spearman": rho,
                      "mean_load": load.exact})
     for m_prime in dims:
         if not 1 <= m_prime <= heads.m:
             logger.warning("skipping ablation width %d outside [1, %d]", m_prime, heads.m)
             continue
-        rho, load = _sts_numbers(task, BinaryMatrix.from_dense(bits[-1][:, :m_prime], row_ids))
+        rho, load = _sts_numbers(sts_task,
+                                 BinaryMatrix.from_dense(bits[-1][:, :m_prime], row_ids))
         rows.append({"parameter": "dims", "value": m_prime, "spearman": rho,
                      "mean_load": load.exact})
     jsonl.write(ctx.ws.path("ablation_report"), [{"provenance": ctx.provenance()}, *rows],
@@ -378,7 +363,7 @@ class Stage:
     name: str
     inputs: tuple[str, ...]
     func: object
-    tasks: tuple[tuple[str, str], ...] = ()  # (state key, [eval] key) per task file read
+    configured: tuple[str, ...] = ()  # parameters read from files the config names
 
     @property
     def outputs(self) -> tuple[str, ...]:
@@ -500,29 +485,54 @@ READERS = {  # artifact -> reader(path, got)
 }
 
 
-_STS = (("sts_task", "sts"),)
+# Stage parameters read from files the config names, a (state key, section,
+# key) each. load(*paths) reads and checks them, naming a bad one; without a
+# load the stage gets the path. It calls its function by name, as a reader does.
+
+def _load_transcript(path: Path) -> dict[str, str]:
+    try:
+        transcript = read_transcript(path)
+    except (jsonl.CorruptFileError, OSError) as exc:
+        raise ConfigError(f"[llm] transcript: {exc}") from exc
+    if not transcript:
+        raise ConfigError(f"[llm] transcript: {path} holds no responses")
+    return transcript
+
+
+CONFIGURED = {  # parameter -> (files, load)
+    "corpus_input": ((("corpus_input", "corpus", "input"),), None),
+    "transcript": ((("transcript", "llm", "transcript"),), _load_transcript),
+    "sts_task": ((("sts_task", "eval", "sts"),), lambda path: load_sts_task(path)),
+    "retrieval_task": ((("queries", "eval", "queries"), ("corpus", "eval", "corpus"),
+                        ("qrels", "eval", "qrels")),
+                       lambda *paths: load_retrieval_task(*paths)),
+    "clustering_task": ((("clustering_task", "eval", "clustering"),),
+                        lambda path: load_clustering_task(path)),
+}
+
+_STS = ("sts_task",)
 
 STAGES: dict[str, Stage] = {s.name: s for s in [
-    Stage("ingest", (), _stage_ingest),
+    Stage("ingest", (), _stage_ingest, ("corpus_input",)),
     Stage("encode", ("corpus",), _stage_encode),
     Stage("cluster", ("corpus", "doc_embeddings"), _stage_cluster),
-    Stage("generate", ("corpus", "cluster_model"), _stage_generate),
-    Stage("probe", ("corpus", "cluster_model", "candidates"), _stage_probe),
+    Stage("generate", ("corpus", "cluster_model"), _stage_generate, ("transcript",)),
+    Stage("probe", ("corpus", "cluster_model", "candidates"), _stage_probe, ("transcript",)),
     Stage("select", ("probes",), _stage_select),
-    Stage("collect", ("corpus", "split", "cluster_model", "bank"), _stage_collect),
+    Stage("collect", ("corpus", "split", "cluster_model", "bank"), _stage_collect,
+          ("transcript",)),
     Stage("train", ("corpus", "doc_embeddings", "bank", "train_examples", "heldout_examples"),
           _stage_train),
     Stage("embed", ("corpus", "doc_embeddings", "heads"), _stage_embed),
     Stage("eval-sts", ("heads",), _stage_eval_sts, _STS),
-    Stage("eval-retrieval", ("heads",), _stage_eval_retrieval,
-          (("queries", "queries"), ("corpus", "corpus"), ("qrels", "qrels"))),
-    Stage("eval-clustering", ("heads",), _stage_eval_clustering,
-          (("clustering_task", "clustering"),)),
+    Stage("eval-retrieval", ("heads",), _stage_eval_retrieval, ("retrieval_task",)),
+    Stage("eval-clustering", ("heads",), _stage_eval_clustering, ("clustering_task",)),
     Stage("explain", ("heads", "bank"), _stage_explain, _STS),
     Stage("ablate", ("heads",), _stage_ablate, _STS),
     Stage("cost", (), _stage_cost),
 ]}
 STAGE_ORDER = list(STAGES)
+LLM_STAGES = tuple(s.name for s in STAGES.values() if "transcript" in s.configured)
 
 
 @dataclass(frozen=True)
@@ -532,83 +542,99 @@ class StageResult:
     summary: dict
 
 
-def _unset_task(stage: Stage, cfg: PipelineConfig) -> str | None:
-    """The [eval] key of the first task file the stage reads that is not configured."""
-    return next((key for _, key in stage.tasks if not getattr(cfg.eval, key)), None)
+def _left_out(stage: Stage, cfg: PipelineConfig) -> str | None:
+    """Why run_all leaves the stage out, or None: an [eval] file it reads is
+    not set, or it is explain and explain_pairs = 0."""
+    unset = [key for name in stage.configured for _, section, key in CONFIGURED[name][0]
+             if section == "eval" and not getattr(cfg.eval, key)]
+    if unset or stage.name == "explain" and not cfg.eval.explain_pairs:
+        return f"[eval] {unset[0]} is not set" if unset else "[eval] explain_pairs = 0"
+    return None
 
 
-LLM_STAGES = ("generate", "probe", "collect")
+def _read_configured(stage: Stage, cfg: PipelineConfig, config_dir: Path,
+                     read: dict) -> tuple[dict, dict[str, str]]:
+    """The stage's configured parameters, and their files' fingerprints by
+    state key. An unset key, or a file that cannot be opened, raises
+    ConfigError naming it. read holds what this run has loaded, by
+    parameter, so that each file is read once per run."""
+    params, fps = {}, {}
+    for name in stage.configured:
+        if name == "transcript" and cfg.llm.kind != "scripted":
+            continue  # only a scripted run reads one
+        if name not in read:
+            files, load = CONFIGURED[name]
+            paths, file_fps = [], {}
+            for state_key, section, key in files:
+                if not getattr(getattr(cfg, section), key):
+                    raise ConfigError(f"[{section}] {key} is " + (
+                        "required when kind = scripted" if name == "transcript"
+                        else f"not configured; stage '{stage.name}' reads it"))
+                # an absolute path replaces config_dir
+                paths.append(config_dir / getattr(getattr(cfg, section), key))
+                try:
+                    file_fps[f"file:{state_key}"] = file_fingerprint(paths[-1])
+                except OSError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            read[name] = (paths[0] if load is None else load(*paths)), file_fps
+        params[name], file_fps = read[name]
+        fps.update(file_fps)
+    return params, fps
 
 
-def _read_transcript(cfg: PipelineConfig, config_dir: Path) -> dict[str, str]:
-    """A scripted run's transcript; an unset key, a missing file or a bad line
-    raises ConfigError. Not at load: a config without [llm] may still run the
-    other stages."""
-    if not cfg.llm.transcript:
-        raise ConfigError("[llm] transcript is required when kind = scripted")
-    try:
-        return read_transcript(config_dir / cfg.llm.transcript)
-    except (jsonl.CorruptFileError, OSError) as exc:
-        raise ConfigError(f"[llm] transcript: {exc}") from exc
-
-
-def _config_files(stage: Stage, cfg: PipelineConfig, config_dir: Path) -> dict[str, Path]:
-    """Configured files a stage reads, by state key, for change detection: its
-    task files, ingest's [corpus] input and, in a scripted run, the transcript
-    of the stages that call the LLM."""
-    files = {f"file:{key}": getattr(cfg.eval, attr) for key, attr in stage.tasks}
-    if stage.name == "ingest":
-        files["file:corpus_input"] = cfg.corpus.input
-    if cfg.llm.kind == "scripted" and stage.name in LLM_STAGES:
-        files["file:transcript"] = cfg.llm.transcript
-    return {key: config_dir / path for key, path in files.items() if path}
-
-
-def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
-              force: bool = False) -> StageResult:
-    if name not in STAGES:
-        raise ConfigError(f"unknown stage {name!r}; "
-                          f"known: {', '.join(STAGE_ORDER)}")
-    stage = STAGES[name]
-    unset = _unset_task(stage, cfg)
-    if unset:
-        raise ConfigError(f"[eval] {unset} is not configured; stage '{name}' reads it")
-    scripted = cfg.llm.kind == "scripted" and name in LLM_STAGES
-    transcript = _read_transcript(cfg, config_dir) if scripted else None
+def _run(stage: Stage, cfg: PipelineConfig, ws: Workspace, force: bool, params: dict,
+         file_fps: dict[str, str]) -> StageResult:
     ch = config_hash(cfg)
-    input_fps, up_to_date = ws.check(name, stage.inputs, _config_files(stage, cfg, config_dir),
-                                     ch, force=force)
+    input_fps, up_to_date = ws.check(stage.name, stage.inputs, file_fps, ch, force=force)
     if up_to_date:
-        ws.log({"stage": name, "status": "skipped"})
-        return StageResult(stage=name, skipped=True, summary={})
-    ctx = StageContext(cfg=cfg, ws=ws, config_dir=config_dir, input_fps=input_fps,
-                       transcript=transcript)
+        ws.log({"stage": stage.name, "status": "skipped"})
+        return StageResult(stage=stage.name, skipped=True, summary={})
+    # the transcript goes to the context, which builds the LLM from it
+    ctx = StageContext(cfg=cfg, ws=ws, input_fps=input_fps,
+                       transcript=params.pop("transcript", None))
     started = time.perf_counter()
     try:
         inputs: dict = {}
         for artifact in stage.inputs:
             inputs[artifact] = READERS[artifact](ws.path(artifact), inputs)
-        summary = stage.func(ctx, **inputs)
+        summary = stage.func(ctx, **inputs, **params)
     finally:
         ctx.close()
     elapsed = round(time.perf_counter() - started, 3)
-    ws.record_stage(name, ch, input_fps, {a: file_fingerprint(ws.path(a)) for a in stage.outputs})
-    ws.log({"stage": name, "status": "ran", "seconds": elapsed, **summary, **ctx.llm_counts()})
-    return StageResult(stage=name, skipped=False, summary=summary)
+    outputs = {a: file_fingerprint(ws.path(a)) for a in stage.outputs}
+    ws.record_stage(stage.name, ch, input_fps, outputs)
+    ws.log({"stage": stage.name, "status": "ran", "seconds": elapsed, **summary,
+            **ctx.llm_counts()})
+    return StageResult(stage=stage.name, skipped=False, summary=summary)
+
+
+def run_stage(name: str, cfg: PipelineConfig, ws: Workspace, config_dir: Path,
+              force: bool = False) -> StageResult:
+    """Run one stage, reading only its own configured files."""
+    if name not in STAGES:
+        raise ConfigError(f"unknown stage {name!r}; "
+                          f"known: {', '.join(STAGE_ORDER)}")
+    stage = STAGES[name]
+    return _run(stage, cfg, ws, force, *_read_configured(stage, cfg, config_dir, {}))
 
 
 def run_all(cfg: PipelineConfig, ws: Workspace, config_dir: Path,
             force: bool = False) -> list[StageResult]:
-    """Run every applicable stage in order; snapshot the config for provenance."""
-    if cfg.llm.kind == "scripted":
-        _read_transcript(cfg, config_dir)  # before anything is written
+    """Run every applicable stage in order; snapshot the config for provenance.
+    The configured files of every applicable stage are read first, each once,
+    so that a bad one stops the run before anything is written."""
+    read, plan = {}, []
+    for stage in STAGES.values():
+        cause = _left_out(stage, cfg)
+        plan.append((stage, cause,
+                     None if cause else _read_configured(stage, cfg, config_dir, read)))
     jsonl.write_text(ws.root / "config.ini", dump_config(cfg))
     results = []
-    for stage in STAGES.values():
-        if _unset_task(stage, cfg) or (stage.name == "explain" and not cfg.eval.explain_pairs):
-            ws.log({"stage": stage.name, "status": "not-configured"})
-            continue
-        results.append(run_stage(stage.name, cfg, ws, config_dir, force=force))
+    for stage, cause, configured in plan:
+        if cause:
+            ws.log({"stage": stage.name, "status": "not-configured", "cause": cause})
+        else:
+            results.append(_run(stage, cfg, ws, force, *configured))
     return results
 
 

@@ -104,16 +104,17 @@ class Workspace:
                                   "outputs": outputs}
         write_json(self.root / _STATE_FILE, state)
 
-    def check(self, stage: str, inputs: tuple[str, ...], files: dict[str, Path],
+    def check(self, stage: str, inputs: tuple[str, ...], configured: dict[str, str],
               config_hash: str, force: bool = False) -> tuple[dict[str, str], bool]:
         """Fingerprint what a stage reads, and say whether its record is current.
 
         Each input artifact must exist (else DependencyError naming the stage
         that writes it) and, unless forced, match what that stage recorded
-        (else FingerprintError). Each configured file that exists is added
-        under its key; a missing one fails inside the stage, with context.
-        The stage is up to date only if not forced and its record holds this
-        config hash, these fingerprints and every recorded output as on disk.
+        (else FingerprintError). configured holds the fingerprints of the
+        files the config names that the stage reads, by state key, and joins
+        the artifacts'. The stage is up to date only if not forced and its
+        record holds this config hash, these fingerprints and every recorded
+        output as on disk.
         """
         fps = {}
         for artifact in inputs:
@@ -132,7 +133,7 @@ class Workspace:
                     f"stage '{stage}': {self.path(artifact).name} changed since "
                     f"stage '{producer}' produced it (recorded {recorded}, "
                     f"found {current}); re-run '{producer}' or pass --force")
-        fps.update({key: file_fingerprint(path) for key, path in files.items() if path.exists()})
+        fps.update(configured)
         rec = records.get(stage)
         up_to_date = (not force and rec is not None and rec["config"] == config_hash
                       and rec["inputs"] == fps

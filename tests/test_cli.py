@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised through main(argv)."""
 
+import collections
 import configparser
 import json
 import shutil
@@ -9,6 +10,7 @@ import pytest
 
 from qembed.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_PROVIDER, _print_demo_summary,
                         main)
+from qembed import pipeline
 from qembed.corpus import load_corpus
 from qembed.pipeline import LLM_STAGES, STAGES, StageContext, write_demo_workspace
 from qembed.prompts import render_answer_prompt
@@ -269,6 +271,131 @@ def test_damaged_input_stops_its_stage_naming_the_file(mini_ws, tmp_path, capsys
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and name in errors[0]
         assert MESSAGES.get((name, damage), "") in errors[0]
+
+
+# The files the config names: the demo's task files, and a scripted run's
+# transcript.jsonl, a copy of the recorded prompt cache.
+CONFIGURED_FILES = ["sts.jsonl", "queries.jsonl", "retrieval_corpus.jsonl", "qrels.jsonl",
+                    "clustering.jsonl", "transcript.jsonl"]
+
+_TASK_TEXT_CHANGED = "one character of a text changes: still a valid task"
+_FINGERPRINT_CHANGED = ("one character of a probe prompt's fingerprint changes: the transcript "
+                        "parses, and probe drops the question it no longer answers, with a warning")
+# (file, damage) -> (a stage that reads the file and still runs, why the file is valid)
+ACCEPTED_CONFIGURED = {
+    ("sts.jsonl", "first-line-twice"): ("eval-sts", "a repeated pair is a valid pair"),
+    ("queries.jsonl", "xor-mid"): ("eval-retrieval", _TASK_TEXT_CHANGED),
+    ("queries.jsonl", "insert-mid"): ("eval-retrieval", _TASK_TEXT_CHANGED),
+    ("retrieval_corpus.jsonl", "xor-mid"): ("eval-retrieval", _TASK_TEXT_CHANGED),
+    ("retrieval_corpus.jsonl", "insert-mid"): ("eval-retrieval", _TASK_TEXT_CHANGED),
+    ("qrels.jsonl", "first-line-twice"): ("eval-retrieval", "a repeated judgment: the last wins"),
+    ("clustering.jsonl", "first-line-twice"): ("eval-clustering",
+                                               "a repeated text is a valid member of its group"),
+    ("transcript.jsonl", "xor-mid"): ("probe", _FINGERPRINT_CHANGED),
+    ("transcript.jsonl", "insert-mid"): ("probe", _FINGERPRINT_CHANGED),
+    ("transcript.jsonl", "first-line-twice"): ("generate", "a repeated response: the last wins"),
+}
+
+
+@pytest.mark.parametrize("name, damage", [(name, d) for name in CONFIGURED_FILES for d in DAMAGES],
+                         ids=lambda value: value)
+def test_damaged_configured_file_stops_a_plain_run_before_it_writes(
+        mini_ws, recorded, tmp_path, capsys, name, damage):
+    """Each damage of each file the config names: a plain run on a fresh
+    workspace exits 2 with one error line naming the file, and writes neither
+    config.ini nor state.json. A damage that leaves a valid file is ACCEPTED;
+    a stage that reads it then runs on a copy of the built workspace."""
+    root, cfg_path = mini_ws
+    stage = ACCEPTED_CONFIGURED.get((name, damage), (None,))[0]
+    ws = tmp_path / "ws"
+    if stage:
+        shutil.copytree(root, ws, copy_function=shutil.copyfile)  # never damage the fixture
+    else:
+        write_demo_workspace(ws, seed=0, **MINI)
+    if name == "transcript.jsonl":
+        _script(ws / cfg_path.name, recorded)
+    path = ws / name
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    args = ["--stage", stage, "--force"] if stage else []
+    code = main(["run", "--config", str(ws / cfg_path.name), "--workspace", str(ws), *args])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if stage:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_CONFIG
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and name in errors[0]
+    assert not (ws / "config.ini").exists() and not (ws / "state.json").exists()
+
+
+@pytest.mark.parametrize("section, key", [("corpus", "input"), ("llm", "transcript"),
+                                          ("eval", "sts"), ("eval", "queries"), ("eval", "corpus"),
+                                          ("eval", "qrels"), ("eval", "clustering")])
+def test_configured_path_that_names_no_file_stops_a_plain_run_before_it_writes(
+        tmp_path, capsys, section, key):
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    extra = {"kind": "scripted"} if section == "llm" else {}
+    _edit_config(cfg_path, section, **{key: "missing.jsonl"}, **extra)
+    code = main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: [{section}] {key}: ") and len(err.splitlines()) == 1
+    assert "missing.jsonl" in err
+    for name in ("config.ini", "state.json", "run_log.jsonl"):
+        assert not (tmp_path / name).exists(), name
+
+
+def _counting(monkeypatch, module, names):
+    """Patch each named function of module to count its calls, by name, in the returned Counter."""
+    calls = collections.Counter()
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(module, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_plain_run_reads_each_configured_file_once(recorded, tmp_path, capsys, monkeypatch):
+    """A scripted run parses its transcript, and each task file, once per run,
+    though three stages read the transcript and three sts.jsonl; an all-skipped
+    rerun does the same, and each configured file is fingerprinted once."""
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    _script(cfg_path, recorded)
+    loaders = ("read_transcript", "load_sts_task", "load_retrieval_task", "load_clustering_task")
+    loads = _counting(monkeypatch, pipeline, loaders)
+    hashed = collections.Counter()
+
+    def fingerprint(path, _fingerprint=pipeline.file_fingerprint):
+        hashed[path.name] += 1
+        return _fingerprint(path)
+
+    monkeypatch.setattr(pipeline, "file_fingerprint", fingerprint)
+    configured = ["demo_corpus.jsonl", "transcript.jsonl", "sts.jsonl", "queries.jsonl",
+                  "retrieval_corpus.jsonl", "qrels.jsonl", "clustering.jsonl"]
+    for status in ("ran", "skipped"):
+        loads.clear()
+        hashed.clear()
+        assert main(["run", "--config", str(cfg_path), "--workspace", str(tmp_path)]) == EXIT_OK
+        assert loads == dict.fromkeys(loaders, 1)
+        assert {name: hashed[name] for name in configured} == dict.fromkeys(configured, 1)
+        log = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        assert {record["status"] for record in log[-len(STAGES):]} == {status}
+    capsys.readouterr()
+
+
+def test_a_stage_reads_only_its_own_configured_files(mini_ws, tmp_path, capsys):
+    """--stage eval-sts neither reads nor checks clustering.jsonl."""
+    root, cfg_path = mini_ws
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    (copy / "clustering.jsonl").write_bytes(b"garbage\n")
+    args = ["run", "--config", str(copy / cfg_path.name), "--workspace", str(copy)]
+    assert main([*args, "--stage", "eval-sts", "--force"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    assert "clustering.jsonl:1" in capsys.readouterr().err
 
 
 def test_collect_on_a_bank_without_questions_is_dependency_error(mini_ws, tmp_path, capsys):
@@ -588,21 +715,36 @@ def _llm_counts(root):
     return counts
 
 
-def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, tmp_path, capsys, monkeypatch):
-    """A prompt cache recorded over the oracle, as a remote run records one,
-    replays as a transcript to the same artifacts; a prompt it lacks stops the
-    stage that asks it, naming the prompt's fingerprint. The run log counts
-    each LLM stage's prompt-cache hits and misses."""
+@pytest.fixture(scope="module")
+def recorded(mini_ws, tmp_path_factory):
+    """A copy of the mini workspace whose LLM stages ran again over the oracle
+    through a prompt cache, as a remote run records one, asking every prompt."""
     root, cfg_path = mini_ws
-    recorded = tmp_path / "recorded"
+    recorded = tmp_path_factory.mktemp("recorded") / "ws"
     shutil.copytree(root, recorded)
     (recorded / "answers.jsonl").unlink()  # so that collect asks every prompt again
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StageContext, "_build_llm", lambda ctx: CachedLLM(
             TopicOracleLLM(), PromptCacheStore(ctx.ws.root / "prompt_cache.jsonl")))
         for stage in LLM_STAGES:
             assert main(["run", "--config", str(recorded / cfg_path.name),
                          "--workspace", str(recorded), "--stage", stage, "--force"]) == EXIT_OK
+    return recorded
+
+
+def _script(cfg_path, recorded):
+    """Make the config's run a scripted one, replaying a copy of the recorded
+    prompt cache as transcript.jsonl beside the config."""
+    shutil.copyfile(recorded / "prompt_cache.jsonl", cfg_path.parent / "transcript.jsonl")
+    _edit_config(cfg_path, "llm", kind="scripted", transcript="transcript.jsonl")
+
+
+def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, recorded, tmp_path, capsys):
+    """A prompt cache recorded over the oracle, as a remote run records one,
+    replays as a transcript to the same artifacts; a prompt it lacks stops the
+    stage that asks it, naming the prompt's fingerprint. The run log counts
+    each LLM stage's prompt-cache hits and misses."""
+    root, cfg_path = mini_ws
     transcript = recorded / "prompt_cache.jsonl"
     replay = tmp_path / "replay"
     replay_cfg = write_demo_workspace(replay, seed=0, **MINI)

@@ -100,6 +100,35 @@ class TestLoaders:
             load_retrieval_task(tmp_path / "q.jsonl", tmp_path / "c.jsonl",
                                 tmp_path / "r.jsonl")
 
+    @pytest.mark.parametrize("qrel, other", [({"query_id": "ghost", "doc_id": "d1"}, "q.jsonl"),
+                                             ({"query_id": "q1", "doc_id": "ghost"}, "c.jsonl")])
+    def test_retrieval_qrel_mismatch_names_both_files(self, tmp_path, qrel, other):
+        """A judgment of a query or doc that the other file lacks names both
+        files, as either may be the damaged one."""
+        (tmp_path / "q.jsonl").write_text('{"id": "q1", "text": "t"}\n')
+        (tmp_path / "c.jsonl").write_text('{"id": "d1", "text": "t"}\n')
+        (tmp_path / "r.jsonl").write_text(json.dumps({**qrel, "rel": 1}) + "\n")
+        with pytest.raises(TaskError) as caught:
+            load_retrieval_task(tmp_path / "q.jsonl", tmp_path / "c.jsonl",
+                                tmp_path / "r.jsonl")
+        assert "r.jsonl: record 1" in str(caught.value) and other in str(caught.value)
+
+    @pytest.mark.parametrize("empty, message", [("q.jsonl", "has no queries"),
+                                                ("c.jsonl", "corpus is empty"),
+                                                ("r.jsonl", "no judgment with rel > 0")])
+    def test_retrieval_file_without_entries_rejected(self, tmp_path, empty, message):
+        """No query, no doc or no relevant judgment leaves nothing to score;
+        the loader names the file that holds none."""
+        (tmp_path / "q.jsonl").write_text('{"id": "q1", "text": "t"}\n')
+        (tmp_path / "c.jsonl").write_text('{"id": "d1", "text": "t"}\n')
+        (tmp_path / "r.jsonl").write_text('{"query_id": "q1", "doc_id": "d1", "rel": 0}\n'
+                                          if empty == "r.jsonl" else "")
+        if empty != "r.jsonl":
+            (tmp_path / empty).write_text("")
+        with pytest.raises(TaskError, match=f"{empty}: .*{message}"):
+            load_retrieval_task(tmp_path / "q.jsonl", tmp_path / "c.jsonl",
+                                tmp_path / "r.jsonl")
+
     def test_clustering_roundtrip(self, tmp_path):
         path = tmp_path / "cl.jsonl"
         path.write_text('{"text": "a", "label": "x"}\n{"text": "b", "label": "y"}\n')
@@ -193,12 +222,6 @@ class TestRetrievalEvaluate:
             result = retrieval_evaluate(task, q, d)
         assert result.mean_ndcg == 0.0
         assert "no relevant" in caplog.text
-
-    def test_empty_corpus_rejected(self):
-        q = self.id_matrix({"q": [1]})
-        task = RetrievalTask(queries={"q": "x"}, corpus={}, qrels={})
-        with pytest.raises(TaskError, match="empty"):
-            retrieval_evaluate(task, q, q)
 
     def test_zero_rows_score_zero_not_nan(self):
         q = self.id_matrix({"q": [0, 0]})

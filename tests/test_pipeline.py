@@ -26,8 +26,8 @@ from qembed.corpus import Corpus, Document, content_id, load_corpus
 from qembed.evaluation import load_sts_task, mean_cognitive_load, sts_evaluate
 from qembed.heads import TrainingExample, embed_documents, load_heads, save_heads, train_heads
 from qembed.metrics import MetricError
-from qembed.pipeline import (READERS, STAGE_ORDER, STAGES, StageContext, run_all, run_stage,
-                             stage_seed, write_demo_workspace)
+from qembed.pipeline import (CONFIGURED, READERS, STAGE_ORDER, STAGES, StageContext, run_all,
+                             run_stage, stage_seed, write_demo_workspace)
 from qembed.providers import AnswerCache, CachedLLM, MockEncoder, PromptCacheStore
 from qembed.synthetic import TopicOracleLLM
 from qembed.question_gen import load_question_bank
@@ -606,6 +606,25 @@ def test_unconfigured_eval_stages_are_omitted(tmp_path):
     ran = {r.stage for r in results}
     assert ran == set(STAGE_ORDER) - {"eval-sts", "eval-retrieval",
                                       "eval-clustering", "explain", "ablate"}
+    assert _left_out(tmp_path) == {"eval-sts": "[eval] sts is not set",
+                                   "eval-retrieval": "[eval] queries is not set",
+                                   "eval-clustering": "[eval] clustering is not set",
+                                   "explain": "[eval] sts is not set",
+                                   "ablate": "[eval] sts is not set"}
+
+
+def _left_out(root) -> dict:
+    """Each stage's cause in its not-configured run-log record."""
+    log = [json.loads(line) for line in (root / "run_log.jsonl").read_text().splitlines()]
+    return {r["stage"]: r["cause"] for r in log if r["status"] == "not-configured"}
+
+
+def test_explain_without_pairs_is_left_out_naming_the_setting(tmp_path):
+    cfg_path = write_demo_workspace(tmp_path, seed=0, **MINI)
+    cfg = load_config(cfg_path)
+    cfg = dataclasses.replace(cfg, eval=dataclasses.replace(cfg.eval, explain_pairs=0))
+    run_all(cfg, Workspace(tmp_path), config_dir=cfg_path.parent)
+    assert _left_out(tmp_path) == {"explain": "[eval] explain_pairs = 0"}
 
 
 # -- determinism -------------------------------------------------------------
@@ -634,13 +653,17 @@ def test_demo_workspace_files_written(tmp_path):
 
 
 def test_every_input_has_one_reader_and_each_stage_takes_its_inputs():
-    """READERS reads exactly the artifacts some stage declares as inputs, and a
-    stage function takes them, after ctx, as parameters of the same names in
-    Stage.inputs order."""
+    """READERS reads exactly the artifacts some stage declares as inputs, and
+    CONFIGURED loads exactly the parameters some stage declares as configured.
+    A stage function takes them, after ctx, as parameters of the same names in
+    Stage.inputs then Stage.configured order; the transcript goes to the
+    context, which builds the LLM from it."""
     assert set(READERS) == {a for s in STAGES.values() for a in s.inputs}
+    assert set(CONFIGURED) == {p for s in STAGES.values() for p in s.configured}
     for stage in STAGES.values():
-        assert list(inspect.signature(stage.func).parameters) == ["ctx", *stage.inputs], \
-            stage.name
+        params = [p for p in stage.configured if p != "transcript"]
+        assert list(inspect.signature(stage.func).parameters) == \
+            ["ctx", *stage.inputs, *params], stage.name
 
 
 def test_doc_embeddings_reader_rejects_rows_that_are_not_unit(tmp_path):

@@ -77,12 +77,18 @@ class TestCheck:
         ws.path("bank").write_text("out of band\n")
         ws.check("collect", ("bank",), {}, "cfg")
 
-    def test_configured_file_that_does_not_exist_is_left_out(self, ws, tmp_path):
-        task = tmp_path / "sts.jsonl"
-        task.write_text("{}\n")
-        files = {"file:sts_task": task, "file:queries": tmp_path / "missing.jsonl"}
-        fps, _ = ws.check("eval-sts", (), files, "cfg")
-        assert fps == {"file:sts_task": file_fingerprint(task)}
+    def test_configured_fingerprints_join_the_inputs_and_decide_staleness(self, ws):
+        """check takes the configured files' fingerprints from the caller, which
+        read the files, and records and compares them as it does the artifacts'."""
+        ws.path("heads").write_text("heads\n")
+        configured = {"file:sts_task": "0123456789abcdef"}
+        fps, up_to_date = ws.check("eval-sts", ("heads",), configured, "cfg")
+        assert fps == {"heads": file_fingerprint(ws.path("heads")), **configured}
+        assert not up_to_date
+        ws.record_stage("eval-sts", "cfg", fps, {})
+        assert ws.check("eval-sts", ("heads",), configured, "cfg") == (fps, True)
+        assert not ws.check("eval-sts", ("heads",), {"file:sts_task": "fedcba9876543210"},
+                            "cfg")[1]
 
 
 class TestUpToDate:
