@@ -24,7 +24,12 @@ but for the last +b2, with a rigorous forward-error bound per (row, head)
 (see _bound_constants), once per screen of rows, thresholds it at every tau,
 and recomputes the few heads the bound cannot settle at some tau once per
 FORWARD_CHUNK block of rows, with the float64 forward_logits. So every bit
-equals sigmoid(forward_logits(...)) > tau.
+equals sigmoid(forward_logits(...)) > tau. A screen's float32 forward is
+split into contiguous ranges of heads, one per usable CPU: the calling thread
+runs one and a thread each other, so several cores read W1 at once, and all
+are joined before it returns. It stays in the calling thread below
+FORWARD_SPLIT_MIN_WORK and while BLAS runs threads of its own. Each head's logits are the same in any range, so the
+bits are the same for any number of threads. There is no setting for this.
 """
 
 from __future__ import annotations
@@ -68,6 +73,13 @@ TRAIN_CHUNK_BYTES = 512 * 1024
 # a fork, its copy-on-write faults and the wait for the child cost about 10 ms,
 # more than a second worker saves on such a run (demo shape, 2 CPUs)
 FORK_MIN_WORK = 1 << 23
+# the certified forward's work is W1's size times (rows + FORWARD_STREAM_ROWS):
+# reading a float32 parameter from memory costs about as much as 8 rows'
+# multiply-adds on it. Below FORWARD_SPLIT_MIN_WORK it stays in the calling
+# thread: starting and joining a thread costs about 0.3 ms, and at 14M-28M of
+# work (about 1 ms) a second thread saved nothing (2 CPUs, 1 BLAS thread)
+FORWARD_STREAM_ROWS = 8
+FORWARD_SPLIT_MIN_WORK = 1 << 25
 # lockstep rounds between a training worker's checks for a non-finite logit
 # and, in a forked child, for a parent that has exited
 CHECK_ROUNDS = 256
@@ -706,24 +718,100 @@ def _float32_logits(heads: QuestionHeads, chunk: np.ndarray) -> tuple[np.ndarray
     ReLU in place on the first one's output) but the last +b2 in float64, and
     the bound (rows, m) of heads.bounds with |z' - forward_logits| <= bound.
 
+    The float32 steps run per contiguous range of heads, one range per
+    thread of _forward_workers, each writing its heads' logits into one
+    float32 array (see _in_threads): no thread outlives the call, and a
+    head's logits do not depend on its range.
+
     A row whose norm exceeds _NORM_LIMIT or is not finite gets an infinite or
     NaN bound, as does every row on a head whose float32 steps could overflow.
-    Runs under np.errstate, so such rows and heads raise no warnings.
+    Every thread runs under this np.errstate, so such rows and heads raise no
+    warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = chunk.astype(np.float32)
+        # (m, rows, h), so that +b1 runs along its contiguous last axis; allocated
+        # here, since memory a thread allocates stays in its own malloc arena
+        hidden = np.empty((heads.m, len(rows), heads.h), dtype=np.float32)
+        z = np.empty((heads.m, len(rows)), dtype=np.float32)
+        _in_threads(functools.partial(_float32_range, heads, rows, hidden, z), heads.m,
+                    _forward_workers(heads, len(rows)))
+        z = z.T.astype(np.float64)
+        z += heads.b2
         norms = np.sqrt(np.einsum("nd,nd->n", chunk, chunk))
         norms *= 1.0 + 2.0 * _gamma(heads.d + 2, _U64)  # its own rounding
         norms += 2.0 ** -500  # underflowed squares
         norms[~(norms <= _NORM_LIMIT)] = np.inf
-        # (m, rows, h), so that +b1 runs along its contiguous last axis
-        hidden = np.matmul(chunk.astype(np.float32), heads.W1.transpose(0, 2, 1))
-        hidden += heads.b1[:, None, :]
-        np.maximum(hidden, 0.0, out=hidden)
-        z = np.matmul(hidden, heads.w2[:, :, None])[:, :, 0].T.astype(np.float64)
-        z += heads.b2
         bound = np.multiply.outer(norms, heads.bounds[0])
         bound += heads.bounds[1]
     return z, bound
+
+
+def _float32_range(heads: QuestionHeads, rows: np.ndarray, hidden: np.ndarray, z: np.ndarray,
+                   lo: int, hi: int) -> None:
+    """The float32 logits of heads lo:hi on float32 rows into z[lo:hi], their
+    hidden layer into hidden[lo:hi]."""
+    block = hidden[lo:hi]
+    np.matmul(rows, heads.W1[lo:hi].transpose(0, 2, 1), out=block)
+    block += heads.b1[lo:hi, None, :]
+    np.maximum(block, 0.0, out=block)
+    z[lo:hi] = np.matmul(block, heads.w2[lo:hi, :, None])[:, :, 0]
+
+
+def _forward_workers(heads: QuestionHeads, rows: int) -> int:
+    """Threads of the certified forward on rows rows: one per usable CPU, at
+    most one per head. One, in the calling thread, below FORWARD_SPLIT_MIN_WORK
+    and while the process runs threads Python did not start, such as BLAS
+    workers: such a BLAS already splits the large GEMMs, and a second caller
+    only contends with its workers (2 CPUs, 2 BLAS threads: a 64-row screen at
+    m=512, h=128, d=256 took 49-52 ms split against 41-43 ms in one thread)."""
+    if (heads.W1.size * (rows + FORWARD_STREAM_ROWS) < FORWARD_SPLIT_MIN_WORK
+            or _foreign_threads()):
+        return 1
+    return min(_usable_cpus(), heads.m)
+
+
+def _foreign_threads() -> bool:
+    """Whether this process runs threads that Python did not start; False
+    where the platform does not list a process's threads."""
+    try:
+        return len(os.listdir("/proc/self/task")) > threading.active_count()
+    except OSError:
+        return False
+
+
+def _in_threads(work, m: int, workers: int) -> None:
+    """work(lo, hi) over m heads cut into workers contiguous ranges of about
+    equal size: the first range in this thread, each other in a thread of its
+    own, under this thread's np.errstate. Every thread is joined before this
+    returns or raises, so none outlives the call; an exception in a thread is
+    raised here after the joins."""
+    if workers == 1:
+        work(0, m)
+        return
+    cuts = [m * i // workers for i in range(workers + 1)]
+    errors: list[BaseException] = []
+    errstate = np.geterr()
+
+    def guarded(lo: int, hi: int) -> None:
+        try:
+            with np.errstate(**errstate):  # a new thread does not inherit it
+                work(lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            thread = threading.Thread(target=guarded, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        work(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _screen_rows(heads: QuestionHeads, n_taus: int) -> int:
@@ -741,7 +829,8 @@ def embedding_bits(heads: QuestionHeads, embeddings: np.ndarray,
     embeddings, every head id)) > taus[k].
 
     Each screen of _screen_rows rows runs the certified forward
-    (_float32_logits) once. A bit is decided there when its logit lies
+    (_float32_logits) once, on as many threads as _forward_workers gives,
+    all joined before it returns. A bit is decided there when its logit lies
     farther from logit(tau) than the bound plus that tau's slack
     (_logit_threshold). In each FORWARD_CHUNK block of the screen's rows,
     every head with an undecided (row, head) pair at any tau, NaN and inf

@@ -33,6 +33,11 @@ class ProviderError(RuntimeError):
     """Raised when a provider cannot produce a completion or embedding."""
 
 
+class UnscriptedPromptError(ProviderError):
+    """Raised when a scripted run asks a prompt its transcript does not answer:
+    the replay has left the recorded run, so every stage stops on it."""
+
+
 def prompt_fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
@@ -241,7 +246,7 @@ class CachedLLM:
             self.hits += 1
             return cached
         if self.inner is None:
-            raise ProviderError(f"no scripted response for prompt fingerprint {fp}")
+            raise UnscriptedPromptError(f"no scripted response for prompt fingerprint {fp}")
         self.misses += 1
         response = self.inner.complete(prompt)
         self.store.put(fp, response)

@@ -29,7 +29,7 @@ from .prompts import (
     render_answer_prompt,
     render_contrastive_prompt,
 )
-from .providers import Encoder, LLMProvider, ProviderError
+from .providers import Encoder, LLMProvider, ProviderError, UnscriptedPromptError
 
 logger = logging.getLogger(__name__)
 
@@ -187,13 +187,16 @@ def generate_cluster_questions(sample: ContrastiveSample, texts: dict[str, str],
     """Render the contrastive prompt for a sample and parse the LLM's questions.
 
     Fewer than the requested 10 questions is accepted with a warning; extras
-    are truncated. Returns [] when nothing parses (logged, cluster skipped).
+    are truncated. Returns [] when nothing parses or the provider fails
+    (logged, cluster skipped); a scripted run's missing response raises.
     """
     prompt = render_contrastive_prompt(
         [texts[d] for d in sample.positives],
         [texts[d] for d in sample.hard_negatives + sample.easy_negatives])
     try:
         raw = llm.complete(prompt)
+    except UnscriptedPromptError:
+        raise
     except ProviderError as exc:
         logger.warning("generation failed for cluster %d: %s", sample.cluster_id, exc)
         return []
@@ -217,7 +220,8 @@ def probe_question(q: CandidateQuestion, model: ClusterModel, texts: dict[str, s
                    rng: np.random.Generator) -> ProbeOutcome | None:
     """Ask the LLM the candidate question against fresh probe texts and score it.
 
-    Returns None (question excluded downstream) if the provider fails.
+    Returns None (question excluded downstream) if the provider fails; a
+    scripted run's missing response raises.
     """
     members = model.members(q.origin_cluster)
     pos_probes = _draw(members, probe.positives, rng,
@@ -234,6 +238,8 @@ def probe_question(q: CandidateQuestion, model: ClusterModel, texts: dict[str, s
     try:
         pos_yes = sum(ask(d) for d in pos_probes)
         neg_yes = sum(ask(d) for d in hard_probes) + sum(ask(d) for d in easy_probes)
+    except UnscriptedPromptError:
+        raise
     except ProviderError as exc:
         logger.warning("probing failed for %r: %s", q.text, exc)
         return None

@@ -279,8 +279,6 @@ CONFIGURED_FILES = ["sts.jsonl", "queries.jsonl", "retrieval_corpus.jsonl", "qre
                     "clustering.jsonl", "transcript.jsonl"]
 
 _TASK_TEXT_CHANGED = "one character of a text changes: still a valid task"
-_FINGERPRINT_CHANGED = ("one character of a probe prompt's fingerprint changes: the transcript "
-                        "parses, and probe drops the question it no longer answers, with a warning")
 # (file, damage) -> (a stage that reads the file and still runs, why the file is valid)
 ACCEPTED_CONFIGURED = {
     ("sts.jsonl", "first-line-twice"): ("eval-sts", "a repeated pair is a valid pair"),
@@ -291,10 +289,11 @@ ACCEPTED_CONFIGURED = {
     ("qrels.jsonl", "first-line-twice"): ("eval-retrieval", "a repeated judgment: the last wins"),
     ("clustering.jsonl", "first-line-twice"): ("eval-clustering",
                                                "a repeated text is a valid member of its group"),
-    ("transcript.jsonl", "xor-mid"): ("probe", _FINGERPRINT_CHANGED),
-    ("transcript.jsonl", "insert-mid"): ("probe", _FINGERPRINT_CHANGED),
     ("transcript.jsonl", "first-line-twice"): ("generate", "a repeated response: the last wins"),
 }
+# (file, damage) that changes one character of a probe prompt's fingerprint: the
+# transcript parses, and the run stops at that prompt, which it no longer answers
+REPLAY_MISSES = {("transcript.jsonl", "xor-mid"), ("transcript.jsonl", "insert-mid")}
 
 
 @pytest.mark.parametrize("name, damage", [(name, d) for name in CONFIGURED_FILES for d in DAMAGES],
@@ -304,7 +303,9 @@ def test_damaged_configured_file_stops_a_plain_run_before_it_writes(
     """Each damage of each file the config names: a plain run on a fresh
     workspace exits 2 with one error line naming the file, and writes neither
     config.ini nor state.json. A damage that leaves a valid file is ACCEPTED;
-    a stage that reads it then runs on a copy of the built workspace."""
+    a stage that reads it then runs on a copy of the built workspace. A
+    transcript that parses but lacks a prompt the run asks (REPLAY_MISSES)
+    stops the plain run there with exit 4, naming the prompt's fingerprint."""
     root, cfg_path = mini_ws
     stage = ACCEPTED_CONFIGURED.get((name, damage), (None,))[0]
     ws = tmp_path / "ws"
@@ -315,7 +316,8 @@ def test_damaged_configured_file_stops_a_plain_run_before_it_writes(
     if name == "transcript.jsonl":
         _script(ws / cfg_path.name, recorded)
     path = ws / name
-    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    raw = path.read_bytes()
+    path.write_bytes(DAMAGES[damage](raw))
     args = ["--stage", stage, "--force"] if stage else []
     code = main(["run", "--config", str(ws / cfg_path.name), "--workspace", str(ws), *args])
     err = capsys.readouterr().err
@@ -323,8 +325,15 @@ def test_damaged_configured_file_stops_a_plain_run_before_it_writes(
     if stage:
         assert code == EXIT_OK
         return
-    assert code == EXIT_CONFIG
     errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if (name, damage) in REPLAY_MISSES:
+        mid = len(raw) // 2  # the damaged line's prompt has no response now
+        line = raw[raw.rfind(b"\n", 0, mid) + 1:raw.index(b"\n", mid)]
+        missing = json.loads(line)["prompt_fingerprint"]
+        assert code == EXIT_PROVIDER
+        assert errors == [f"error: no scripted response for prompt fingerprint {missing}"]
+        return
+    assert code == EXIT_CONFIG
     assert len(errors) == 1 and name in errors[0]
     assert not (ws / "config.ini").exists() and not (ws / "state.json").exists()
 
@@ -742,8 +751,9 @@ def _script(cfg_path, recorded):
 def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, recorded, tmp_path, capsys):
     """A prompt cache recorded over the oracle, as a remote run records one,
     replays as a transcript to the same artifacts; a prompt it lacks stops the
-    stage that asks it, naming the prompt's fingerprint. The run log counts
-    each LLM stage's prompt-cache hits and misses."""
+    stage that asks it, collect, probe or generate, naming the prompt's
+    fingerprint. The run log counts each LLM stage's prompt-cache hits and
+    misses."""
     root, cfg_path = mini_ws
     transcript = recorded / "prompt_cache.jsonl"
     replay = tmp_path / "replay"
@@ -782,6 +792,19 @@ def test_a_prompt_cache_replays_as_a_scripted_run(mini_ws, recorded, tmp_path, c
     err = capsys.readouterr().err
     assert code == EXIT_PROVIDER
     assert err == f"error: no scripted response for prompt fingerprint {missing}\n"
+
+    # the transcript holds generate's prompts, then probe's, then collect's, as
+    # the recording run asked them; one from the middle of probe's, then of generate's
+    starts = {"generate": 0, "probe": asked["generate"][1]}
+    for stage in ("probe", "generate"):
+        line = lines[starts[stage] + asked[stage][1] // 2]
+        missing = json.loads(line)["prompt_fingerprint"]
+        short.write_text("".join(other for other in lines if other != line))
+        code = main(["run", "--config", str(replay_cfg), "--workspace", str(replay),
+                     "--stage", stage, "--force"])
+        err = capsys.readouterr().err
+        assert code == EXIT_PROVIDER, stage
+        assert err == f"error: no scripted response for prompt fingerprint {missing}\n"
 
 
 def test_missing_api_key_is_provider_error(tmp_path, capsys, monkeypatch):

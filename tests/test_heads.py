@@ -31,6 +31,7 @@ from qembed.heads import (
     TrainingExample,
     _bound_constants,
     _float32_logits,
+    _forward_workers,
     _logit_threshold,
     _screen_rows,
     classification_report,
@@ -1239,6 +1240,158 @@ class TestCertifiedBits:
         z, bound = _float32_logits(heads, E)
         err = np.abs(z - reference_forward_logits(heads, E))
         assert (err <= bound).all() and err.max() > 0.0
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """The threads started in this process during the test, with the
+    certified forward's work threshold at 0 and no BLAS workers seen, so
+    that it splits any call."""
+    started = []
+    real = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(heads_module, "FORWARD_SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(heads_module, "_foreign_threads", lambda: False)
+    return started
+
+
+class TestSplitForward:
+    """The certified forward on contiguous ranges of heads, one thread each."""
+
+    @staticmethod
+    def hard_case(tmp_path):
+        """Heads 2 and 5 with an infinite bound (head 2's float32 tail
+        overflows), and rows that are NaN, inf or past the float32 range."""
+        rng = np.random.default_rng(5)
+        fresh = init_heads(m=7, d=16, h=8, seed=9)
+        fresh.b2[:] += rng.normal(0.0, 3.0, size=7)
+        fresh.w2[2] = 3e38
+        fresh.b1[2] = 1e38
+        fresh.b1[5] = 3e38
+        heads = loaded(fresh, tmp_path)
+        assert (heads.bounds[0, [2, 5]] == np.inf).all()
+        E = rng.standard_normal((FORWARD_CHUNK + 9, 16))
+        E[3, 4] = np.nan
+        E[7, 0] = np.inf
+        E[8] *= 1e39
+        E[9] *= 1e300
+        return heads, E
+
+    def test_bits_are_the_same_on_any_number_of_threads(self, tmp_path, monkeypatch, threads):
+        """On 1, 2 and 3 CPUs the forward's logits, bounds and bits are the
+        same bytes. Heads 2 and 5 overflow in a thread's range at 3 CPUs, so a
+        thread without its own np.errstate would warn, here an error."""
+        heads, E = self.hard_case(tmp_path)
+        taus = [0.1, 0.5, 0.9]
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(heads_module, "_usable_cpus", lambda cpus=cpus: cpus)
+            before = len(threads)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                z, bound = _float32_logits(heads, E)
+                bits = embedding_bits(heads, E, taus)
+            assert len(threads) - before == 2 * (cpus - 1)  # two calls, cpus - 1 threads each
+            results.append((z.tobytes(), bound.tobytes(), bits.tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+        for tau, tau_bits in zip(taus, bits):
+            np.testing.assert_array_equal(tau_bits, expected_bits(heads, E, tau))
+
+    def test_no_thread_outlives_the_call_even_when_a_range_raises(self, tmp_path, monkeypatch,
+                                                                 threads):
+        """Every thread is joined before the call returns; an error in any
+        range, the caller's or a thread's, reaches the caller after the joins,
+        while the other ranges are still at work."""
+        monkeypatch.setattr(heads_module, "_usable_cpus", lambda: 3)
+        heads, E = self.hard_case(tmp_path)
+        before = threading.active_count()
+        want = embedding_bits(heads, E, [0.5])
+        assert len(threads) == 2 and threading.active_count() == before
+        real = heads_module._float32_range
+        for failing in (0, 2, 4):  # the caller's range and each thread's
+            def range_or_fail(heads, rows, hidden, z, lo, hi, failing=failing):
+                if lo == failing:
+                    raise MemoryError(f"range {lo}:{hi}")
+                time.sleep(0.05)
+                real(heads, rows, hidden, z, lo, hi)
+
+            monkeypatch.setattr(heads_module, "_float32_range", range_or_fail)
+            with pytest.raises(MemoryError, match=f"range {failing}:"):
+                embedding_bits(heads, E, [0.5])
+            assert threading.active_count() == before
+            assert not any(thread.is_alive() for thread in threads)
+        monkeypatch.setattr(heads_module, "_float32_range", real)
+        assert np.array_equal(embedding_bits(heads, E, [0.5]), want)
+
+    def test_one_thread_per_usable_cpu_but_the_callers(self, tmp_path, threads):
+        """On this machine's CPUs: with one usable CPU (taskset -c 0) the
+        forward starts no thread."""
+        heads = loaded(init_heads(m=5, d=16, h=4, seed=2), tmp_path)
+        E = np.random.default_rng(3).standard_normal((9, 16))
+        bits = embed_vectors(E, heads, 0.5).to_dense()
+        assert len(threads) == min(heads_module._usable_cpus(), heads.m) - 1
+        np.testing.assert_array_equal(bits, expected_bits(heads, E, 0.5))
+
+    def test_training_forks_after_a_split_forward(self, tmp_path, cpus, forks, threads):
+        """The forward's threads are gone when it returns, so training in the
+        same process still forks."""
+        cpus(2)
+        examples, embeddings = random_training_set(3, 6, 16, 40, (1, 4))
+        cfg = TrainingSection(learning_rate=1e-2, steps=60, hidden=4)
+        heads = loaded(train_heads(examples, embeddings, toy_bank(6), cfg=cfg, seed=0), tmp_path)
+        assert len(forks) == 1
+        embed_vectors(embeddings, heads, 0.5)
+        assert len(threads) == 1 and threading.active_count() == 1
+        again = train_heads(examples, embeddings, toy_bank(6), cfg=cfg, seed=0)
+        assert len(forks) == 2
+        assert_reaped(forks)
+        assert np.array_equal(again.params.astype(np.float32), heads.params)
+
+    def test_threads_only_above_the_work_threshold(self, monkeypatch):
+        """W1's size times (rows + 8) decides: the demo shape's 200 rows, and
+        100 rows at m=32, h=16, where a second thread was measured slower,
+        stay in the calling thread; one row at the paper shape, streaming its
+        67 MB W1, and 1,200 rows at m=32, h=16 split. At most one thread per head."""
+        monkeypatch.setattr(heads_module, "_usable_cpus", lambda: 2)
+
+        def shaped(m, h, d):  # pages never touched: no memory for the paper shape
+            params = np.empty((m, h * d + 2 * h + 1), dtype=np.float32)
+            return QuestionHeads(params=params, h=h, d=d, seed=0, tau_default=0.5,
+                                 bank_fingerprint="")
+
+        for (m, h, d), rows, workers in [((16, 16, 64), 200, 1), ((32, 16, 256), 100, 1),
+                                         ((512, 128, 256), 1, 2), ((512, 128, 256), 4, 2),
+                                         ((32, 16, 256), 1200, 2), ((1, 128, 256), 4096, 1)]:
+            assert _forward_workers(shaped(m, h, d), rows) == workers, (m, h, d, rows)
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="reads a process's threads from /proc")
+    def test_blas_workers_keep_the_forward_in_the_calling_thread(self):
+        """In a fresh process, as BLAS reads its thread count at import: with
+        BLAS on one thread, one row at the paper shape splits over every
+        usable CPU; with BLAS workers running, it stays in the calling thread."""
+        script = ("import numpy as np\n"
+                  "from qembed import heads\n"
+                  "params = np.empty((512, 128 * 256 + 2 * 128 + 1), dtype=np.float32)\n"
+                  "h = heads.QuestionHeads(params=params, h=128, d=256, seed=0, tau_default=0.5,\n"
+                  "                        bank_fingerprint='')\n"
+                  "print(heads._foreign_threads(), heads._forward_workers(h, 1))")
+        env = {**os.environ, "PYTHONPATH": str(Path(qembed.__file__).parents[1])}
+        seen = {}
+        for blas in ("1", "2"):
+            out = subprocess.run([sys.executable, "-c", script],
+                                 env={**env, "OPENBLAS_NUM_THREADS": blas}, capture_output=True,
+                                 text=True, timeout=60, check=True).stdout.split()
+            seen[blas] = (out[0] == "True", int(out[1]))
+        assert seen["1"] == (False, min(heads_module._usable_cpus(), 512))
+        if not seen["2"][0]:
+            pytest.skip("BLAS started no worker thread (one CPU, or not OpenBLAS)")
+        assert seen["2"][1] == 1
 
 
 class TestClassificationReport:

@@ -12,7 +12,7 @@ from qembed import question_gen
 from qembed.cluster import ClusterModel
 from qembed.config import GenerationSection, ProbeSection
 from qembed.prompts import CandidateQuestion
-from qembed.providers import MockEncoder
+from qembed.providers import CachedLLM, MockEncoder, ProviderError, UnscriptedPromptError
 from qembed.question_gen import (
     BankQuestion,
     ProbeOutcome,
@@ -175,6 +175,17 @@ class TestGenerateClusterQuestions:
                                              QueueLLM(["I refuse."]))
         assert out == []
 
+    def test_provider_failure_skips_the_cluster_but_a_scripted_miss_raises(self, caplog):
+        class FailingLLM:
+            def complete(self, prompt):
+                raise ProviderError("boom")
+
+        with caplog.at_level("WARNING"):
+            assert generate_cluster_questions(self.sample(), self.texts(), FailingLLM()) == []
+        assert "generation failed for cluster 2: boom" in caplog.text
+        with pytest.raises(UnscriptedPromptError, match="no scripted response"):
+            generate_cluster_questions(self.sample(), self.texts(), CachedLLM(None, {}))
+
 
 class TestProbeQuestion:
     def probe_model(self):
@@ -209,8 +220,6 @@ class TestProbeQuestion:
         assert out.quality == pytest.approx(0.6, abs=1e-12)
 
     def test_provider_failure_returns_none(self):
-        from qembed.providers import ProviderError
-
         class FailingLLM:
             def complete(self, prompt):
                 raise ProviderError("boom")
@@ -219,6 +228,13 @@ class TestProbeQuestion:
         q = CandidateQuestion(text="Is it anything?", origin_cluster=0, ordinal=0)
         assert probe_question(q, model, self.texts(model), FailingLLM(),
                               ProbeSection(), rng(5)) is None
+
+    def test_a_scripted_miss_raises(self):
+        model = self.probe_model()
+        q = CandidateQuestion(text="Is it anything?", origin_cluster=0, ordinal=0)
+        with pytest.raises(UnscriptedPromptError, match="no scripted response"):
+            probe_question(q, model, self.texts(model), CachedLLM(None, {}), ProbeSection(),
+                           rng(5))
 
     def test_quality_matches_brute_force_over_all_probe_combinations(self):
         # every assignment of yes/no to the 10 probes, scored through the full path
